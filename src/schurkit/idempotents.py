@@ -10,10 +10,14 @@ where P1 has the roots -r, ..., r and P1^(k) is P1 with the factor
 because the H_i are diagonal on the standard tensor basis the projectors
 are plain indicator diagonals, so the family is materialized that way
 after the polynomial formula has been re-verified on a sample of weights.
+
+`ladder_check` is the one implementation of the projector presentation's
+ladder relations R3-R6; the presentation report takes its groups from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,18 +87,15 @@ def polynomial_idempotent(rep: Representation, lam: Weight) -> ExactMatrix:
     """
     r = rep.r
     acc = ExactMatrix.identity(rep.dim)
-    ident = ExactMatrix.identity(rep.dim)
-    denom = Fraction(1)
+    denom = 1
     for i, hi in enumerate(rep.h):
         k = lam.coords[i]
         if not isinstance(k, int) or not -r <= k <= r:
             raise ValueError(f"eigenvalue {k} for H_{i+1} escapes the integer window [-{r}, {r}]")
-        for j in range(-r, r + 1):
-            if j == k:
-                continue
-            acc = acc @ (hi - j * ident)
-            denom *= k - j
-    return (1 / denom) * acc
+        shifts = [j for j in range(-r, r + 1) if j != k]
+        acc = acc @ product_of_shifts(hi, shifts)
+        denom *= math.prod(k - j for j in shifts)
+    return Fraction(1, denom) * acc
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,15 @@ class IdempotentFamily:
 
     def weights(self):
         return tuple(self.table.keys())
+
+    def weighted_sum(self, coeff) -> ExactMatrix:
+        """Sum of coeff(lam) * 1_lam over the family."""
+        acc = ExactMatrix.zeros(self.rep.dim)
+        for lam, proj in self.table.items():
+            c = coeff(lam)
+            if c != 0:
+                acc = acc + c * proj
+        return acc
 
     def rank_table(self):
         """Projector ranks per weight; for indicator diagonals this is the trace."""
@@ -129,7 +139,11 @@ class IdempotentFamily:
         }
 
 
-def build_idempotents(rep: Representation, verify_sample=4) -> IdempotentFamily:
+# Weights on which the polynomial formula is re-checked against the indicators.
+_VERIFY_SAMPLE = 4
+
+
+def build_idempotents(rep: Representation) -> IdempotentFamily:
     """Construct all 1_lam on a carrier, verifying the polynomial formula.
 
     The indicator-diagonal shortcut and the polynomial product must agree
@@ -145,7 +159,7 @@ def build_idempotents(rep: Representation, verify_sample=4) -> IdempotentFamily:
 
     support = set(rep.weights)
     if not support <= pi_all.as_set():
-        raise ValueError("carrier weights are not contained in the expected weight set")
+        raise ArithmeticError("carrier weights are not contained in the expected weight set")
 
     table = {}
     for lam in pi_all:
@@ -153,14 +167,13 @@ def build_idempotents(rep: Representation, verify_sample=4) -> IdempotentFamily:
         table[lam] = ExactMatrix.diag(diag)
 
     elements = list(pi_all)
-    if verify_sample and elements:
-        stride = max(1, len(elements) // min(verify_sample, len(elements)))
+    if elements:
+        stride = max(1, len(elements) // min(_VERIFY_SAMPLE, len(elements)))
         picks = sorted(set(range(0, len(elements), stride)) | {len(elements) - 1})
         for idx in picks:
             lam = elements[idx]
-            assert polynomial_idempotent(rep, lam) == table[lam], (
-                f"polynomial and indicator projectors disagree at {lam!r}"
-            )
+            if polynomial_idempotent(rep, lam) != table[lam]:
+                raise ArithmeticError(f"polynomial and indicator projectors disagree at {lam!r}")
     return IdempotentFamily(rep=rep, pi_all=pi_all, table=table)
 
 
@@ -168,59 +181,69 @@ def reconstruct_H(fam: IdempotentFamily, i) -> ExactMatrix:
     """Sum of lam_i * 1_lam over the family; equals the carrier's H_i."""
     if not 1 <= i <= fam.rep.rank:
         raise IndexError(f"index {i} out of range 1..{fam.rep.rank}")
-    acc = ExactMatrix.zeros(fam.rep.dim)
-    for lam, proj in fam.table.items():
-        c = lam.coords[i - 1]
-        if c != 0:
-            acc = acc + c * proj
-    return acc
+    return fam.weighted_sum(lambda lam: lam.coords[i - 1])
 
 
 @dataclass
 class LadderReport:
-    """Outcome of the one-sided intertwining checks e_i 1_lam = 1_{lam+a_i} e_i."""
+    """Nonzero residuals of the ladder families R3-R6, per label."""
 
-    violations: list  # (side, i, lam) triples
+    residuals: dict  # label -> [(case, residual)], in case order
     checked: int
     skipped: int
 
     @property
     def ok(self):
-        return not self.violations
+        return not any(self.residuals.values())
 
 
 def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderReport:
-    """Verify both ladder families on every projector of the family.
+    """Verify the four ladder families on every projector of the family.
+
+        R3: e_i 1_lam = 1_{lam+a_i} e_i        R5: 1_lam e_i = e_i 1_{lam-a_i}
+        R4: f_i 1_lam = 1_{lam-a_i} f_i        R6: 1_lam f_i = f_i 1_{lam+a_i}
+
+    Each product op 1_lam and 1_lam op is formed once per (i, lam), for one
+    generator at a time: R5 at lam reuses the two products R3 compares at
+    lam - a_i, and R6 reuses R4's the same way.  The generators come from
+    `rep` (default: the family's own carrier), so a perturbed carrier can
+    be checked against a clean family.
 
     Weights mu outside the carrier weight set contribute 1_mu = 0.  If a
     weight inside the set is missing from the family's table the case is
     skipped rather than failed: completeness of the family is a separate
-    check and the intertwining identity cannot be evaluated without the
-    missing projector.
+    check (R1) and the identity cannot be evaluated without the missing
+    projector.  Only nonzero residuals are kept, under the case label
+    "i=<i>,lam=<coords>".
     """
     rep = rep if rep is not None else fam.rep
     rs = build_root_system(rep.lie_type)
     members = fam.pi_all.as_set()
     zero = ExactMatrix.zeros(rep.dim)
-    violations = []
+    residuals = {label: [] for label in ("R3", "R4", "R5", "R6")}
     checked = skipped = 0
     for idx in range(1, rep.rank + 1):
         alpha = rs.simple_root(idx)
-        e_i, f_i = rep.e[idx - 1], rep.f[idx - 1]
-        for lam in fam.table:
-            for side, op, target in (
-                ("e", e_i, lam + alpha),
-                ("f", f_i, lam - alpha),
-            ):
-                if target in members:
-                    proj = fam.table.get(target)
-                    if proj is None:
-                        skipped += 1
-                        continue
-                    expected = proj @ op
-                else:
-                    expected = zero
-                checked += 1
-                if op @ fam.table[lam] != expected:
-                    violations.append((side, idx, lam))
-    return LadderReport(violations=violations, checked=checked, skipped=skipped)
+        # op 1_lam = 1_{lam+shift} op (R3, R4) and 1_lam op = op 1_{lam-shift} (R5, R6)
+        for op, shift, left, right in (
+            (rep.e[idx - 1], alpha, "R3", "R5"),
+            (rep.f[idx - 1], -alpha, "R4", "R6"),
+        ):
+            op_lam = {lam: op @ proj for lam, proj in fam.table.items()}
+            lam_op = {lam: proj @ op for lam, proj in fam.table.items()}
+            for lam in fam.table:
+                for label, lhs, rhs, target in (
+                    (left, op_lam[lam], lam_op, lam + shift),
+                    (right, lam_op[lam], op_lam, lam - shift),
+                ):
+                    if target in members:
+                        expected = rhs.get(target)
+                        if expected is None:
+                            skipped += 1
+                            continue
+                    else:
+                        expected = zero
+                    checked += 1
+                    if lhs != expected:
+                        residuals[label].append((f"i={idx},lam={lam.coords}", lhs - expected))
+    return LadderReport(residuals=residuals, checked=checked, skipped=skipped)

@@ -10,7 +10,10 @@ projector identity, four ladder families, and both Serre relations.
 
 Every relation group is checked as an exact operator identity on the
 given carrier; a failing group records the sub-case and the location of
-its largest residual entry.  The zero-locus scan and the quotient
+its largest residual entry.  Groups the two presentations share are built
+by one helper each: the commutator [e_i, f_j] = delta_ij target(i) (X2,
+R2) and the Serre relations (X4/X5, R7/R8).  The ladder groups R3-R6 are
+computed by `idempotents.ladder_check`.  The zero-locus scan and the quotient
 comparison live here as well, since they decide which relation groups
 are redundant and when the single-power image is a proper quotient.
 """
@@ -23,7 +26,7 @@ from fractions import Fraction
 from math import comb
 
 from .decomposition import schur_dimensions
-from .idempotents import IdempotentFamily, annihilator_for_signed_sums, p1
+from .idempotents import IdempotentFamily, annihilator_for_signed_sums, ladder_check, p1
 from .replinalg import ExactMatrix, Representation, algebra_closure
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import WeightSet, tensor_weights_Pi
@@ -114,23 +117,49 @@ def _serre_sum(x, y, a_xy):
     return total
 
 
-def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> RelationReport:
-    """Check the seven Cartan-generator relation groups on a carrier."""
+def _serre_cases(gens, cartan):
+    """Serre residuals of one generator list, over all ordered pairs i != j."""
+    n = len(gens)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                yield (f"i={i+1},j={j+1}", _serre_sum(gens[i], gens[j], cartan[i][j]))
+
+
+def _commutator_cases(e, f, target):
+    """Residuals of [e_i, f_j] = delta_ij target(i); target is built only when i == j."""
+    n = len(e)
+    for i in range(n):
+        for j in range(n):
+            res = e[i] @ f[j] - f[j] @ e[i]
+            if i == j:
+                res = res - target(i)
+            yield (f"i={i+1},j={j+1}", res)
+
+
+def _new_report(presentation, lt: LieType, r: int, rep: Representation):
+    """An empty report for a carrier of lt at degree r, and lt's root system."""
     if rep.lie_type != lt or rep.r != r:
         raise ValueError(f"carrier mismatch: rep is for {rep.lie_type}, r={rep.r}")
     rs = build_root_system(lt)
-    n = lt.rank
-    fam = lt.family
     word, _ = rs.longest_element()
     report = RelationReport(
-        presentation="serre",
-        family=fam,
-        rank=n,
+        presentation=presentation,
+        family=lt.family,
+        rank=lt.rank,
         r=r,
         carrier=rep.kind,
         reduced_word=word,
         generator_convention=_GENERATOR_CONVENTION,
     )
+    return report, rs
+
+
+def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> RelationReport:
+    """Check the seven Cartan-generator relation groups on a carrier."""
+    report, rs = _new_report("serre", lt, r, rep)
+    n = lt.rank
+    fam = lt.family
     e, f, h = rep.e, rep.f, rep.h
 
     report.relations.append(
@@ -153,15 +182,7 @@ def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> Relat
             return h[n - 1]
         return h[n - 2] + h[n - 1]
 
-    def x2_cases():
-        for i in range(n):
-            for j in range(n):
-                res = e[i] @ f[j] - f[j] @ e[i]
-                if i == j:
-                    res = res - commutator_target(i)
-                yield (f"i={i+1},j={j+1}", res)
-
-    report.relations.append(_check_many(f"{fam}2", x2_cases()))
+    report.relations.append(_check_many(f"{fam}2", _commutator_cases(e, f, commutator_target)))
 
     def x3_cases():
         for i in range(n):
@@ -172,29 +193,8 @@ def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> Relat
                 yield (f"[H_{i+1},f_{j+1}]", h[i] @ f[j] - f[j] @ h[i] + c * f[j])
 
     report.relations.append(_check_many(f"{fam}3", x3_cases()))
-
-    report.relations.append(
-        _check_many(
-            f"{fam}4",
-            (
-                (f"i={i+1},j={j+1}", _serre_sum(e[i], e[j], rs.cartan[i][j]))
-                for i in range(n)
-                for j in range(n)
-                if i != j
-            ),
-        )
-    )
-    report.relations.append(
-        _check_many(
-            f"{fam}5",
-            (
-                (f"i={i+1},j={j+1}", _serre_sum(f[i], f[j], rs.cartan[i][j]))
-                for i in range(n)
-                for j in range(n)
-                if i != j
-            ),
-        )
-    )
+    report.relations.append(_check_many(f"{fam}4", _serre_cases(e, rs.cartan)))
+    report.relations.append(_check_many(f"{fam}5", _serre_cases(f, rs.cartan)))
 
     window = p1(r)
     report.relations.append(
@@ -222,27 +222,13 @@ def verify_idempotent_presentation(
 ) -> RelationReport:
     """Check the eight projector-presentation relation groups on a carrier.
 
-    Ladder cases whose target projector is absent from the family's table
-    (while its weight does belong to the carrier weight set) are skipped:
-    the missing projector is a completeness defect, which R1 reports.
+    The ladder groups R3-R6 come from `idempotents.ladder_check`, the one
+    implementation the `idempotents` command uses too.  Ladder cases whose
+    target projector is absent from the family's table (while its weight
+    does belong to the carrier weight set) are skipped: the missing
+    projector is a completeness defect, which R1 reports.
     """
-    if rep.lie_type != lt or rep.r != r:
-        raise ValueError(f"carrier mismatch: rep is for {rep.lie_type}, r={rep.r}")
-    rs = build_root_system(lt)
-    n = lt.rank
-    word, _ = rs.longest_element()
-    report = RelationReport(
-        presentation="idempotent",
-        family=lt.family,
-        rank=n,
-        r=r,
-        carrier=rep.kind,
-        reduced_word=word,
-        generator_convention=_GENERATOR_CONVENTION,
-    )
-    e, f = rep.e, rep.f
-    ident = ExactMatrix.identity(rep.dim)
-    members = fam.pi_all.as_set()
+    report, rs = _new_report("idempotent", lt, r, rep)
     table = fam.table
 
     def r1_cases():
@@ -255,76 +241,19 @@ def verify_idempotent_presentation(
         total = ExactMatrix.zeros(rep.dim)
         for lam in lams:
             total = total + table[lam]
-        yield ("completeness", total - ident)
+        yield ("completeness", total - ExactMatrix.identity(rep.dim))
 
     report.relations.append(_check_many("R1", r1_cases()))
 
-    def r2_cases():
-        for i in range(n):
-            cor = rs.coroot(i + 1)
-            for j in range(n):
-                res = e[i] @ f[j] - f[j] @ e[i]
-                if i == j:
-                    acc = ExactMatrix.zeros(rep.dim)
-                    for lam, proj in table.items():
-                        c = cor.dot(lam)
-                        if c != 0:
-                            acc = acc + c * proj
-                    res = res - acc
-                yield (f"i={i+1},j={j+1}", res)
+    def coroot_target(i):
+        cor = rs.coroot(i + 1)
+        return fam.weighted_sum(cor.dot)
 
-    report.relations.append(_check_many("R2", r2_cases()))
-
-    def ladder_cases(which):
-        for i in range(n):
-            alpha = rs.simple_root(i + 1)
-            for lam, proj in table.items():
-                if which == "R3":
-                    lhs, target = e[i] @ proj, lam + alpha
-                    rhs = lambda p: p @ e[i]
-                elif which == "R4":
-                    lhs, target = f[i] @ proj, lam - alpha
-                    rhs = lambda p: p @ f[i]
-                elif which == "R5":
-                    lhs, target = proj @ e[i], lam - alpha
-                    rhs = lambda p: e[i] @ p
-                else:
-                    lhs, target = proj @ f[i], lam + alpha
-                    rhs = lambda p: f[i] @ p
-                if target in members:
-                    other = table.get(target)
-                    if other is None:
-                        continue  # completeness defect; reported by R1
-                    expected = rhs(other)
-                else:
-                    expected = ExactMatrix.zeros(rep.dim)
-                yield (f"i={i+1},lam={lam.coords}", lhs - expected)
-
-    for label in ("R3", "R4", "R5", "R6"):
-        report.relations.append(_check_many(label, ladder_cases(label)))
-
-    report.relations.append(
-        _check_many(
-            "R7",
-            (
-                (f"i={i+1},j={j+1}", _serre_sum(e[i], e[j], rs.cartan[i][j]))
-                for i in range(n)
-                for j in range(n)
-                if i != j
-            ),
-        )
-    )
-    report.relations.append(
-        _check_many(
-            "R8",
-            (
-                (f"i={i+1},j={j+1}", _serre_sum(f[i], f[j], rs.cartan[i][j]))
-                for i in range(n)
-                for j in range(n)
-                if i != j
-            ),
-        )
-    )
+    report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target)))
+    for label, cases in ladder_check(fam, rep).residuals.items():
+        report.relations.append(_check_many(label, cases))
+    report.relations.append(_check_many("R7", _serre_cases(rep.e, rs.cartan)))
+    report.relations.append(_check_many("R8", _serre_cases(rep.f, rs.cartan)))
     return report
 
 

@@ -35,10 +35,15 @@ class CapExceeded(RuntimeError):
 
 
 def resolve_max_dim(explicit=None):
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("SCHURKIT_MAX_DIM")
-    return int(env) if env else DEFAULT_MAX_DIM
+    """The carrier dimension cap: the explicit value, else SCHURKIT_MAX_DIM, else the default."""
+    source = "--max-dim"
+    if explicit is None:
+        source = "SCHURKIT_MAX_DIM"
+        explicit = os.environ.get("SCHURKIT_MAX_DIM") or DEFAULT_MAX_DIM
+    cap = int(explicit)
+    if cap < 1:
+        raise ValueError(f"{source} must be a positive dimension cap, got {cap}")
+    return cap
 
 
 class ExactMatrix:
@@ -656,7 +661,7 @@ class ClosureResult:
         return out
 
 
-def algebra_closure(mats, include_identity=True) -> ClosureResult:
+def algebra_closure(mats) -> ClosureResult:
     """Basis of the unital associative algebra generated by square matrices.
 
     Seeds the span with the identity and the generators, then repeatedly
@@ -676,8 +681,7 @@ def algebra_closure(mats, include_identity=True) -> ClosureResult:
     span = ExactRowSpan(size * size)
     gens = [_np_square(m) for m in mats]
     queue = []
-    seeds = ([np.eye(size, dtype=np.int64)] if include_identity else []) + gens
-    for arr in seeds:
+    for arr in [np.eye(size, dtype=np.int64)] + gens:
         if span.insert(arr.ravel()):
             queue.append(arr)
     qi = 0

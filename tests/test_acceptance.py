@@ -124,7 +124,8 @@ def test_criterion_3_idempotent_families():
                 failures.append((str(lt), r, f"H_{i} not recovered from projectors"))
         ladders = ladder_check(fam)
         if not ladders.ok or ladders.skipped:
-            failures.append((str(lt), r, f"ladder violations {ladders.violations[:3]}"))
+            failing = [label for label, cases in ladders.residuals.items() if cases]
+            failures.append((str(lt), r, f"ladder failures {failing}, {ladders.skipped} skipped"))
         counts = Counter(rep.weights)
         for lam, rank_value in fam.rank_table().items():
             if rank_value != counts.get(lam, 0):

@@ -1,8 +1,10 @@
+import dataclasses
 import io
 import json
 
 from schurkit import cli
 from schurkit.presentation import RelationCheck, RelationReport
+from schurkit.replinalg import ExactMatrix, tower_rep
 
 
 def run_cli(argv):
@@ -127,6 +129,31 @@ def test_cap_env_variable(monkeypatch):
     monkeypatch.setenv("SCHURKIT_MAX_DIM", "10")
     code, _, err = run_cli(["verify", "C", "2", "2", "--presentation", "serre"])
     assert code == 2 and "cap" in err
+
+
+def test_nonpositive_cap_exits_two(monkeypatch):
+    for cap in ("0", "-5"):
+        code, out, err = run_cli(["idempotents", "C", "2", "2", "--max-dim", cap])
+        assert code == 2 and out == ""
+        assert f"--max-dim must be a positive dimension cap, got {cap}" in err
+    monkeypatch.setenv("SCHURKIT_MAX_DIM", "-5")
+    code, out, err = run_cli(["verify", "C", "2", "2", "--presentation", "serre"])
+    assert code == 2 and out == ""
+    assert "SCHURKIT_MAX_DIM must be a positive dimension cap, got -5" in err
+
+
+def test_idempotents_ladder_failure_exits_one(monkeypatch):
+    def perturbed_tower(lt, r, max_dim=None):
+        rep = tower_rep(lt, r, max_dim)
+        # e_1 acting on basis vector 0 without shifting its weight
+        e1 = rep.e[0] + ExactMatrix.unit(rep.dim, 0, 0)
+        return dataclasses.replace(rep, e=(e1,) + rep.e[1:])
+
+    monkeypatch.setattr(cli, "tower_rep", perturbed_tower)
+    code, doc, err = run_json(["idempotents", "C", "2", "2"])
+    assert code == 1
+    assert doc["ladders_ok"] is False and doc["ranks_match_multiplicities"] is True
+    assert "FAIL: ladder relations (R3)-(R6)" in err
 
 
 def test_byte_identical_reruns():

@@ -1,8 +1,10 @@
+import dataclasses
+import io
 from collections import Counter
 
 import pytest
 
-from schurkit import polys
+from schurkit import cli, idempotents, polys
 from schurkit.idempotents import (
     AnnihilatorPolynomial,
     build_idempotents,
@@ -136,7 +138,7 @@ def test_ladders_hold_on_c2_tower():
     report = ladder_check(fam)
     assert report.ok
     assert report.skipped == 0
-    assert report.checked == 2 * 2 * len(fam.table)
+    assert report.checked == 4 * 2 * len(fam.table)
 
 
 def test_ladder_zero_branches():
@@ -151,6 +153,23 @@ def test_ladder_zero_branches():
     bottom = Weight((-2, 0))
     assert bottom - rs.simple_root(1) not in members
     assert (rep.f[0] @ fam.table[bottom]).is_zero()
+
+
+def test_polynomial_indicator_disagreement_is_a_failed_check(monkeypatch):
+    # a raised ArithmeticError, not an assert, so the check survives python -O
+    monkeypatch.setattr(idempotents, "polynomial_idempotent", lambda rep, lam: 2 * ExactMatrix.identity(rep.dim))
+    with pytest.raises(ArithmeticError, match="disagree"):
+        build_idempotents(tower_rep(LieType("C", 2), 2))
+    err = io.StringIO()
+    assert cli.run(["idempotents", "C", "2", "2"], stdout=io.StringIO(), stderr=err) == 1
+    assert "check failed" in err.getvalue()
+
+
+def test_carrier_weight_outside_tensor_weights_is_a_failed_check():
+    # (1,) lies in the window [-2, 2] but is not a weight of the C1 tower at r=2
+    rep = dataclasses.replace(trivial_rep(LieType("C", 1), 2), weights=(Weight((1,)),))
+    with pytest.raises(ArithmeticError, match="not contained"):
+        build_idempotents(rep)
 
 
 def test_spectrum_escape_is_rejected():
