@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootdata import LieType, RootSystem, Weight, build_root_system
+from .rootdata import InvariantError, LieType, RootSystem, Weight, build_root_system
 from .weightsets import WeightSet, _partitions, tensor_dominant_pi
 
 _char_cache = {}
@@ -124,7 +124,8 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> FormalCharacter:
                 continue
             denom = top_norm - (mu + rho).dot(mu + rho)
             m_mu = Fraction(num, 1) / denom
-            assert m_mu.denominator == 1 and m_mu > 0, (mu, num, denom)
+            if m_mu.denominator != 1 or m_mu <= 0:
+                raise InvariantError("Freudenthal integrality", f"multiplicity {num}/{denom} at {mu!r} for {lam!r}")
             mult[mu] = int(m_mu)
             frontier.append(mu)
 
@@ -142,7 +143,8 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     total = Fraction(1)
     for alpha in rs.positive_roots:
         total *= Fraction((lam + rho).dot(alpha), rho.dot(alpha))
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise InvariantError("Weyl dimension integrality", f"{total} for {lam!r}")
     return int(total)
 
 
@@ -190,8 +192,10 @@ class DecompositionResult:
     equal: bool
 
     def __post_init__(self):
-        assert self.pi0.as_set() <= self.pi.as_set(), "factor weights must be dominant tensor weights"
-        assert set(self.multiplicities) == self.pi0.as_set()
+        if not self.pi0.as_set() <= self.pi.as_set():
+            raise InvariantError("decomposition consistency", "factor weights must be dominant tensor weights")
+        if set(self.multiplicities) != self.pi0.as_set():
+            raise InvariantError("decomposition consistency", "multiplicities must cover exactly the factor weights")
 
     def pi_minus_pi0(self):
         return tuple(w for w in self.pi if w not in self.pi0.as_set())

@@ -11,7 +11,7 @@ h(t) = (x(t), alpha^vee): when the defining threshold is met, the piece
 between two critical times is reflected and the tail is translated by
 the root.  This form of the operators is valid on integral paths (all
 local minima of every height function at integer levels); paths generated
-from a straight dominant path stay integral, which is asserted during
+from a straight dominant path stay integral, which is checked during
 crystal generation.
 
 Strings are extracted greedily along a fixed reduced word for the longest
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomposition import schur_dimensions, weyl_dimension
-from .rootdata import LieType, RootSystem, Weight, build_root_system
+from .rootdata import InvariantError, LieType, RootSystem, Weight, build_root_system
 from .weightsets import tensor_dominant_pi
 
 DEFAULT_CRYSTAL_CAP = 5000
@@ -263,7 +263,8 @@ def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP
             if at is None:
                 if len(elements) >= cap:
                     raise CrystalCapExceeded(f"crystal of {lam!r} exceeded {cap} elements")
-                assert is_integral(rs, image), f"operator left the integral-path regime at {lam!r}"
+                if not is_integral(rs, image):
+                    raise InvariantError("integral-path regime", f"an operator left it in the crystal of {lam!r}")
                 index[image] = at = len(elements)
                 elements.append(image)
             edges.append((qi, i, at))

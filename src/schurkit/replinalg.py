@@ -11,6 +11,15 @@ of the natural module on which the whole family of simple modules with
 dominant weights in pi is realized), exact minimal polynomials, and the
 span-closure computation that measures the dimension of a generated
 operator algebra.
+
+The closure is graded.  The diagonal generators (Cartan elements or weight
+projectors) split the coordinates into classes of equal joint eigenvalue,
+and the indicator 1_c of each class is a polynomial in them, so the
+algebra A is the direct sum of its pieces 1_c A 1_c'.  Each piece is
+reduced in its own echelon and products are formed block by block.  The
+pieces occupy disjoint coordinates, so the union of their reduced echelon
+rows, sorted by pivot, is exactly the reduced echelon basis of A over all
+matrix entries: the canonical rows do not depend on the grading.
 """
 
 from __future__ import annotations
@@ -18,13 +27,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import polys
-from .rootdata import LieType, Weight, exact
+from .rootdata import InvariantError, LieType, Weight, exact
 
 DEFAULT_MAX_DIM = 3000
 _INT64_GUARD = 2**62
@@ -214,22 +223,21 @@ class ExactMatrix:
     def dense(self):
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
-    def flat_int_entries(self):
-        """Row-major dense entries scaled to integers (common denominator)."""
+    def int_entries(self):
+        """Sorted sparse entries (i, j, n) of the matrix times the lcm of its denominators."""
         denom = 1
         for _, _, v in self.iter_entries():
             if not isinstance(v, int):
                 denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        flat = [0] * (self.rows * self.cols)
-        for i, row in self._data.items():
-            base = i * self.cols
-            for j, v in row.items():
-                scaled = v * denom
-                if isinstance(scaled, Fraction):
-                    assert scaled.denominator == 1
-                    scaled = scaled.numerator
-                flat[base + j] = scaled
-        return flat
+        out = []
+        for i, j, v in self.iter_entries():
+            scaled = v * denom
+            if isinstance(scaled, Fraction):
+                if scaled.denominator != 1:
+                    raise InvariantError("integer scaling", f"entry ({i},{j}) = {v} times {denom} is not an integer")
+                scaled = scaled.numerator
+            out.append((i, j, scaled))
+        return out
 
     def to_json(self):
         entries = []
@@ -506,11 +514,36 @@ def minimal_polynomial(X: ExactMatrix):
         power = power @ X
         k += 1
         if k > n:
-            raise AssertionError("minimal polynomial search exceeded the dimension bound")
+            raise InvariantError("minimal polynomial degree", f"Krylov search passed the dimension bound {n}")
 
 
 # ---------------------------------------------------------------------------
 # Span closure of a generated operator algebra
+
+
+def _int_array(values):
+    """Exact integers as an int64 array, or as an object array when they do not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _maxabs(arr):
+    return int(np.abs(arr).max()) if arr.size else 0
+
+
+def _primitive(vec):
+    """vec divided by the gcd of its entries (unchanged when zero)."""
+    g = int(np.gcd.reduce(vec)) if vec.size else 0
+    return vec // g if g > 1 else vec
+
+
+def _exact_matmul(a, b):
+    """a @ b on int64 while the entry bound is safe, else on exact object arrays."""
+    if a.dtype == np.int64 and b.dtype == np.int64 and _maxabs(a) * _maxabs(b) * a.shape[1] < _INT64_GUARD:
+        return a @ b
+    return a.astype(object) @ b.astype(object)
 
 
 class ExactRowSpan:
@@ -519,144 +552,132 @@ class ExactRowSpan:
     Rows are primitive integer vectors (gcd 1, positive pivot) with every
     pivot column cleared from the other rows, so the stored basis is the
     canonical reduced echelon form of the row space: independent of
-    insertion order.  Arithmetic runs on int64 vectors while a safe bound
-    holds and falls back to exact object (big-int) vectors otherwise.
+    insertion order.  Since each row vanishes on every other row's pivot
+    column, a vector is reduced in one step, by a single combination of the
+    rows whose pivots it meets.  Arithmetic runs on int64 arrays while a
+    bound on the entries stays below 2**62 and on exact object (big-int)
+    arrays otherwise.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []  # list of np arrays, kept sorted by pivot column
-        self.pivots = []  # pivot column per row
+        self._rows = np.zeros((1, ncols), dtype=np.int64)
+        self._pivots = np.zeros(1, dtype=np.intp)
+        self._count = 0
+        self._bound = 0  # upper bound on |entry| over the stored rows
 
     @property
     def dimension(self):
-        return len(self.rows)
+        return self._count
 
-    @staticmethod
-    def _to_vector(flat):
-        try:
-            return np.array(flat, dtype=np.int64)
-        except OverflowError:
-            return np.array(flat, dtype=object)
+    def _reduce(self, vec):
+        """The primitive positive multiple of vec minus its projection on the span."""
+        pivots = self._pivots[: self._count]
+        hit = np.flatnonzero(vec[pivots])
+        if hit.size:
+            rows = self._rows[hit]
+            coeffs = vec[pivots[hit]]
+            leads = rows[np.arange(hit.size), pivots[hit]].tolist()
+            scale = math.lcm(*leads)
+            if scale > 1:
+                coeffs = _int_array([c * (scale // lead) for c, lead in zip(coeffs.tolist(), leads)])
+            bound = scale * _maxabs(vec) + hit.size * _maxabs(coeffs) * self._bound
+            if bound >= _INT64_GUARD:
+                vec, rows, coeffs = vec.astype(object), rows.astype(object), coeffs.astype(object)
+            vec = scale * vec - coeffs @ rows
+        return _primitive(vec)
 
-    @staticmethod
-    def _maxabs(vec):
-        if vec.size == 0:
-            return 0
-        if vec.dtype == np.int64:
-            return int(np.abs(vec).max())
-        return max((abs(int(x)) for x in vec.tolist()), default=0)
-
-    @staticmethod
-    def _gcd_normalize(vec):
-        if vec.dtype == np.int64:
-            g = int(np.gcd.reduce(np.abs(vec)))
-        else:
-            g = 0
-            for x in vec.tolist():
-                g = math.gcd(g, abs(int(x)))
-                if g == 1:
-                    break
-        if g > 1:
-            vec = vec // g
-        return vec
-
-    @classmethod
-    def _combine(cls, a, vec, b, row):
-        """a*vec - b*row, exactly, promoting to object dtype when unsafe."""
-        if vec.dtype == np.int64 and row.dtype == np.int64:
-            bound = abs(a) * cls._maxabs(vec) + abs(b) * cls._maxabs(row)
-            if bound < _INT64_GUARD:
-                return a * vec - b * row
-        if vec.dtype == np.int64:
-            vec = vec.astype(object)
-        if row.dtype == np.int64:
-            row = row.astype(object)
-        return a * vec - b * row
-
-    def reduce(self, flat):
-        """Fully reduce a vector against the span; returns a normalized array."""
-        vec = self._to_vector(flat)
-        vec = self._gcd_normalize(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            coeff = int(vec[piv])
-            if coeff == 0:
-                continue
-            lead = int(row[piv])
-            vec = self._combine(lead, vec, coeff, row)
-            vec = self._gcd_normalize(vec)
-        return vec
-
-    def contains(self, flat):
-        return not np.any(self.reduce(flat))
-
-    def insert(self, flat):
-        """Reduce and, if independent, add to the basis. True iff added."""
-        vec = self.reduce(flat)
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
+    def insert(self, values):
+        """Reduce a vector and, if independent, add it to the basis. True iff added."""
+        vec = self._reduce(_int_array(values))
+        nz = np.flatnonzero(vec)
+        if not nz.size:
             return False
+        if vec.dtype == object:
+            vec = _int_array(vec)  # back to int64 when the reduced entries fit
         pivot = int(nz[0])
-        if int(vec[pivot]) < 0:
+        if vec[pivot] < 0:
             vec = -vec
-        # clear the new pivot column from existing rows
-        for idx, row in enumerate(self.rows):
-            coeff = int(row[pivot])
-            if coeff == 0:
-                continue
-            lead = int(vec[pivot])
-            newrow = self._combine(lead, row, coeff, vec)
-            newrow = self._gcd_normalize(newrow)
-            if int(newrow[self.pivots[idx]]) < 0:
-                newrow = -newrow
-            self.rows[idx] = newrow
-        pos = int(np.searchsorted(np.array(self.pivots, dtype=np.int64), pivot)) if self.pivots else 0
-        self.rows.insert(pos, vec)
-        self.pivots.insert(pos, pivot)
+        lead = int(vec[pivot])
+        # clear the new pivot column from the existing rows
+        hit = np.flatnonzero(self._rows[: self._count, pivot])
+        if hit.size:
+            rows = self._rows[hit]
+            col = rows[:, pivot].copy()
+            if lead * self._bound + _maxabs(col) * _maxabs(vec) >= _INT64_GUARD:
+                self._rows = self._rows.astype(object)
+                rows, col, vec = rows.astype(object), col.astype(object), vec.astype(object)
+            rows = lead * rows - np.outer(col, vec)
+            rows //= np.gcd.reduce(rows, axis=1)[:, None]
+            self._rows[hit] = rows
+            self._bound = max(self._bound, _maxabs(rows))
+        self._append(vec, pivot)
         return True
+
+    def _append(self, vec, pivot):
+        k = self._count
+        if k == len(self._pivots):
+            grown = np.zeros((min(2 * k, self.ncols), self.ncols), dtype=self._rows.dtype)
+            grown[:k] = self._rows
+            self._rows = grown
+            self._pivots = np.concatenate([self._pivots, np.zeros(len(grown) - k, dtype=np.intp)])
+        if vec.dtype == object:
+            self._rows = self._rows.astype(object)
+        self._rows[k] = vec
+        self._pivots[k] = pivot
+        self._count = k + 1
+        self._bound = max(self._bound, _maxabs(vec))
+
+    def pivot_rows(self):
+        """(pivot column, row) pairs in pivot order."""
+        pivots = self._pivots[: self._count]
+        return [(int(pivots[k]), self._rows[k]) for k in np.argsort(pivots)]
 
     def canonical_rows(self):
         """Basis rows as integer tuples in pivot order (a canonical form)."""
-        return tuple(tuple(int(x) for x in row.tolist()) for row in self.rows)
+        return tuple(tuple(int(x) for x in row.tolist()) for _, row in self.pivot_rows())
 
 
-def _np_square(mat: ExactMatrix):
-    arr = ExactRowSpan._to_vector(mat.flat_int_entries()).reshape(mat.rows, mat.cols)
-    return arr
-
-
-def _np_matmul(a, b):
-    if a.dtype == np.int64 and b.dtype == np.int64:
-        bound = ExactRowSpan._maxabs(a.ravel()) * ExactRowSpan._maxabs(b.ravel()) * a.shape[1]
-        if bound < _INT64_GUARD:
-            return a @ b
-    if a.dtype == np.int64:
-        a = a.astype(object)
-    if b.dtype == np.int64:
-        b = b.astype(object)
-    return a @ b
-
-
-@dataclass
+@dataclass(frozen=True)
 class ClosureResult:
-    """Dimension and canonical echelon basis of a generated matrix algebra."""
+    """Dimension and canonical echelon basis of a generated matrix algebra.
+
+    The basis is stored per graded piece as (row coordinates, column
+    coordinates, echelon over the piece's row-major local columns); the
+    global basis is assembled only when asked for.
+    """
 
     dimension: int
     size: int
-    span: ExactRowSpan
+    _pieces: tuple = field(repr=False)
+
+    def _global_rows(self):
+        """(pivot, columns, values) of each basis row over size*size columns, in pivot order."""
+        out = []
+        for rows, cols, span in self._pieces:
+            index = (np.array(rows)[:, None] * self.size + np.array(cols)).ravel()
+            for pivot, row in span.pivot_rows():
+                nz = np.flatnonzero(row)
+                out.append((int(index[pivot]), index[nz].tolist(), [int(v) for v in row[nz].tolist()]))
+        out.sort(key=lambda t: t[0])
+        return out
 
     def canonical_rows(self):
-        return self.span.canonical_rows()
+        """Basis rows as integer tuples over the row-major entries, in pivot order."""
+        out = []
+        for _, cols, values in self._global_rows():
+            flat = [0] * (self.size * self.size)
+            for j, v in zip(cols, values):
+                flat[j] = v
+            out.append(tuple(flat))
+        return tuple(out)
 
     def basis_matrices(self):
         """Basis as exact matrices, each row of the echelon form rescaled monic."""
         out = []
-        for row, piv in zip(self.span.rows, self.span.pivots):
-            lead = int(row[piv])
-            items = []
-            for idx in np.nonzero(row)[0]:
-                q = Fraction(int(row[int(idx)]), lead)
-                items.append((int(idx) // self.size, int(idx) % self.size, q))
+        for _, cols, values in self._global_rows():
+            lead = values[0]
+            items = [(j // self.size, j % self.size, Fraction(v, lead)) for j, v in zip(cols, values)]
             out.append(ExactMatrix.from_entries(self.size, self.size, items))
         return out
 
@@ -664,11 +685,27 @@ class ClosureResult:
 def algebra_closure(mats) -> ClosureResult:
     """Basis of the unital associative algebra generated by square matrices.
 
-    Seeds the span with the identity and the generators, then repeatedly
-    multiplies newly accepted elements by every generator on both sides,
-    reducing each product into the echelon span until it stabilizes.
-    Candidates are processed in a fixed order, and the reduced echelon
-    basis is canonical, so the result does not depend on generator order.
+    Grading: label each coordinate by the tuple of its entries in the
+    diagonal generators.  Interpolating over the finitely many joint
+    eigenvalues writes the indicator 1_c of every label class c as a
+    polynomial in those generators, so 1_c lies in the algebra A and
+    A = sum over (c, c') of the pieces 1_c A 1_c'.  With Cartan or
+    projector generators the classes are the weights; with no diagonal
+    generator there is a single class and a single piece.
+
+    Each piece keeps its own exact echelon over its |c|*|c'| coordinates.
+    The span starts from the identity blocks 1_c and is closed under right
+    multiplication by the blocks 1_c g 1_c' of every non-diagonal generator
+    g; each product lands in one piece and is reduced in that piece's
+    echelon.  A diagonal generator acts on every class as a scalar, so it
+    only shapes the grading.  Every word 1_c w 1_c' is a sum of such block
+    products, so the accepted blocks span A.
+
+    The pieces have disjoint coordinate supports, and within a piece the
+    local row-major order is the global one restricted.  The union of the
+    per-piece reduced echelon rows, sorted by pivot, is therefore the
+    reduced echelon form of A over all size*size entries: canonical, and
+    independent of generator order.
     """
     mats = list(mats)
     if not mats:
@@ -678,18 +715,49 @@ def algebra_closure(mats) -> ClosureResult:
         if not m.is_square() or m.rows != size:
             raise ValueError("generators must be square matrices of equal size")
 
-    span = ExactRowSpan(size * size)
-    gens = [_np_square(m) for m in mats]
+    diagonal = [m for m in mats if m.is_diagonal()]
+    by_label = {}
+    for i in range(size):
+        by_label.setdefault(tuple(m.entry(i, i) for m in diagonal), []).append(i)
+    classes = list(by_label.values())
+    cls, pos = [0] * size, [0] * size
+    for c, coords in enumerate(classes):
+        for p, i in enumerate(coords):
+            cls[i], pos[i] = c, p
+
+    # right[c]: (c', block 1_c g 1_c') for every nonzero block of a non-diagonal generator
+    right = [[] for _ in classes]
+    for m in mats:
+        if m.is_diagonal():
+            continue
+        blocks = {}
+        for i, j, v in m.int_entries():
+            blocks.setdefault((cls[i], cls[j]), []).append((pos[i], pos[j], v))
+        for (c, d), items in blocks.items():
+            block = np.zeros((len(classes[c]), len(classes[d])), dtype=object)
+            for p, q, v in items:
+                block[p, q] = v
+            right[c].append((d, _int_array(block)))
+
+    pieces = {}
     queue = []
-    for arr in [np.eye(size, dtype=np.int64)] + gens:
-        if span.insert(arr.ravel()):
-            queue.append(arr)
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-        for g in gens:
-            for prod in (_np_matmul(a, g), _np_matmul(g, a)):
-                if span.insert(prod.ravel()):
-                    queue.append(prod)
-    return ClosureResult(dimension=span.dimension, size=size, span=span)
+    for c, coords in enumerate(classes):
+        eye = np.eye(len(coords), dtype=np.int64)
+        pieces[c, c] = ExactRowSpan(eye.size)
+        pieces[c, c].insert(eye.ravel())
+        queue.append((c, c, eye))
+    for a, b, x in queue:  # the queue grows while it is read
+        for d, g in right[b]:
+            prod = _exact_matmul(x, g)
+            if not prod.any():
+                continue
+            span = pieces.get((a, d))
+            if span is None:
+                span = pieces[a, d] = ExactRowSpan(prod.size)
+            if span.insert(prod.ravel()):
+                queue.append((a, d, prod))
+    return ClosureResult(
+        dimension=sum(span.dimension for span in pieces.values()),
+        size=size,
+        _pieces=tuple((tuple(classes[a]), tuple(classes[d]), span) for (a, d), span in pieces.items()),
+    )

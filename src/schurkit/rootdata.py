@@ -21,6 +21,18 @@ from fractions import Fraction
 FAMILIES = ("B", "C", "D")
 
 
+class InvariantError(ArithmeticError):
+    """A mathematical invariant failed during a computation (CLI exit 1).
+
+    Raised instead of `assert`, so the check also runs under `python -O`;
+    `label` names the invariant and leads the message.
+    """
+
+    def __init__(self, label, detail):
+        super().__init__(f"{label}: {detail}")
+        self.label = label
+
+
 def exact(x):
     """Coerce x to an int or a reduced Fraction; refuse inexact types."""
     if isinstance(x, bool):
@@ -258,8 +270,11 @@ class RootSystem:
                     word.append(i)
                     break
             else:
-                raise AssertionError("descent peeling stalled on a non-dominant weight")
-        assert len(word) == len(self.positive_roots)
+                raise InvariantError("descent peeling", "stalled on a non-dominant weight")
+        if len(word) != len(self.positive_roots):
+            raise InvariantError(
+                "reduced-word length", f"{len(word)} letters for {len(self.positive_roots)} positive roots"
+            )
         return tuple(word), action
 
     def _check_index(self, i):

@@ -172,6 +172,10 @@ def test_criterion_6_closure_dimensions():
         ("C", 2, 2): (126, 126),
         ("B", 2, 2): (322, 297),
         ("D", 2, 2): (100, 100),
+        ("B", 2, 3): (2447, 2250),
+        ("B", 3, 2): (1220, 1171),
+        ("D", 3, 2): (626, 626),
+        ("C", 2, 3): (672, 672),
     }
     failures = []
     for (family, n, r), (dim_pi, dim_schur) in expected.items():

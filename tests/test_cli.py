@@ -2,7 +2,7 @@ import dataclasses
 import io
 import json
 
-from schurkit import cli
+from schurkit import cli, decomposition
 from schurkit.presentation import RelationCheck, RelationReport
 from schurkit.replinalg import ExactMatrix, tower_rep
 
@@ -184,6 +184,21 @@ def test_failing_verification_exits_one_and_names_label(monkeypatch):
     code, out, err = run_cli(["verify", "C", "2", "2", "--presentation", "serre"])
     assert code == 1
     assert "C2" in err
+
+
+def test_invariant_error_exits_one_and_names_label(monkeypatch):
+    real = decomposition.decompose_tensor_character
+
+    def dropped_multiplicity(lt, r):
+        res = real(lt, r)
+        kept = dict(list(res.multiplicities.items())[1:])
+        return decomposition.DecompositionResult(res.lie_type, res.r, res.pi, res.pi0, kept, res.equal)
+
+    monkeypatch.setattr(decomposition, "decompose_tensor_character", dropped_multiplicity)
+    code, out, err = run_cli(["compare", "B", "2", "2"])
+    assert code == 1
+    assert out == ""
+    assert "check failed: decomposition consistency" in err
 
 
 def test_text_format_has_header_and_table():

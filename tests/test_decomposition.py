@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import schurkit
 from schurkit.decomposition import (
+    DecompositionResult,
     classify_type_B,
     compare_pi0_pi,
     decompose_tensor_character,
@@ -10,9 +16,11 @@ from schurkit.decomposition import (
     schur_dimensions,
     weyl_dimension,
 )
-from schurkit.rootdata import LieType, Weight, build_root_system
+from schurkit.rootdata import InvariantError, LieType, Weight, build_root_system
 from schurkit.weightsets import tensor_dominant_pi
 from conftest import all_lie_types
+
+SRC = os.path.dirname(os.path.dirname(schurkit.__file__))
 
 
 def coords(ws):
@@ -159,3 +167,23 @@ def test_result_json_shape():
     assert doc["equal"] is False
     assert doc["pi_minus_pi0"] == [[1, 0]]
     assert {"weight": [2, 0], "mult": 1} in doc["multiplicities"]
+
+
+def test_inconsistent_decomposition_is_an_invariant_error():
+    pi = tensor_dominant_pi(LieType("C", 1), 2)
+    with pytest.raises(InvariantError, match="decomposition consistency"):
+        DecompositionResult(LieType("C", 1), 2, pi, pi, {}, True)
+
+
+def test_invariant_check_survives_optimized_mode():
+    code = (
+        "from schurkit.decomposition import DecompositionResult\n"
+        "from schurkit.rootdata import LieType\n"
+        "from schurkit.weightsets import tensor_dominant_pi\n"
+        "pi = tensor_dominant_pi(LieType('C', 1), 2)\n"
+        "DecompositionResult(LieType('C', 1), 2, pi, pi, {}, True)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "InvariantError: decomposition consistency" in proc.stderr

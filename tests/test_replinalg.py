@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from schurkit import polys
 from schurkit.decomposition import weyl_dimension
+from schurkit.idempotents import build_idempotents
 from schurkit.replinalg import (
     CapExceeded,
     ExactMatrix,
@@ -265,22 +268,160 @@ def test_algebra_closure_generator_order_invariance():
     assert forward.canonical_rows() == backward.canonical_rows()
 
 
+def _flat(m):
+    """Row-major entries of an exact matrix as Fractions."""
+    flat = [Fraction(0)] * (m.rows * m.cols)
+    for i, j, v in m.iter_entries():
+        flat[i * m.cols + j] = Fraction(v)
+    return flat
+
+
+def _in_span(rows, vec):
+    """Exact membership of vec in the row space of rows (sympy rank)."""
+    return sympy.Matrix(list(rows)).rank() == sympy.Matrix(list(rows) + [vec]).rank()
+
+
 def test_algebra_closure_contains_products():
     rep = tower_rep(LieType("C", 1), 2)
-    res = algebra_closure(rep.generator_lists())
+    basis = algebra_closure(rep.generator_lists()).canonical_rows()
     word = rep.e[0] @ rep.f[0] @ rep.e[0]
-    assert res.span.contains(word.flat_int_entries())
+    assert _in_span(basis, _flat(word))
     probe = ExactMatrix.unit(rep.dim, 0, rep.dim - 1)
-    assert not res.span.contains(probe.flat_int_entries())
+    assert not _in_span(basis, _flat(probe))
 
 
 def test_algebra_closure_basis_matrices_reconstruct_span():
     rep = tower_rep(LieType("C", 1), 2)
     res = algebra_closure(rep.generator_lists())
-    mats = res.basis_matrices()
-    assert len(mats) == res.dimension
-    for m in mats:
-        assert res.span.contains(m.flat_int_entries())
+    flats = [_flat(m) for m in res.basis_matrices()]
+    assert len(flats) == res.dimension == sympy.Matrix(flats).rank()
+    basis = res.canonical_rows()
+    for flat in flats:
+        assert _in_span(basis, flat)
+
+
+# ---------------------------------------------------------------------------
+# Ungraded reference closure: words in the generators, Fraction elimination,
+# sympy's rref for the canonical form.  It shares no code with ExactRowSpan.
+
+
+def _sympy_canonical_rows(vectors):
+    """Nonzero rows of sympy's rref, each scaled to a primitive integer vector."""
+    reduced, pivots = sympy.Matrix(vectors).rref()
+    out = []
+    for k in range(len(pivots)):
+        row = [Fraction(int(x.p), int(x.q)) for x in reduced.row(k)]
+        scale = math.lcm(*(x.denominator for x in row))
+        ints = [int(x * scale) for x in row]
+        g = math.gcd(*ints)
+        out.append(tuple(x // g for x in ints))
+    return tuple(out)
+
+
+def test_row_span_matches_sympy_rref():
+    rng = random.Random(11)
+    for _ in range(40):
+        vectors = [[rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(7)] for _ in range(rng.randint(1, 5))]
+        vectors.append([sum(v[j] for v in vectors) for j in range(7)])  # always one dependent vector
+        span = ExactRowSpan(7)
+        for v in vectors:
+            span.insert(v)
+        assert span.canonical_rows() == _sympy_canonical_rows(vectors)
+
+
+def _matmul(a, b):
+    """Product of sparse matrices stored as {(i, j): Fraction}."""
+    b_rows = {}
+    for (k, j), y in b.items():
+        b_rows.setdefault(k, []).append((j, y))
+    out = {}
+    for (i, k), x in a.items():
+        for j, y in b_rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+def _reference_canonical_rows(mats):
+    size = mats[0].rows
+    gens = [{(i, j): Fraction(v) for i, j, v in m.iter_entries()} for m in mats]
+    echelon = {}  # pivot -> sparse row, 1 at the pivot and nothing before it
+    accepted = []
+
+    def independent(word):
+        vec = {i * size + j: v for (i, j), v in word.items()}
+        for piv in sorted(echelon):
+            c = vec.get(piv)
+            if c:
+                for k, x in echelon[piv].items():
+                    vec[k] = vec.get(k, 0) - c * x
+                vec = {k: x for k, x in vec.items() if x}
+        if not vec:
+            return False
+        piv = min(vec)
+        echelon[piv] = {k: x / vec[piv] for k, x in vec.items()}
+        accepted.append([word.get((k // size, k % size), 0) for k in range(size * size)])
+        return True
+
+    identity = {(i, i): Fraction(1) for i in range(size)}
+    queue = [w for w in [identity] + gens if independent(w)]
+    for word in queue:
+        for g in gens:
+            for prod in (_matmul(word, g), _matmul(g, word)):
+                if independent(prod):
+                    queue.append(prod)
+    return _sympy_canonical_rows(accepted)
+
+
+def _no_diagonal_member():
+    rep = tower_rep(LieType("C", 1), 2)
+    return [rep.e[0], rep.f[0]]
+
+
+def _repeated_fractional_eigenvalue():
+    d = ExactMatrix.diag([1, Fraction(1, 2), 1, 0])
+    n = ExactMatrix.from_entries(4, 4, [(0, 1, 1), (1, 2, Fraction(3, 2)), (2, 0, -1), (3, 3, 1)])
+    return [d, n]
+
+
+def _entries_past_int64():
+    d = ExactMatrix.diag([1, 1, 2])
+    n = ExactMatrix.from_entries(3, 3, [(0, 1, 2**40), (1, 0, 3**30), (1, 2, 5), (2, 0, 1)])
+    return [d, n]
+
+
+def _projector_generators(family, rank, r):
+    rep = tower_rep(LieType(family, rank), r)
+    return list(rep.e) + list(rep.f) + list(build_idempotents(rep).table.values())
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        lambda: tower_rep(LieType("C", 1), 2).generator_lists(),
+        lambda: tower_rep(LieType("B", 1), 2).generator_lists(),
+        lambda: single_power_rep(LieType("D", 2), 2).generator_lists(),
+        lambda: _projector_generators("B", 1, 2),
+        _no_diagonal_member,
+        _repeated_fractional_eigenvalue,
+        _entries_past_int64,
+    ],
+    ids=[
+        "C1-tower",
+        "B1-tower",
+        "D2-power",
+        "B1-projectors",
+        "no-diagonal",
+        "repeated-fraction-eigenvalue",
+        "past-int64",
+    ],
+)
+def test_algebra_closure_matches_ungraded_reference(gens):
+    mats = gens()
+    expected = _reference_canonical_rows(mats)
+    res = algebra_closure(mats)
+    assert res.dimension == len(expected)
+    assert res.canonical_rows() == expected
+    assert algebra_closure(list(reversed(mats))).canonical_rows() == expected
 
 
 def test_carrier_cap():
