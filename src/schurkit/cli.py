@@ -138,11 +138,12 @@ def _cmd_idempotents(args):
     mult = {}
     for w in rep.weights:
         mult[w] = mult.get(w, 0) + 1
-    ranks_ok = all(int(rank) == mult.get(lam, 0) for lam, rank in fam.rank_table().items())
     body = fam.summary_json()
+    ranks = [(lam, item["rank"]) for lam, item in zip(fam.table, body["ranks"])]
+    ranks_ok = all(rank == mult.get(lam, 0) for lam, rank in ranks)
     body["ladders_ok"] = ladders.ok
     body["ranks_match_multiplicities"] = ranks_ok
-    rows = [[_weight_str(lam), int(rank)] for lam, rank in fam.rank_table().items()]
+    rows = [[_weight_str(lam), rank] for lam, rank in ranks]
     failures = []
     if not ladders.ok:
         failures.append("ladder relations (R3)-(R6)")
@@ -169,7 +170,7 @@ def _cmd_zero_locus(args):
     include = not args.drop_p1hi
     report = zero_locus_report(lt, args.r, include_p1hi=include)
     body = report.to_json()
-    rows = [[_weight_str(w), w in report.pi_all.as_set()] for w in report.locus]
+    rows = [[_weight_str(w), w in report.pi_all] for w in report.locus]
     passed = True
     failures = []
     if include and not report.equals_pi:
@@ -184,7 +185,7 @@ def _cmd_dims(args):
     rs = build_root_system(lt)
     dim_pi, dim_schur = schur_dimensions(lt, args.r)
     per_weight = [
-        {"weight": w.to_json(), "dim": weyl_dimension(rs, w), "in_pi0": w in res.pi0.as_set()}
+        {"weight": w.to_json(), "dim": weyl_dimension(rs, w), "in_pi0": w in res.pi0}
         for w in res.pi
     ]
     body = {

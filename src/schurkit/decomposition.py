@@ -198,7 +198,7 @@ class DecompositionResult:
             raise InvariantError("decomposition consistency", "multiplicities must cover exactly the factor weights")
 
     def pi_minus_pi0(self):
-        return tuple(w for w in self.pi if w not in self.pi0.as_set())
+        return tuple(w for w in self.pi if w not in self.pi0)
 
     def to_json(self):
         return {

@@ -152,19 +152,18 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
     """
     r = rep.r
     pi_all = tensor_weights_Pi(rep.lie_type, r)
+    support = {}  # weight -> basis indices carrying it
     for b, w in enumerate(rep.weights):
         for c in w.coords:
             if not isinstance(c, int) or not -r <= c <= r:
                 raise ValueError(f"carrier weight {w!r} at basis vector {b} escapes [-{r}, {r}]")
-
-    support = set(rep.weights)
-    if not support <= pi_all.as_set():
+        support.setdefault(w, []).append(b)
+    if not support.keys() <= pi_all.as_set():
         raise ArithmeticError("carrier weights are not contained in the expected weight set")
 
-    table = {}
-    for lam in pi_all:
-        diag = [1 if w == lam else 0 for w in rep.weights]
-        table[lam] = ExactMatrix.diag(diag)
+    table = {
+        lam: ExactMatrix.from_entries(rep.dim, rep.dim, [(b, b, 1) for b in support.get(lam, ())]) for lam in pi_all
+    }
 
     elements = list(pi_all)
     if elements:
@@ -197,6 +196,24 @@ class LadderReport:
         return not any(self.residuals.values())
 
 
+def _times_diagonals(op, table):
+    """op @ proj for every proj of a table of diagonal matrices, in one pass over op's entries.
+
+    Column j of op is scaled by the diagonal entry at j of each projector
+    whose support holds j, so overlapping or non-0/1 projectors still give
+    the exact products.
+    """
+    holders = {}
+    for lam, proj in table.items():
+        for j, _, d in proj.iter_entries():
+            holders.setdefault(j, []).append((lam, d))
+    data = {lam: {} for lam in table}
+    for i, j, a in op.iter_entries():
+        for lam, d in holders.get(j, ()):
+            data[lam].setdefault(i, {})[j] = a * d
+    return {lam: ExactMatrix(op.rows, op.cols, rows) for lam, rows in data.items()}
+
+
 def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderReport:
     """Verify the four ladder families on every projector of the family.
 
@@ -209,6 +226,14 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
     `rep` (default: the family's own carrier), so a perturbed carrier can
     be checked against a clean family.
 
+    When every projector is diagonal (always, for a built family), all the
+    products op 1_lam come from one pass over op's entries, each column
+    scaled by the projectors whose diagonal holds it; 1_lam op takes the
+    left-diagonal path of the matrix product.  Both give exactly the
+    general products, so faulty projectors (scaled, overlapping) are
+    judged as before.  A projector with an off-diagonal entry sends every
+    product through the general op @ 1_lam.
+
     Weights mu outside the carrier weight set contribute 1_mu = 0.  If a
     weight inside the set is missing from the family's table the case is
     skipped rather than failed: completeness of the family is a separate
@@ -220,6 +245,7 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
     rs = build_root_system(rep.lie_type)
     members = fam.pi_all.as_set()
     zero = ExactMatrix.zeros(rep.dim)
+    diagonal = all(proj.is_diagonal() for proj in fam.table.values())
     residuals = {label: [] for label in ("R3", "R4", "R5", "R6")}
     checked = skipped = 0
     for idx in range(1, rep.rank + 1):
@@ -229,7 +255,10 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
             (rep.e[idx - 1], alpha, "R3", "R5"),
             (rep.f[idx - 1], -alpha, "R4", "R6"),
         ):
-            op_lam = {lam: op @ proj for lam, proj in fam.table.items()}
+            if diagonal:
+                op_lam = _times_diagonals(op, fam.table)
+            else:
+                op_lam = {lam: op @ proj for lam, proj in fam.table.items()}
             lam_op = {lam: proj @ op for lam, proj in fam.table.items()}
             for lam in fam.table:
                 for label, lhs, rhs, target in (

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from .decomposition import schur_dimensions
 from .idempotents import IdempotentFamily, annihilator_for_signed_sums, ladder_check, p1
@@ -105,16 +104,15 @@ def _check_many(label, cases):
 
 
 def _serre_sum(x, y, a_xy):
-    """sum_s (-1)^s C(1-a, s) x^{1-a-s} y x^s, exactly."""
-    k = 1 - a_xy
-    powers = [ExactMatrix.identity(x.rows)]
-    for _ in range(k):
-        powers.append(powers[-1] @ x)
-    total = ExactMatrix.zeros(x.rows)
-    for s in range(k + 1):
-        term = powers[k - s] @ y @ powers[s]
-        total = total + (-1) ** s * comb(k, s) * term
-    return total
+    """sum_s (-1)^s C(k, s) x^{k-s} y x^s with k = 1-a, exactly.
+
+    The sum is the iterated commutator ad_x^k(y), formed as k brackets
+    [x, z]: 2k products and no list of powers.
+    """
+    z = y
+    for _ in range(1 - a_xy):
+        z = x @ z - z @ x
+    return z
 
 
 def _serre_cases(gens, cartan):
@@ -323,8 +321,8 @@ class ZeroLocusReport:
 def zero_locus_report(lt: LieType, r: int, include_p1hi: bool = True) -> ZeroLocusReport:
     locus = zero_locus(lt, r, include_p1hi)
     pi_all = tensor_weights_Pi(lt, r)
-    extra = tuple(w for w in locus if w not in pi_all.as_set())
-    missing = tuple(w for w in pi_all if w not in locus.as_set())
+    extra = tuple(w for w in locus if w not in pi_all)
+    missing = tuple(w for w in pi_all if w not in locus)
     if missing:
         raise ArithmeticError(f"zero locus lost tensor weights {missing[:3]} for {lt}, r={r}")
     return ZeroLocusReport(

@@ -6,6 +6,15 @@ generators lifted to tensor powers, weight projectors, their products -
 are overwhelmingly sparse.  All arithmetic is exact: entries are ints or
 Fractions, never floats.
 
+Products with a square diagonal factor (Cartan operators and weight
+projectors are diagonal on the tensor basis) skip the general row-by-row
+accumulation: a diagonal on the right scales the columns of the left
+factor, and a diagonal on the left keeps only the rows of the right factor
+on its support.  Each entry of such a product has a single term a*d, a
+product of two nonzero exact numbers, so the result equals the general
+product entry for entry and stores no zeros.  `product_of_shifts` on a
+diagonal likewise multiplies out each diagonal value once.
+
 The module also provides the tower carrier (a direct sum of tensor powers
 of the natural module on which the whole family of simple modules with
 dominant weights in pi is realized), exact minimal polynomials, and the
@@ -170,6 +179,21 @@ class ExactMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = {}
         odata = other._data
+        if other.is_square() and other.is_diagonal():
+            # scale the columns of self; entry (i, j) is a * d_j, the product's single term
+            for i, row in self._data.items():
+                acc = {j: a * odata[j][j] for j, a in row.items() if j in odata}
+                if acc:
+                    out[i] = acc
+            return ExactMatrix(self.rows, other.cols, out)
+        if self.is_square() and self.is_diagonal():
+            # keep the rows of other on the support of self, scaled by d_i
+            for i, row in self._data.items():
+                brow = odata.get(i)
+                if brow:
+                    a = row[i]
+                    out[i] = {j: a * b for j, b in brow.items()}
+            return ExactMatrix(self.rows, other.cols, out)
         for i, row in self._data.items():
             acc = {}
             for k, a in row.items():
@@ -283,7 +307,16 @@ def matrix_poly(coeffs, M):
 
 
 def product_of_shifts(M, shifts):
-    """Product over s in shifts of (M - s*I), cut short once exactly zero."""
+    """Product over s in shifts of (M - s*I), cut short once exactly zero.
+
+    A diagonal M gives the diagonal of the products prod_s (m_ii - s), one
+    per distinct diagonal value; zero products are not stored, as in the
+    general loop.
+    """
+    if M.is_square() and M.is_diagonal():
+        diagonal = M.diagonal()
+        value = {m: math.prod(m - s for s in shifts) for m in set(diagonal)}
+        return ExactMatrix.diag(value[m] for m in diagonal)
     acc = ExactMatrix.identity(M.rows)
     ident = ExactMatrix.identity(M.rows)
     for s in shifts:

@@ -8,7 +8,7 @@ lexicographic order so that dominance-maximal elements come first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rootdata import LieType, RootSystem, Weight
 
@@ -24,6 +24,10 @@ class WeightSet:
 
     elements: tuple
     label: str
+    _members: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     @classmethod
     def make(cls, elements, label):
@@ -36,10 +40,10 @@ class WeightSet:
         return len(self.elements)
 
     def __contains__(self, w):
-        return w in set(self.elements)
+        return w in self._members
 
     def as_set(self):
-        return frozenset(self.elements)
+        return self._members
 
     def to_json(self):
         return {"label": self.label, "elements": [w.to_json() for w in self.elements]}

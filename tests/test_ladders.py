@@ -2,15 +2,19 @@
 
 Single-entry perturbations of one e_i or f_i on small towers: the ladder
 check must agree with a direct evaluation of the four identities, and with
-the ladder groups of the projector-presentation report.
+the ladder groups of the projector-presentation report.  Projector faults
+(dropped, off-diagonal, scaled, overlapping) must give the same report from
+the one-pass products as from one product per projector.
 """
 
 import dataclasses
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurkit import idempotents
 from schurkit.idempotents import build_idempotents, ladder_check
 from schurkit.presentation import verify_idempotent_presentation
 from schurkit.replinalg import ExactMatrix, tower_rep
@@ -82,3 +86,39 @@ def test_ladder_check_matches_direct_evaluation_and_report(case):
     report_ladders = tuple(label for label in runs[0] if label in LADDER_LABELS)
     assert ladders.ok == (not report_ladders)
     assert tuple(failing) == report_ladders
+
+
+def _faulty_family(fam, kind):
+    """A copy of a clean family with one kind of projector fault."""
+    lams = list(fam.table)
+    table = dict(fam.table)
+    dim = fam.rep.dim
+    if kind == "dropped":
+        del table[lams[len(lams) // 2]]
+    elif kind == "off-diagonal":
+        table[lams[1]] = table[lams[1]] + ExactMatrix.unit(dim, 0, dim - 1)
+    elif kind == "scaled":
+        table[lams[2]] = 2 * table[lams[2]]
+    elif kind == "overlapping":
+        table[lams[0]] = table[lams[0]] + table[lams[-1]] + ExactMatrix.unit(dim, 3, 3, -3)
+    return dataclasses.replace(fam, table=table)
+
+
+@pytest.mark.parametrize("kind", ["clean", "dropped", "off-diagonal", "scaled", "overlapping"])
+@pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2)])
+def test_one_pass_ladder_check_matches_per_projector_products(monkeypatch, family, rank, r, kind):
+    _, rep, clean = clean_tower(family, rank, r)
+    fam = _faulty_family(clean, kind)
+    fast = ladder_check(fam)
+    assert {label: cases for label, cases in fast.residuals.items() if cases} == direct_ladder_residuals(fam, rep)
+    if kind == "off-diagonal":
+        # a non-diagonal projector sends every product through op @ proj
+        monkeypatch.setattr(idempotents, "_times_diagonals", None)
+    else:
+        monkeypatch.setattr(
+            idempotents, "_times_diagonals", lambda op, table: {lam: op @ proj for lam, proj in table.items()}
+        )
+    assert ladder_check(fam) == fast
+    # a missing projector skips its cases: completeness is R1's check
+    assert fast.ok == (kind in ("clean", "dropped"))
+    assert (fast.skipped > 0) == (kind == "dropped")

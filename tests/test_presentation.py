@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from schurkit.idempotents import build_idempotents
 from schurkit.presentation import (
+    _serre_sum,
     presentations_generate_same_algebra,
     quotient_witness,
     verify_idempotent_presentation,
@@ -11,7 +14,7 @@ from schurkit.presentation import (
     zero_locus,
     zero_locus_report,
 )
-from schurkit.replinalg import Representation, tower_rep
+from schurkit.replinalg import ExactMatrix, Representation, tower_rep
 from schurkit.rootdata import LieType, Weight
 from schurkit.weightsets import tensor_weights_Pi
 
@@ -30,6 +33,34 @@ def scaled_fn_rep(rep, factor=2):
         blocks=rep.blocks,
         kind=rep.kind,
     )
+
+
+def binomial_serre_sum(x, y, k):
+    """sum_s (-1)^s C(k, s) x^{k-s} y x^s from explicit powers of x."""
+    powers = [ExactMatrix.identity(x.rows)]
+    for _ in range(k):
+        powers.append(powers[-1] @ x)
+    total = ExactMatrix.zeros(x.rows)
+    for s in range(k + 1):
+        total = total + (-1) ** s * comb(k, s) * (powers[k - s] @ y @ powers[s])
+    return total
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_serre_sum_is_the_iterated_commutator(k):
+    rng = random.Random(k)
+
+    def entry():
+        return rng.choice((0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+
+    for shape in ("general", "diagonal-x"):
+        for _ in range(5):
+            n = rng.randint(2, 5)
+            x = ExactMatrix.from_dense(
+                [[entry() if shape == "general" or i == j else 0 for j in range(n)] for i in range(n)]
+            )
+            y = ExactMatrix.from_dense([[entry() for _ in range(n)] for _ in range(n)])
+            assert _serre_sum(x, y, 1 - k) == binomial_serre_sum(x, y, k)
 
 
 def test_serre_report_structure_and_success():

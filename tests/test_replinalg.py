@@ -19,6 +19,7 @@ from schurkit.replinalg import (
     natural_rep,
     natural_weights,
     preserves_form,
+    product_of_shifts,
     single_power_rep,
     tensor_lift,
     tower_rep,
@@ -51,6 +52,79 @@ def test_matmul_against_dense_oracle():
         b = random_matrix(rng, 5, 3, rational=True)
         prod = ExactMatrix.from_dense(a) @ ExactMatrix.from_dense(b)
         assert prod.dense() == naive_matmul(a, b)
+
+
+def random_diagonal(rng, n, rational=False):
+    """A dense n x n diagonal with some absent (zero) diagonal entries."""
+    diag = [row[0] for row in random_matrix(rng, n, 1, rational)]
+    return [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _fast_path_cases():
+    rng = random.Random(11)
+    cases = []
+    for rational in (False, True):
+        tag = "fraction" if rational else "int"
+        cases += [
+            (f"diag-left-{tag}", random_diagonal(rng, 5, rational), random_matrix(rng, 5, 4, rational)),
+            (f"diag-right-{tag}", random_matrix(rng, 4, 5, rational), random_diagonal(rng, 5, rational)),
+            (f"diag-both-{tag}", random_diagonal(rng, 5, rational), random_diagonal(rng, 5, rational)),
+            (f"non-square-left-{tag}", random_matrix(rng, 3, 6, rational), random_diagonal(rng, 6, rational)),
+        ]
+    general = random_matrix(rng, 4, 4)
+    zero = [[0] * 4 for _ in range(4)]
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    cases += [
+        ("zero-left", zero, general),
+        ("zero-right", general, zero),
+        ("identity-left", ident, general),
+        ("identity-right", general, ident),
+        ("diagonal-misses-rows", [[0, 0], [0, 3]], [[1, 2], [0, 0]]),
+        ("non-square-diagonal-right", random_matrix(rng, 3, 4), [[2, 0, 0], [0, -1, 0], [0, 0, 0], [0, 0, 0]]),
+    ]
+    return [pytest.param(a, b, id=name) for name, a, b in cases]
+
+
+@pytest.mark.parametrize("a,b", _fast_path_cases())
+def test_diagonal_fast_paths_match_dense_oracle(a, b):
+    prod = ExactMatrix.from_dense(a) @ ExactMatrix.from_dense(b)
+    assert prod.dense() == naive_matmul(a, b)
+    # equal stores too: no zero entry is kept
+    assert prod == ExactMatrix.from_dense(naive_matmul(a, b))
+
+
+def _dense_shift_product(dense, shifts):
+    n = len(dense)
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
+    for s in shifts:
+        acc = naive_matmul(acc, [[dense[i][j] - (s if i == j else 0) for j in range(n)] for i in range(n)])
+    return acc
+
+
+@pytest.mark.parametrize(
+    "diag,shifts",
+    [
+        ([2, 0, -1, 2, 1, 0], [-2, -1, 1]),
+        ([2, 0, -1, 2, 1, 0], [0, 2, -1, 1, 3, -3]),  # exactly zero after the fourth factor
+        ([Fraction(1, 2), 0, Fraction(-3, 2), Fraction(1, 2)], [Fraction(1, 2), 1, -1]),
+        ([1, -1, 0], []),
+        ([0, 0, 0], [1, 2]),
+    ],
+)
+def test_product_of_shifts_on_a_diagonal_matches_the_general_loop(diag, shifts):
+    dense = [[diag[i] if i == j else 0 for j in range(len(diag))] for i in range(len(diag))]
+    # equal stores: an exactly zero product keeps no entry
+    assert product_of_shifts(ExactMatrix.from_dense(dense), shifts) == ExactMatrix.from_dense(
+        _dense_shift_product(dense, shifts)
+    )
+
+
+def test_product_of_shifts_non_diagonal_matches_the_general_loop():
+    rng = random.Random(4)
+    for _ in range(5):
+        dense = random_matrix(rng, 4, 4, rational=True)
+        shifts = [rng.randint(-2, 2) for _ in range(3)]
+        assert product_of_shifts(ExactMatrix.from_dense(dense), shifts).dense() == _dense_shift_product(dense, shifts)
 
 
 def test_basic_arithmetic_and_normalization():
