@@ -15,22 +15,25 @@ membership only.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rootdata import InvariantError, LieType, RootSystem, Weight, build_root_system
 from .weightsets import WeightSet, _partitions, tensor_dominant_pi
 
 _char_cache = {}
-_char_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
 class FormalCharacter:
     """Finite weight-multiplicity map, Weyl-group invariant for modules."""
 
-    terms: tuple  # sorted ((coords, mult), ...) pairs
+    terms: tuple  # sorted ((weight, mult), ...) pairs
+    _lookup: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookup", dict(self.terms))
 
     @classmethod
     def from_dict(cls, d):
@@ -41,7 +44,7 @@ class FormalCharacter:
         return dict(self.terms)
 
     def multiplicity(self, w):
-        return self.as_dict().get(w, 0)
+        return self._lookup.get(w, 0)
 
     def support(self):
         return tuple(w for w, _ in self.terms)
@@ -58,10 +61,9 @@ class FormalCharacter:
         return FormalCharacter.from_dict(out)
 
     def is_weyl_invariant(self, rs: RootSystem):
-        d = self.as_dict()
         for w, m in self.terms:
             for i in range(1, rs.rank + 1):
-                if d.get(rs.simple_reflect(i, w), 0) != m:
+                if self.multiplicity(rs.simple_reflect(i, w)) != m:
                     return False
         return True
 
@@ -85,53 +87,61 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> FormalCharacter:
 
       (|lam+rho|^2 - |mu+rho|^2) m_mu = 2 sum_{a>0} sum_{k>=1} m_{mu+ka} (mu+ka, a)
 
-    exactly.  Results are memoized per (type, lam); the cache is guarded by
-    a lock so concurrent readers see fully built characters only.
+    exactly.  Every weight of the module lies in lam + (root lattice), so
+    the walk runs on integer numerator tuples over one denominator d that
+    also carries rho; both sides of the recursion then scale by d^2, which
+    cancels.  Results are memoized per (type, lam).
     """
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam!r} is not dominant for {rs.lie_type}")
     key = (rs.family, rs.rank, lam.coords)
-    with _char_lock:
-        cached = _char_cache.get(key)
+    cached = _char_cache.get(key)
     if cached is not None:
         return cached
 
-    rho = rs.rho
-    top = lam + rho
-    top_norm = top.dot(top)
-    mult = {lam: 1}
-    frontier = [lam]
+    d = math.lcm(lam.den, rs.rho.den)  # roots are integral
+
+    def scaled(w):
+        return tuple([a * (d // w.den) for a in w.num])
+
+    rho = scaled(rs.rho)
+    simple = [scaled(a) for a in rs.simple_roots]
+    positive = [scaled(a) for a in rs.positive_roots]
+    top = scaled(lam)
+    top_norm = sum([(a + b) ** 2 for a, b in zip(top, rho)])
+    mult = {top: 1}
+    frontier = [top]
     while frontier:
-        candidates = set()
-        for mu in frontier:
-            for alpha in rs.simple_roots:
-                candidates.add(mu - alpha)
+        candidates = {tuple([a - b for a, b in zip(mu, alpha)]) for mu in frontier for alpha in simple}
         frontier = []
-        for mu in sorted(candidates, key=lambda w: w.coords, reverse=True):
+        for mu in sorted(candidates, reverse=True):
             if mu in mult:
                 continue
             num = 0
-            for alpha in rs.positive_roots:
-                k = 1
-                while True:
-                    nu = mu + k * alpha
+            for alpha in positive:
+                nu = tuple([a + b for a, b in zip(mu, alpha)])
+                m_nu = mult.get(nu)
+                while m_nu is not None:
+                    num += m_nu * sum([a * b for a, b in zip(nu, alpha)])
+                    nu = tuple([a + b for a, b in zip(nu, alpha)])
                     m_nu = mult.get(nu)
-                    if m_nu is None:
-                        break
-                    num += 2 * m_nu * nu.dot(alpha)
-                    k += 1
             if num == 0:
                 continue
-            denom = top_norm - (mu + rho).dot(mu + rho)
-            m_mu = Fraction(num, 1) / denom
-            if m_mu.denominator != 1 or m_mu <= 0:
-                raise InvariantError("Freudenthal integrality", f"multiplicity {num}/{denom} at {mu!r} for {lam!r}")
-            mult[mu] = int(m_mu)
+            denom = top_norm - sum([(a + b) ** 2 for a, b in zip(mu, rho)])
+            m_mu, rem = divmod(2 * num, denom)
+            if rem or m_mu <= 0:
+                raise InvariantError(
+                    "Freudenthal integrality",
+                    f"multiplicity {Fraction(2 * num, d * d)}/{Fraction(denom, d * d)} "
+                    f"at {Weight.from_numerators(mu, d)!r} for {lam!r}",
+                )
+            mult[mu] = m_mu
             frontier.append(mu)
 
-    char = FormalCharacter.from_dict(mult)
-    with _char_lock:
-        _char_cache.setdefault(key, char)
+    char = FormalCharacter(
+        terms=tuple((Weight.from_numerators(w, d), m) for w, m in sorted(mult.items(), reverse=True))
+    )
+    _char_cache.setdefault(key, char)
     return char
 
 
@@ -280,6 +290,7 @@ def classify_type_B(n_max: int, r_max: int):
     for n in range(1, n_max + 1):
         for r in range(1, r_max + 1):
             res = compare_pi0_pi(LieType("B", n), r)
+            dim_pi, dim_schur = schur_dimensions(LieType("B", n), r)
             rows.append(
                 {
                     "family": "B",
@@ -288,8 +299,8 @@ def classify_type_B(n_max: int, r_max: int):
                     "equal": res.equal,
                     "pi_size": len(res.pi),
                     "pi0_size": len(res.pi0),
-                    "dim_S_pi": schur_dimensions(LieType("B", n), r)[0],
-                    "dim_Schur": schur_dimensions(LieType("B", n), r)[1],
+                    "dim_S_pi": dim_pi,
+                    "dim_Schur": dim_schur,
                 }
             )
     return rows

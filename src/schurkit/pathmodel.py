@@ -12,7 +12,8 @@ between two critical times is reflected and the tail is translated by
 the root.  This form of the operators is valid on integral paths (all
 local minima of every height function at integer levels); paths generated
 from a straight dominant path stay integral, which is checked during
-crystal generation.
+crystal generation.  Heights are compared as integers over the common
+denominator of a path's breakpoints, which carry denominators beyond 2.
 
 Strings are extracted greedily along a fixed reduced word for the longest
 Weyl element: raise maximally letter by letter until the dominant path
@@ -22,6 +23,7 @@ drive the basis-counting reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +49,7 @@ class Path:
         pts = list(points)
         if not pts:
             raise ValueError("a path needs at least its starting point")
-        if any(c != 0 for c in pts[0].coords):
+        if any(pts[0].num):
             raise ValueError("paths start at the origin")
         cleaned = [pts[0]]
         for p in pts[1:]:
@@ -90,27 +92,37 @@ class Path:
         frac = scaled - idx
         return self.points[idx] + frac * (self.points[idx + 1] - self.points[idx])
 
-    def heights(self, coroot: Weight):
-        return [p.dot(coroot) for p in self.points]
-
     def to_json(self):
         return [{"t": f"{t.numerator}/{t.denominator}", "point": p.to_json()} for t, p in self.breakpoints]
 
 
 def _positively_parallel(u: Weight, v: Weight):
-    """True iff v is a positive scalar multiple of u (both nonzero)."""
-    uz = [c == 0 for c in u.coords]
-    if uz != [c == 0 for c in v.coords]:
+    """True iff v is a positive scalar multiple of u (both nonzero).
+
+    Denominators are positive, so this holds iff v.num is a positive
+    multiple of u.num: every cross product against u's first nonzero
+    coordinate vanishes, and that coordinate keeps its sign.
+    """
+    un, vn = u.num, v.num
+    for a, b in zip(un, vn):
+        if a:
+            break
+    else:
         return False
-    ratio = None
-    for a, b in zip(u.coords, v.coords):
-        if a == 0:
-            continue
-        q = Fraction(b) / Fraction(a)
-        if q <= 0 or (ratio is not None and q != ratio):
-            return False
-        ratio = q
-    return ratio is not None
+    return a * b > 0 and all(x * b == y * a for x, y in zip(un, vn))
+
+
+def _scaled_heights(path: Path, coroot: Weight):
+    """Heights (x_k, coroot) of the breakpoints as ints over one denominator.
+
+    Returns (H, D) with height_k = H[k] / D and D > 0, so level l of the
+    height function is the integer l * D.
+    """
+    points = path.points
+    common = math.lcm(*(p.den for p in points))
+    c = coroot.num
+    heights = [sum([a * b for a, b in zip(p.num, c)]) * (common // p.den) for p in points]
+    return heights, common * coroot.den
 
 
 def straight_path(rs: RootSystem, lam: Weight) -> Path:
@@ -123,13 +135,21 @@ def straight_path(rs: RootSystem, lam: Weight) -> Path:
     return Path.from_points([origin, lam])
 
 
-def _reflect(v: Weight, alpha: Weight, coroot: Weight) -> Weight:
-    return v - v.dot(coroot) * alpha
+def _mirror(p: Weight, k, d, alpha: Weight) -> Weight:
+    """p - (k/d) alpha, for p at height k/d above a level: its mirror image there.
+
+    alpha is a root, so its coordinates are integers.
+    """
+    pd = p.den
+    return Weight.from_numerators(tuple([a * d - k * pd * b for a, b in zip(p.num, alpha.num)]), pd * d)
 
 
 def _split_at_level(a: Weight, b: Weight, ha, hb, level):
-    """Point on segment [a, b] where the height function crosses `level`."""
-    frac = Fraction(level - ha) / Fraction(hb - ha)
+    """Point on segment [a, b] where the height function crosses `level`.
+
+    Heights and level may share any positive scale.
+    """
+    frac = Fraction(level - ha, hb - ha)
     return a + frac * (b - a)
 
 
@@ -142,24 +162,23 @@ def f_op(rs: RootSystem, i: int, path: Path):
     rest of the path is translated by -alpha.
     """
     alpha = rs.simple_root(i)
-    coroot = rs.coroot(i)
-    h = path.heights(coroot)
+    h, d = _scaled_heights(path, rs.coroot(i))
     q = min(h)
-    if h[-1] - q < 1:
+    if h[-1] - q < d:
         return None
+    top = q + d
     pts = path.points
     j1 = max(j for j, v in enumerate(h) if v == q)
-    start = pts[j1]
     new_pts = list(pts[: j1 + 1])
     j = j1
-    while h[j + 1] < q + 1:  # strictly between q and q+1 after the last minimum
-        new_pts.append(start + _reflect(pts[j + 1] - start, alpha, coroot))
+    while h[j + 1] < top:  # strictly between q and q+1 after the last minimum
+        new_pts.append(_mirror(pts[j + 1], h[j + 1] - q, d, alpha))
         j += 1
-    if h[j + 1] == q + 1:
+    if h[j + 1] == top:
         split = pts[j + 1]
         tail_from = j + 2
     else:
-        split = _split_at_level(pts[j], pts[j + 1], h[j], h[j + 1], q + 1)
+        split = _split_at_level(pts[j], pts[j + 1], h[j], h[j + 1], top)
         tail_from = j + 1
     new_pts.append(split - alpha)
     for p in pts[tail_from:]:
@@ -175,24 +194,24 @@ def e_op(rs: RootSystem, i: int, path: Path):
     of the path is translated by +alpha.  Applies when q <= -1.
     """
     alpha = rs.simple_root(i)
-    coroot = rs.coroot(i)
-    h = path.heights(coroot)
+    h, d = _scaled_heights(path, rs.coroot(i))
     q = min(h)
-    if q > -1:
+    if q > -d:
         return None
+    top = q + d
     pts = path.points
     j2 = min(j for j, v in enumerate(h) if v == q)
     j = j2
-    while h[j - 1] < q + 1:  # strictly between q and q+1 before the first minimum
+    while h[j - 1] < top:  # strictly between q and q+1 before the first minimum
         j -= 1
-    if h[j - 1] == q + 1:
+    if h[j - 1] == top:
         split = pts[j - 1]
         new_pts = list(pts[:j])
     else:
-        split = _split_at_level(pts[j - 1], pts[j], h[j - 1], h[j], q + 1)
+        split = _split_at_level(pts[j - 1], pts[j], h[j - 1], h[j], top)
         new_pts = list(pts[:j]) + [split]
-    for p in pts[j : j2 + 1]:
-        new_pts.append(split + _reflect(p - split, alpha, coroot))
+    for k in range(j, j2 + 1):
+        new_pts.append(_mirror(pts[k], h[k] - top, d, alpha))
     for p in pts[j2 + 1 :]:
         new_pts.append(p + alpha)
     return Path.from_points(new_pts)
@@ -206,7 +225,7 @@ def is_integral(rs: RootSystem, path: Path) -> bool:
     formulas above are exact precisely on such paths.
     """
     for i in range(1, rs.rank + 1):
-        h = path.heights(rs.coroot(i))
+        h, d = _scaled_heights(path, rs.coroot(i))
         runs = []
         for v in h:
             if not runs or runs[-1] != v:
@@ -214,7 +233,7 @@ def is_integral(rs: RootSystem, path: Path) -> bool:
         for k, v in enumerate(runs):
             left_up = k == 0 or runs[k - 1] > v
             right_up = k == len(runs) - 1 or runs[k + 1] > v
-            if left_up and right_up and not isinstance(v, int):
+            if left_up and right_up and v % d:
                 return False
     return True
 

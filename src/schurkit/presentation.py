@@ -259,28 +259,23 @@ def verify_idempotent_presentation(
 # Zero locus of the annihilator equations in the Cartan variables
 
 
-def _half_integer_grid(n, r):
-    """All points of (Z/2)^n with coordinates in [-r, r]."""
-    half = Fraction(1, 2)
-    values = [half * k for k in range(-2 * r, 2 * r + 1)]
-    return itertools.product(values, repeat=n)
-
-
 def zero_locus(lt: LieType, r: int, include_p1hi: bool = True) -> WeightSet:
     """Common zeros of the signed-sum annihilator equations, by direct scan.
 
-    Scans the half-integer box [-r, r]^n.  A point vanishes under a
-    factored annihilator polynomial exactly when the signed sum hits one
-    of its roots, so membership is decided against the root sets.
+    Scans the half-integer box [-r, r]^n, doubled: each point is an integer
+    vector in [-2r, 2r]^n, tested against doubled root sets and kept as the
+    weight point/2.  A point vanishes under a factored annihilator
+    polynomial exactly when the signed sum hits one of its roots, so
+    membership is decided against the root sets.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     n = lt.rank
-    signed_roots = set(annihilator_for_signed_sums(lt.family, r).roots)
-    h_roots = set(p1(r).roots)
+    signed_roots = {2 * c for c in annihilator_for_signed_sums(lt.family, r).roots}
+    h_roots = {2 * c for c in p1(r).roots}
     sign_vectors = list(itertools.product((1, -1), repeat=n))
     out = []
-    for point in _half_integer_grid(n, r):
+    for point in itertools.product(range(-2 * r, 2 * r + 1), repeat=n):
         if include_p1hi and not all(v in h_roots for v in point):
             continue
         ok = True
@@ -290,7 +285,7 @@ def zero_locus(lt: LieType, r: int, include_p1hi: bool = True) -> WeightSet:
                 ok = False
                 break
         if ok:
-            out.append(Weight(point))
+            out.append(Weight.from_numerators(point, 2))
     flag = "all-equations" if include_p1hi else "signed-sums-only"
     return WeightSet.make(out, f"V({lt},{r},{flag})")
 

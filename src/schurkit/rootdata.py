@@ -2,8 +2,12 @@
 
 Weights live in the dual of the diagonal Cartan subalgebra and are written
 in the orthonormal epsilon-basis, so the invariant bilinear form is the
-ordinary dot product.  All coordinates are exact (int or Fraction); floats
-are rejected at construction time.
+ordinary dot product.  A weight is stored as a tuple of integer numerators
+`num` over one positive denominator `den`, reduced so that
+gcd(den, *num) == 1; equality and hashing are structural, and arithmetic
+stays on Python ints.  Coordinates are given and read back exactly: the
+constructor takes int or Fraction (floats and bools are rejected), and
+`coords` returns the int/Fraction tuple, with integral entries as ints.
 
 Conventions:
   * simple-root indices in the public API are 1-based (i = 1..n),
@@ -15,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,26 +50,50 @@ def exact(x):
 
 
 class Weight:
-    """Immutable exact-rational vector in the epsilon-basis."""
+    """Immutable exact-rational vector in the epsilon-basis: `num` over `den`."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coords):
-        self.coords = tuple(exact(c) for c in coords)
+        cs = tuple([exact(c) for c in coords])
+        dens = [c.denominator for c in cs if c.denominator != 1]
+        if not dens:
+            self.num, self.den = cs, 1
+            return
+        den = math.lcm(*dens)
+        self.num = tuple([c.numerator * (den // c.denominator) for c in cs])
+        self.den = den
+
+    @classmethod
+    def from_numerators(cls, num, den):
+        """The weight num/den for a tuple of ints and a positive int den."""
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+        return _weight(num, den)
 
     @classmethod
     def zero(cls, n):
-        return cls((0,) * n)
+        return _weight((0,) * n, 1)
 
     @classmethod
     def eps(cls, n, i):
         """The i-th standard basis vector (1-based i)."""
         if not 1 <= i <= n:
             raise IndexError(f"epsilon index {i} out of range 1..{n}")
-        return cls(tuple(1 if j == i - 1 else 0 for j in range(n)))
+        return _weight(tuple(1 if j == i - 1 else 0 for j in range(n)), 1)
+
+    @property
+    def coords(self):
+        """The coordinates as exact numbers: ints where integral, else Fractions."""
+        d = self.den
+        if d == 1:
+            return self.num
+        return tuple(a // d if a % d == 0 else Fraction(a, d) for a in self.num)
 
     def __len__(self):
-        return len(self.coords)
+        return len(self.num)
 
     def __getitem__(self, j):
         return self.coords[j]
@@ -73,38 +102,73 @@ class Weight:
         return iter(self.coords)
 
     def __add__(self, other):
-        return Weight(a + b for a, b in zip(self.coords, other.coords, strict=True))
+        d, e = self.den, other.den
+        if d == e:
+            num = tuple([a + b for a, b in zip(self.num, other.num, strict=True)])
+            return _weight(num, 1) if d == 1 else Weight.from_numerators(num, d)
+        # Over coprime denominators the sum is already reduced.
+        g = math.gcd(d, e)
+        p, q = e // g, d // g
+        num = tuple([a * p + b * q for a, b in zip(self.num, other.num, strict=True)])
+        return _weight(num, d * p) if g == 1 else Weight.from_numerators(num, d * p)
 
     def __sub__(self, other):
-        return Weight(a - b for a, b in zip(self.coords, other.coords, strict=True))
+        d, e = self.den, other.den
+        if d == e:
+            num = tuple([a - b for a, b in zip(self.num, other.num, strict=True)])
+            return _weight(num, 1) if d == 1 else Weight.from_numerators(num, d)
+        g = math.gcd(d, e)
+        p, q = e // g, d // g
+        num = tuple([a * p - b * q for a, b in zip(self.num, other.num, strict=True)])
+        return _weight(num, d * p) if g == 1 else Weight.from_numerators(num, d * p)
 
     def __neg__(self):
-        return Weight(-a for a in self.coords)
+        return _weight(tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, scalar):
         scalar = exact(scalar)
-        return Weight(scalar * a for a in self.coords)
+        if isinstance(scalar, int):
+            d = self.den
+            g = math.gcd(d, scalar) if d != 1 else 1
+            if g != 1:
+                scalar //= g
+                d //= g
+            return _weight(tuple([scalar * a for a in self.num]), d)
+        p, q = scalar.numerator, scalar.denominator
+        return Weight.from_numerators(tuple([p * a for a in self.num]), q * self.den)
 
     __rmul__ = __mul__
 
     def dot(self, other):
         """Bilinear form value; the epsilon-basis is orthonormal."""
-        return exact(sum(a * b for a, b in zip(self.coords, other.coords, strict=True)))
+        s = sum([a * b for a, b in zip(self.num, other.num, strict=True)])
+        d = self.den * other.den
+        if d == 1 or s % d == 0:
+            return s // d
+        return Fraction(s, d)
 
     def is_integral(self):
-        return all(isinstance(c, int) for c in self.coords)
+        return self.den == 1
 
     def __eq__(self, other):
-        return isinstance(other, Weight) and self.coords == other.coords
+        return isinstance(other, Weight) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return "Weight(%s)" % ", ".join(str(c) for c in self.coords)
 
     def to_json(self):
         return [c if isinstance(c, int) else f"{c.numerator}/{c.denominator}" for c in self.coords]
+
+
+def _weight(num, den):
+    """A weight from numerators and denominator already in reduced form."""
+    w = object.__new__(Weight)
+    w.num = num
+    w.den = den
+    return w
 
 
 @dataclass(frozen=True)
@@ -144,6 +208,7 @@ class RootSystem:
     cartan: tuple
     positive_roots: tuple
     rho: Weight
+    coroots: tuple  # alpha_i^vee = 2 alpha_i / (alpha_i, alpha_i), computed once
 
     @property
     def rank(self):
@@ -161,8 +226,7 @@ class RootSystem:
     def coroot(self, i):
         """alpha_i^vee = 2 alpha_i / (alpha_i, alpha_i), 1-based."""
         self._check_index(i)
-        alpha = self.simple_roots[i - 1]
-        return Weight(Fraction(2 * c, alpha.dot(alpha)) for c in alpha)
+        return self.coroots[i - 1]
 
     def fundamental_weights(self):
         """Weights dual to the coroots, in closed coordinate form."""
@@ -187,7 +251,7 @@ class RootSystem:
 
     def is_dominant(self, w):
         """Chain inequalities on the coordinates; type D allows a signed tail."""
-        c = w.coords
+        c = w.num  # over a positive denominator, so the inequalities carry over
         n = self.rank
         for k in range(n - 2):
             if c[k] < c[k + 1]:
@@ -258,7 +322,7 @@ class RootSystem:
 
         def action(w):
             if d_odd:
-                return Weight(tuple(-c for c in w.coords[: n - 1]) + (w.coords[n - 1],))
+                return _weight(tuple([-a for a in w.num[: n - 1]]) + w.num[n - 1 :], w.den)
             return -w
 
         word = []
@@ -326,4 +390,5 @@ def build_root_system(lt: LieType) -> RootSystem:
         cartan=cartan,
         positive_roots=tuple(positives),
         rho=rho,
+        coroots=tuple(Fraction(2, a.dot(a)) * a for a in simples),
     )

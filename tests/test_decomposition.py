@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import schurkit
 from schurkit.decomposition import (
     DecompositionResult,
+    FormalCharacter,
     classify_type_B,
     compare_pi0_pi,
     decompose_tensor_character,
@@ -187,3 +189,57 @@ def test_invariant_check_survives_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert "InvariantError: decomposition consistency" in proc.stderr
+
+
+def fraction_freudenthal(rs, lam):
+    """Freudenthal's recursion on Fraction coordinate tuples: {coords: mult}."""
+
+    def vec(w):
+        return tuple(Fraction(c) for c in w.coords)
+
+    def add(x, y, k=1):
+        return tuple(a + k * b for a, b in zip(x, y))
+
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    rho = vec(rs.rho)
+    top = add(vec(lam), rho)
+    simple = [vec(a) for a in rs.simple_roots]
+    positive = [vec(a) for a in rs.positive_roots]
+    mult = {vec(lam): 1}
+    frontier = list(mult)
+    while frontier:
+        candidates = {add(mu, alpha, -1) for mu in frontier for alpha in simple}
+        frontier = []
+        for mu in sorted(candidates, reverse=True):
+            if mu in mult:
+                continue
+            num = 0
+            for alpha in positive:
+                k = 1
+                while add(mu, alpha, k) in mult:
+                    nu = add(mu, alpha, k)
+                    num += 2 * mult[nu] * dot(nu, alpha)
+                    k += 1
+            if num == 0:
+                continue
+            m = num / (dot(top, top) - dot(add(mu, rho), add(mu, rho)))
+            assert m.denominator == 1 and m > 0
+            mult[mu] = int(m)
+            frontier.append(mu)
+    return mult
+
+
+@pytest.mark.parametrize("lt", all_lie_types(3), ids=str)
+def test_freudenthal_matches_fraction_recursion(lt):
+    rs = build_root_system(lt)
+    highest = [k * w for w in rs.fundamental_weights() for k in (1, 2)] + [rs.rho]
+    for lam in highest:
+        char = freudenthal_multiplicities(rs, lam)
+        assert {w.coords: m for w, m in char.terms} == fraction_freudenthal(rs, lam)
+        assert [w.coords for w, _ in char.terms] == sorted((w.coords for w, _ in char.terms), reverse=True)
+        assert char == FormalCharacter.from_dict(char.as_dict())
+        for w, m in char.terms:
+            assert char.multiplicity(w) == m
+        assert char.multiplicity(lam + rs.rho + rs.rho) == 0

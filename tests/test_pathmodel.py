@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkit.decomposition import freudenthal_multiplicities, schur_dimensions, weyl_dimension
 from schurkit.pathmodel import (
     CrystalCapExceeded,
     Path,
+    _positively_parallel,
     basis_census,
     e_op,
     f_op,
@@ -110,6 +113,18 @@ def test_crystal_paths_stay_integral():
             assert is_integral(rs, p)
 
 
+def test_is_integral_reads_only_the_minima():
+    rs = rs_of("C", 2)
+    w = Weight
+    third = Fraction(1, 3)
+    # heights along alpha_1^vee: 0, -1/2, 1 -- a non-integral interior minimum
+    assert not is_integral(rs, Path.from_points([w((0, 0)), w((-HALF, 0)), w((1, 0))]))
+    # a non-integral final minimum: the path ends at height -4/3
+    assert not is_integral(rs, Path.from_points([w((0, 0)), w((-1, third))]))
+    # fractional breakpoints (denominators 3 and 5) away from the minima
+    assert is_integral(rs, Path.from_points([w((0, 0)), w((third, Fraction(1, 5))), w((1, 1))]))
+
+
 def test_crystal_cap():
     rs = rs_of("B", 2)
     with pytest.raises(CrystalCapExceeded):
@@ -195,3 +210,43 @@ def test_basis_census_d3_r3_distinct_duals():
     assert paired[(1, 1, 1)] == (1, 1, -1)
     assert paired[(1, 1, -1)] == (1, 1, 1)
     assert paired[(2, 1, 0)] == (2, 1, 0)
+
+
+def fraction_ratio_parallel(u, v):
+    """The coordinate-ratio form of the test, on Fraction coordinates."""
+    uz = [c == 0 for c in u.coords]
+    if uz != [c == 0 for c in v.coords]:
+        return False
+    ratio = None
+    for a, b in zip(u.coords, v.coords):
+        if a == 0:
+            continue
+        q = Fraction(b) / Fraction(a)
+        if q <= 0 or (ratio is not None and q != ratio):
+            return False
+        ratio = q
+    return ratio is not None
+
+
+small_coords = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+
+
+@st.composite
+def direction_pairs(draw):
+    n = draw(st.integers(1, 4))
+    u = Weight(draw(st.lists(small_coords, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("multiple", "perturbed", "free")))
+    if kind == "free":
+        return u, Weight(draw(st.lists(small_coords, min_size=n, max_size=n)))
+    scale = draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)))
+    v = scale * u
+    if kind == "perturbed":
+        v = v + draw(st.integers(-1, 1)) * Weight.eps(n, draw(st.integers(1, n)))
+    return u, v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(direction_pairs())
+def test_positively_parallel_matches_fraction_ratios(pair):
+    u, v = pair
+    assert _positively_parallel(u, v) == fraction_ratio_parallel(u, v)

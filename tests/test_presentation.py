@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from schurkit.idempotents import build_idempotents
+from schurkit.idempotents import annihilator_for_signed_sums, build_idempotents, p1
 from schurkit.presentation import (
     _serre_sum,
     presentations_generate_same_algebra,
@@ -16,7 +17,8 @@ from schurkit.presentation import (
 )
 from schurkit.replinalg import ExactMatrix, Representation, tower_rep
 from schurkit.rootdata import LieType, Weight
-from schurkit.weightsets import tensor_weights_Pi
+from schurkit.weightsets import WeightSet, tensor_weights_Pi
+from conftest import all_lie_types
 
 HALF = Fraction(1, 2)
 
@@ -190,3 +192,29 @@ def test_deep_grid_degree_four_towers():
     assert verify_serre_presentation(lt, 4, rep).all_hold
     fam = build_idempotents(rep)
     assert verify_idempotent_presentation(lt, 4, rep, fam).all_hold
+
+
+def fraction_zero_locus(lt, r, include_p1hi):
+    """The zero-locus scan on Fraction coordinates over the half-integer box."""
+    n = lt.rank
+    signed_roots = set(annihilator_for_signed_sums(lt.family, r).roots)
+    h_roots = set(p1(r).roots)
+    values = [HALF * k for k in range(-2 * r, 2 * r + 1)]
+    out = []
+    for point in itertools.product(values, repeat=n):
+        if include_p1hi and not all(v in h_roots for v in point):
+            continue
+        if all(
+            sum(s * v for s, v in zip(signs, point)) in signed_roots
+            for signs in itertools.product((1, -1), repeat=n)
+        ):
+            out.append(Weight(point))
+    flag = "all-equations" if include_p1hi else "signed-sums-only"
+    return WeightSet.make(out, f"V({lt},{r},{flag})")
+
+
+@pytest.mark.parametrize("include_p1hi", [True, False])
+@pytest.mark.parametrize("lt", all_lie_types(3), ids=str)
+def test_zero_locus_matches_fraction_scan(lt, include_p1hi):
+    for r in (1, 2):
+        assert zero_locus(lt, r, include_p1hi) == fraction_zero_locus(lt, r, include_p1hi)

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkit.rootdata import LieType, Weight, build_root_system
 from conftest import all_lie_types
@@ -211,3 +214,80 @@ def test_weight_exactness():
     assert Weight((Fraction(2, 2), 0)) == Weight((1, 0))
     assert Weight((HALF, HALF)).to_json() == ["1/2", "1/2"]
     assert Weight((1, -2)).to_json() == [1, -2]
+
+
+# ---------------------------------------------------------------------------
+# Weight against a plain Fraction-tuple reference
+
+coordinates = st.one_of(
+    st.integers(-12, 12),
+    st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6)),  # includes e.g. 4/2 == 2
+)
+scalars = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def coordinate_pairs(draw):
+    n = draw(st.integers(1, 4))
+    vec = st.lists(coordinates, min_size=n, max_size=n)
+    return draw(vec), draw(vec)
+
+
+def ref_coords(values):
+    """The exact coordinate tuple: ints where integral, reduced Fractions elsewhere."""
+    return tuple(int(c) if Fraction(c).denominator == 1 else Fraction(c) for c in values)
+
+
+def assert_matches(w, values):
+    expected = ref_coords(values)
+    assert w.coords == expected
+    assert [type(c) for c in w.coords] == [type(c) for c in expected]
+    assert w.den > 0 and math.gcd(w.den, *w.num) == 1
+    assert w == Weight(expected) and hash(w) == hash(Weight(expected))
+    assert w.is_integral() == all(isinstance(c, int) for c in expected)
+    assert repr(w) == "Weight(%s)" % ", ".join(str(c) for c in expected)
+    assert w.to_json() == [c if isinstance(c, int) else f"{c.numerator}/{c.denominator}" for c in expected]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(coordinate_pairs(), scalars)
+def test_weight_matches_fraction_reference(pair, k):
+    a, b = pair
+    u, v = Weight(a), Weight(b)
+    fa, fb = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    assert_matches(u, fa)
+    assert_matches(u + v, [x + y for x, y in zip(fa, fb)])
+    assert_matches(u - v, [x - y for x, y in zip(fa, fb)])
+    assert_matches(-u, [-x for x in fa])
+    assert_matches(k * u, [k * x for x in fa])
+    assert_matches(u * k, [k * x for x in fa])
+    dot = sum(x * y for x, y in zip(fa, fb))
+    assert u.dot(v) == dot
+    assert type(u.dot(v)) is (int if dot.denominator == 1 else Fraction)
+    assert (u == v) == (fa == fb)
+    assert (u + v) - v == u and hash((u + v) - v) == hash(u)
+    assert list(u) == list(u.coords) and len(u) == len(a)
+    assert [u[j] for j in range(len(a))] == list(u.coords)
+
+
+def test_weight_from_numerators_reduces():
+    assert Weight.from_numerators((4, -2, 0), 2) == Weight((2, -1, 0))
+    assert Weight.from_numerators((0, 0), 6) == Weight.zero(2)
+    w = Weight.from_numerators((3, 6), 6)
+    assert (w.num, w.den) == ((1, 2), 2)
+    assert w.coords == (HALF, 1)
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, 1.0, "1"])
+def test_weight_rejects_inexact_coordinates_and_scalars(bad):
+    with pytest.raises(TypeError):
+        Weight((1, bad))
+    with pytest.raises(TypeError):
+        Weight((1, HALF)) * bad
+
+
+def test_coroots_are_computed_once():
+    rs = rs_of("B", 3)
+    assert rs.coroot(3) is rs.coroot(3)
+    for i, alpha in enumerate(rs.simple_roots, start=1):
+        assert rs.coroot(i) == Fraction(2, alpha.dot(alpha)) * alpha
