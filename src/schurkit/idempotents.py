@@ -156,7 +156,7 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
     for b, w in enumerate(rep.weights):
         for c in w.coords:
             if not isinstance(c, int) or not -r <= c <= r:
-                raise ValueError(f"carrier weight {w!r} at basis vector {b} escapes [-{r}, {r}]")
+                raise ArithmeticError(f"carrier weight {w!r} at basis vector {b} escapes [-{r}, {r}]")
         support.setdefault(w, []).append(b)
     if not support.keys() <= pi_all.as_set():
         raise ArithmeticError("carrier weights are not contained in the expected weight set")

@@ -18,7 +18,9 @@ denominator of a path's breakpoints, which carry denominators beyond 2.
 Strings are extracted greedily along a fixed reduced word for the longest
 Weyl element: raise maximally letter by letter until the dominant path
 returns.  The resulting exponent tuples index the crystal bijectively and
-drive the basis-counting reports.
+drive the basis-counting reports.  The raising chains of a crystal's
+elements merge, so the remaining string is memoized per path and word
+position: each such pair costs at most one raising-operator call.
 """
 
 from __future__ import annotations
@@ -79,18 +81,6 @@ class Path:
     @property
     def endpoint(self):
         return self.points[-1]
-
-    def value(self, t):
-        t = Fraction(t)
-        if not 0 <= t <= 1:
-            raise ValueError("parameter outside [0, 1]")
-        k = len(self.points) - 1
-        if k == 0:
-            return self.points[0]
-        scaled = t * k
-        idx = min(int(scaled), k - 1)
-        frac = scaled - idx
-        return self.points[idx] + frac * (self.points[idx + 1] - self.points[idx])
 
     def to_json(self):
         return [{"t": f"{t.numerator}/{t.denominator}", "point": p.to_json()} for t, p in self.breakpoints]
@@ -291,33 +281,47 @@ def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP
     return Crystal(rs=rs, highest=lam, elements=tuple(elements), edges=tuple(edges))
 
 
-def string_tuple(crystal: Crystal, word, path: Path):
-    """Greedy raising exponents of one crystal element along a fixed word."""
-    rs = crystal.rs
-    exponents = []
-    current = path
-    for i in word:
-        count = 0
-        while True:
-            raised = e_op(rs, i, current)
-            if raised is None:
-                break
-            current = raised
-            count += 1
-        exponents.append(count)
-    if current != crystal.elements[0]:
-        raise AssertionError(
-            f"greedy string extraction along {word} did not reach the dominant path of {crystal.highest!r}"
-        )
-    return tuple(exponents)
-
-
 def string_tuples(crystal: Crystal, word):
-    """All greedy strings of a crystal; in bijection with its elements."""
-    tuples = [string_tuple(crystal, word, p) for p in crystal.elements]
-    unique = sorted(set(tuples), reverse=True)
+    """All greedy strings of a crystal; in bijection with its elements.
+
+    The exponents of a path from word position k on depend only on the
+    pair (path, k), and the raising chains of different elements merge, so
+    each pair is settled once: if e_{word[k]} kills the path, its string
+    from k is 0 followed by its string from k + 1; otherwise it is the
+    string of the raised path from k with the first exponent one higher.
+    Each walk follows raises and letters until it meets a settled pair (or
+    the end of the word, where the path must be the dominant one), then
+    settles the pairs it passed in reverse.
+    """
+    rs, top, n = crystal.rs, crystal.elements[0], len(word)
+    memo = {}  # (path, k) -> exponents from word position k on
+    for start in crystal.elements:
+        trail = []
+        path, k = start, 0
+        while (path, k) not in memo:
+            if k == n:
+                if path != top:
+                    raise InvariantError(
+                        "string extraction",
+                        f"greedy raising along {word} did not reach the dominant path of {crystal.highest!r}",
+                    )
+                memo[path, k] = ()
+                break
+            trail.append((path, k))
+            raised = e_op(rs, word[k], path)
+            if raised is None:
+                k += 1
+            else:
+                path = raised
+        value = memo[path, k]
+        for key in reversed(trail):
+            # a raise keeps the word position; a killed letter moves on to the next one
+            value = (value[0] + 1,) + value[1:] if key[1] == k else (0,) + value
+            memo[key] = value
+            k = key[1]
+    unique = sorted({memo[p, 0] for p in crystal.elements}, reverse=True)
     if len(unique) != len(crystal.elements):
-        raise AssertionError(f"string parametrization is not injective for {crystal.highest!r}")
+        raise InvariantError("string injectivity", f"two elements of the crystal of {crystal.highest!r} share a string")
     return tuple(unique)
 
 

@@ -377,7 +377,7 @@ def build_root_system(lt: LieType) -> RootSystem:
     )
     for row in cartan:
         if any(not isinstance(a, int) for a in row):
-            raise AssertionError("Cartan matrix is not integral")
+            raise InvariantError("integral Cartan matrix", f"{lt} has Cartan row {row}")
 
     rho = Weight.zero(n)
     for beta in positives:

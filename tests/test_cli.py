@@ -2,9 +2,10 @@ import dataclasses
 import io
 import json
 
-from schurkit import cli, decomposition
+from schurkit import cli, decomposition, pathmodel
 from schurkit.presentation import RelationCheck, RelationReport
 from schurkit.replinalg import ExactMatrix, tower_rep
+from schurkit.rootdata import Weight
 
 
 def run_cli(argv):
@@ -199,6 +200,58 @@ def test_invariant_error_exits_one_and_names_label(monkeypatch):
     assert code == 1
     assert out == ""
     assert "check failed: decomposition consistency" in err
+
+
+def test_carrier_weight_outside_window_exits_one(monkeypatch):
+    def mislabeled_tower(lt, r, max_dim=None):
+        return dataclasses.replace(tower_rep(lt, r, max_dim), r=r - 1)
+
+    monkeypatch.setattr(cli, "tower_rep", mislabeled_tower)
+    code, out, err = run_cli(["idempotents", "C", "2", "2"])
+    assert code == 1 and out == ""
+    assert "check failed: carrier weight" in err
+
+
+def census_with_altered_crystals(monkeypatch, alter):
+    real = pathmodel.generate_crystal
+
+    def altered(rs, lam, cap):
+        crystal = real(rs, lam, cap)
+        return alter(crystal) if len(crystal) > 1 else crystal
+
+    monkeypatch.setattr(pathmodel, "generate_crystal", altered)
+    return run_cli(["census", "C", "2", "2"])
+
+
+def test_wrong_dominant_path_fails_string_extraction(monkeypatch):
+    def swap_first_two(crystal):
+        first, second, *rest = crystal.elements
+        return dataclasses.replace(crystal, elements=(second, first, *rest))
+
+    code, out, err = census_with_altered_crystals(monkeypatch, swap_first_two)
+    assert code == 1 and out == ""
+    assert "check failed: string extraction" in err
+
+
+def test_repeated_crystal_element_fails_string_injectivity(monkeypatch):
+    def repeat_last(crystal):
+        return dataclasses.replace(crystal, elements=crystal.elements + crystal.elements[-1:])
+
+    code, out, err = census_with_altered_crystals(monkeypatch, repeat_last)
+    assert code == 1 and out == ""
+    assert "check failed: string injectivity" in err
+
+
+def test_non_integral_cartan_matrix_exits_one(monkeypatch):
+    eps = Weight.eps
+
+    def stretched_eps(n, i):
+        return 3 * eps(n, i) if i == n else eps(n, i)
+
+    monkeypatch.setattr(Weight, "eps", stretched_eps)
+    code, out, err = run_cli(["crystal", "B", "2", "--lambda", "1,0"])
+    assert code == 1 and out == ""
+    assert "check failed: integral Cartan matrix" in err
 
 
 def test_text_format_has_header_and_table():

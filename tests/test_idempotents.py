@@ -186,7 +186,7 @@ def test_spectrum_escape_is_rejected():
         blocks=rep.blocks,
         kind=rep.kind,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError, match="escapes"):
         build_idempotents(shrunk)
 
 
@@ -205,7 +205,7 @@ def test_half_integer_weight_is_rejected():
         blocks=rep.blocks,
         kind=rep.kind,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError, match="escapes"):
         build_idempotents(bad)
 
 

@@ -1,19 +1,23 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
 from schurkit import polys
+from schurkit._echelon import ExactRowSpan
 from schurkit.decomposition import weyl_dimension
 from schurkit.idempotents import build_idempotents
 from schurkit.replinalg import (
     CapExceeded,
     ExactMatrix,
-    ExactRowSpan,
     algebra_closure,
     minimal_polynomial,
     natural_rep,
@@ -331,6 +335,28 @@ def test_algebra_closure_tower_dimension_matches_dimension_sums(family, rank, r)
     expected = sum(weyl_dimension(rs, lam) ** 2 for lam in tensor_dominant_pi(lt, r))
     res = algebra_closure(rep.generator_lists())
     assert res.dimension == expected
+
+
+IMPORT_HYGIENE = """
+import sys
+import schurkit.cli
+import schurkit
+print("numpy" in sys.modules)
+from schurkit.replinalg import algebra_closure, tower_rep
+from schurkit.rootdata import LieType
+print(algebra_closure(tower_rep(LieType("C", 2), 2).generator_lists()).dimension, "numpy" in sys.modules)
+"""
+
+
+def test_only_the_closure_loads_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lt = LieType("C", 2)
+    rs = build_root_system(lt)
+    expected = sum(weyl_dimension(rs, lam) ** 2 for lam in tensor_dominant_pi(lt, 2))
+    assert done.stdout.split() == ["False", str(expected), "True"]
 
 
 def test_algebra_closure_generator_order_invariance():
