@@ -10,6 +10,8 @@ where P1 has the roots -r, ..., r and P1^(k) is P1 with the factor
 because the H_i are diagonal on the standard tensor basis the projectors
 are plain indicator diagonals, so the family is materialized that way
 after the polynomial formula has been re-verified on a sample of weights.
+The check stays in integers: the deleted-factor product N of the numerators
+must equal d * 1_lam, where d = prod_i P1^(lam_i)(lam_i) is the normaliser.
 
 `ladder_check` is the one implementation of the projector presentation's
 ladder relations R3-R6; the presentation report takes its groups from it.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import polys
 from .replinalg import ExactMatrix, Representation, product_of_shifts
@@ -79,11 +80,13 @@ def deleted_factor_poly(r, k):
     return polys.from_roots([j for j in range(-r, r + 1) if j != k])
 
 
-def polynomial_idempotent(rep: Representation, lam: Weight) -> ExactMatrix:
-    """1_lam by the deleted-factor product, one linear factor at a time.
+def polynomial_idempotent(rep: Representation, lam: Weight):
+    """(N, d) with 1_lam = N / d, by the deleted-factor product.
 
-    Never expands the degree-2rn product symbolically: each factor
-    (H_i - j) is applied as a matrix product, which keeps rationals small.
+    N = prod_i P1^(lam_i)(H_i) is an integer matrix and d = prod_i
+    P1^(lam_i)(lam_i) its nonzero integer normaliser.  Never expands the
+    degree-2rn product symbolically: each factor (H_i - j) is applied as a
+    matrix product.
     """
     r = rep.r
     acc = ExactMatrix.identity(rep.dim)
@@ -95,7 +98,7 @@ def polynomial_idempotent(rep: Representation, lam: Weight) -> ExactMatrix:
         shifts = [j for j in range(-r, r + 1) if j != k]
         acc = acc @ product_of_shifts(hi, shifts)
         denom *= math.prod(k - j for j in shifts)
-    return Fraction(1, denom) * acc
+    return acc, denom
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,12 @@ class IdempotentFamily:
 
     def weighted_sum(self, coeff) -> ExactMatrix:
         """Sum of coeff(lam) * 1_lam over the family."""
-        acc = ExactMatrix.zeros(self.rep.dim)
+        items = []
         for lam, proj in self.table.items():
             c = coeff(lam)
             if c != 0:
-                acc = acc + c * proj
-        return acc
+                items.extend((i, j, c * v) for i, j, v in proj.iter_entries())
+        return ExactMatrix.from_entries(self.rep.dim, self.rep.dim, items)
 
     def rank_table(self):
         """Projector ranks per weight; for indicator diagonals this is the trace."""
@@ -147,8 +150,9 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
     """Construct all 1_lam on a carrier, verifying the polynomial formula.
 
     The indicator-diagonal shortcut and the polynomial product must agree
-    exactly; they are compared on a deterministic sample of weights
-    (spread through the canonical order, plus the extremes).
+    exactly (N == d * 1_lam, see `polynomial_idempotent`); they are compared
+    on a deterministic sample of weights (spread through the canonical
+    order, plus the extremes).
     """
     r = rep.r
     pi_all = tensor_weights_Pi(rep.lie_type, r)
@@ -171,7 +175,8 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
         picks = sorted(set(range(0, len(elements), stride)) | {len(elements) - 1})
         for idx in picks:
             lam = elements[idx]
-            if polynomial_idempotent(rep, lam) != table[lam]:
+            product, normaliser = polynomial_idempotent(rep, lam)
+            if product != normaliser * table[lam]:
                 raise ArithmeticError(f"polynomial and indicator projectors disagree at {lam!r}")
     return IdempotentFamily(rep=rep, pi_all=pi_all, table=table)
 

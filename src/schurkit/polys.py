@@ -23,11 +23,6 @@ def degree(p):
     return len(p) - 1
 
 
-def add(p, q):
-    length = max(len(p), len(q))
-    return normalize((p[k] if k < len(p) else 0) + (q[k] if k < len(q) else 0) for k in range(length))
-
-
 def mul(p, q):
     if not p or not q:
         return ()
@@ -52,49 +47,3 @@ def evaluate(p, x):
         acc = acc * x + c
     return acc
 
-
-def divmod_poly(p, q):
-    """Exact division with remainder over the rationals."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [0] * max(len(p) - len(q) + 1, 0)
-    lead = Fraction(q[-1])
-    while len(rem) >= len(q) and any(c != 0 for c in rem):
-        shift = len(rem) - len(q)
-        factor = Fraction(rem[-1]) / lead
-        quot[shift] = factor
-        for k, c in enumerate(q):
-            rem[shift + k] -= factor * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return normalize(quot), normalize(rem)
-
-
-def divides(q, p):
-    """True iff q divides p exactly."""
-    if not p:
-        return True
-    _, rem = divmod_poly(p, q)
-    return rem == ()
-
-
-def to_string(p, var="T"):
-    if not p:
-        return "0"
-    parts = []
-    for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if c == 0:
-            continue
-        if k == 0:
-            term = str(abs(c))
-        else:
-            mag = abs(c)
-            coeff = "" if mag == 1 else str(mag)
-            term = f"{coeff}{var}" + (f"^{k}" if k > 1 else "")
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .decomposition import schur_dimensions
 from .idempotents import IdempotentFamily, annihilator_for_signed_sums, ladder_check, p1
@@ -81,26 +80,24 @@ _GENERATOR_CONVENTION = (
 )
 
 
-def _residual_witness(case, residual: ExactMatrix):
-    mag, i, j, v = residual.max_abs_with_location()
-    val = Fraction(v)
-    return {"case": case, "entry": [i, j], "value": f"{val.numerator}/{val.denominator}", "magnitude": str(mag)}
-
-
 def _check_many(label, cases):
     """Aggregate (case, residual) pairs into one relation check.
 
     The recorded witness is the largest-magnitude residual entry across
-    the failing sub-cases, found in a fixed iteration order.
+    the failing sub-cases, the first one found in a fixed iteration order.
     """
     worst = None
     for case, residual in cases:
         if residual.is_zero():
             continue
-        wit = _residual_witness(case, residual)
-        if worst is None or Fraction(wit["magnitude"]) > Fraction(worst["magnitude"]):
-            worst = wit
-    return RelationCheck(label=label, holds=worst is None, witness=worst)
+        mag, i, j, v = residual.max_abs_with_location()
+        if worst is None or mag > worst[0]:
+            worst = (mag, case, i, j, v)
+    if worst is None:
+        return RelationCheck(label=label, holds=True)
+    mag, case, i, j, v = worst
+    witness = {"case": case, "entry": [i, j], "value": f"{v}/1", "magnitude": str(mag)}
+    return RelationCheck(label=label, holds=False, witness=witness)
 
 
 def _serre_sum(x, y, a_xy):
@@ -205,9 +202,9 @@ def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> Relat
 
     def x7_cases():
         for signs in itertools.product((1, -1), repeat=n):
-            j_op = ExactMatrix.zeros(rep.dim)
-            for s, hi in zip(signs, h):
-                j_op = j_op + s * hi
+            j_op = ExactMatrix.from_entries(
+                rep.dim, rep.dim, ((a, b, s * v) for s, hi in zip(signs, h) for a, b, v in hi.iter_entries())
+            )
             label = "J=" + "".join("+" if s == 1 else "-" for s in signs)
             yield (label, signed.at_matrix(j_op))
 
@@ -234,12 +231,11 @@ def verify_idempotent_presentation(
         for lam in lams:
             for mu in lams:
                 prod = table[lam] @ table[mu]
-                expected = table[lam] if lam == mu else ExactMatrix.zeros(rep.dim)
-                yield (f"1_{lam.coords} 1_{mu.coords}", prod - expected)
-        total = ExactMatrix.zeros(rep.dim)
-        for lam in lams:
-            total = total + table[lam]
-        yield ("completeness", total - ExactMatrix.identity(rep.dim))
+                yield (f"1_{lam.coords} 1_{mu.coords}", prod - table[lam] if lam == mu else prod)
+        # sum of the projectors minus the identity in one pass; repeated + would copy the total each time
+        minus_identity = ((b, b, -1) for b in range(rep.dim))
+        terms = (entry for lam in lams for entry in table[lam].iter_entries())
+        yield ("completeness", ExactMatrix.from_entries(rep.dim, rep.dim, itertools.chain(minus_identity, terms)))
 
     report.relations.append(_check_many("R1", r1_cases()))
 

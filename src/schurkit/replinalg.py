@@ -1,18 +1,21 @@
-"""Exact rational matrices and concrete realizations on tensor powers.
+"""Exact integer matrices and concrete realizations on tensor powers.
 
 Matrices keep dense semantics (fixed shape, entrywise exact equality) over
 a sparse dict-of-rows store, since the operators handled here - Chevalley
 generators lifted to tensor powers, weight projectors, their products -
-are overwhelmingly sparse.  All arithmetic is exact: entries are ints or
-Fractions, never floats.
+are overwhelmingly sparse.  Every operator identity checked here has
+integer coefficients, so entries and scalars are Python ints (unbounded,
+never floats, bools or Fractions); any other entry or scalar raises
+TypeError.  Rationals appear only inside `minimal_polynomial`'s Krylov
+elimination.
 
 Products with a square diagonal factor (Cartan operators and weight
 projectors are diagonal on the tensor basis) skip the general row-by-row
 accumulation: a diagonal on the right scales the columns of the left
 factor, and a diagonal on the left keeps only the rows of the right factor
 on its support.  Each entry of such a product has a single term a*d, a
-product of two nonzero exact numbers, so the result equals the general
-product entry for entry and stores no zeros.  `product_of_shifts` on a
+product of two nonzero ints, so the result equals the general product
+entry for entry and stores no zeros.  `product_of_shifts` on a
 diagonal likewise multiplies out each diagonal value once.
 
 The module also provides the tower carrier (a direct sum of tensor powers
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polys
-from .rootdata import InvariantError, LieType, Weight, exact
+from .rootdata import InvariantError, LieType, Weight
 
 DEFAULT_MAX_DIM = 3000
 
@@ -66,8 +69,19 @@ def resolve_max_dim(explicit=None):
     return cap
 
 
+def _int_entry(v):
+    # type(), not isinstance: bool is an int subclass and is refused too
+    if type(v) is not int:
+        raise TypeError(f"ExactMatrix entries are ints, got {type(v).__name__} {v!r}")
+    return v
+
+
 class ExactMatrix:
-    """Immutable exact-rational matrix; equality is entrywise and exact."""
+    """Immutable sparse integer matrix; equality is entrywise and exact.
+
+    Entries are ints only: `from_entries`, `diag` and `unit` raise TypeError
+    on any other value, and `*` takes only int scalars.
+    """
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -80,11 +94,11 @@ class ExactMatrix:
     def from_entries(cls, rows, cols, items):
         data = {}
         for i, j, v in items:
-            v = exact(Fraction(v)) if not isinstance(v, int) else v
-            if v == 0:
-                continue
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
+            _int_entry(v)
+            if v == 0:
+                continue
             row = data.setdefault(i, {})
             row[j] = row.get(j, 0) + v
             if row[j] == 0:
@@ -109,7 +123,7 @@ class ExactMatrix:
 
     @classmethod
     def diag(cls, values):
-        values = list(values)
+        values = [_int_entry(v) for v in values]
         n = len(values)
         return cls(n, n, {i: {i: v} for i, v in enumerate(values) if v != 0})
 
@@ -166,7 +180,7 @@ class ExactMatrix:
         return self + (-other)
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
+        if type(scalar) is not int:
             return NotImplemented
         if scalar == 0:
             return ExactMatrix.zeros(self.rows, self.cols)
@@ -241,37 +255,15 @@ class ExactMatrix:
         """(abs value, row, col, value) of the largest-magnitude entry."""
         best = None
         for i, j, v in self.iter_entries():
-            mag = abs(Fraction(v))
-            if best is None or mag > best[0]:
-                best = (mag, i, j, v)
+            if best is None or abs(v) > best[0]:
+                best = (abs(v), i, j, v)
         return best
-
-    def dense(self):
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
-    def int_entries(self):
-        """Sorted sparse entries (i, j, n) of the matrix times the lcm of its denominators."""
-        denom = 1
-        for _, _, v in self.iter_entries():
-            if not isinstance(v, int):
-                denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        out = []
-        for i, j, v in self.iter_entries():
-            scaled = v * denom
-            if isinstance(scaled, Fraction):
-                if scaled.denominator != 1:
-                    raise InvariantError("integer scaling", f"entry ({i},{j}) = {v} times {denom} is not an integer")
-                scaled = scaled.numerator
-            out.append((i, j, scaled))
-        return out
 
     def to_json(self):
         entries = []
         for i in range(self.rows):
             row = self._data.get(i, {})
-            for j in range(self.cols):
-                v = Fraction(row.get(j, 0))
-                entries.append(f"{v.numerator}/{v.denominator}")
+            entries.extend(f"{row.get(j, 0)}/1" for j in range(self.cols))
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     def _check_shape(self, other):
@@ -294,18 +286,6 @@ def block_diag(mats):
         roff += m.rows
         coff += m.cols
     return ExactMatrix(rows, cols, data)
-
-
-def matrix_poly(coeffs, M):
-    """Evaluate a polynomial (ascending coefficients) at a square matrix."""
-    if not M.is_square():
-        raise ValueError("polynomial of a non-square matrix")
-    acc = ExactMatrix.zeros(M.rows)
-    for c in reversed(coeffs):
-        acc = acc @ M
-        if c != 0:
-            acc = acc + c * ExactMatrix.identity(M.rows)
-    return acc
 
 
 def product_of_shifts(M, shifts):
@@ -341,10 +321,6 @@ class GeneratorSet:
     f: tuple
     h: tuple
     form: ExactMatrix
-
-    @property
-    def space_dim(self):
-        return self.lie_type.natural_dim
 
 
 def form_matrix(lt: LieType) -> ExactMatrix:
@@ -397,11 +373,6 @@ def natural_rep(lt: LieType) -> GeneratorSet:
     return GeneratorSet(lie_type=lt, e=tuple(es), f=tuple(fs), h=tuple(hs), form=form_matrix(lt))
 
 
-def preserves_form(X: ExactMatrix, form: ExactMatrix) -> bool:
-    """Check the infinitesimal invariance condition X^T M + M X = 0."""
-    return (X.transpose() @ form + form @ X).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # Tensor lifts and tower carriers
 
@@ -410,11 +381,9 @@ def _lift_to_power(X: ExactMatrix, r: int) -> ExactMatrix:
     m = X.rows
     if r == 0:
         return ExactMatrix.zeros(1)
-    total = ExactMatrix.zeros(m**r)
-    for k in range(r):
-        term = ExactMatrix.identity(m**k).kron(X).kron(ExactMatrix.identity(m ** (r - 1 - k)))
-        total = total + term
-    return total
+    terms = (ExactMatrix.identity(m**k).kron(X).kron(ExactMatrix.identity(m ** (r - 1 - k))) for k in range(r))
+    entries = ((i, j, v) for term in terms for i, row in term._data.items() for j, v in row.items())
+    return ExactMatrix.from_entries(m**r, m**r, entries)
 
 
 def tensor_lift(X: ExactMatrix, r: int) -> ExactMatrix:
@@ -569,8 +538,8 @@ class ClosureResult:
     size: int
     _pieces: tuple = field(repr=False)
 
-    def _global_rows(self):
-        """(pivot, columns, values) of each basis row over size*size columns, in pivot order."""
+    def canonical_rows(self):
+        """Basis rows as integer tuples over the row-major entries, in pivot order."""
         import numpy as np
 
         out = []
@@ -578,28 +547,12 @@ class ClosureResult:
             index = (np.array(rows)[:, None] * self.size + np.array(cols)).ravel()
             for pivot, row in span.pivot_rows():
                 nz = np.flatnonzero(row)
-                out.append((int(index[pivot]), index[nz].tolist(), [int(v) for v in row[nz].tolist()]))
+                flat = [0] * (self.size * self.size)
+                for j, v in zip(index[nz].tolist(), row[nz].tolist()):
+                    flat[j] = int(v)
+                out.append((int(index[pivot]), tuple(flat)))
         out.sort(key=lambda t: t[0])
-        return out
-
-    def canonical_rows(self):
-        """Basis rows as integer tuples over the row-major entries, in pivot order."""
-        out = []
-        for _, cols, values in self._global_rows():
-            flat = [0] * (self.size * self.size)
-            for j, v in zip(cols, values):
-                flat[j] = v
-            out.append(tuple(flat))
-        return tuple(out)
-
-    def basis_matrices(self):
-        """Basis as exact matrices, each row of the echelon form rescaled monic."""
-        out = []
-        for _, cols, values in self._global_rows():
-            lead = values[0]
-            items = [(j // self.size, j % self.size, Fraction(v, lead)) for j, v in zip(cols, values)]
-            out.append(ExactMatrix.from_entries(self.size, self.size, items))
-        return out
+        return tuple(flat for _, flat in out)
 
 
 def algebra_closure(mats) -> ClosureResult:
@@ -655,7 +608,7 @@ def algebra_closure(mats) -> ClosureResult:
         if m.is_diagonal():
             continue
         blocks = {}
-        for i, j, v in m.int_entries():
+        for i, j, v in m.iter_entries():
             blocks.setdefault((cls[i], cls[j]), []).append((pos[i], pos[j], v))
         for (c, d), items in blocks.items():
             block = np.zeros((len(classes[c]), len(classes[d])), dtype=object)

@@ -179,11 +179,3 @@ def is_saturated(rs: RootSystem, ws: WeightSet) -> bool:
             if mu not in members and rs.dominance_leq(mu, lam):
                 return False
     return True
-
-
-def weyl_closure(rs: RootSystem, ws: WeightSet, label=None) -> WeightSet:
-    """Union of the Weyl orbits of all elements."""
-    out = []
-    for w in ws:
-        out.extend(rs.weyl_orbit(w))
-    return WeightSet.make(out, label or f"W.{ws.label}")

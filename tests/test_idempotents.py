@@ -85,14 +85,17 @@ def test_polynomial_route_agrees_everywhere(family, rank, r):
     rep = tower_rep(LieType(family, rank), r)
     fam = build_idempotents(rep)
     for lam, proj in fam.table.items():
-        assert polynomial_idempotent(rep, lam) == proj
+        product, normaliser = polynomial_idempotent(rep, lam)
+        assert normaliser != 0
+        assert product == normaliser * proj
 
 
 def test_polynomial_route_spot_check_c2():
     rep = tower_rep(LieType("C", 2), 2)
     fam = build_idempotents(rep)
     lam = Weight((1, 1))
-    assert polynomial_idempotent(rep, lam) == fam.table[lam]
+    product, normaliser = polynomial_idempotent(rep, lam)
+    assert product == normaliser * fam.table[lam]
 
 
 def test_rank_of_top_projector_on_single_power():
@@ -157,7 +160,7 @@ def test_ladder_zero_branches():
 
 def test_polynomial_indicator_disagreement_is_a_failed_check(monkeypatch):
     # a raised ArithmeticError, not an assert, so the check survives python -O
-    monkeypatch.setattr(idempotents, "polynomial_idempotent", lambda rep, lam: 2 * ExactMatrix.identity(rep.dim))
+    monkeypatch.setattr(idempotents, "polynomial_idempotent", lambda rep, lam: (2 * ExactMatrix.identity(rep.dim), 1))
     with pytest.raises(ArithmeticError, match="disagree"):
         build_idempotents(tower_rep(LieType("C", 2), 2))
     err = io.StringIO()

@@ -19,28 +19,6 @@ def test_mul_and_degree():
     assert polys.mul((), (1, 2)) == ()
 
 
-def test_divmod_exact():
-    p = polys.from_roots([0, 1, 2])
-    q, rem = polys.divmod_poly(p, polys.from_roots([1]))
-    assert rem == ()
-    assert q == polys.from_roots([0, 2])
-    q2, rem2 = polys.divmod_poly((1, 0, 1), (1, 1))
-    assert polys.add(polys.mul(q2, (1, 1)), rem2) == (1, 0, 1)
-    assert rem2 != ()
-
-
-def test_divides():
-    big = polys.from_roots([-2, -1, 0, 1, 2])
-    assert polys.divides(polys.from_roots([-2, 0, 2]), big)
-    assert not polys.divides(polys.from_roots([3]), big)
-
-
-def test_to_string():
-    assert polys.to_string(polys.from_roots([-2, -1, 0, 1, 2])) == "T^5 - 5T^3 + 4T"
-    assert polys.to_string((-1, 1)) == "T - 1"
-    assert polys.to_string(()) == "0"
-
-
 def test_normalize_drops_trailing_zeros():
     assert polys.normalize([Fraction(2, 2), 0, 0]) == (1,)
     assert polys.normalize([0, 0]) == ()

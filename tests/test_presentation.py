@@ -53,7 +53,7 @@ def test_serre_sum_is_the_iterated_commutator(k):
     rng = random.Random(k)
 
     def entry():
-        return rng.choice((0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+        return rng.choice((0, 0, 1, -1, 2, -3))
 
     for shape in ("general", "diagonal-x"):
         for _ in range(5):
@@ -107,6 +107,15 @@ def test_fault_scaled_fn_flags_exactly_c2():
     assert report.failing_labels() == ("C2",)
     witness = next(c.witness for c in report.relations if not c.holds)
     assert witness["case"] == "i=2,j=2"
+
+
+def test_witness_of_a_negative_integer_residual():
+    # on the C2 natural module (tower at r=1), -2 f_2 leaves [e_2, f_2] - H_2 = -3 H_2 =
+    # diag(0, -3, 0, 3): the first of the two largest entries is the witness
+    lt = LieType("C", 2)
+    report = verify_serre_presentation(lt, 1, scaled_fn_rep(tower_rep(lt, 1), factor=-2))
+    assert report.failing_labels() == ("C2",)
+    assert report.relations[1].witness == {"case": "i=2,j=2", "entry": [1, 1], "value": "-3/1", "magnitude": "3"}
 
 
 def test_fault_scaled_fn_idempotent_side_flags_exactly_r2():
