@@ -122,11 +122,10 @@ class ExactRowSpan:
         self._count = k + 1
         self._bound = max(self._bound, _maxabs(vec))
 
-    def pivot_rows(self):
-        """(pivot column, row) pairs in pivot order."""
-        pivots = self._pivots[: self._count]
-        return [(int(pivots[k]), self._rows[k]) for k in np.argsort(pivots)]
-
     def canonical_rows(self):
-        """Basis rows as integer tuples in pivot order (a canonical form)."""
-        return tuple(tuple(int(x) for x in row.tolist()) for _, row in self.pivot_rows())
+        """Basis rows in pivot order, each the tuple of its nonzero (column, value) pairs (a canonical form)."""
+        out = []
+        for k in np.argsort(self._pivots[: self._count]):
+            nz = np.flatnonzero(self._rows[k])
+            out.append(tuple(zip(nz.tolist(), map(int, self._rows[k, nz].tolist()))))
+        return tuple(out)

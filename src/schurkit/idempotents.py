@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import polys
-from .replinalg import ExactMatrix, Representation, product_of_shifts
+from .replinalg import ExactMatrix, Representation, product_of_shifts, right_products
 from .rootdata import Weight, build_root_system
 from .weightsets import WeightSet, tensor_weights_Pi
 
@@ -45,10 +45,6 @@ class AnnihilatorPolynomial:
     def roots(self):
         step = 1 if self.kind == "P1" else 2
         return tuple(range(-self.r, self.r + 1, step))
-
-    @property
-    def degree(self):
-        return 2 * self.r + 1 if self.kind == "P1" else self.r + 1
 
     def coefficients(self):
         return polys.from_roots(self.roots)
@@ -108,13 +104,6 @@ class IdempotentFamily:
     rep: Representation
     pi_all: WeightSet
     table: dict
-
-    def idempotent(self, lam: Weight) -> ExactMatrix:
-        found = self.table.get(lam)
-        return found if found is not None else ExactMatrix.zeros(self.rep.dim)
-
-    def weights(self):
-        return tuple(self.table.keys())
 
     def weighted_sum(self, coeff) -> ExactMatrix:
         """Sum of coeff(lam) * 1_lam over the family."""
@@ -201,24 +190,6 @@ class LadderReport:
         return not any(self.residuals.values())
 
 
-def _times_diagonals(op, table):
-    """op @ proj for every proj of a table of diagonal matrices, in one pass over op's entries.
-
-    Column j of op is scaled by the diagonal entry at j of each projector
-    whose support holds j, so overlapping or non-0/1 projectors still give
-    the exact products.
-    """
-    holders = {}
-    for lam, proj in table.items():
-        for j, _, d in proj.iter_entries():
-            holders.setdefault(j, []).append((lam, d))
-    data = {lam: {} for lam in table}
-    for i, j, a in op.iter_entries():
-        for lam, d in holders.get(j, ()):
-            data[lam].setdefault(i, {})[j] = a * d
-    return {lam: ExactMatrix(op.rows, op.cols, rows) for lam, rows in data.items()}
-
-
 def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderReport:
     """Verify the four ladder families on every projector of the family.
 
@@ -231,14 +202,6 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
     `rep` (default: the family's own carrier), so a perturbed carrier can
     be checked against a clean family.
 
-    When every projector is diagonal (always, for a built family), all the
-    products op 1_lam come from one pass over op's entries, each column
-    scaled by the projectors whose diagonal holds it; 1_lam op takes the
-    left-diagonal path of the matrix product.  Both give exactly the
-    general products, so faulty projectors (scaled, overlapping) are
-    judged as before.  A projector with an off-diagonal entry sends every
-    product through the general op @ 1_lam.
-
     Weights mu outside the carrier weight set contribute 1_mu = 0.  If a
     weight inside the set is missing from the family's table the case is
     skipped rather than failed: completeness of the family is a separate
@@ -250,7 +213,7 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
     rs = build_root_system(rep.lie_type)
     members = fam.pi_all.as_set()
     zero = ExactMatrix.zeros(rep.dim)
-    diagonal = all(proj.is_diagonal() for proj in fam.table.values())
+    times_projectors = right_products(fam.table)
     residuals = {label: [] for label in ("R3", "R4", "R5", "R6")}
     checked = skipped = 0
     for idx in range(1, rep.rank + 1):
@@ -260,10 +223,7 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
             (rep.e[idx - 1], alpha, "R3", "R5"),
             (rep.f[idx - 1], -alpha, "R4", "R6"),
         ):
-            if diagonal:
-                op_lam = _times_diagonals(op, fam.table)
-            else:
-                op_lam = {lam: op @ proj for lam, proj in fam.table.items()}
+            op_lam = times_projectors(op)
             lam_op = {lam: proj @ op for lam, proj in fam.table.items()}
             for lam in fam.table:
                 for label, lhs, rhs, target in (

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .decomposition import schur_dimensions
 from .idempotents import IdempotentFamily, annihilator_for_signed_sums, ladder_check, p1
-from .replinalg import ExactMatrix, Representation, algebra_closure
+from .replinalg import ExactMatrix, Representation, algebra_closure, right_products
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import WeightSet, tensor_weights_Pi
 
@@ -228,10 +228,11 @@ def verify_idempotent_presentation(
 
     def r1_cases():
         lams = list(table)
+        products = right_products(table)
         for lam in lams:
+            prods = products(table[lam])
             for mu in lams:
-                prod = table[lam] @ table[mu]
-                yield (f"1_{lam.coords} 1_{mu.coords}", prod - table[lam] if lam == mu else prod)
+                yield (f"1_{lam.coords} 1_{mu.coords}", prods[mu] - table[lam] if lam == mu else prods[mu])
         # sum of the projectors minus the identity in one pass; repeated + would copy the total each time
         minus_identity = ((b, b, -1) for b in range(rep.dim))
         terms = (entry for lam in lams for entry in table[lam].iter_entries())

@@ -9,14 +9,12 @@ never floats, bools or Fractions); any other entry or scalar raises
 TypeError.  Rationals appear only inside `minimal_polynomial`'s Krylov
 elimination.
 
-Products with a square diagonal factor (Cartan operators and weight
-projectors are diagonal on the tensor basis) skip the general row-by-row
-accumulation: a diagonal on the right scales the columns of the left
-factor, and a diagonal on the left keeps only the rows of the right factor
-on its support.  Each entry of such a product has a single term a*d, a
-product of two nonzero ints, so the result equals the general product
-entry for entry and stores no zeros.  `product_of_shifts` on a
-diagonal likewise multiplies out each diagonal value once.
+Cartan operators and weight projectors are diagonal on the tensor basis.
+Three places use that, and each gives exactly what the general code would:
+`product_of_shifts` multiplies out each diagonal value once,
+`right_products` forms op @ P for a whole table of diagonal P in one pass
+over op's entries, and the algebra closure grades by the diagonal
+generators.  The matrix product itself has one accumulation loop.
 
 The module also provides the tower carrier (a direct sum of tensor powers
 of the natural module on which the whole family of simple modules with
@@ -195,21 +193,6 @@ class ExactMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = {}
         odata = other._data
-        if other.is_square() and other.is_diagonal():
-            # scale the columns of self; entry (i, j) is a * d_j, the product's single term
-            for i, row in self._data.items():
-                acc = {j: a * odata[j][j] for j, a in row.items() if j in odata}
-                if acc:
-                    out[i] = acc
-            return ExactMatrix(self.rows, other.cols, out)
-        if self.is_square() and self.is_diagonal():
-            # keep the rows of other on the support of self, scaled by d_i
-            for i, row in self._data.items():
-                brow = odata.get(i)
-                if brow:
-                    a = row[i]
-                    out[i] = {j: a * b for j, b in brow.items()}
-            return ExactMatrix(self.rows, other.cols, out)
         for i, row in self._data.items():
             acc = {}
             for k, a in row.items():
@@ -306,6 +289,36 @@ def product_of_shifts(M, shifts):
         if acc.is_zero():
             break
     return acc
+
+
+def right_products(table):
+    """The map op -> {key: op @ table[key]} for a dict of matrices.
+
+    When every matrix of the table is diagonal, the products come from one
+    pass over op's entries: column j of op is scaled by the diagonal entry
+    at j of each matrix whose support holds j.  Each product entry is then
+    the single term a*d of two nonzero ints, so the result equals op @ P
+    entry for entry, also for overlapping or non-0/1 diagonals.  Otherwise
+    each product is formed with @.  The column index is built once per table.
+    """
+    if not all(m.is_diagonal() for m in table.values()):
+        return lambda op: {key: op @ m for key, m in table.items()}
+    holders = {}
+    for key, m in table.items():
+        for j, row in m._data.items():
+            holders.setdefault(j, []).append((key, row[j]))
+
+    def products(op):
+        if any(op.cols != m.rows for m in table.values()):
+            raise ValueError(f"shape mismatch: {op.rows}x{op.cols} against the table")
+        data = {key: {} for key in table}
+        for i, row in op._data.items():
+            for j, a in row.items():
+                for key, d in holders.get(j, ()):
+                    data[key].setdefault(i, {})[j] = a * d
+        return {key: ExactMatrix(op.rows, m.cols, data[key]) for key, m in table.items()}
+
+    return products
 
 
 # ---------------------------------------------------------------------------
@@ -539,20 +552,14 @@ class ClosureResult:
     _pieces: tuple = field(repr=False)
 
     def canonical_rows(self):
-        """Basis rows as integer tuples over the row-major entries, in pivot order."""
-        import numpy as np
-
+        """Basis rows in pivot order, each the tuple of its nonzero (row-major index, value) pairs."""
         out = []
         for rows, cols, span in self._pieces:
-            index = (np.array(rows)[:, None] * self.size + np.array(cols)).ravel()
-            for pivot, row in span.pivot_rows():
-                nz = np.flatnonzero(row)
-                flat = [0] * (self.size * self.size)
-                for j, v in zip(index[nz].tolist(), row[nz].tolist()):
-                    flat[j] = int(v)
-                out.append((int(index[pivot]), tuple(flat)))
-        out.sort(key=lambda t: t[0])
-        return tuple(flat for _, flat in out)
+            width = len(cols)
+            for row in span.canonical_rows():
+                out.append(tuple((rows[k // width] * self.size + cols[k % width], v) for k, v in row))
+        out.sort(key=lambda row: row[0][0])  # a row's first pair holds its pivot
+        return tuple(out)
 
 
 def algebra_closure(mats) -> ClosureResult:

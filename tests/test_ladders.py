@@ -3,8 +3,9 @@
 Single-entry perturbations of one e_i or f_i on small towers: the ladder
 check must agree with a direct evaluation of the four identities, and with
 the ladder groups of the projector-presentation report.  Projector faults
-(dropped, off-diagonal, scaled, overlapping) must give the same report from
-the one-pass products as from one product per projector.
+(dropped, off-diagonal, scaled, overlapping) must give the same products,
+ladder report and R1 check from the one-pass products as from one product
+per projector.
 """
 
 import dataclasses
@@ -14,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurkit import idempotents
 from schurkit.idempotents import build_idempotents, ladder_check
-from schurkit.presentation import verify_idempotent_presentation
-from schurkit.replinalg import ExactMatrix, tower_rep
+from schurkit.presentation import _check_many, verify_idempotent_presentation
+from schurkit.replinalg import ExactMatrix, right_products, tower_rep
 from schurkit.rootdata import LieType, build_root_system
 
 LADDER_LABELS = ("R3", "R4", "R5", "R6")
@@ -104,21 +104,35 @@ def _faulty_family(fam, kind):
     return dataclasses.replace(fam, table=table)
 
 
+def _per_pair_r1(fam):
+    """R1 with one product per pair of projectors."""
+    table, dim = fam.table, fam.rep.dim
+    cases = []
+    for lam in table:
+        for mu in table:
+            prod = table[lam] @ table[mu]
+            cases.append((f"1_{lam.coords} 1_{mu.coords}", prod - table[lam] if lam == mu else prod))
+    total = ExactMatrix.zeros(dim)
+    for proj in table.values():
+        total = total + proj
+    cases.append(("completeness", total - ExactMatrix.identity(dim)))
+    return _check_many("R1", cases)
+
+
 @pytest.mark.parametrize("kind", ["clean", "dropped", "off-diagonal", "scaled", "overlapping"])
 @pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2)])
-def test_one_pass_ladder_check_matches_per_projector_products(monkeypatch, family, rank, r, kind):
-    _, rep, clean = clean_tower(family, rank, r)
+def test_one_pass_ladder_check_matches_per_projector_products(family, rank, r, kind):
+    lt, rep, clean = clean_tower(family, rank, r)
     fam = _faulty_family(clean, kind)
+    products = right_products(fam.table)
+    for op in rep.e + rep.f + tuple(fam.table.values()):
+        assert products(op) == {lam: op @ proj for lam, proj in fam.table.items()}
+
+    # the ladder report against the per-projector route
     fast = ladder_check(fam)
     assert {label: cases for label, cases in fast.residuals.items() if cases} == direct_ladder_residuals(fam, rep)
-    if kind == "off-diagonal":
-        # a non-diagonal projector sends every product through op @ proj
-        monkeypatch.setattr(idempotents, "_times_diagonals", None)
-    else:
-        monkeypatch.setattr(
-            idempotents, "_times_diagonals", lambda op, table: {lam: op @ proj for lam, proj in table.items()}
-        )
-    assert ladder_check(fam) == fast
     # a missing projector skips its cases: completeness is R1's check
     assert fast.ok == (kind in ("clean", "dropped"))
     assert (fast.skipped > 0) == (kind == "dropped")
+
+    assert verify_idempotent_presentation(lt, r, rep, fam).relations[0] == _per_pair_r1(fam)

@@ -23,6 +23,7 @@ from schurkit.replinalg import (
     natural_rep,
     natural_weights,
     product_of_shifts,
+    right_products,
     single_power_rep,
     tensor_lift,
     tower_rep,
@@ -133,6 +134,8 @@ def test_basic_arithmetic_and_normalization():
     assert (a @ b).entry(0, 1) == 1
     with pytest.raises(ValueError):
         a @ ExactMatrix.zeros(3, 3)
+    with pytest.raises(ValueError):
+        right_products({"diagonal": a})(ExactMatrix.zeros(3, 3))
     assert a.max_abs_with_location() == (1, 0, 0, 1)
 
 
@@ -330,7 +333,7 @@ def test_row_span_canonical_form():
     b = ExactRowSpan(3)
     for v in ([1, 2, 5], [2, 4, -2]):
         b.insert(v)
-    assert a.canonical_rows() == b.canonical_rows() == ((1, 2, 0), (0, 0, 1))
+    assert a.canonical_rows() == b.canonical_rows() == (((0, 1), (1, 2)), ((2, 1),))
 
 
 def test_algebra_closure_identity_only():
@@ -391,8 +394,14 @@ def _flat(m):
 
 
 def _in_span(rows, vec):
-    """Exact membership of vec in the row space of rows (sympy rank)."""
-    return sympy.Matrix(list(rows)).rank() == sympy.Matrix(list(rows) + [vec]).rank()
+    """Exact membership of vec in the row space of sparse (index, value) rows (sympy rank)."""
+    dense = []
+    for row in rows:
+        flat = [0] * len(vec)
+        for j, v in row:
+            flat[j] = v
+        dense.append(flat)
+    return sympy.Matrix(dense).rank() == sympy.Matrix(dense + [vec]).rank()
 
 
 def test_algebra_closure_contains_products():
@@ -410,7 +419,7 @@ def test_algebra_closure_contains_products():
 
 
 def _sympy_canonical_rows(vectors):
-    """Nonzero rows of sympy's rref, each scaled to a primitive integer vector."""
+    """Nonzero rows of sympy's rref, each scaled to a primitive integer vector, as (index, value) pairs."""
     reduced, pivots = sympy.Matrix(vectors).rref()
     out = []
     for k in range(len(pivots)):
@@ -418,7 +427,7 @@ def _sympy_canonical_rows(vectors):
         scale = math.lcm(*(x.denominator for x in row))
         ints = [int(x * scale) for x in row]
         g = math.gcd(*ints)
-        out.append(tuple(x // g for x in ints))
+        out.append(tuple((j, x // g) for j, x in enumerate(ints) if x))
     return tuple(out)
 
 
@@ -525,6 +534,7 @@ def test_algebra_closure_matches_ungraded_reference(gens):
     res = algebra_closure(mats)
     assert res.dimension == len(expected)
     assert res.canonical_rows() == expected
+    assert all(v != 0 for row in res.canonical_rows() for _, v in row)
     assert algebra_closure(list(reversed(mats))).canonical_rows() == expected
 
 
