@@ -9,7 +9,7 @@ through the path model.
 
 __version__ = "0.1.0"
 
-from .rootdata import LieType, RootSystem, Weight, build_root_system, lie_type
+from .rootdata import CapExceeded, LieType, RootSystem, Weight, build_root_system
 from .weightsets import (
     WeightSet,
     is_saturated,
@@ -21,22 +21,18 @@ from .weightsets import (
     tensor_weights_Pi,
 )
 from .replinalg import (
-    CapExceeded,
     ExactMatrix,
     GeneratorSet,
     Representation,
     algebra_closure,
-    minimal_polynomial,
     natural_rep,
     single_power_rep,
     tensor_lift,
     tower_rep,
 )
 from .idempotents import (
-    AnnihilatorPolynomial,
     IdempotentFamily,
     build_idempotents,
-    deleted_factor_poly,
     ladder_check,
     p1,
     p2,

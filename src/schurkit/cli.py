@@ -29,15 +29,15 @@ from .decomposition import (
     weyl_dimension,
 )
 from .idempotents import build_idempotents, ladder_check
-from .pathmodel import CrystalCapExceeded, basis_census, generate_crystal
+from .pathmodel import basis_census, generate_crystal
 from .presentation import (
     quotient_witness,
     verify_idempotent_presentation,
     verify_serre_presentation,
     zero_locus_report,
 )
-from .replinalg import CapExceeded, tower_rep
-from .rootdata import LieType, Weight, build_root_system
+from .replinalg import tower_rep
+from .rootdata import CapExceeded, LieType, Weight, build_root_system
 from .weightsets import tensor_dominant_pi, tensor_weights_Pi
 
 
@@ -333,10 +333,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         result = _COMMANDS[args.command](args)
-    except (CapExceeded, CrystalCapExceeded) as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
-    except ValueError as exc:
+    except (CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
     except ArithmeticError as exc:

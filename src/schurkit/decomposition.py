@@ -46,9 +46,6 @@ class FormalCharacter:
     def multiplicity(self, w):
         return self._lookup.get(w, 0)
 
-    def support(self):
-        return tuple(w for w, _ in self.terms)
-
     def total(self):
         return sum(m for _, m in self.terms)
 

@@ -13,6 +13,10 @@ after the polynomial formula has been re-verified on a sample of weights.
 The check stays in integers: the deleted-factor product N of the numerators
 must equal d * 1_lam, where d = prod_i P1^(lam_i)(lam_i) is the normaliser.
 
+P1 and P2, whose roots are -r, -r+2, ..., r, are kept as integer root
+tuples and applied factor by factor with `product_of_shifts`; no
+coefficient is formed.
+
 `ladder_check` is the one implementation of the projector presentation's
 ladder relations R3-R6; the presentation report takes its groups from it.
 """
@@ -22,58 +26,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import polys
 from .replinalg import ExactMatrix, Representation, product_of_shifts, right_products
 from .rootdata import Weight, build_root_system
 from .weightsets import WeightSet, tensor_weights_Pi
 
 
-@dataclass(frozen=True)
-class AnnihilatorPolynomial:
-    """Monic polynomial with the integer roots -r..r, stepping by 1 or 2."""
-
-    kind: str  # "P1" or "P2"
-    r: int
-
-    def __post_init__(self):
-        if self.kind not in ("P1", "P2"):
-            raise ValueError(f"kind must be P1 or P2, got {self.kind!r}")
-        if self.r < 1:
-            raise ValueError("need r >= 1")
-
-    @property
-    def roots(self):
-        step = 1 if self.kind == "P1" else 2
-        return tuple(range(-self.r, self.r + 1, step))
-
-    def coefficients(self):
-        return polys.from_roots(self.roots)
-
-    def evaluate(self, x):
-        return polys.evaluate(self.coefficients(), x)
-
-    def at_matrix(self, M: ExactMatrix) -> ExactMatrix:
-        return product_of_shifts(M, self.roots)
-
-
 def p1(r):
-    return AnnihilatorPolynomial("P1", r)
+    """Roots of P1: every integer in [-r, r]."""
+    return tuple(range(-r, r + 1))
 
 
 def p2(r):
-    return AnnihilatorPolynomial("P2", r)
+    """Roots of P2: the integers in [-r, r] of the parity of r."""
+    return tuple(range(-r, r + 1, 2))
 
 
-def annihilator_for_signed_sums(family, r) -> AnnihilatorPolynomial:
-    """The polynomial every signed sum of Cartan operators satisfies."""
+def annihilator_for_signed_sums(family, r):
+    """Roots of the polynomial every signed sum of Cartan operators satisfies."""
     return p1(r) if family == "B" else p2(r)
-
-
-def deleted_factor_poly(r, k):
-    """P1 with the factor (T - k) removed; degree 2r, ascending coefficients."""
-    if not -r <= k <= r:
-        raise ValueError(f"k={k} outside [-{r}, {r}]")
-    return polys.from_roots([j for j in range(-r, r + 1) if j != k])
 
 
 def polynomial_idempotent(rep: Representation, lam: Weight):
@@ -85,13 +55,14 @@ def polynomial_idempotent(rep: Representation, lam: Weight):
     matrix product.
     """
     r = rep.r
+    roots = p1(r)
     acc = ExactMatrix.identity(rep.dim)
     denom = 1
     for i, hi in enumerate(rep.h):
         k = lam.coords[i]
-        if not isinstance(k, int) or not -r <= k <= r:
+        if k not in roots:
             raise ValueError(f"eigenvalue {k} for H_{i+1} escapes the integer window [-{r}, {r}]")
-        shifts = [j for j in range(-r, r + 1) if j != k]
+        shifts = [j for j in roots if j != k]
         acc = acc @ product_of_shifts(hi, shifts)
         denom *= math.prod(k - j for j in shifts)
     return acc, denom

@@ -12,8 +12,10 @@ between two critical times is reflected and the tail is translated by
 the root.  This form of the operators is valid on integral paths (all
 local minima of every height function at integer levels); paths generated
 from a straight dominant path stay integral, which is checked during
-crystal generation.  Heights are compared as integers over the common
-denominator of a path's breakpoints, which carry denominators beyond 2.
+crystal generation.  Only the lowering operator is written out; the
+raising operator is its conjugate under path duality.  Heights are
+compared as integers over the common denominator of a path's
+breakpoints, which carry denominators beyond 2.
 
 Strings are extracted greedily along a fixed reduced word for the longest
 Weyl element: raise maximally letter by letter until the dominant path
@@ -30,14 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decomposition import schur_dimensions, weyl_dimension
-from .rootdata import InvariantError, LieType, RootSystem, Weight, build_root_system
+from .rootdata import CapExceeded, InvariantError, LieType, RootSystem, Weight, build_root_system
 from .weightsets import tensor_dominant_pi
 
 DEFAULT_CRYSTAL_CAP = 5000
-
-
-class CrystalCapExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -176,35 +174,26 @@ def f_op(rs: RootSystem, i: int, path: Path):
     return Path.from_points(new_pts)
 
 
+def _dual(path: Path) -> Path:
+    """The path t -> path(1 - t) - path(1).
+
+    Reversing a canonical polyline and translating it keeps it canonical,
+    so the points are used as they are.
+    """
+    end = path.endpoint
+    return Path(points=tuple([p - end for p in reversed(path.points)]))
+
+
 def e_op(rs: RootSystem, i: int, path: Path):
     """Raising root operator; None when it annihilates the path.
 
-    Mirror image of the lowering operator: the piece between the last
-    crossing of level q+1 and the first minimum is reflected, and the rest
-    of the path is translated by +alpha.  Applies when q <= -1.
+    e_i is the lowering operator conjugated by the duality above
+    (Littelmann, Paths and root operators in representation theory, 1995):
+    e_i(path) = dual(f_i(dual(path))).  It applies when the minimum of the
+    height function is at most -1.
     """
-    alpha = rs.simple_root(i)
-    h, d = _scaled_heights(path, rs.coroot(i))
-    q = min(h)
-    if q > -d:
-        return None
-    top = q + d
-    pts = path.points
-    j2 = min(j for j, v in enumerate(h) if v == q)
-    j = j2
-    while h[j - 1] < top:  # strictly between q and q+1 before the first minimum
-        j -= 1
-    if h[j - 1] == top:
-        split = pts[j - 1]
-        new_pts = list(pts[:j])
-    else:
-        split = _split_at_level(pts[j - 1], pts[j], h[j - 1], h[j], top)
-        new_pts = list(pts[:j]) + [split]
-    for k in range(j, j2 + 1):
-        new_pts.append(_mirror(pts[k], h[k] - top, d, alpha))
-    for p in pts[j2 + 1 :]:
-        new_pts.append(p + alpha)
-    return Path.from_points(new_pts)
+    lowered = f_op(rs, i, _dual(path))
+    return None if lowered is None else _dual(lowered)
 
 
 def is_integral(rs: RootSystem, path: Path) -> bool:
@@ -271,7 +260,7 @@ def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP
             at = index.get(image)
             if at is None:
                 if len(elements) >= cap:
-                    raise CrystalCapExceeded(f"crystal of {lam!r} exceeded {cap} elements")
+                    raise CapExceeded(f"crystal of {lam!r} exceeded {cap} elements")
                 if not is_integral(rs, image):
                     raise InvariantError("integral-path regime", f"an operator left it in the crystal of {lam!r}")
                 index[image] = at = len(elements)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .decomposition import schur_dimensions
 from .idempotents import IdempotentFamily, annihilator_for_signed_sums, ladder_check, p1
-from .replinalg import ExactMatrix, Representation, algebra_closure, right_products
+from .replinalg import ExactMatrix, Representation, algebra_closure, product_of_shifts, right_products
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import WeightSet, tensor_weights_Pi
 
@@ -194,7 +194,7 @@ def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> Relat
     window = p1(r)
     report.relations.append(
         _check_many(
-            f"{fam}6", ((f"P1(H_{i+1})", window.at_matrix(h[i])) for i in range(n))
+            f"{fam}6", ((f"P1(H_{i+1})", product_of_shifts(h[i], window)) for i in range(n))
         )
     )
 
@@ -206,7 +206,7 @@ def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> Relat
                 rep.dim, rep.dim, ((a, b, s * v) for s, hi in zip(signs, h) for a, b, v in hi.iter_entries())
             )
             label = "J=" + "".join("+" if s == 1 else "-" for s in signs)
-            yield (label, signed.at_matrix(j_op))
+            yield (label, product_of_shifts(j_op, signed))
 
     report.relations.append(_check_many(f"{fam}7", x7_cases()))
     return report
@@ -268,8 +268,8 @@ def zero_locus(lt: LieType, r: int, include_p1hi: bool = True) -> WeightSet:
     if r < 1:
         raise ValueError("need r >= 1")
     n = lt.rank
-    signed_roots = {2 * c for c in annihilator_for_signed_sums(lt.family, r).roots}
-    h_roots = {2 * c for c in p1(r).roots}
+    signed_roots = {2 * c for c in annihilator_for_signed_sums(lt.family, r)}
+    h_roots = {2 * c for c in p1(r)}
     sign_vectors = list(itertools.product((1, -1), repeat=n))
     out = []
     for point in itertools.product(range(-2 * r, 2 * r + 1), repeat=n):

@@ -6,8 +6,7 @@ generators lifted to tensor powers, weight projectors, their products -
 are overwhelmingly sparse.  Every operator identity checked here has
 integer coefficients, so entries and scalars are Python ints (unbounded,
 never floats, bools or Fractions); any other entry or scalar raises
-TypeError.  Rationals appear only inside `minimal_polynomial`'s Krylov
-elimination.
+TypeError.
 
 Cartan operators and weight projectors are diagonal on the tensor basis.
 Three places use that, and each gives exactly what the general code would:
@@ -18,9 +17,8 @@ generators.  The matrix product itself has one accumulation loop.
 
 The module also provides the tower carrier (a direct sum of tensor powers
 of the natural module on which the whole family of simple modules with
-dominant weights in pi is realized), exact minimal polynomials, and the
-span-closure computation that measures the dimension of a generated
-operator algebra.
+dominant weights in pi is realized) and the span-closure computation that
+measures the dimension of a generated operator algebra.
 
 The closure is graded.  The diagonal generators (Cartan elements or weight
 projectors) split the coordinates into classes of equal joint eigenvalue,
@@ -43,16 +41,11 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from . import polys
-from .rootdata import InvariantError, LieType, Weight
+from .rootdata import CapExceeded, LieType, Weight
+from .weightsets import tensor_degrees
 
 DEFAULT_MAX_DIM = 3000
-
-
-class CapExceeded(RuntimeError):
-    """A requested carrier is larger than the configured dimension cap."""
 
 
 def resolve_max_dim(explicit=None):
@@ -224,16 +217,6 @@ class ExactMatrix:
     def is_diagonal(self):
         return all(i == j for i, row in self._data.items() for j in row)
 
-    def kron(self, other):
-        data = {}
-        for i, row in self._data.items():
-            for k, orow in other._data.items():
-                dest = data.setdefault(i * other.rows + k, {})
-                for j, a in row.items():
-                    for l, b in orow.items():
-                        dest[j * other.cols + l] = a * b
-        return ExactMatrix(self.rows * other.rows, self.cols * other.cols, data)
-
     def max_abs_with_location(self):
         """(abs value, row, col, value) of the largest-magnitude entry."""
         best = None
@@ -255,20 +238,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
-def block_diag(mats):
-    mats = list(mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    data = {}
-    roff = coff = 0
-    for m in mats:
-        for i, row in m._data.items():
-            data[roff + i] = {coff + j: v for j, v in row.items()}
-        roff += m.rows
-        coff += m.cols
-    return ExactMatrix(rows, cols, data)
 
 
 def product_of_shifts(M, shifts):
@@ -390,13 +359,24 @@ def natural_rep(lt: LieType) -> GeneratorSet:
 # Tensor lifts and tower carriers
 
 
-def _lift_to_power(X: ExactMatrix, r: int) -> ExactMatrix:
+def _lift_entries(X: ExactMatrix, s: int, offset: int):
+    """Entries of sum_k I^(x)k (x) X (x) I^(x)(s-1-k) on the s-th power, indices shifted by offset.
+
+    Basis vector b of the power has s base-m digits, the first most
+    significant.  Term k acts on digit k alone, which has weight m^(s-1-k):
+    X[i, j] maps each vector with digit j there to the one with digit i.
+    Diagonal entries of different terms meet on one index; the caller's
+    `from_entries` adds them up.
+    """
     m = X.rows
-    if r == 0:
-        return ExactMatrix.zeros(1)
-    terms = (ExactMatrix.identity(m**k).kron(X).kron(ExactMatrix.identity(m ** (r - 1 - k))) for k in range(r))
-    entries = ((i, j, v) for term in terms for i, row in term._data.items() for j, v in row.items())
-    return ExactMatrix.from_entries(m**r, m**r, entries)
+    entries = list(X.iter_entries())
+    for k in range(s):
+        stride = m ** (s - 1 - k)
+        for high in range(offset, offset + m**s, m * stride):
+            for i, j, v in entries:
+                row, col = high + i * stride, high + j * stride
+                for low in range(stride):
+                    yield row + low, col + low, v
 
 
 def tensor_lift(X: ExactMatrix, r: int) -> ExactMatrix:
@@ -405,7 +385,8 @@ def tensor_lift(X: ExactMatrix, r: int) -> ExactMatrix:
         raise ValueError("tensor_lift needs r >= 1")
     if not X.is_square():
         raise ValueError("tensor_lift needs a square matrix")
-    return _lift_to_power(X, r)
+    m = X.rows
+    return ExactMatrix.from_entries(m**r, m**r, _lift_entries(X, r, 0))
 
 
 @dataclass(frozen=True)
@@ -434,22 +415,12 @@ class Representation:
         return list(self.e) + list(self.f) + list(self.h)
 
 
-def _tower_degrees(lt: LieType, r: int):
-    if lt.family == "B":
-        return list(range(0, r + 1))
-    return list(range(r % 2, r + 1, 2))
-
-
 def _build_rep(lt: LieType, r: int, degrees, kind, max_dim=None):
     m = lt.natural_dim
     cap = resolve_max_dim(max_dim)
     dim = sum(m**s for s in degrees)
     if dim > cap:
         raise CapExceeded(f"carrier dimension {dim} exceeds cap {cap} for {lt}, r={r}")
-    gens = natural_rep(lt)
-    lift_all = lambda mats: tuple(block_diag([_lift_to_power(g, s) for s in degrees]) for g in mats)
-    evs, fvs, hvs = lift_all(gens.e), lift_all(gens.f), lift_all(gens.h)
-
     base = natural_weights(lt)
     weights = []
     blocks = []
@@ -462,6 +433,11 @@ def _build_rep(lt: LieType, r: int, degrees, kind, max_dim=None):
                 w = w + base[idx]
             weights.append(w)
         offset += m**s
+    gens = natural_rep(lt)
+    lift_all = lambda mats: tuple(
+        ExactMatrix.from_entries(dim, dim, (e for s, off, _ in blocks for e in _lift_entries(g, s, off))) for g in mats
+    )
+    evs, fvs, hvs = lift_all(gens.e), lift_all(gens.f), lift_all(gens.h)
     return Representation(
         lie_type=lt,
         r=r,
@@ -486,7 +462,7 @@ def tower_rep(lt: LieType, r: int, max_dim=None) -> Representation:
     """
     if r < 1:
         raise ValueError("tower_rep needs r >= 1")
-    return _build_rep(lt, r, _tower_degrees(lt, r), "tower", max_dim)
+    return _build_rep(lt, r, tensor_degrees(lt, r), "tower", max_dim)
 
 
 def single_power_rep(lt: LieType, r: int, max_dim=None) -> Representation:
@@ -494,44 +470,6 @@ def single_power_rep(lt: LieType, r: int, max_dim=None) -> Representation:
     if r < 1:
         raise ValueError("single_power_rep needs r >= 1")
     return _build_rep(lt, r, [r], "power", max_dim)
-
-
-# ---------------------------------------------------------------------------
-# Minimal polynomials
-
-
-def minimal_polynomial(X: ExactMatrix):
-    """Least-degree monic annihilator of X, ascending coefficients, exact.
-
-    Krylov iteration on the flattened powers of X with full coefficient
-    tracking; the first linear dependence among I, X, X^2, ... yields the
-    minimal polynomial.
-    """
-    if not X.is_square():
-        raise ValueError("minimal polynomial of a non-square matrix")
-    n = X.rows
-    basis = []  # (vector list, coeff list, pivot index)
-    power = ExactMatrix.identity(n)
-    k = 0
-    while True:
-        vec = [Fraction(0)] * (n * n)
-        for i, j, v in power.iter_entries():
-            vec[i * n + j] = Fraction(v)
-        coeffs = [Fraction(0)] * k + [Fraction(1)]
-        for bvec, bcoeffs, bpiv in basis:
-            if vec[bpiv] != 0:
-                factor = vec[bpiv] / bvec[bpiv]
-                vec = [a - factor * b for a, b in zip(vec, bvec)]
-                for idx, c in enumerate(bcoeffs):
-                    coeffs[idx] -= factor * c
-        pivot = next((idx for idx, a in enumerate(vec) if a != 0), None)
-        if pivot is None:
-            return polys.normalize(coeffs)
-        basis.append((vec, coeffs, pivot))
-        power = power @ X
-        k += 1
-        if k > n:
-            raise InvariantError("minimal polynomial degree", f"Krylov search passed the dimension bound {n}")
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,10 @@ class InvariantError(ArithmeticError):
         self.label = label
 
 
+class CapExceeded(RuntimeError):
+    """A requested carrier or crystal is larger than its configured cap (CLI exit 2)."""
+
+
 def exact(x):
     """Coerce x to an int or a reduced Fraction; refuse inexact types."""
     if isinstance(x, bool):
@@ -193,10 +197,6 @@ class LieType:
 
     def __str__(self):
         return f"{self.family}{self.rank}"
-
-
-def lie_type(family, rank):
-    return LieType(family, rank)
 
 
 @dataclass(frozen=True)

@@ -108,12 +108,15 @@ def lambda_pm(n, r) -> WeightSet:
     return WeightSet.make(both, f"Lambda+-({n},{r})")
 
 
-def _degree_range(lt: LieType, r):
-    # Type B reaches every degree r-j because the natural module has a zero
-    # weight; types C and D only the degrees of matching parity.
+def tensor_degrees(lt: LieType, r):
+    """Ascending degrees s whose signed compositions are weights of the r-th power.
+
+    Type B reaches every degree s <= r because the natural module has a zero
+    weight; types C and D only the degrees of matching parity.
+    """
     if lt.family == "B":
-        return range(r, -1, -1)
-    return range(r, -1, -2)
+        return range(r + 1)
+    return range(r % 2, r + 1, 2)
 
 
 def tensor_weights_Pi(lt: LieType, r) -> WeightSet:
@@ -121,7 +124,7 @@ def tensor_weights_Pi(lt: LieType, r) -> WeightSet:
     if r < 1:
         raise ValueError("need r >= 1")
     out = []
-    for s in _degree_range(lt, r):
+    for s in tensor_degrees(lt, r):
         out.extend(signed_compositions(lt.rank, s))
     return WeightSet.make(out, f"Pi({lt},{r})")
 
@@ -131,7 +134,7 @@ def tensor_dominant_pi(lt: LieType, r) -> WeightSet:
     if r < 1:
         raise ValueError("need r >= 1")
     out = []
-    for s in _degree_range(lt, r):
+    for s in tensor_degrees(lt, r):
         if lt.family == "D":
             out.extend(lambda_pm(lt.rank, s))
         else:

@@ -1,21 +1,21 @@
 import dataclasses
 import io
+import math
 from collections import Counter
 
 import pytest
 
-from schurkit import cli, idempotents, polys
+from schurkit import cli, idempotents
 from schurkit.idempotents import (
-    AnnihilatorPolynomial,
+    annihilator_for_signed_sums,
     build_idempotents,
-    deleted_factor_poly,
     ladder_check,
     p1,
     p2,
     polynomial_idempotent,
     reconstruct_H,
 )
-from schurkit.replinalg import ExactMatrix, Representation, single_power_rep, tower_rep
+from schurkit.replinalg import ExactMatrix, Representation, product_of_shifts, single_power_rep, tower_rep
 from schurkit.rootdata import LieType, Weight, build_root_system
 
 
@@ -37,31 +37,23 @@ def trivial_rep(lt, r):
 
 
 def test_annihilator_polynomials():
-    assert p1(2).roots == (-2, -1, 0, 1, 2)
-    assert p2(2).roots == (-2, 0, 2)
-    assert polys.degree(p1(3).coefficients()) == 7
-    assert polys.degree(p2(3).coefficients()) == 4
-    assert p1(2).evaluate(1) == 0
-    assert p1(2).evaluate(3) != 0
-    with pytest.raises(ValueError):
-        AnnihilatorPolynomial("P3", 2)
-    with pytest.raises(ValueError):
-        p1(0)
+    assert p1(2) == (-2, -1, 0, 1, 2)
+    assert p2(2) == (-2, 0, 2)
+    assert p2(3) == (-3, -1, 1, 3)
+    assert annihilator_for_signed_sums("B", 3) == p1(3)
+    assert annihilator_for_signed_sums("C", 3) == annihilator_for_signed_sums("D", 3) == p2(3)
 
 
 def test_deleted_factor_examples():
-    assert deleted_factor_poly(1, 0) == (-1, 0, 1)  # (T+1)(T-1)
-    assert deleted_factor_poly(1, 1) == (0, 1, 1)  # (T+1)T
+    # P1 with the factor (T - k) removed, at diag(-r..r): nonzero only at k, where it is the normaliser
     for r in (1, 2, 3):
-        for k in range(-r, r + 1):
-            value = polys.evaluate(deleted_factor_poly(r, k), k)
-            expected = 1
-            for j in range(-r, r + 1):
-                if j != k:
-                    expected *= k - j
-            assert value == expected != 0
-    with pytest.raises(ValueError):
-        deleted_factor_poly(2, 3)
+        window = ExactMatrix.diag(list(p1(r)))
+        for k in p1(r):
+            shifts = [j for j in p1(r) if j != k]
+            expected = math.prod(k - j for j in shifts)
+            deleted = product_of_shifts(window, shifts)
+            assert expected != 0
+            assert deleted == ExactMatrix.unit(2 * r + 1, k + r, k + r, expected)
 
 
 @pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 1, 2), ("D", 2, 2)])

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from schurkit import pathmodel
 from schurkit.decomposition import freudenthal_multiplicities, schur_dimensions, weyl_dimension
 from schurkit.pathmodel import (
-    CrystalCapExceeded,
     Path,
+    _mirror,
     _positively_parallel,
+    _scaled_heights,
+    _split_at_level,
     basis_census,
     e_op,
     f_op,
@@ -20,7 +22,7 @@ from schurkit.pathmodel import (
     straight_path,
     string_tuples,
 )
-from schurkit.rootdata import LieType, Weight, build_root_system
+from schurkit.rootdata import CapExceeded, LieType, Weight, build_root_system
 from schurkit.weightsets import tensor_dominant_pi
 
 HALF = Fraction(1, 2)
@@ -81,6 +83,59 @@ def test_partial_inverse_property_across_a_crystal():
                 assert f_op(rs, i, up) == p
 
 
+def _reference_e_op(rs, i, path):
+    """Raising operator written out on the polyline, mirroring f_op.
+
+    The piece between the last crossing of level q+1 and the first minimum
+    q is reflected, and the rest of the path is translated by +alpha.
+    Applies when q <= -1.
+    """
+    alpha = rs.simple_root(i)
+    h, d = _scaled_heights(path, rs.coroot(i))
+    q = min(h)
+    if q > -d:
+        return None
+    top = q + d
+    pts = path.points
+    j2 = min(j for j, v in enumerate(h) if v == q)
+    j = j2
+    while h[j - 1] < top:  # strictly between q and q+1 before the first minimum
+        j -= 1
+    if h[j - 1] == top:
+        new_pts = list(pts[:j])
+    else:
+        split = _split_at_level(pts[j - 1], pts[j], h[j - 1], h[j], top)
+        new_pts = list(pts[:j]) + [split]
+    for k in range(j, j2 + 1):
+        new_pts.append(_mirror(pts[k], h[k] - top, d, alpha))
+    for p in pts[j2 + 1 :]:
+        new_pts.append(p + alpha)
+    return Path.from_points(new_pts)
+
+
+DUALITY_CASES = [
+    ("B", 1, (2,)),
+    ("B", 2, (2, 1)),
+    ("B", 2, (3 * HALF, HALF)),
+    ("B", 3, (1, 1, 0)),
+    ("B", 3, (HALF, HALF, HALF)),
+    ("C", 2, (2, 1)),
+    ("C", 3, (2, 1, 0)),
+    ("D", 3, (1, 1, -1)),
+    ("D", 3, (3 * HALF, HALF, -HALF)),
+    ("D", 4, (1, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("family,rank,lam", DUALITY_CASES)
+def test_raising_by_duality_matches_the_written_out_operator(family, rank, lam):
+    rs = rs_of(family, rank)
+    crystal = generate_crystal(rs, Weight(lam))
+    for p in crystal.elements:
+        for i in range(1, rank + 1):
+            assert e_op(rs, i, p) == _reference_e_op(rs, i, p)
+
+
 def test_c2_natural_orbit():
     rs = rs_of("C", 2)
     crystal = generate_crystal(rs, Weight((1, 0)))
@@ -128,7 +183,7 @@ def test_is_integral_reads_only_the_minima():
 
 def test_crystal_cap():
     rs = rs_of("B", 2)
-    with pytest.raises(CrystalCapExceeded):
+    with pytest.raises(CapExceeded):
         generate_crystal(rs, Weight((1, 1)), cap=5)
 
 

@@ -206,8 +206,8 @@ def test_deep_grid_degree_four_towers():
 def fraction_zero_locus(lt, r, include_p1hi):
     """The zero-locus scan on Fraction coordinates over the half-integer box."""
     n = lt.rank
-    signed_roots = set(annihilator_for_signed_sums(lt.family, r).roots)
-    h_roots = set(p1(r).roots)
+    signed_roots = set(annihilator_for_signed_sums(lt.family, r))
+    h_roots = set(p1(r))
     values = [HALF * k for k in range(-2 * r, 2 * r + 1)]
     out = []
     for point in itertools.product(values, repeat=n):

@@ -11,15 +11,13 @@ from pathlib import Path
 import pytest
 import sympy
 
-from schurkit import polys
 from schurkit._echelon import ExactRowSpan
 from schurkit.decomposition import weyl_dimension
-from schurkit.idempotents import build_idempotents
+from schurkit.idempotents import annihilator_for_signed_sums, build_idempotents, p1, p2
 from schurkit.replinalg import (
     CapExceeded,
     ExactMatrix,
     algebra_closure,
-    minimal_polynomial,
     natural_rep,
     natural_weights,
     product_of_shifts,
@@ -139,14 +137,53 @@ def test_basic_arithmetic_and_normalization():
     assert a.max_abs_with_location() == (1, 0, 0, 1)
 
 
+def _kron(a, b):
+    return ExactMatrix.from_entries(
+        a.rows * b.rows,
+        a.cols * b.cols,
+        ((i * b.rows + k, j * b.cols + l, x * y) for i, j, x in a.iter_entries() for k, l, y in b.iter_entries()),
+    )
+
+
+def _kron_lift(X, degrees):
+    """Block diagonal over the degrees s of sum_k I (x) X (x) I, from Kronecker products."""
+    m = X.rows
+    entries, offset = [], 0
+    for s in degrees:
+        for k in range(s):
+            term = _kron(_kron(ExactMatrix.identity(m**k), X), ExactMatrix.identity(m ** (s - 1 - k)))
+            entries.extend((offset + i, offset + j, v) for i, j, v in term.iter_entries())
+        offset += m**s
+    return ExactMatrix.from_entries(offset, offset, entries)
+
+
 def test_kron_matches_blockwise_definition():
     rng = random.Random(5)
     a = ExactMatrix.from_dense(random_matrix(rng, 2, 2))
     b = ExactMatrix.from_dense(random_matrix(rng, 3, 3))
-    k = a.kron(b)
+    k = _kron(a, b)
     for i, j in itertools.product(range(2), repeat=2):
         for p, q in itertools.product(range(3), repeat=2):
             assert k.entry(i * 3 + p, j * 3 + q) == a.entry(i, j) * b.entry(p, q)
+
+
+@pytest.mark.parametrize(
+    "family,rank,r", [("B", 1, 3), ("C", 1, 2), ("B", 2, 3), ("C", 2, 3), ("D", 2, 3), ("C", 3, 2), ("D", 3, 2)]
+)
+def test_tower_generators_match_kron_construction(family, rank, r):
+    lt = LieType(family, rank)
+    gens = natural_rep(lt)
+    for rep in (tower_rep(lt, r), single_power_rep(lt, r)):
+        degrees = [s for s, _, _ in rep.blocks]
+        for g, lifted in zip(gens.e + gens.f + gens.h, rep.generator_lists()):
+            assert lifted == _kron_lift(g, degrees)
+
+
+def test_tensor_lift_of_a_dense_matrix_matches_kron_construction():
+    rng = random.Random(11)
+    X = ExactMatrix.from_dense(random_matrix(rng, 3, 3))
+    for r in (1, 2, 3):
+        assert tensor_lift(X, r) == _kron_lift(X, [r])
 
 
 def test_to_json_dense_row_major():
@@ -267,6 +304,9 @@ def test_tower_dimensions():
     assert tower_rep(LieType("B", 2), 2).dim == 31
     assert tower_rep(LieType("C", 1), 2).dim == 5
     assert tower_rep(LieType("C", 2), 3).dim == 68
+    # blocks ascend by degree
+    assert tower_rep(LieType("B", 2), 2).blocks == ((0, 0, 1), (1, 1, 5), (2, 6, 25))
+    assert tower_rep(LieType("C", 2), 3).blocks == ((1, 0, 4), (3, 4, 64))
 
 
 @pytest.mark.parametrize("lt", all_lie_types(2), ids=str)
@@ -298,24 +338,74 @@ def test_single_power_rep_shape():
     assert rep.blocks == ((2, 0, 25),)
 
 
+def _roots_are_minimal(M, roots):
+    """True iff the monic polynomial with these distinct roots is M's minimal polynomial.
+
+    It must annihilate M, and no product with one root dropped may: every
+    proper monic divisor of a product of distinct linear factors divides
+    one of those.
+    """
+    assert len(set(roots)) == len(roots)
+    if not product_of_shifts(M, roots).is_zero():
+        return False
+    return all(not product_of_shifts(M, [s for s in roots if s != k]).is_zero() for k in roots)
+
+
 def test_minimal_polynomial_examples():
-    assert minimal_polynomial(ExactMatrix.identity(3)) == (-1, 1)
+    assert _roots_are_minimal(ExactMatrix.identity(3), (1,))
     h1 = tensor_lift(natural_rep(LieType("C", 2)).h[0], 2)
-    assert minimal_polynomial(h1) == polys.from_roots([-2, -1, 0, 1, 2])
-    assert minimal_polynomial(ExactMatrix.zeros(2)) == (0, 1)
+    assert _roots_are_minimal(h1, (-2, -1, 0, 1, 2))
+    assert _roots_are_minimal(ExactMatrix.zeros(2), (0,))
 
 
 def test_minimal_polynomial_of_signed_sum_divides_even_window():
     gens = natural_rep(LieType("C", 2))
     j = tensor_lift(gens.h[0] + gens.h[1], 2)
-    assert minimal_polynomial(j) == polys.from_roots([-2, 0, 2])
+    assert _roots_are_minimal(j, (-2, 0, 2))
+    assert not _roots_are_minimal(j, (-2, -1, 0, 1, 2))
 
 
 def test_minimal_polynomial_degree_for_diagonal():
     d = ExactMatrix.diag([3, 3, 1, -2])
-    mp = minimal_polynomial(d)
-    assert polys.degree(mp) == 3
-    assert polys.evaluate(mp, 3) == 0 and polys.evaluate(mp, -2) == 0
+    assert _roots_are_minimal(d, (3, 1, -2))
+    assert not _roots_are_minimal(d, (3, 1))  # a dropped root no longer annihilates
+    assert not _roots_are_minimal(d, (3, 1, -2, 0))  # an extra root is not needed
+
+
+def test_minimal_polynomial_non_diagonal():
+    gens = natural_rep(LieType("C", 2))
+    s = gens.e[0] + gens.f[0]
+    assert _roots_are_minimal(s, (-1, 1))
+    assert _roots_are_minimal(tensor_lift(s, 2), (-2, 0, 2))
+
+
+def _criterion_1_carriers():
+    for family in "BCD":
+        for rank in range(2 if family == "D" else 1, 4):
+            for r in (1, 2, 3):
+                yield family, rank, r
+
+
+@pytest.mark.parametrize("family,rank,r", list(_criterion_1_carriers()))
+def test_annihilator_roots_are_minimal_on_tower_carriers(family, rank, r):
+    """P1 is the minimal polynomial of every H_i, and the signed-sum roots of every J.
+
+    The exception is C1: its H_1 is itself a signed sum, whose eigenvalues
+    on the tower all have the parity of r, so P2 is minimal there instead.
+    """
+    rep = tower_rep(LieType(family, rank), r)
+    for hi in rep.h:
+        if (family, rank) == ("C", 1):
+            assert not _roots_are_minimal(hi, p1(r))
+            assert _roots_are_minimal(hi, p2(r))
+        else:
+            assert _roots_are_minimal(hi, p1(r))
+    signed = annihilator_for_signed_sums(family, r)
+    for signs in itertools.product((1, -1), repeat=rank):
+        j = ExactMatrix.zeros(rep.dim)
+        for sign, hi in zip(signs, rep.h):
+            j = j + sign * hi
+        assert _roots_are_minimal(j, signed), signs
 
 
 def test_row_span_exactness_with_huge_entries():
@@ -550,31 +640,3 @@ def test_carrier_cap_env(monkeypatch):
     with pytest.raises(CapExceeded):
         tower_rep(LieType("C", 2), 2)
 
-
-def test_minimal_polynomial_non_diagonal():
-    gens = natural_rep(LieType("C", 2))
-    s = gens.e[0] + gens.f[0]
-    assert minimal_polynomial(s) == (-1, 0, 1)
-    lifted = tensor_lift(s, 2)
-    assert minimal_polynomial(lifted) == (0, -4, 0, 1)
-
-
-def _matrix_poly(coeffs, M):
-    """A polynomial (ascending integer coefficients) at a square matrix, by Horner."""
-    acc = ExactMatrix.zeros(M.rows)
-    for c in reversed(coeffs):
-        acc = acc @ M + c * ExactMatrix.identity(M.rows)
-    return acc
-
-
-@pytest.mark.parametrize("power", [1, 2])
-def test_minimal_polynomial_annihilates_via_horner(power):
-    gens = natural_rep(LieType("B", 2))
-    for X in (gens.h[0], gens.e[0] + gens.f[0], gens.e[1] + gens.f[1] + gens.h[1]):
-        lifted = tensor_lift(X, power)
-        mp = minimal_polynomial(lifted)
-        assert _matrix_poly(mp, lifted).is_zero()
-        # least degree: when T divides mp, the quotient mp / T must not
-        # annihilate already
-        if mp[0] == 0:
-            assert not _matrix_poly(mp[1:], lifted).is_zero()
