@@ -167,9 +167,9 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
         R3: e_i 1_lam = 1_{lam+a_i} e_i        R5: 1_lam e_i = e_i 1_{lam-a_i}
         R4: f_i 1_lam = 1_{lam-a_i} f_i        R6: 1_lam f_i = f_i 1_{lam+a_i}
 
-    Each product op 1_lam and 1_lam op is formed once per (i, lam), for one
-    generator at a time: R5 at lam reuses the two products R3 compares at
-    lam - a_i, and R6 reuses R4's the same way.  The generators come from
+    Each product op 1_lam and 1_lam op is formed once per (i, lam), both in
+    one pass per generator: R5 at lam reuses the two products R3 compares
+    at lam - a_i, and R6 reuses R4's the same way.  The generators come from
     `rep` (default: the family's own carrier), so a perturbed carrier can
     be checked against a clean family.
 
@@ -194,8 +194,7 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
             (rep.e[idx - 1], alpha, "R3", "R5"),
             (rep.f[idx - 1], -alpha, "R4", "R6"),
         ):
-            op_lam = times_projectors(op)
-            lam_op = {lam: proj @ op for lam, proj in fam.table.items()}
+            op_lam, lam_op = times_projectors(op, left=True)
             for lam in fam.table:
                 for label, lhs, rhs, target in (
                     (left, op_lam[lam], lam_op, lam + shift),

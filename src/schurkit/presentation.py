@@ -10,12 +10,14 @@ projector identity, four ladder families, and both Serre relations.
 
 Every relation group is checked as an exact operator identity on the
 given carrier; a failing group records the sub-case and the location of
-its largest residual entry.  Groups the two presentations share are built
-by one helper each: the commutator [e_i, f_j] = delta_ij target(i) (X2,
-R2) and the Serre relations (X4/X5, R7/R8).  The ladder groups R3-R6 are
-computed by `idempotents.ladder_check`.  The zero-locus scan and the quotient
-comparison live here as well, since they decide which relation groups
-are redundant and when the single-power image is a proper quotient.
+its largest residual entry.  Bracket residuals (X1-X5, R2, R7, R8) and X7's
+signed sums take one pass each of `replinalg`'s row kernel.  Groups the two
+presentations share are built by one helper each: the commutator [e_i, f_j]
+= delta_ij target(i) (X2, R2) and the Serre relations (X4/X5, R7/R8).  The
+ladder groups R3-R6 are computed by `idempotents.ladder_check`.  The
+zero-locus scan and the quotient comparison live here as well, since they
+decide which relation groups are redundant and when the single-power image
+is a proper quotient.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .decomposition import schur_dimensions
 from .idempotents import IdempotentFamily, annihilator_for_signed_sums, ladder_check, p1
-from .replinalg import ExactMatrix, Representation, algebra_closure, product_of_shifts, right_products
+from .replinalg import ExactMatrix, Representation, _combine, algebra_closure, product_of_shifts, right_products
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import WeightSet, tensor_weights_Pi
 
@@ -104,11 +106,11 @@ def _serre_sum(x, y, a_xy):
     """sum_s (-1)^s C(k, s) x^{k-s} y x^s with k = 1-a, exactly.
 
     The sum is the iterated commutator ad_x^k(y), formed as k brackets
-    [x, z]: 2k products and no list of powers.
+    [x, z], each in one pass, and no list of powers.
     """
     z = y
     for _ in range(1 - a_xy):
-        z = x @ z - z @ x
+        z = x.bracket(z)
     return z
 
 
@@ -126,10 +128,7 @@ def _commutator_cases(e, f, target):
     n = len(e)
     for i in range(n):
         for j in range(n):
-            res = e[i] @ f[j] - f[j] @ e[i]
-            if i == j:
-                res = res - target(i)
-            yield (f"i={i+1},j={j+1}", res)
+            yield (f"i={i+1},j={j+1}", e[i].bracket(f[j], target(i) if i == j else None))
 
 
 def _new_report(presentation, lt: LieType, r: int, rep: Representation):
@@ -161,7 +160,7 @@ def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> Relat
         _check_many(
             f"{fam}1",
             (
-                (f"H_{i+1}H_{j+1}", h[i] @ h[j] - h[j] @ h[i])
+                (f"H_{i+1}H_{j+1}", h[i].bracket(h[j]))
                 for i in range(n)
                 for j in range(i + 1, n)
             ),
@@ -184,8 +183,9 @@ def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> Relat
             eps_i = Weight.eps(n, i + 1)
             for j in range(n):
                 c = eps_i.dot(rs.simple_root(j + 1))
-                yield (f"[H_{i+1},e_{j+1}]", h[i] @ e[j] - e[j] @ h[i] - c * e[j])
-                yield (f"[H_{i+1},f_{j+1}]", h[i] @ f[j] - f[j] @ h[i] + c * f[j])
+                for name, x, d in ("e", e[j], -c), ("f", f[j], c):
+                    res = _combine(rep.dim, rep.dim, ((1, h[i], x), (-1, x, h[i])), ((d, x),))
+                    yield (f"[H_{i+1},{name}_{j+1}]", res)
 
     report.relations.append(_check_many(f"{fam}3", x3_cases()))
     report.relations.append(_check_many(f"{fam}4", _serre_cases(e, rs.cartan)))
@@ -202,9 +202,7 @@ def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> Relat
 
     def x7_cases():
         for signs in itertools.product((1, -1), repeat=n):
-            j_op = ExactMatrix.from_entries(
-                rep.dim, rep.dim, ((a, b, s * v) for s, hi in zip(signs, h) for a, b, v in hi.iter_entries())
-            )
+            j_op = _combine(rep.dim, rep.dim, (), tuple(zip(signs, h)))
             label = "J=" + "".join("+" if s == 1 else "-" for s in signs)
             yield (label, product_of_shifts(j_op, signed))
 

@@ -8,12 +8,16 @@ integer coefficients, so entries and scalars are Python ints (unbounded,
 never floats, bools or Fractions); any other entry or scalar raises
 TypeError.
 
+Products, sums, scalar multiples and brackets run one row-wise kernel
+that adds up sum c*(x @ y) + sum c*x one output row at a time, so a
+residual x@y - y@x - t takes one pass and no intermediate matrix.
+
 Cartan operators and weight projectors are diagonal on the tensor basis.
 Three places use that, and each gives exactly what the general code would:
 `product_of_shifts` multiplies out each diagonal value once,
-`right_products` forms op @ P for a whole table of diagonal P in one pass
-over op's entries, and the algebra closure grades by the diagonal
-generators.  The matrix product itself has one accumulation loop.
+`right_products` forms op @ P, and on request P @ op, for a whole table of
+diagonal P in one pass over op's rows, and the algebra closure grades by
+the diagonal generators.
 
 The module also provides the tower carrier (a direct sum of tensor powers
 of the natural module on which the whole family of simple modules with
@@ -37,7 +41,6 @@ numpy.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -151,53 +154,35 @@ class ExactMatrix:
 
     def __add__(self, other):
         self._check_shape(other)
-        data = {i: dict(r) for i, r in self._data.items()}
-        for i, row in other._data.items():
-            dest = data.setdefault(i, {})
-            for j, v in row.items():
-                s = dest.get(j, 0) + v
-                if s == 0:
-                    dest.pop(j, None)
-                else:
-                    dest[j] = s
-            if not dest:
-                del data[i]
-        return ExactMatrix(self.rows, self.cols, data)
+        return _combine(self.rows, self.cols, (), ((1, self), (1, other)))
 
     def __neg__(self):
-        return ExactMatrix(self.rows, self.cols, {i: {j: -v for j, v in r.items()} for i, r in self._data.items()})
+        return -1 * self
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_shape(other)
+        return _combine(self.rows, self.cols, (), ((1, self), (-1, other)))
 
     def __mul__(self, scalar):
         if type(scalar) is not int:
             return NotImplemented
-        if scalar == 0:
-            return ExactMatrix.zeros(self.rows, self.cols)
-        return ExactMatrix(
-            self.rows, self.cols, {i: {j: v * scalar for j, v in r.items()} for i, r in self._data.items()}
-        )
+        return _combine(self.rows, self.cols, (), ((scalar, self),))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = {}
-        odata = other._data
-        for i, row in self._data.items():
-            acc = {}
-            for k, a in row.items():
-                brow = odata.get(k)
-                if not brow:
-                    continue
-                for j, b in brow.items():
-                    acc[j] = acc.get(j, 0) + a * b
-            acc = {j: v for j, v in acc.items() if v != 0}
-            if acc:
-                out[i] = acc
-        return ExactMatrix(self.rows, other.cols, out)
+        return _combine(self.rows, other.cols, ((1, self, other),))
+
+    def bracket(self, other, minus=None):
+        """self @ other - other @ self - minus (minus defaults to zero), in one pass."""
+        if not self.is_square():
+            raise ValueError(f"bracket of a non-square {self.rows}x{self.cols} matrix")
+        terms = () if minus is None else ((-1, minus),)
+        for _, m in ((1, other),) + terms:
+            self._check_shape(m)
+        return _combine(self.rows, self.cols, ((1, self, other), (-1, other, self)), terms)
 
     def transpose(self):
         out = {}
@@ -240,6 +225,46 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
+def _combine(rows, cols, products, terms=()):
+    """sum c * (x @ y) over products (c, x, y) plus sum c * x over terms (c, x).
+
+    Shapes are the caller's to check.  Row i draws only on the rows i of the
+    left factors x; each of their row keys is visited once.  One dict,
+    cleared after each row, accumulates it and is copied out without zeros,
+    if nonzero: no stored zero and no empty row, as `==` and `is_zero` need.
+    """
+    lefts = [x._data for _, x, _ in products] + [x._data for _, x in terms]
+    products = [(c, x._data, y._data) for c, x, y in products]
+    terms = [(c, x._data) for c, x in terms]
+    out, acc = {}, {}
+    get = acc.get
+    for n, left in enumerate(lefts):
+        earlier = lefts[:n]
+        for i in left:
+            for d in earlier:
+                if i in d:
+                    break
+            else:
+                for c, xdata, ydata in products:
+                    row = xdata.get(i)
+                    if row is not None:
+                        for k, a in row.items():
+                            yrow = ydata.get(k)
+                            if yrow is not None:
+                                a *= c
+                                for j, b in yrow.items():
+                                    acc[j] = get(j, 0) + a * b
+                for c, xdata in terms:
+                    row = xdata.get(i)
+                    if row is not None:
+                        for j, v in row.items():
+                            acc[j] = get(j, 0) + c * v
+                if any(acc.values()):
+                    out[i] = acc.copy() if 0 not in acc.values() else {j: v for j, v in acc.items() if v}
+                acc.clear()
+    return ExactMatrix(rows, cols, out)
+
+
 def product_of_shifts(M, shifts):
     """Product over s in shifts of (M - s*I), cut short once exactly zero.
 
@@ -252,9 +277,8 @@ def product_of_shifts(M, shifts):
         value = {m: math.prod(m - s for s in shifts) for m in set(diagonal)}
         return ExactMatrix.diag(value[m] for m in diagonal)
     acc = ExactMatrix.identity(M.rows)
-    ident = ExactMatrix.identity(M.rows)
     for s in shifts:
-        acc = acc @ (M - s * ident)
+        acc = _combine(M.rows, M.cols, ((1, acc, M),), ((-s, acc),))
         if acc.is_zero():
             break
     return acc
@@ -263,29 +287,37 @@ def product_of_shifts(M, shifts):
 def right_products(table):
     """The map op -> {key: op @ table[key]} for a dict of matrices.
 
-    When every matrix of the table is diagonal, the products come from one
-    pass over op's entries: column j of op is scaled by the diagonal entry
-    at j of each matrix whose support holds j.  Each product entry is then
-    the single term a*d of two nonzero ints, so the result equals op @ P
-    entry for entry, also for overlapping or non-0/1 diagonals.  Otherwise
-    each product is formed with @.  The column index is built once per table.
+    With left=True the map gives the pair ({key: op @ P}, {key: P @ op}).
+    When every matrix of the table is diagonal, both come from one pass
+    over op's rows: column j of op is scaled by the diagonal entry at j of
+    each matrix whose support holds j, and row i by the entry at i.  Each
+    product entry is then the single term a*d of two nonzero ints, so the
+    result equals op @ P and P @ op entry for entry, also for overlapping
+    or non-0/1 diagonals.  Otherwise each product is formed with @.
     """
     if not all(m.is_diagonal() for m in table.values()):
-        return lambda op: {key: op @ m for key, m in table.items()}
-    holders = {}
-    for key, m in table.items():
+        right = lambda op: {key: op @ m for key, m in table.items()}
+        return lambda op, left=False: (right(op), {key: m @ op for key, m in table.items()}) if left else right(op)
+    items = table.items()
+    holders = {}  # j -> [(table position, entry at j)]; a position costs no key hash per entry
+    for n, m in enumerate(table.values()):
         for j, row in m._data.items():
-            holders.setdefault(j, []).append((key, row[j]))
+            holders.setdefault(j, []).append((n, row[j]))
 
-    def products(op):
-        if any(op.cols != m.rows for m in table.values()):
+    def products(op, left=False):
+        if any(op.cols != m.rows or left and op.rows != m.cols for m in table.values()):
             raise ValueError(f"shape mismatch: {op.rows}x{op.cols} against the table")
-        data = {key: {} for key in table}
+        data = [{} for _ in table]
+        ldata = [{} for _ in table] if left else None
         for i, row in op._data.items():
             for j, a in row.items():
-                for key, d in holders.get(j, ()):
-                    data[key].setdefault(i, {})[j] = a * d
-        return {key: ExactMatrix(op.rows, m.cols, data[key]) for key, m in table.items()}
+                for n, d in holders.get(j, ()):
+                    data[n].setdefault(i, {})[j] = a * d
+            if left:
+                for n, d in holders.get(i, ()):
+                    ldata[n][i] = {j: d * a for j, a in row.items()}
+        right = {key: ExactMatrix(op.rows, m.cols, r) for (key, m), r in zip(items, data)}
+        return (right, {key: ExactMatrix(m.rows, op.cols, r) for (key, m), r in zip(items, ldata)}) if left else right
 
     return products
 
@@ -422,17 +454,18 @@ def _build_rep(lt: LieType, r: int, degrees, kind, max_dim=None):
     if dim > cap:
         raise CapExceeded(f"carrier dimension {dim} exceeds cap {cap} for {lt}, r={r}")
     base = natural_weights(lt)
+    # layer s lists the weights of the s-th power in basis order: digit 0 is the most significant
+    layer = [Weight.zero(lt.rank)]
     weights = []
     blocks = []
     offset = 0
-    for s in degrees:
-        blocks.append((s, offset, m**s))
-        for combo in itertools.product(range(m), repeat=s):
-            w = Weight.zero(lt.rank)
-            for idx in combo:
-                w = w + base[idx]
-            weights.append(w)
-        offset += m**s
+    for s in range(max(degrees) + 1):
+        if s:
+            layer = [w + b for w in layer for b in base]
+        if s in degrees:
+            blocks.append((s, offset, m**s))
+            weights.extend(layer)
+            offset += m**s
     gens = natural_rep(lt)
     lift_all = lambda mats: tuple(
         ExactMatrix.from_entries(dim, dim, (e for s, off, _ in blocks for e in _lift_entries(g, s, off))) for g in mats

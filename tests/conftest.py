@@ -1,5 +1,6 @@
 import pytest
 
+from schurkit.replinalg import ExactMatrix
 from schurkit.rootdata import LieType, build_root_system
 
 
@@ -14,3 +15,28 @@ def all_lie_types(max_rank=3):
 @pytest.fixture(scope="session")
 def root_systems():
     return {lt: build_root_system(lt) for lt in all_lie_types(4)}
+
+
+def naive_matmul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0])
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
+
+
+def dense(m):
+    """The entries of an ExactMatrix as a list of rows."""
+    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def unfused_combine(rows, cols, products, terms=()):
+    """Dense oracle for the sparse row-wise kernel: sum c * (x @ y) plus sum c * x.
+
+    Every product and term is formed on its own as a dense matrix and the
+    parts are then added up entry by entry, so nothing is fused.
+    """
+    parts = [(c, naive_matmul(dense(x), dense(y))) for c, x, y in products] + [(c, dense(x)) for c, x in terms]
+    total = [[0] * cols for _ in range(rows)]
+    for c, part in parts:
+        for i in range(rows):
+            for j in range(cols):
+                total[i][j] += c * part[i][j]
+    return ExactMatrix.from_dense(total)

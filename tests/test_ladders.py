@@ -5,7 +5,9 @@ check must agree with a direct evaluation of the four identities, and with
 the ladder groups of the projector-presentation report.  Projector faults
 (dropped, off-diagonal, scaled, overlapping) must give the same products,
 ladder report and R1 check from the one-pass products as from one product
-per projector.
+per projector.  On seeded generator and projector faults, the serre and
+idempotent reports (their witnesses included) must equal the reports built
+with every product, sum and bracket formed unfused by a dense oracle.
 """
 
 import dataclasses
@@ -15,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurkit import presentation, replinalg
 from schurkit.idempotents import build_idempotents, ladder_check
-from schurkit.presentation import _check_many, verify_idempotent_presentation
+from schurkit.presentation import _check_many, verify_idempotent_presentation, verify_serre_presentation
 from schurkit.replinalg import ExactMatrix, right_products, tower_rep
 from schurkit.rootdata import LieType, build_root_system
+from conftest import unfused_combine
 
 LADDER_LABELS = ("R3", "R4", "R5", "R6")
 CARRIERS = (("B", 1), ("B", 2), ("C", 1), ("C", 2), ("D", 2))
@@ -127,6 +131,12 @@ def test_one_pass_ladder_check_matches_per_projector_products(family, rank, r, k
     products = right_products(fam.table)
     for op in rep.e + rep.f + tuple(fam.table.values()):
         assert products(op) == {lam: op @ proj for lam, proj in fam.table.items()}
+    # the left side, as ladder_check takes it, for every e_i and f_i
+    for op in rep.e + rep.f:
+        assert products(op, left=True) == (
+            {lam: op @ proj for lam, proj in fam.table.items()},
+            {lam: proj @ op for lam, proj in fam.table.items()},
+        )
 
     # the ladder report against the per-projector route
     fast = ladder_check(fam)
@@ -136,3 +146,33 @@ def test_one_pass_ladder_check_matches_per_projector_products(family, rank, r, k
     assert (fast.skipped > 0) == (kind == "dropped")
 
     assert verify_idempotent_presentation(lt, r, rep, fam).relations[0] == _per_pair_r1(fam)
+
+
+def _seeded_faults(rep, fam):
+    """(name, carrier, family) with one generator or projector fault each."""
+    dim, n = rep.dim, rep.rank
+    e = list(rep.e)
+    e[0] = e[0] + ExactMatrix.unit(dim, 1, dim - 2, 3)
+    f = list(rep.f)
+    f[n - 1] = 2 * f[n - 1]
+    yield "off-diagonal e_1 entry", dataclasses.replace(rep, e=tuple(e)), fam
+    yield "2 f_n", dataclasses.replace(rep, f=tuple(f)), fam
+    for kind in ("dropped", "scaled", "overlapping"):
+        yield f"{kind} projector", rep, _faulty_family(fam, kind)
+
+
+@pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2)])
+def test_fused_witnesses_match_an_unfused_dense_reference(family, rank, r, monkeypatch):
+    lt, rep, clean = clean_tower(family, rank, r)
+    faults = list(_seeded_faults(rep, clean))
+    fused = [
+        (verify_serre_presentation(lt, r, bad).to_json(), verify_idempotent_presentation(lt, r, bad, fam).to_json())
+        for _, bad, fam in faults
+    ]
+    monkeypatch.setattr(replinalg, "_combine", unfused_combine)
+    monkeypatch.setattr(presentation, "_combine", unfused_combine)
+    for (name, bad, fam), (serre, idem) in zip(faults, fused):
+        assert serre == verify_serre_presentation(lt, r, bad).to_json(), name
+        assert idem == verify_idempotent_presentation(lt, r, bad, fam).to_json(), name
+    # every fault is seen, so the witnesses compared above are not all empty
+    assert all(any(rel["status"] == "fails" for rel in serre["relations"] + idem["relations"]) for serre, idem in fused)

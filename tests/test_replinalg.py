@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkit._echelon import ExactRowSpan
 from schurkit.decomposition import weyl_dimension
@@ -28,16 +30,11 @@ from schurkit.replinalg import (
 )
 from schurkit.rootdata import LieType, Weight, build_root_system
 from schurkit.weightsets import tensor_dominant_pi, tensor_weights_Pi
-from conftest import all_lie_types
+from conftest import all_lie_types, dense, naive_matmul, unfused_combine
 
 
 def random_matrix(rng, rows, cols):
     return [[0 if rng.random() < 0.4 else rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-
-
-def naive_matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
 
 
 def test_matmul_against_dense_oracle():
@@ -135,6 +132,99 @@ def test_basic_arithmetic_and_normalization():
     with pytest.raises(ValueError):
         right_products({"diagonal": a})(ExactMatrix.zeros(3, 3))
     assert a.max_abs_with_location() == (1, 0, 0, 1)
+
+
+# Entries: zeros, small ints and magnitudes past 2**63, so int64 wrap-around would show.
+_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.integers(2**63, 2**66), st.integers(-(2**66), -(2**63)))
+
+
+def _dense_matrices(rows, cols):
+    return st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _square_triples(draw):
+    n = draw(st.integers(1, 5))
+    return tuple(ExactMatrix.from_dense(draw(_dense_matrices(n, n))) for _ in range(3))
+
+
+def assert_normal_form(m):
+    """No stored zero and no empty row: what `==` and `is_zero` compare."""
+    for i, row in m._data.items():
+        assert 0 <= i < m.rows and row
+        for j, v in row.items():
+            assert 0 <= j < m.cols and type(v) is int and v != 0
+
+
+_KERNEL_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@_KERNEL_SETTINGS
+@given(_square_triples(), st.integers(-(2**64), 2**64))
+def test_products_sums_and_brackets_match_dense_oracle(mats, k):
+    a, b, c = mats
+    n = a.rows
+    for got, products, terms in (
+        (a @ b, [(1, a, b)], []),
+        (a + b, [], [(1, a), (1, b)]),
+        (a - b, [], [(1, a), (-1, b)]),
+        (-a, [], [(-1, a)]),
+        (k * a, [], [(k, a)]),
+        (a.bracket(b), [(1, a, b), (-1, b, a)], []),
+        (a.bracket(b, c), [(1, a, b), (-1, b, a)], [(-1, c)]),
+    ):
+        assert_normal_form(got)
+        assert (got.rows, got.cols) == (n, n)
+        assert dense(got) == dense(unfused_combine(n, n, products, terms))
+
+
+@st.composite
+def _rectangular_pairs(draw):
+    p, q, s = (draw(st.integers(1, 5)) for _ in range(3))
+    return draw(_dense_matrices(p, q)), draw(_dense_matrices(q, s))
+
+
+@_KERNEL_SETTINGS
+@given(_rectangular_pairs())
+def test_rectangular_matmul_matches_dense_oracle(pair):
+    a, b = pair
+    prod = ExactMatrix.from_dense(a) @ ExactMatrix.from_dense(b)
+    assert_normal_form(prod)
+    assert (prod.rows, prod.cols) == (len(a), len(b[0]))
+    assert dense(prod) == naive_matmul(a, b)
+
+
+@_KERNEL_SETTINGS
+@given(_square_triples(), st.data())
+def test_rows_that_cancel_to_zero_are_not_stored(mats, data):
+    a, b, c = mats
+    n = a.rows
+    exact = dense(unfused_combine(n, n, [(1, a, b), (-1, b, a)]))
+    # minus equals the exact bracket except on the drawn rows, where it is taken from c
+    changed = data.draw(st.sets(st.integers(0, n - 1)))
+    minus = [dense(c)[i] if i in changed else exact[i] for i in range(n)]
+    res = a.bracket(b, ExactMatrix.from_dense(minus))
+    assert_normal_form(res)
+    assert set(res._data) == {i for i in changed if minus[i] != exact[i]}
+    for zero in (a - a, a + (-a), a.bracket(a), a.bracket(b, a.bracket(b)), 0 * a, a @ ExactMatrix.zeros(n)):
+        assert zero._data == {} and zero.is_zero() and zero == ExactMatrix.zeros(n)
+
+
+def test_shape_mismatch_raises_value_error():
+    rect = ExactMatrix.from_dense([[1, 2, 0], [0, 1, 3]])
+    two, three = ExactMatrix.identity(2), ExactMatrix.identity(3)
+    for bad in (
+        lambda: rect @ two,
+        lambda: three @ rect,
+        lambda: rect + two,
+        lambda: rect - three,
+        lambda: two.bracket(three),
+        lambda: rect.bracket(rect),
+        lambda: two.bracket(two, three),
+        lambda: two.bracket(two, rect),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def _kron(a, b):
