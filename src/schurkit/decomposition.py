@@ -1,16 +1,18 @@
-"""Highest weights of tensor-power factors, with an independent character oracle.
+"""Highest weights of tensor-power factors, with an independent multiplicity oracle.
 
 Two routes to the same answer are kept deliberately separate:
 
   * closed-form factor rules per family (partition-exponent conditions,
     with the type-D sign splitting of the last exponent), and
-  * an exact character decomposition: convolve the natural character r
-    times, then repeatedly strip the dominance-maximal dominant weight
-    using full Freudenthal weight multiplicities.
+  * a chamber-walk count: the multiplicity of L(lam) in the r-th tensor
+    power is the number of r-step walks from 0 to lam whose steps are the
+    weights of the natural module and whose paths stay in the dominant
+    chamber (Littelmann's path model; Grabiner-Magyar).
 
 The factor rules state the exponent conditions against the tensor degree
-r.  Weight multiplicities come only from the oracle; the rules decide
-membership only.
+r.  Factor multiplicities come only from the walk; the rules decide
+membership only.  Freudenthal's recursion gives the full character of a
+simple module, which the path model checks crystal endpoints against.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ class FormalCharacter:
     def __post_init__(self):
         object.__setattr__(self, "_lookup", dict(self.terms))
 
-    @classmethod
-    def from_dict(cls, d):
-        items = tuple(sorted(((w, m) for w, m in d.items() if m != 0), key=lambda t: t[0].coords, reverse=True))
-        return cls(terms=items)
-
     def as_dict(self):
         return dict(self.terms)
 
@@ -48,32 +45,6 @@ class FormalCharacter:
 
     def total(self):
         return sum(m for _, m in self.terms)
-
-    def convolve(self, other):
-        out = {}
-        for w1, m1 in self.terms:
-            for w2, m2 in other.terms:
-                key = w1 + w2
-                out[key] = out.get(key, 0) + m1 * m2
-        return FormalCharacter.from_dict(out)
-
-    def is_weyl_invariant(self, rs: RootSystem):
-        for w, m in self.terms:
-            for i in range(1, rs.rank + 1):
-                if self.multiplicity(rs.simple_reflect(i, w)) != m:
-                    return False
-        return True
-
-
-def natural_character(lt: LieType) -> FormalCharacter:
-    n = lt.rank
-    d = {}
-    for i in range(1, n + 1):
-        d[Weight.eps(n, i)] = 1
-        d[-Weight.eps(n, i)] = 1
-    if lt.family == "B":
-        d[Weight.zero(n)] = 1
-    return FormalCharacter.from_dict(d)
 
 
 def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> FormalCharacter:
@@ -143,16 +114,25 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> FormalCharacter:
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    """Product formula over positive roots; exact integer."""
+    """Product formula over positive roots; exact integer.
+
+    Numerator and denominator are integer products of pairings against
+    lam + rho and rho, both scaled by one common denominator (roots are
+    integral), which cancels in the single division at the end.
+    """
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam!r} is not dominant for {rs.lie_type}")
-    rho = rs.rho
-    total = Fraction(1)
+    d = math.lcm(lam.den, rs.rho.den)
+    rho = [a * (d // rs.rho.den) for a in rs.rho.num]
+    top = [a * (d // lam.den) + b for a, b in zip(lam.num, rho)]
+    num = den = 1
     for alpha in rs.positive_roots:
-        total *= Fraction((lam + rho).dot(alpha), rho.dot(alpha))
-    if total.denominator != 1:
-        raise InvariantError("Weyl dimension integrality", f"{total} for {lam!r}")
-    return int(total)
+        num *= sum([a * b for a, b in zip(top, alpha.num)])
+        den *= sum([a * b for a, b in zip(rho, alpha.num)])
+    dim, rem = divmod(num, den)
+    if rem:
+        raise InvariantError("Weyl dimension integrality", f"{Fraction(num, den)} for {lam!r}")
+    return dim
 
 
 def pi0_weyl_rules(lt: LieType, r: int) -> WeightSet:
@@ -222,44 +202,54 @@ class DecompositionResult:
         }
 
 
-def decompose_tensor_character(lt: LieType, r: int) -> DecompositionResult:
-    """Peel the r-th tensor character into simple characters, exactly.
+def _in_chamber(family, mu):
+    """Dominance of an integer tuple: lam_1 >= ... >= lam_n >= 0 (B, C) or >= |lam_n| (D)."""
+    chain = mu[:-1] + (abs(mu[-1]),) if family == "D" else mu + (0,)
+    return all(a >= b for a, b in zip(chain, chain[1:]))
 
-    Repeatedly selects the lexicographically greatest dominant weight with
-    positive multiplicity (which is dominance-maximal, since nonzero sums
-    of simple roots have positive leading coordinate) and subtracts that
-    many copies of its full simple character.  Any negative multiplicity
-    on the way signals a broken oracle and raises.
+
+def _zero_step_allowed(family, lam):
+    """Type B's zero weight: its path dips to lam - eps_n/2, dominant iff lam_n > 0."""
+    return family == "B" and lam[-1] > 0
+
+
+def _chamber_walks(lt: LieType, r: int) -> dict:
+    """{lam: number of dominant r-step walks from 0 to lam}, on integer tuples."""
+    n, family = lt.rank, lt.family
+    walks = {(0,) * n: 1}
+    for _ in range(r):
+        nxt = {}
+        for lam, count in walks.items():
+            ends = [lam[:i] + (lam[i] + s,) + lam[i + 1 :] for i in range(n) for s in (1, -1)]
+            if _zero_step_allowed(family, lam):
+                ends.append(lam)
+            for mu in ends:
+                if _in_chamber(family, mu):
+                    nxt[mu] = nxt.get(mu, 0) + count
+        walks = nxt
+    return walks
+
+
+def decompose_tensor_character(lt: LieType, r: int) -> DecompositionResult:
+    """Factor multiplicities of the r-th tensor power, by counting chamber walks.
+
+    Concatenated paths realize tensor products (Littelmann, Paths and root
+    operators in representation theory, 1995), so m_lam(V^r) counts the
+    r-step walks from 0 to lam whose steps are the weights of V and whose
+    paths stay dominant (Grabiner-Magyar, Random walks in Weyl chambers and
+    the decomposition of tensor powers, 1993).  The steps +-eps_i have
+    straight paths, so such a step is kept iff it ends in the chamber.  The
+    zero weight of type B has the path that dips to lam - eps_n/2 and back,
+    so it is a step only where lam_n > 0.  The counts must satisfy
+    sum_lam m_lam dim L(lam) = m^r, or InvariantError is raised.
     """
     rs = build_root_system(lt)
-    nat = natural_character(lt)
-    char = nat
-    for _ in range(r - 1):
-        char = char.convolve(nat)
-
-    remaining = char.as_dict()
-    mults = {}
-    while True:
-        best = None
-        for w, m in remaining.items():
-            if m == 0:
-                continue
-            if m < 0:
-                raise ArithmeticError(f"negative multiplicity {m} at {w!r} while decomposing {lt} r={r}")
-            if rs.is_dominant(w) and (best is None or w.coords > best.coords):
-                best = w
-        if best is None:
-            if any(m != 0 for m in remaining.values()):
-                raise ArithmeticError("nonzero character left with no dominant weight")
-            break
-        count = remaining[best]
-        simple = freudenthal_multiplicities(rs, best)
-        for w, m in simple.terms:
-            remaining[w] = remaining.get(w, 0) - count * m
-            if remaining[w] < 0:
-                raise ArithmeticError(f"negative multiplicity at {w!r} after stripping {best!r}")
-        mults[best] = count
-
+    mults = {Weight(lam): count for lam, count in sorted(_chamber_walks(lt, r).items(), reverse=True)}
+    total = sum(m * weyl_dimension(rs, lam) for lam, m in mults.items())
+    if total != lt.natural_dim**r:
+        raise InvariantError(
+            "tensor dimension", f"factor dimensions of {lt} r={r} sum to {total}, not {lt.natural_dim}^{r}"
+        )
     pi = tensor_dominant_pi(lt, r)
     pi0 = WeightSet.make(mults.keys(), f"pi0({lt},{r})")
     return DecompositionResult(

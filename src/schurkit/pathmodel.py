@@ -149,8 +149,12 @@ def f_op(rs: RootSystem, i: int, path: Path):
     last minimum and the next crossing of level q+1 is reflected, and the
     rest of the path is translated by -alpha.
     """
-    alpha = rs.simple_root(i)
     h, d = _scaled_heights(path, rs.coroot(i))
+    return _lower(rs.simple_root(i), path, h, d)
+
+
+def _lower(alpha: Weight, path: Path, h, d):
+    """The body of f_op, given the path's heights h over the scale d."""
     q = min(h)
     if h[-1] - q < d:
         return None
@@ -190,10 +194,16 @@ def e_op(rs: RootSystem, i: int, path: Path):
     e_i is the lowering operator conjugated by the duality above
     (Littelmann, Paths and root operators in representation theory, 1995):
     e_i(path) = dual(f_i(dual(path))).  It applies when the minimum of the
-    height function is at most -1.
+    height function is at most -1, which is read off the path's own
+    heights; the dual path's heights are h(1 - t) - h(1) over the same
+    common denominator, so they are not recomputed.
     """
-    lowered = f_op(rs, i, _dual(path))
-    return None if lowered is None else _dual(lowered)
+    h, d = _scaled_heights(path, rs.coroot(i))
+    if min(h) > -d:
+        return None
+    end = h[-1]
+    lowered = _lower(rs.simple_root(i), _dual(path), [v - end for v in reversed(h)], d)
+    return _dual(lowered)
 
 
 def is_integral(rs: RootSystem, path: Path) -> bool:

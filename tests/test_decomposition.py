@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 import schurkit
+from schurkit import decomposition
 from schurkit.decomposition import (
     DecompositionResult,
-    FormalCharacter,
     classify_type_B,
     compare_pi0_pi,
     decompose_tensor_character,
     freudenthal_multiplicities,
-    natural_character,
     pi0_weyl_rules,
     schur_dimensions,
     weyl_dimension,
@@ -27,6 +26,69 @@ SRC = os.path.dirname(os.path.dirname(schurkit.__file__))
 
 def coords(ws):
     return {w.coords for w in ws}
+
+
+def natural_character(lt):
+    """{weight: multiplicity} of the natural module: +-eps_i, and 0 in type B."""
+    n = lt.rank
+    d = {}
+    for i in range(1, n + 1):
+        d[Weight.eps(n, i)] = 1
+        d[-Weight.eps(n, i)] = 1
+    if lt.family == "B":
+        d[Weight.zero(n)] = 1
+    return d
+
+
+def convolve(a, b):
+    out = {}
+    for w1, m1 in a.items():
+        for w2, m2 in b.items():
+            key = w1 + w2
+            out[key] = out.get(key, 0) + m1 * m2
+    return out
+
+
+def peeled_multiplicities(lt, r):
+    """Reference oracle: convolve the natural character r times, then peel.
+
+    Repeatedly selects the lexicographically greatest dominant weight with
+    positive multiplicity (which is dominance-maximal, since nonzero sums
+    of simple roots have positive leading coordinate) and subtracts that
+    many copies of its full Freudenthal character.  Any negative
+    multiplicity on the way signals a broken oracle and raises.
+    """
+    rs = build_root_system(lt)
+    nat = natural_character(lt)
+    remaining = nat
+    for _ in range(r - 1):
+        remaining = convolve(remaining, nat)
+    mults = {}
+    while True:
+        best = None
+        for w, m in remaining.items():
+            if m == 0:
+                continue
+            if m < 0:
+                raise ArithmeticError(f"negative multiplicity {m} at {w!r} while decomposing {lt} r={r}")
+            if rs.is_dominant(w) and (best is None or w.coords > best.coords):
+                best = w
+        if best is None:
+            if any(m != 0 for m in remaining.values()):
+                raise ArithmeticError("nonzero character left with no dominant weight")
+            return mults
+        count = remaining[best]
+        for w, m in freudenthal_multiplicities(rs, best).terms:
+            remaining[w] = remaining.get(w, 0) - count * m
+            if remaining[w] < 0:
+                raise ArithmeticError(f"negative multiplicity at {w!r} after stripping {best!r}")
+        mults[best] = count
+
+
+def is_weyl_invariant(char, rs):
+    return all(
+        char.multiplicity(rs.simple_reflect(i, w)) == m for w, m in char.terms for i in range(1, rs.rank + 1)
+    )
 
 
 def test_pi0_rules_frozen_examples():
@@ -47,9 +109,9 @@ def test_pi0_rules_match_pi_for_c_and_d_by_construction():
 
 def test_natural_character():
     ch = natural_character(LieType("B", 2))
-    assert ch.total() == 5
-    assert ch.multiplicity(Weight((0, 0))) == 1
-    assert ch.multiplicity(Weight((0, -1))) == 1
+    assert sum(ch.values()) == 5
+    assert ch[Weight((0, 0))] == 1
+    assert ch[Weight((0, -1))] == 1
 
 
 def test_freudenthal_highest_weight_line_and_dimension():
@@ -84,7 +146,7 @@ def test_characters_are_weyl_invariant_and_match_dimension(lt, r):
     for lam in tensor_dominant_pi(lt, r):
         ch = freudenthal_multiplicities(rs, lam)
         assert ch.total() == weyl_dimension(rs, lam)
-        assert ch.is_weyl_invariant(rs)
+        assert is_weyl_invariant(ch, rs)
 
 
 def test_weyl_dimension_values():
@@ -239,7 +301,64 @@ def test_freudenthal_matches_fraction_recursion(lt):
         char = freudenthal_multiplicities(rs, lam)
         assert {w.coords: m for w, m in char.terms} == fraction_freudenthal(rs, lam)
         assert [w.coords for w, _ in char.terms] == sorted((w.coords for w, _ in char.terms), reverse=True)
-        assert char == FormalCharacter.from_dict(char.as_dict())
+        assert all(m > 0 for _, m in char.terms)
         for w, m in char.terms:
             assert char.multiplicity(w) == m
         assert char.multiplicity(lam + rs.rho + rs.rho) == 0
+
+
+WALK_GRID = [(lt, r) for lt in all_lie_types(4) for r in range(1, 6 if lt.rank <= 3 else 5)]
+
+
+@pytest.mark.parametrize("lt,r", WALK_GRID, ids=str)
+def test_chamber_walks_match_peeling_reference(lt, r):
+    walked = decompose_tensor_character(lt, r).multiplicities
+    assert walked == peeled_multiplicities(lt, r)
+
+
+SKEWED_COMPARE = (
+    "import sys\n"
+    "from schurkit import cli, decomposition\n"
+    "real = decomposition._chamber_walks\n"
+    "def skewed(lt, r):\n"
+    "    walks = real(lt, r)\n"
+    "    top = max(walks)\n"
+    "    return {**walks, top: walks[top] + 1}\n"
+    "decomposition._chamber_walks = skewed\n"
+    "sys.exit(cli.run(['compare', 'B', '2', '2']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_miscounted_walk_fails_the_dimension_check(flags):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *flags, "-c", SKEWED_COMPARE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "check failed: tensor dimension" in proc.stderr
+
+
+def test_type_b_zero_step_needs_a_positive_last_coordinate(monkeypatch):
+    assert set(decomposition._chamber_walks(LieType("B", 2), 2)) == {(2, 0), (1, 1), (0, 0)}
+    monkeypatch.setattr(decomposition, "_zero_step_allowed", lambda family, lam: family == "B")
+    mutant = decomposition._chamber_walks(LieType("B", 2), 2)
+    assert (1, 0) in mutant
+    assert set(mutant) != coords(pi0_weyl_rules(LieType("B", 2), 2))
+    with pytest.raises(ArithmeticError):
+        compare_pi0_pi(LieType("B", 2), 2)
+
+
+def test_type_d_chamber_signs_the_last_coordinate(monkeypatch):
+    assert set(decomposition._chamber_walks(LieType("D", 2), 2)) == {(2, 0), (1, 1), (1, -1), (0, 0)}
+    d3 = decomposition._chamber_walks(LieType("D", 3), 3)
+    assert (1, 1, 1) in d3 and (1, 1, -1) in d3
+
+    def unsigned(family, mu):  # lam_1 >= ... >= lam_n >= 0 in every family
+        chain = mu + (0,)
+        return all(a >= b for a, b in zip(chain, chain[1:]))
+
+    monkeypatch.setattr(decomposition, "_in_chamber", unsigned)
+    assert (1, 1, -1) not in decomposition._chamber_walks(LieType("D", 3), 3)
+    for lt, r in ((LieType("D", 2), 2), (LieType("D", 3), 3)):
+        with pytest.raises(ArithmeticError):
+            compare_pi0_pi(lt, r)
