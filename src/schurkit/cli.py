@@ -25,7 +25,6 @@ from .decomposition import (
     classify_type_B,
     compare_pi0_pi,
     pi0_weyl_rules,
-    schur_dimensions,
     weyl_dimension,
 )
 from .idempotents import build_idempotents, ladder_check
@@ -182,12 +181,8 @@ def _cmd_zero_locus(args):
 def _cmd_dims(args):
     lt = _parse_type(args)
     res = compare_pi0_pi(lt, args.r)
-    rs = build_root_system(lt)
-    dim_pi, dim_schur = schur_dimensions(lt, args.r)
-    per_weight = [
-        {"weight": w.to_json(), "dim": weyl_dimension(rs, w), "in_pi0": w in res.pi0}
-        for w in res.pi
-    ]
+    dim_pi, dim_schur = res.squared_dimension_sums()
+    per_weight = [{"weight": w.to_json(), "dim": res.dims[w], "in_pi0": w in res.pi0} for w in res.pi]
     body = {
         "dim_S_pi": dim_pi,
         "dim_Schur": dim_schur,

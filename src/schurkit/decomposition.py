@@ -177,6 +177,7 @@ class DecompositionResult:
     pi0: WeightSet
     multiplicities: dict
     equal: bool
+    dims: dict = field(default_factory=dict, repr=False)  # {lam: dim L(lam)} over pi and pi0, each computed once
 
     def __post_init__(self):
         if not self.pi0.as_set() <= self.pi.as_set():
@@ -186,6 +187,10 @@ class DecompositionResult:
 
     def pi_minus_pi0(self):
         return tuple(w for w in self.pi if w not in self.pi0)
+
+    def squared_dimension_sums(self):
+        """Wedderburn dimension sums over pi and over pi0, read from `dims`."""
+        return sum(self.dims[w] ** 2 for w in self.pi), sum(self.dims[w] ** 2 for w in self.pi0)
 
     def to_json(self):
         return {
@@ -241,19 +246,21 @@ def decompose_tensor_character(lt: LieType, r: int) -> DecompositionResult:
     straight paths, so such a step is kept iff it ends in the chamber.  The
     zero weight of type B has the path that dips to lam - eps_n/2 and back,
     so it is a step only where lam_n > 0.  The counts must satisfy
-    sum_lam m_lam dim L(lam) = m^r, or InvariantError is raised.
+    sum_lam m_lam dim L(lam) = m^r, or InvariantError is raised.  The
+    dimensions, of every weight in pi and pi0, are kept in the result.
     """
     rs = build_root_system(lt)
     mults = {Weight(lam): count for lam, count in sorted(_chamber_walks(lt, r).items(), reverse=True)}
-    total = sum(m * weyl_dimension(rs, lam) for lam, m in mults.items())
+    pi = tensor_dominant_pi(lt, r)
+    dims = {lam: weyl_dimension(rs, lam) for lam in dict.fromkeys([*pi, *mults])}
+    total = sum(m * dims[lam] for lam, m in mults.items())
     if total != lt.natural_dim**r:
         raise InvariantError(
             "tensor dimension", f"factor dimensions of {lt} r={r} sum to {total}, not {lt.natural_dim}^{r}"
         )
-    pi = tensor_dominant_pi(lt, r)
     pi0 = WeightSet.make(mults.keys(), f"pi0({lt},{r})")
     return DecompositionResult(
-        lie_type=lt, r=r, pi=pi, pi0=pi0, multiplicities=mults, equal=pi0.as_set() == pi.as_set()
+        lie_type=lt, r=r, pi=pi, pi0=pi0, multiplicities=mults, equal=pi0.as_set() == pi.as_set(), dims=dims
     )
 
 
@@ -277,7 +284,7 @@ def classify_type_B(n_max: int, r_max: int):
     for n in range(1, n_max + 1):
         for r in range(1, r_max + 1):
             res = compare_pi0_pi(LieType("B", n), r)
-            dim_pi, dim_schur = schur_dimensions(LieType("B", n), r)
+            dim_pi, dim_schur = res.squared_dimension_sums()
             rows.append(
                 {
                     "family": "B",

@@ -1,21 +1,28 @@
 """Path model: root operators on piecewise-linear paths, crystals, strings.
 
-A path is a piecewise-linear map [0,1] -> h* starting at the origin with
-rational breakpoints, stored as its breakpoint polyline in a canonical
-form (no stationary or collinear-continuation breakpoints, equally spaced
-parameter times).  Root operators read only the polyline, so canonical
-representatives are stable under the whole calculus.
+A path is a piecewise-linear map [0,1] -> h* from the origin with rational
+breakpoints.  It is stored as its breakpoint polyline: one int tuple per
+breakpoint in `num`, over one positive int `den`.  The form is canonical
+(no stationary or collinear-continuation breakpoints, equally spaced
+parameter times, gcd(den, every coordinate) == 1), so equality and hashing
+are structural, and root operators read only the polyline.
 
 The raising and lowering operators act through the height function
 h(t) = (x(t), alpha^vee): when the defining threshold is met, the piece
 between two critical times is reflected and the tail is translated by
 the root.  This form of the operators is valid on integral paths (all
 local minima of every height function at integer levels); paths generated
-from a straight dominant path stay integral, which is checked during
-crystal generation.  Only the lowering operator is written out; the
-raising operator is its conjugate under path duality.  Heights are
-compared as integers over the common denominator of a path's
-breakpoints, which carry denominators beyond 2.
+from a straight dominant path stay integral, which crystal generation
+checks.  Only the lowering operator is written out; the raising operator
+is its conjugate under path duality.
+
+Simple roots and coroots of B, C and D are integral in the epsilon-basis
+(checked where they are read), so the calculus runs on ints over a path's
+denominator d: a breakpoint p has height (p, alpha^vee) over d, its mirror
+image at level q is p - (h - q) alpha, its translate is p - d alpha, and
+duality is a subtraction.  A level crossed inside a segment rescales the
+polyline by that segment's height step, so the crossing lands on an
+integer point.
 
 Strings are extracted greedily along a fixed reduced word for the longest
 Weyl element: raise maximally letter by letter until the dominant path
@@ -27,9 +34,11 @@ position: each such pair costs at most one raising-operator call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
 from .decomposition import schur_dimensions, weyl_dimension
 from .rootdata import CapExceeded, InvariantError, LieType, RootSystem, Weight, build_root_system
@@ -40,105 +49,99 @@ DEFAULT_CRYSTAL_CAP = 5000
 
 @dataclass(frozen=True)
 class Path:
-    """Canonical breakpoint polyline of a piecewise-linear path from 0."""
+    """Canonical breakpoint polyline of a piecewise-linear path from 0: `num` over `den`."""
 
-    points: tuple  # Weight per breakpoint; points[0] is the origin
+    num: tuple  # int tuple per breakpoint; num[0] is the origin
+    den: int  # positive, and gcd(den, every coordinate) == 1
 
     @classmethod
     def from_points(cls, points):
+        """The canonical path through a sequence of Weights that starts at the origin."""
         pts = list(points)
         if not pts:
             raise ValueError("a path needs at least its starting point")
         if any(pts[0].num):
             raise ValueError("paths start at the origin")
-        cleaned = [pts[0]]
-        for p in pts[1:]:
-            if p == cleaned[-1]:
-                continue  # stationary piece: same path up to reparametrization
-            cleaned.append(p)
-        # merge a breakpoint whose outgoing direction continues the incoming one
-        merged = cleaned[:1]
-        for p in cleaned[1:]:
-            if len(merged) >= 2:
-                u = merged[-1] - merged[-2]
-                v = p - merged[-1]
-                if _positively_parallel(u, v):
-                    merged[-1] = p
-                    continue
-            merged.append(p)
-        return cls(points=tuple(merged))
+        den = math.lcm(*(p.den for p in pts))
+        return _canonical([tuple([a * (den // p.den) for a in p.num]) for p in pts], den)
+
+    @property
+    def points(self):
+        """The breakpoints as Weights; points[0] is the origin."""
+        return tuple([Weight.from_numerators(p, self.den) for p in self.num])
 
     @property
     def breakpoints(self):
         """(time, point) pairs with equally spaced rational times."""
-        k = len(self.points) - 1
+        points = self.points
+        k = len(points) - 1
         if k == 0:
-            return ((Fraction(0), self.points[0]),)
-        return tuple((Fraction(t, k), p) for t, p in enumerate(self.points))
+            return ((Fraction(0), points[0]),)
+        return tuple((Fraction(t, k), p) for t, p in enumerate(points))
 
     @property
     def endpoint(self):
-        return self.points[-1]
+        return Weight.from_numerators(self.num[-1], self.den)
 
     def to_json(self):
         return [{"t": f"{t.numerator}/{t.denominator}", "point": p.to_json()} for t, p in self.breakpoints]
 
 
-def _positively_parallel(u: Weight, v: Weight):
-    """True iff v is a positive scalar multiple of u (both nonzero).
+def _canonical(pts, den):
+    """The Path through int points over den, with pauses and collinear continuations dropped."""
+    out = [pts[0]]
+    u = None  # direction of out's last segment, up to a positive factor
+    for p in pts[1:]:
+        last = out[-1]
+        if p == last:
+            continue  # stationary piece: same path up to reparametrization
+        v = tuple(map(sub, p, last))
+        if u is not None and _positively_parallel(u, v):
+            out[-1] = p  # the outgoing direction continues the incoming one
+        else:
+            out.append(p)
+            u = v
+    g = math.gcd(den, *itertools.chain.from_iterable(out))
+    if g != 1:
+        out = [tuple([a // g for a in p]) for p in out]
+        den //= g
+    return Path(tuple(out), den)
 
-    Denominators are positive, so this holds iff v.num is a positive
-    multiple of u.num: every cross product against u's first nonzero
-    coordinate vanishes, and that coordinate keeps its sign.
+
+def _positively_parallel(u, v):
+    """True iff the int vector v is a positive scalar multiple of u (both nonzero).
+
+    Every cross product against u's first nonzero coordinate vanishes, and
+    that coordinate keeps its sign.
     """
-    un, vn = u.num, v.num
-    for a, b in zip(un, vn):
+    for a, b in zip(u, v):
         if a:
             break
     else:
         return False
-    return a * b > 0 and all(x * b == y * a for x, y in zip(un, vn))
+    return a * b > 0 and all(x * b == y * a for x, y in zip(u, v))
 
 
-def _scaled_heights(path: Path, coroot: Weight):
-    """Heights (x_k, coroot) of the breakpoints as ints over one denominator.
+def _int_root(rs: RootSystem, i: int):
+    """alpha_i and alpha_i^vee as int tuples; the integer calculus needs both integral."""
+    alpha, coroot = rs.simple_root(i), rs.coroot(i)
+    if alpha.den != 1 or coroot.den != 1:
+        raise InvariantError(
+            "integral simple roots", f"alpha_{i} = {alpha!r} or its coroot {coroot!r} in {rs.lie_type} is not integral"
+        )
+    return alpha.num, coroot.num
 
-    Returns (H, D) with height_k = H[k] / D and D > 0, so level l of the
-    height function is the integer l * D.
-    """
-    points = path.points
-    common = math.lcm(*(p.den for p in points))
-    c = coroot.num
-    heights = [sum([a * b for a, b in zip(p.num, c)]) * (common // p.den) for p in points]
-    return heights, common * coroot.den
+
+def _heights(path: Path, coroot):
+    """Heights (x_k, coroot) of the breakpoints, as ints over path.den."""
+    return [sum(map(mul, p, coroot)) for p in path.num]
 
 
 def straight_path(rs: RootSystem, lam: Weight) -> Path:
     """The straight segment from the origin to a dominant weight."""
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam!r} is not dominant for {rs.lie_type}")
-    origin = Weight.zero(len(lam))
-    if lam == origin:
-        return Path.from_points([origin])
-    return Path.from_points([origin, lam])
-
-
-def _mirror(p: Weight, k, d, alpha: Weight) -> Weight:
-    """p - (k/d) alpha, for p at height k/d above a level: its mirror image there.
-
-    alpha is a root, so its coordinates are integers.
-    """
-    pd = p.den
-    return Weight.from_numerators(tuple([a * d - k * pd * b for a, b in zip(p.num, alpha.num)]), pd * d)
-
-
-def _split_at_level(a: Weight, b: Weight, ha, hb, level):
-    """Point on segment [a, b] where the height function crosses `level`.
-
-    Heights and level may share any positive scale.
-    """
-    frac = Fraction(level - ha, hb - ha)
-    return a + frac * (b - a)
+    return Path.from_points([Weight.zero(len(lam)), lam])
 
 
 def f_op(rs: RootSystem, i: int, path: Path):
@@ -149,43 +152,47 @@ def f_op(rs: RootSystem, i: int, path: Path):
     last minimum and the next crossing of level q+1 is reflected, and the
     rest of the path is translated by -alpha.
     """
-    h, d = _scaled_heights(path, rs.coroot(i))
-    return _lower(rs.simple_root(i), path, h, d)
+    alpha, coroot = _int_root(rs, i)
+    return _lower(alpha, path, _heights(path, coroot))
 
 
-def _lower(alpha: Weight, path: Path, h, d):
-    """The body of f_op, given the path's heights h over the scale d."""
+def _lower(alpha, path: Path, h):
+    """The body of f_op, given the int root alpha and the path's heights h."""
+    d = path.den
     q = min(h)
     if h[-1] - q < d:
         return None
     top = q + d
-    pts = path.points
-    j1 = max(j for j, v in enumerate(h) if v == q)
-    new_pts = list(pts[: j1 + 1])
-    j = j1
-    while h[j + 1] < top:  # strictly between q and q+1 after the last minimum
-        new_pts.append(_mirror(pts[j + 1], h[j + 1] - q, d, alpha))
+    pts = path.num
+    j = len(h) - 1 - h[::-1].index(q)  # the last minimum
+    new_pts = list(pts[: j + 1])
+    while h[j + 1] < top:  # strictly between q and q+1 after the last minimum: reflect at level q
+        k = h[j + 1] - q
+        new_pts.append(tuple([a - k * b for a, b in zip(pts[j + 1], alpha)]))
         j += 1
-    if h[j + 1] == top:
-        split = pts[j + 1]
-        tail_from = j + 2
-    else:
-        split = _split_at_level(pts[j], pts[j + 1], h[j], h[j + 1], top)
-        tail_from = j + 1
-    new_pts.append(split - alpha)
-    for p in pts[tail_from:]:
-        new_pts.append(p - alpha)
-    return Path.from_points(new_pts)
+    tail = pts[j + 1 :]
+    if h[j + 1] > top:
+        # level q+1 is crossed inside the segment (j, j+1): scale the polyline
+        # by the segment's height step, so that the crossing is an integer point
+        s, t = h[j + 1] - h[j], top - h[j]
+        crossing = tuple([s * a + t * (b - a) for a, b in zip(pts[j], pts[j + 1])])
+        new_pts = [tuple([s * a for a in p]) for p in new_pts]
+        tail = [crossing] + [tuple([s * a for a in p]) for p in tail]
+        d *= s
+    shift = [d * b for b in alpha]
+    new_pts.extend(tuple(map(sub, p, shift)) for p in tail)
+    return _canonical(new_pts, d)
 
 
 def _dual(path: Path) -> Path:
     """The path t -> path(1 - t) - path(1).
 
-    Reversing a canonical polyline and translating it keeps it canonical,
-    so the points are used as they are.
+    Reversing a canonical polyline and translating it keeps it canonical:
+    the origin becomes -path(1), so a common factor of d and the new
+    coordinates divides the old ones too.
     """
-    end = path.endpoint
-    return Path(points=tuple([p - end for p in reversed(path.points)]))
+    end = path.num[-1]
+    return Path(tuple([tuple(map(sub, p, end)) for p in reversed(path.num)]), path.den)
 
 
 def e_op(rs: RootSystem, i: int, path: Path):
@@ -196,35 +203,40 @@ def e_op(rs: RootSystem, i: int, path: Path):
     e_i(path) = dual(f_i(dual(path))).  It applies when the minimum of the
     height function is at most -1, which is read off the path's own
     heights; the dual path's heights are h(1 - t) - h(1) over the same
-    common denominator, so they are not recomputed.
+    denominator, so they are not recomputed.
     """
-    h, d = _scaled_heights(path, rs.coroot(i))
-    if min(h) > -d:
+    alpha, coroot = _int_root(rs, i)
+    h = _heights(path, coroot)
+    if min(h) > -path.den:
         return None
     end = h[-1]
-    lowered = _lower(rs.simple_root(i), _dual(path), [v - end for v in reversed(h)], d)
-    return _dual(lowered)
+    return _dual(_lower(alpha, _dual(path), [v - end for v in reversed(h)]))
+
+
+def _minima_integral(h, d):
+    """All local minima of the heights h (ints over d) sit at integer levels.
+
+    Plateau runs are treated as single critical points; boundary runs
+    count as minima when their inner neighbor is higher.
+    """
+    runs = []
+    for v in h:
+        if not runs or runs[-1] != v:
+            runs.append(v)
+    for k, v in enumerate(runs):
+        left_up = k == 0 or runs[k - 1] > v
+        right_up = k == len(runs) - 1 or runs[k + 1] > v
+        if left_up and right_up and v % d:
+            return False
+    return True
 
 
 def is_integral(rs: RootSystem, path: Path) -> bool:
     """All local minima of every height function sit at integer levels.
 
-    Plateau runs are treated as single critical points; boundary runs
-    count as minima when their inner neighbor is higher.  The operator
-    formulas above are exact precisely on such paths.
+    The operator formulas above are exact precisely on such paths.
     """
-    for i in range(1, rs.rank + 1):
-        h, d = _scaled_heights(path, rs.coroot(i))
-        runs = []
-        for v in h:
-            if not runs or runs[-1] != v:
-                runs.append(v)
-        for k, v in enumerate(runs):
-            left_up = k == 0 or runs[k - 1] > v
-            right_up = k == len(runs) - 1 or runs[k + 1] > v
-            if left_up and right_up and v % d:
-                return False
-    return True
+    return all(_minima_integral(_heights(path, _int_root(rs, i)[1]), path.den) for i in range(1, rs.rank + 1))
 
 
 @dataclass(frozen=True)
@@ -255,7 +267,12 @@ class Crystal:
 
 
 def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP) -> Crystal:
-    """Breadth-first closure of the straight path under all lowering operators."""
+    """Breadth-first closure of the straight path under all lowering operators.
+
+    Each element's heights are computed once per simple root; its
+    integral-path check and its lowering steps read them.
+    """
+    roots = [_int_root(rs, i) for i in range(1, rs.rank + 1)]
     start = straight_path(rs, lam)
     elements = [start]
     index = {start: 0}
@@ -263,16 +280,17 @@ def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP
     qi = 0
     while qi < len(elements):
         current = elements[qi]
-        for i in range(1, rs.rank + 1):
-            image = f_op(rs, i, current)
+        for i, (alpha, coroot) in enumerate(roots, 1):
+            h = _heights(current, coroot)
+            if not _minima_integral(h, current.den):
+                raise InvariantError("integral-path regime", f"an operator left it in the crystal of {lam!r}")
+            image = _lower(alpha, current, h)
             if image is None:
                 continue
             at = index.get(image)
             if at is None:
                 if len(elements) >= cap:
                     raise CapExceeded(f"crystal of {lam!r} exceeded {cap} elements")
-                if not is_integral(rs, image):
-                    raise InvariantError("integral-path regime", f"an operator left it in the crystal of {lam!r}")
                 index[image] = at = len(elements)
                 elements.append(image)
             edges.append((qi, i, at))

@@ -184,13 +184,6 @@ class ExactMatrix:
             self._check_shape(m)
         return _combine(self.rows, self.cols, ((1, self, other), (-1, other, self)), terms)
 
-    def transpose(self):
-        out = {}
-        for i, row in self._data.items():
-            for j, v in row.items():
-                out.setdefault(j, {})[i] = v
-        return ExactMatrix(self.cols, self.rows, out)
-
     def trace(self):
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")

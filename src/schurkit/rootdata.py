@@ -228,27 +228,6 @@ class RootSystem:
         self._check_index(i)
         return self.coroots[i - 1]
 
-    def fundamental_weights(self):
-        """Weights dual to the coroots, in closed coordinate form."""
-        n = self.rank
-        half = Fraction(1, 2)
-        out = []
-        for j in range(1, n + 1):
-            ones = (1,) * j + (0,) * (n - j)
-            if self.family == "C":
-                w = Weight(ones)
-            elif self.family == "B":
-                w = Weight(ones) if j < n else Weight((half,) * n)
-            else:  # D
-                if j <= n - 2:
-                    w = Weight(ones)
-                elif j == n - 1:
-                    w = Weight((half,) * (n - 1) + (-half,))
-                else:
-                    w = Weight((half,) * n)
-            out.append(w)
-        return tuple(out)
-
     def is_dominant(self, w):
         """Chain inequalities on the coordinates; type D allows a signed tail."""
         c = w.num  # over a positive denominator, so the inequalities carry over
@@ -287,12 +266,6 @@ class RootSystem:
         """s_i(w) = w - (w, alpha_i^vee) alpha_i."""
         alpha = self.simple_root(i)
         return w - w.dot(self.coroot(i)) * alpha
-
-    def apply_word(self, word, w):
-        """Apply a Weyl word to a weight; the rightmost letter acts first."""
-        for i in reversed(word):
-            w = self.simple_reflect(i, w)
-        return w
 
     def weyl_orbit(self, w):
         """Full Weyl orbit of w, sorted descending for determinism."""

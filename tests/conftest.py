@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from schurkit.replinalg import ExactMatrix
-from schurkit.rootdata import LieType, build_root_system
+from schurkit.rootdata import LieType, Weight, build_root_system
 
 
 def all_lie_types(max_rank=3):
@@ -10,6 +12,28 @@ def all_lie_types(max_rank=3):
         lo = 2 if family == "D" else 1
         out.extend(LieType(family, n) for n in range(lo, max_rank + 1))
     return out
+
+
+def fundamental_weights(rs):
+    """Weights dual to the coroots, in closed coordinate form."""
+    n = rs.rank
+    half = Fraction(1, 2)
+    out = []
+    for j in range(1, n + 1):
+        ones = (1,) * j + (0,) * (n - j)
+        if rs.family == "C":
+            w = Weight(ones)
+        elif rs.family == "B":
+            w = Weight(ones) if j < n else Weight((half,) * n)
+        else:  # D
+            if j <= n - 2:
+                w = Weight(ones)
+            elif j == n - 1:
+                w = Weight((half,) * (n - 1) + (-half,))
+            else:
+                w = Weight((half,) * n)
+        out.append(w)
+    return tuple(out)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,18 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
+import schurkit
 from schurkit import cli, decomposition, pathmodel
 from schurkit.presentation import RelationCheck, RelationReport
 from schurkit.replinalg import ExactMatrix, tower_rep
 from schurkit.rootdata import Weight
+
+SRC = os.path.dirname(os.path.dirname(schurkit.__file__))
 
 
 def run_cli(argv):
@@ -252,6 +259,31 @@ def test_non_integral_cartan_matrix_exits_one(monkeypatch):
     code, out, err = run_cli(["crystal", "B", "2", "--lambda", "1,0"])
     assert code == 1 and out == ""
     assert "check failed: integral Cartan matrix" in err
+
+
+def test_non_integral_crystal_path_exits_one(monkeypatch):
+    # heights along alpha_1^vee of C2 are 0, -1/2, 1: a minimum at a half level
+    bad = pathmodel.Path.from_points([Weight((0, 0)), Weight((Fraction(-1, 2), 0)), Weight((1, 0))])
+    monkeypatch.setattr(pathmodel, "_lower", lambda alpha, path, h: bad)
+    code, out, err = run_cli(["crystal", "C", "2", "--lambda", "1,1"])
+    assert code == 1 and out == ""
+    assert "check failed: integral-path regime" in err
+
+
+def test_non_integral_crystal_path_exits_one_under_optimized_mode():
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from schurkit import cli, pathmodel\n"
+        "from schurkit.rootdata import Weight\n"
+        "bad = pathmodel.Path.from_points([Weight((0, 0)), Weight((Fraction(-1, 2), 0)), Weight((1, 0))])\n"
+        "pathmodel._lower = lambda alpha, path, h: bad\n"
+        "sys.exit(cli.run(['crystal', 'C', '2', '--lambda', '1,1']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "check failed: integral-path regime" in proc.stderr
 
 
 def test_text_format_has_header_and_table():

@@ -1,12 +1,14 @@
+import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import schurkit
-from schurkit import decomposition
+from schurkit import cli, decomposition
 from schurkit.decomposition import (
     DecompositionResult,
     classify_type_B,
@@ -19,7 +21,7 @@ from schurkit.decomposition import (
 )
 from schurkit.rootdata import InvariantError, LieType, Weight, build_root_system
 from schurkit.weightsets import tensor_dominant_pi
-from conftest import all_lie_types
+from conftest import all_lie_types, fundamental_weights
 
 SRC = os.path.dirname(os.path.dirname(schurkit.__file__))
 
@@ -219,6 +221,35 @@ def test_classification_rows():
     assert set(first) == {"family", "n", "r", "equal", "pi_size", "pi0_size", "dim_S_pi", "dim_Schur"}
 
 
+def count_calls(monkeypatch, module, names):
+    """Replace each named function of module by a wrapper that counts its calls."""
+    calls = Counter()
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_classification_builds_each_root_system_and_dimension_once(monkeypatch):
+    calls = count_calls(monkeypatch, decomposition, ("build_root_system", "weyl_dimension"))
+    rows = classify_type_B(3, 5)
+    assert calls["build_root_system"] == len(rows) == 15
+    assert calls["weyl_dimension"] == sum(row["pi_size"] for row in rows)
+    for row in rows:
+        assert (row["dim_S_pi"], row["dim_Schur"]) == schur_dimensions(LieType("B", row["n"]), row["r"])
+
+
+def test_dims_command_reads_dimensions_once(monkeypatch):
+    calls = count_calls(monkeypatch, decomposition, ("build_root_system", "weyl_dimension"))
+    assert cli.run(["dims", "B", "3", "4"], stdout=io.StringIO()) == 0
+    assert calls == {"build_root_system": 1, "weyl_dimension": len(tensor_dominant_pi(LieType("B", 3), 4))}
+
+
 def test_schur_dimensions_values():
     assert schur_dimensions(LieType("C", 2), 2) == (126, 126)
     assert schur_dimensions(LieType("B", 2), 2) == (322, 297)
@@ -296,7 +327,7 @@ def fraction_freudenthal(rs, lam):
 @pytest.mark.parametrize("lt", all_lie_types(3), ids=str)
 def test_freudenthal_matches_fraction_recursion(lt):
     rs = build_root_system(lt)
-    highest = [k * w for w in rs.fundamental_weights() for k in (1, 2)] + [rs.rho]
+    highest = [k * w for w in fundamental_weights(rs) for k in (1, 2)] + [rs.rho]
     for lam in highest:
         char = freudenthal_multiplicities(rs, lam)
         assert {w.coords: m for w, m in char.terms} == fraction_freudenthal(rs, lam)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -9,10 +11,7 @@ from schurkit import pathmodel
 from schurkit.decomposition import freudenthal_multiplicities, schur_dimensions, weyl_dimension
 from schurkit.pathmodel import (
     Path,
-    _mirror,
     _positively_parallel,
-    _scaled_heights,
-    _split_at_level,
     basis_census,
     e_op,
     f_op,
@@ -22,9 +21,8 @@ from schurkit.pathmodel import (
     straight_path,
     string_tuples,
 )
-from schurkit.rootdata import CapExceeded, LieType, Weight, build_root_system
+from schurkit.rootdata import CapExceeded, InvariantError, LieType, Weight, build_root_system
 from schurkit.weightsets import tensor_dominant_pi
-
 HALF = Fraction(1, 2)
 
 
@@ -83,8 +81,79 @@ def test_partial_inverse_property_across_a_crystal():
                 assert f_op(rs, i, up) == p
 
 
+# Reference calculus on Weight breakpoints with Fraction crossings, kept
+# apart from the int-numerator calculus that pathmodel runs.
+
+
+def _reference_canonical(points):
+    """Canonical breakpoints of a Weight polyline: pauses dropped, collinear continuations merged."""
+    cleaned = [points[0]]
+    for p in points[1:]:
+        if p != cleaned[-1]:
+            cleaned.append(p)
+    merged = cleaned[:1]
+    for p in cleaned[1:]:
+        if len(merged) >= 2 and fraction_ratio_parallel(
+            (merged[-1] - merged[-2]).coords, (p - merged[-1]).coords
+        ):
+            merged[-1] = p
+            continue
+        merged.append(p)
+    return tuple(merged)
+
+
+def _scaled_heights(path, coroot):
+    """Heights (x_k, coroot) of the breakpoints as ints over one denominator.
+
+    Returns (H, D) with height_k = H[k] / D and D > 0, so level l of the
+    height function is the integer l * D.
+    """
+    points = path.points
+    common = math.lcm(*(p.den for p in points))
+    c = coroot.num
+    heights = [sum(a * b for a, b in zip(p.num, c)) * (common // p.den) for p in points]
+    return heights, common * coroot.den
+
+
+def _mirror(p, k, d, alpha):
+    """p - (k/d) alpha: the mirror image of p, at height k/d above a level."""
+    return p - Fraction(k, d) * alpha
+
+
+def _split_at_level(a, b, ha, hb, level):
+    """Point on segment [a, b] where the height function crosses `level` (any common scale)."""
+    return a + Fraction(level - ha, hb - ha) * (b - a)
+
+
+def _reference_f_op(rs, i, path):
+    """Lowering operator written out on Weight breakpoints; canonical points, or None.
+
+    Reflects the piece between the last minimum q and the next crossing of
+    level q+1, and translates the rest by -alpha.  Applies when the
+    endpoint height is at least q+1.
+    """
+    alpha = rs.simple_root(i)
+    h, d = _scaled_heights(path, rs.coroot(i))
+    q = min(h)
+    if h[-1] - q < d:
+        return None
+    top = q + d
+    pts = path.points
+    j = max(j for j, v in enumerate(h) if v == q)
+    new_pts = list(pts[: j + 1])
+    while h[j + 1] < top:  # strictly between q and q+1 after the last minimum
+        new_pts.append(_mirror(pts[j + 1], h[j + 1] - q, d, alpha))
+        j += 1
+    if h[j + 1] == top:
+        tail = pts[j + 1 :]
+    else:
+        tail = (_split_at_level(pts[j], pts[j + 1], h[j], h[j + 1], top),) + pts[j + 1 :]
+    new_pts.extend(p - alpha for p in tail)
+    return _reference_canonical(new_pts)
+
+
 def _reference_e_op(rs, i, path):
-    """Raising operator written out on the polyline, mirroring f_op.
+    """Raising operator written out on Weight breakpoints, mirroring _reference_f_op.
 
     The piece between the last crossing of level q+1 and the first minimum
     q is reflected, and the rest of the path is translated by +alpha.
@@ -110,7 +179,11 @@ def _reference_e_op(rs, i, path):
         new_pts.append(_mirror(pts[k], h[k] - top, d, alpha))
     for p in pts[j2 + 1 :]:
         new_pts.append(p + alpha)
-    return Path.from_points(new_pts)
+    return _reference_canonical(new_pts)
+
+
+def points_of(path):
+    return None if path is None else path.points
 
 
 DUALITY_CASES = [
@@ -133,7 +206,16 @@ def test_raising_by_duality_matches_the_written_out_operator(family, rank, lam):
     crystal = generate_crystal(rs, Weight(lam))
     for p in crystal.elements:
         for i in range(1, rank + 1):
-            assert e_op(rs, i, p) == _reference_e_op(rs, i, p)
+            assert points_of(e_op(rs, i, p)) == _reference_e_op(rs, i, p)
+
+
+@pytest.mark.parametrize("family,rank,lam", DUALITY_CASES)
+def test_lowering_matches_the_written_out_operator(family, rank, lam):
+    rs = rs_of(family, rank)
+    crystal = generate_crystal(rs, Weight(lam))
+    for p in crystal.elements:
+        for i in range(1, rank + 1):
+            assert points_of(f_op(rs, i, p)) == _reference_f_op(rs, i, p)
 
 
 def test_c2_natural_orbit():
@@ -356,12 +438,12 @@ def test_basis_census_d3_r3_distinct_duals():
 
 
 def fraction_ratio_parallel(u, v):
-    """The coordinate-ratio form of the test, on Fraction coordinates."""
-    uz = [c == 0 for c in u.coords]
-    if uz != [c == 0 for c in v.coords]:
+    """The coordinate-ratio form of the test, on exact coordinate sequences."""
+    uz = [c == 0 for c in u]
+    if uz != [c == 0 for c in v]:
         return False
     ratio = None
-    for a, b in zip(u.coords, v.coords):
+    for a, b in zip(u, v):
         if a == 0:
             continue
         q = Fraction(b) / Fraction(a)
@@ -371,21 +453,20 @@ def fraction_ratio_parallel(u, v):
     return ratio is not None
 
 
-small_coords = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+int_vectors = st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(-3, 3), min_size=n, max_size=n))
 
 
 @st.composite
 def direction_pairs(draw):
-    n = draw(st.integers(1, 4))
-    u = Weight(draw(st.lists(small_coords, min_size=n, max_size=n)))
+    w = draw(int_vectors)
     kind = draw(st.sampled_from(("multiple", "perturbed", "free")))
     if kind == "free":
-        return u, Weight(draw(st.lists(small_coords, min_size=n, max_size=n)))
-    scale = draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)))
-    v = scale * u
+        return tuple(w), tuple(draw(st.lists(st.integers(-6, 6), min_size=len(w), max_size=len(w))))
+    b, a = draw(st.integers(1, 5)), draw(st.integers(-5, 5))
+    u, v = [b * x for x in w], [a * x for x in w]  # v = (a/b) u
     if kind == "perturbed":
-        v = v + draw(st.integers(-1, 1)) * Weight.eps(n, draw(st.integers(1, n)))
-    return u, v
+        v[draw(st.integers(0, len(w) - 1))] += draw(st.integers(-1, 1))
+    return tuple(u), tuple(v)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -393,3 +474,71 @@ def direction_pairs(draw):
 def test_positively_parallel_matches_fraction_ratios(pair):
     u, v = pair
     assert _positively_parallel(u, v) == fraction_ratio_parallel(u, v)
+
+
+small_coords = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+
+
+@st.composite
+def noisy_polylines(draw):
+    """A rational polyline from the origin, and a copy with pauses and collinear midpoints inserted."""
+    n = draw(st.integers(1, 4))
+    coords = st.lists(small_coords, min_size=n, max_size=n)
+    points = [Weight.zero(n)] + [Weight(c) for c in draw(st.lists(coords, max_size=5))]
+    noisy = points[:1] * draw(st.integers(1, 2))
+    for a, b in zip(points, points[1:]):
+        for t in sorted(draw(st.sets(st.builds(Fraction, st.integers(1, 4), st.integers(5, 7)), max_size=2))):
+            noisy.append(a + t * (b - a))
+        noisy.extend([b] * draw(st.integers(1, 2)))
+    return points, noisy
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(noisy_polylines())
+def test_canonical_form_matches_reference_with_least_denominator(pair):
+    points, noisy = pair
+    path = Path.from_points(noisy)
+    assert path == Path.from_points(points)
+    assert path.points == _reference_canonical(noisy) == _reference_canonical(points)
+    coords = [a for p in path.num for a in p]
+    assert type(path.den) is int and path.den > 0
+    assert all(type(a) is int for a in coords)
+    assert math.gcd(path.den, *coords) == 1
+    assert path.den == math.lcm(*(p.den for p in path.points))
+
+
+def test_crystal_paths_hold_ints_over_reduced_denominators():
+    rs = rs_of("B", 3)
+    for p in generate_crystal(rs, Weight((3 * HALF, HALF, HALF))).elements:
+        coords = [a for q in p.num for a in q]
+        assert all(type(a) is int for a in coords)
+        assert p.den > 0 and math.gcd(p.den, *coords) == 1
+
+
+def half_level_path():
+    """Heights along alpha_1^vee of C2 are 0, -1/2, 1: a minimum at a half level."""
+    return Path.from_points([Weight((0, 0)), Weight((-HALF, 0)), Weight((1, 0))])
+
+
+def test_non_integral_lowering_result_is_an_invariant_error(monkeypatch):
+    rs = rs_of("C", 2)
+    bad = half_level_path()
+    assert not is_integral(rs, bad)
+    monkeypatch.setattr(pathmodel, "_lower", lambda alpha, path, h: bad)
+    with pytest.raises(InvariantError, match="integral-path regime") as info:
+        generate_crystal(rs, Weight((1, 1)))
+    assert info.value.label == "integral-path regime"
+
+
+def test_non_integral_coroot_is_an_invariant_error():
+    rs = rs_of("C", 2)
+    halved = dataclasses.replace(rs, coroots=(HALF * rs.coroots[0], rs.coroots[1]))
+    lam = Weight((1, 0))
+    for call in (
+        lambda: generate_crystal(halved, lam),
+        lambda: f_op(halved, 1, straight_path(halved, lam)),
+        lambda: e_op(halved, 1, straight_path(halved, lam)),
+        lambda: is_integral(halved, straight_path(halved, lam)),
+    ):
+        with pytest.raises(InvariantError, match="integral simple roots"):
+            call()
