@@ -28,19 +28,19 @@ The closure is graded.  The diagonal generators (Cartan elements or weight
 projectors) split the coordinates into classes of equal joint eigenvalue,
 and the indicator 1_c of each class is a polynomial in them, so the
 algebra A is the direct sum of its pieces 1_c A 1_c'.  Each piece is
-reduced in its own echelon and products are formed block by block.  The
+reduced in its own row span and products are formed block by block.  The
 pieces occupy disjoint coordinates, so the union of their reduced echelon
 rows, sorted by pivot, is exactly the reduced echelon basis of A over all
 matrix entries: the canonical rows do not depend on the grading.
 
-The closure is the only numpy user in the package.  Its echelon lives in
-the private module `_echelon`, which `algebra_closure` imports when it
-runs, so importing the package or running any other command does not load
-numpy.
+The closure runs on the same ints as the matrices: its rows are
+{column: int} dicts, reduced fraction-free and kept primitive, so no entry
+bound is ever checked and no other number type is ever needed.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass, field
@@ -190,7 +190,11 @@ class ExactMatrix:
         return sum(r.get(i, 0) for i, r in self._data.items())
 
     def diagonal(self):
-        return [self.entry(i, i) for i in range(min(self.rows, self.cols))]
+        out = [0] * min(self.rows, self.cols)
+        for i, row in self._data.items():
+            if i in row:  # a row i past the last column holds no key i
+                out[i] = row[i]
+        return out
 
     def is_diagonal(self):
         return all(i == j for i, row in self._data.items() for j in row)
@@ -502,6 +506,75 @@ def single_power_rep(lt: LieType, r: int, max_dim=None) -> Representation:
 # Span closure of a generated operator algebra
 
 
+def _primitive(vec, pivot):
+    """vec divided by the gcd of its entries, signed so that the entry at its pivot is positive."""
+    g = math.gcd(*vec.values())
+    if vec[pivot] < 0:
+        g = -g
+    return vec if g == 1 else {j: v // g for j, v in vec.items()}
+
+
+def _eliminate(vec, row, pivot):
+    """Clear vec at pivot by a fraction-free combination with row, in place; zeros stay in vec."""
+    c, lead = vec[pivot], row[pivot]
+    if lead != 1:
+        g = math.gcd(c, lead)
+        c, lead = c // g, lead // g
+        if lead != 1:
+            for j in vec:
+                vec[j] *= lead
+    get = vec.get
+    for j, x in row.items():
+        vec[j] = get(j, 0) - c * x
+
+
+class _RowSpan:
+    """Exact row span over Q, kept as primitive integer rows {column: int}.
+
+    A row's pivot is its first nonzero column, where its entry is positive;
+    each row is zero at the pivots of the rows stored before it (a
+    semi-echelon).  Stored rows are never changed: a new vector is reduced
+    fraction-free against the rows in ascending pivot order, which leaves
+    it zero at every pivot, because a row touches no column before its own
+    pivot.  `canonical_rows` back-substitutes once into the reduced echelon
+    form, which does not depend on the insertion order.
+    """
+
+    __slots__ = ("_rows", "_pivots")
+
+    def __init__(self):
+        self._rows = {}  # pivot -> row
+        self._pivots = []  # ascending
+
+    @property
+    def dimension(self):
+        return len(self._pivots)
+
+    def insert(self, vec):
+        """Reduce vec (a dict this call may change); return the new stored row, or None if dependent."""
+        for p in self._pivots:
+            if vec.get(p):
+                _eliminate(vec, self._rows[p], p)
+        vec = {j: v for j, v in vec.items() if v}
+        if not vec:
+            return None
+        pivot = min(vec)
+        vec = self._rows[pivot] = _primitive(vec, pivot)
+        bisect.insort(self._pivots, pivot)
+        return vec
+
+    def canonical_rows(self):
+        """The reduced echelon rows in pivot order, each the tuple of its nonzero (column, value) pairs."""
+        reduced = {}
+        for p in reversed(self._pivots):
+            row = dict(self._rows[p])
+            for q, other in reduced.items():
+                if row.get(q):
+                    _eliminate(row, other, q)
+            reduced[p] = _primitive({j: v for j, v in row.items() if v}, p)
+        return tuple(tuple(sorted(reduced[p].items())) for p in self._pivots)
+
+
 @dataclass(frozen=True)
 class ClosureResult:
     """Dimension and canonical echelon basis of a generated matrix algebra.
@@ -537,13 +610,16 @@ def algebra_closure(mats) -> ClosureResult:
     projector generators the classes are the weights; with no diagonal
     generator there is a single class and a single piece.
 
-    Each piece keeps its own exact echelon over its |c|*|c'| coordinates.
+    Each piece keeps its own exact row span over its |c|*|c'| coordinates.
     The span starts from the identity blocks 1_c and is closed under right
     multiplication by the blocks 1_c g 1_c' of every non-diagonal generator
-    g; each product lands in one piece and is reduced in that piece's
-    echelon.  A diagonal generator acts on every class as a scalar, so it
-    only shapes the grading.  Every word 1_c w 1_c' is a sum of such block
-    products, so the accepted blocks span A.
+    g; each product lands in one piece and is reduced in that piece's span.
+    The queue holds the stored (reduced) rows: each is a combination of the
+    products and identity blocks inserted so far, and every stored row is
+    queued, so the closure is the same as with the raw products.  A
+    diagonal generator acts on every class as a scalar, so it only shapes
+    the grading.  Every word 1_c w 1_c' is a sum of such block products, so
+    the accepted blocks span A.
 
     The pieces have disjoint coordinate supports, and within a piece the
     local row-major order is the global one restricted.  The union of the
@@ -551,10 +627,6 @@ def algebra_closure(mats) -> ClosureResult:
     reduced echelon form of A over all size*size entries: canonical, and
     independent of generator order.
     """
-    import numpy as np
-
-    from ._echelon import ExactRowSpan, _exact_matmul, _int_array
-
     mats = list(mats)
     if not mats:
         raise ValueError("need at least one generator")
@@ -563,47 +635,66 @@ def algebra_closure(mats) -> ClosureResult:
         if not m.is_square() or m.rows != size:
             raise ValueError("generators must be square matrices of equal size")
 
-    diagonal = [m for m in mats if m.is_diagonal()]
+    diagonals = [m.diagonal() for m in mats if m.is_diagonal()]
     by_label = {}
-    for i in range(size):
-        by_label.setdefault(tuple(m.entry(i, i) for m in diagonal), []).append(i)
+    for i, label in enumerate(zip(*diagonals) if diagonals else [()] * size):
+        by_label.setdefault(label, []).append(i)
     classes = list(by_label.values())
     cls, pos = [0] * size, [0] * size
     for c, coords in enumerate(classes):
         for p, i in enumerate(coords):
             cls[i], pos[i] = c, p
 
-    # right[c]: (c', block 1_c g 1_c') for every nonzero block of a non-diagonal generator
-    right = [[] for _ in classes]
+    # Per row class b: targets[b] lists the column class d of each nonzero
+    # block 1_b g 1_d of a non-diagonal generator g, and index[b][q] holds,
+    # for local row q, the (block number, [(local column, value)]) of every
+    # such block whose row q is nonzero.
+    targets = [[] for _ in classes]
+    index = [[[] for _ in coords] for coords in classes]
     for m in mats:
         if m.is_diagonal():
             continue
-        blocks = {}
-        for i, j, v in m.iter_entries():
-            blocks.setdefault((cls[i], cls[j]), []).append((pos[i], pos[j], v))
-        for (c, d), items in blocks.items():
-            block = np.zeros((len(classes[c]), len(classes[d])), dtype=object)
-            for p, q, v in items:
-                block[p, q] = v
-            right[c].append((d, _int_array(block)))
+        numbers = {}  # (b, d) -> number of the block 1_b m 1_d in targets[b]
+        for i, row in m._data.items():
+            b, q = cls[i], pos[i]
+            entries = {}
+            for j, v in row.items():
+                d = cls[j]
+                n = numbers.get((b, d))
+                if n is None:
+                    n = numbers[b, d] = len(targets[b])
+                    targets[b].append(d)
+                entries.setdefault(n, []).append((pos[j], v))
+            index[b][q].extend(entries.items())
 
     pieces = {}
     queue = []
     for c, coords in enumerate(classes):
-        eye = np.eye(len(coords), dtype=np.int64)
-        pieces[c, c] = ExactRowSpan(eye.size)
-        pieces[c, c].insert(eye.ravel())
-        queue.append((c, c, eye))
-    for a, b, x in queue:  # the queue grows while it is read
-        for d, g in right[b]:
-            prod = _exact_matmul(x, g)
-            if not prod.any():
+        width = len(coords)
+        span = pieces[c, c] = _RowSpan()
+        queue.append((c, c, span.insert({p * width + p: 1 for p in range(width)})))
+    for a, b, row in queue:  # the queue grows while it is read
+        width = len(classes[b])
+        widths = [len(classes[d]) for d in targets[b]]
+        prods = [{} for _ in widths]
+        rows_of = index[b]
+        for k, x in row.items():
+            p, q = divmod(k, width)
+            for n, entries in rows_of[q]:
+                prod = prods[n]
+                base = p * widths[n]
+                for col, v in entries:
+                    col += base
+                    prod[col] = prod.get(col, 0) + x * v
+        for d, prod in zip(targets[b], prods):
+            if not any(prod.values()):
                 continue
             span = pieces.get((a, d))
             if span is None:
-                span = pieces[a, d] = ExactRowSpan(prod.size)
-            if span.insert(prod.ravel()):
-                queue.append((a, d, prod))
+                span = pieces[a, d] = _RowSpan()
+            stored = span.insert(prod)
+            if stored is not None:
+                queue.append((a, d, stored))
     return ClosureResult(
         dimension=sum(span.dimension for span in pieces.values()),
         size=size,
