@@ -9,6 +9,10 @@ and 2 for invalid arguments or a carrier over the dimension cap.
 Identical invocations produce byte-identical output: every collection in
 the package is canonically ordered, and each document carries a header
 with the tool version and the reduced word in use.
+
+The layer modules are imported as modules and called through, so that
+importing this one executes only `rootdata` (the package registers the
+others lazily) and each job executes only the layers its command uses.
 """
 
 from __future__ import annotations
@@ -18,36 +22,20 @@ import csv as csv_module
 import io
 import json
 import sys
-from dataclasses import dataclass, field
-
-from . import __version__
-from .decomposition import (
-    classify_type_B,
-    compare_pi0_pi,
-    pi0_weyl_rules,
-    weyl_dimension,
-)
-from .idempotents import build_idempotents, ladder_check
-from .pathmodel import basis_census, generate_crystal
-from .presentation import (
-    quotient_witness,
-    verify_idempotent_presentation,
-    verify_serre_presentation,
-    zero_locus_report,
-)
-from .replinalg import tower_rep
+from . import __version__, decomposition, idempotents, pathmodel, presentation, replinalg, weightsets
 from .rootdata import CapExceeded, LieType, Weight, build_root_system
-from .weightsets import tensor_dominant_pi, tensor_weights_Pi
 
 
-@dataclass
 class JobResult:
-    header: dict
-    body: dict
-    columns: list
-    rows: list
-    passed: bool = True
-    failures: list = field(default_factory=list)
+    __slots__ = ("header", "body", "columns", "rows", "passed", "failures")
+
+    def __init__(self, header, body, columns, rows, passed=True, failures=()):
+        self.header = header
+        self.body = body
+        self.columns = columns
+        self.rows = rows
+        self.passed = passed
+        self.failures = failures
 
 
 def _header(lt=None, r=None):
@@ -85,8 +73,8 @@ def _parse_lambda(text, rank):
 
 def _cmd_weights(args):
     lt = _parse_type(args)
-    pi_all = tensor_weights_Pi(lt, args.r)
-    pi_dom = tensor_dominant_pi(lt, args.r)
+    pi_all = weightsets.tensor_weights_Pi(lt, args.r)
+    pi_dom = weightsets.tensor_dominant_pi(lt, args.r)
     body = {"Pi": pi_all.to_json(), "pi": pi_dom.to_json()}
     rows = [["Pi", _weight_str(w)] for w in pi_all] + [["pi", _weight_str(w)] for w in pi_dom]
     return JobResult(_header(lt, args.r), body, ["set", "weight"], rows)
@@ -94,14 +82,14 @@ def _cmd_weights(args):
 
 def _cmd_pi0(args):
     lt = _parse_type(args)
-    ws = pi0_weyl_rules(lt, args.r)
+    ws = decomposition.pi0_weyl_rules(lt, args.r)
     body = {"pi0": ws.to_json()}
     return JobResult(_header(lt, args.r), body, ["weight"], [[_weight_str(w)] for w in ws])
 
 
 def _cmd_compare(args):
     lt = _parse_type(args)
-    res = compare_pi0_pi(lt, args.r)
+    res = decomposition.compare_pi0_pi(lt, args.r)
     body = res.to_json()
     rows = [
         [
@@ -119,7 +107,7 @@ def _cmd_compare(args):
 
 
 def _cmd_classify_b(args):
-    table = classify_type_B(args.n_max, args.r_max)
+    table = decomposition.classify_type_B(args.n_max, args.r_max)
     cols = ["family", "n", "r", "equal", "|pi|", "|pi0|", "dim_S_pi", "dim_Schur"]
     rows = [
         [t["family"], t["n"], t["r"], t["equal"], t["pi_size"], t["pi0_size"], t["dim_S_pi"], t["dim_Schur"]]
@@ -131,9 +119,9 @@ def _cmd_classify_b(args):
 
 def _cmd_idempotents(args):
     lt = _parse_type(args)
-    rep = tower_rep(lt, args.r, args.max_dim)
-    fam = build_idempotents(rep)
-    ladders = ladder_check(fam)
+    rep = replinalg.tower_rep(lt, args.r, args.max_dim)
+    fam = idempotents.build_idempotents(rep)
+    ladders = idempotents.ladder_check(fam)
     mult = {}
     for w in rep.weights:
         mult[w] = mult.get(w, 0) + 1
@@ -153,12 +141,12 @@ def _cmd_idempotents(args):
 
 def _cmd_verify(args):
     lt = _parse_type(args)
-    rep = tower_rep(lt, args.r, args.max_dim)
+    rep = replinalg.tower_rep(lt, args.r, args.max_dim)
     if args.presentation == "serre":
-        report = verify_serre_presentation(lt, args.r, rep)
+        report = presentation.verify_serre_presentation(lt, args.r, rep)
     else:
-        fam = build_idempotents(rep)
-        report = verify_idempotent_presentation(lt, args.r, rep, fam)
+        fam = idempotents.build_idempotents(rep)
+        report = presentation.verify_idempotent_presentation(lt, args.r, rep, fam)
     rows = [[c.label, "holds" if c.holds else "fails"] for c in report.relations]
     failures = [f"relation {label}" for label in report.failing_labels()]
     return JobResult(_header(lt, args.r), report.to_json(), ["label", "status"], rows, report.all_hold, failures)
@@ -167,7 +155,7 @@ def _cmd_verify(args):
 def _cmd_zero_locus(args):
     lt = _parse_type(args)
     include = not args.drop_p1hi
-    report = zero_locus_report(lt, args.r, include_p1hi=include)
+    report = presentation.zero_locus_report(lt, args.r, include_p1hi=include)
     body = report.to_json()
     rows = [[_weight_str(w), w in report.pi_all] for w in report.locus]
     passed = True
@@ -180,7 +168,7 @@ def _cmd_zero_locus(args):
 
 def _cmd_dims(args):
     lt = _parse_type(args)
-    res = compare_pi0_pi(lt, args.r)
+    res = decomposition.compare_pi0_pi(lt, args.r)
     dim_pi, dim_schur = res.squared_dimension_sums()
     per_weight = [{"weight": w.to_json(), "dim": res.dims[w], "in_pi0": w in res.pi0} for w in res.pi]
     body = {
@@ -196,7 +184,7 @@ def _cmd_dims(args):
 
 def _cmd_closure(args):
     lt = _parse_type(args)
-    report = quotient_witness(lt, args.r, args.max_dim)
+    report = presentation.quotient_witness(lt, args.r, args.max_dim)
     body = report.to_json()
     cols = ["carrier", "dimension", "expected", "matches"]
     rows = [
@@ -213,8 +201,8 @@ def _cmd_crystal(args):
     lam = _parse_lambda(args.lam, lt.rank)
     if not rs.is_dominant(lam):
         raise ValueError(f"--lambda {args.lam} is not dominant for {lt}")
-    crystal = generate_crystal(rs, lam)
-    dim = weyl_dimension(rs, lam)
+    crystal = pathmodel.generate_crystal(rs, lam)
+    dim = decomposition.weyl_dimension(rs, lam)
     body = crystal.to_json()
     body["weyl_dimension"] = dim
     body["size_matches_dimension"] = len(crystal) == dim
@@ -226,7 +214,7 @@ def _cmd_crystal(args):
 
 def _cmd_census(args):
     lt = _parse_type(args)
-    report = basis_census(lt, args.r)
+    report = pathmodel.basis_census(lt, args.r)
     body = report.to_json()
     cols = ["weight", "dim", "strings", "opposite_strings", "product", "expected", "ok"]
     rows = [

@@ -18,7 +18,6 @@ simple module, which the path model checks crystal endpoints against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rootdata import InvariantError, LieType, RootSystem, Weight, build_root_system
@@ -27,15 +26,14 @@ from .weightsets import WeightSet, _partitions, tensor_dominant_pi
 _char_cache = {}
 
 
-@dataclass(frozen=True)
 class FormalCharacter:
     """Finite weight-multiplicity map, Weyl-group invariant for modules."""
 
-    terms: tuple  # sorted ((weight, mult), ...) pairs
-    _lookup: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("terms", "_lookup")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", dict(self.terms))
+    def __init__(self, terms):
+        self.terms = terms  # sorted ((weight, mult), ...) pairs
+        self._lookup = dict(terms)
 
     def as_dict(self):
         return dict(self.terms)
@@ -167,23 +165,23 @@ def pi0_weyl_rules(lt: LieType, r: int) -> WeightSet:
     return WeightSet.make(out, f"pi0({lt},{r})")
 
 
-@dataclass
 class DecompositionResult:
     """Factor multiplicities of a tensor power next to its dominant weights."""
 
-    lie_type: LieType
-    r: int
-    pi: WeightSet
-    pi0: WeightSet
-    multiplicities: dict
-    equal: bool
-    dims: dict = field(default_factory=dict, repr=False)  # {lam: dim L(lam)} over pi and pi0, each computed once
+    __slots__ = ("lie_type", "r", "pi", "pi0", "multiplicities", "equal", "dims")
 
-    def __post_init__(self):
-        if not self.pi0.as_set() <= self.pi.as_set():
+    def __init__(self, lie_type, r, pi, pi0, multiplicities, equal, dims=None):
+        if not pi0.as_set() <= pi.as_set():
             raise InvariantError("decomposition consistency", "factor weights must be dominant tensor weights")
-        if set(self.multiplicities) != self.pi0.as_set():
+        if set(multiplicities) != pi0.as_set():
             raise InvariantError("decomposition consistency", "multiplicities must cover exactly the factor weights")
+        self.lie_type = lie_type
+        self.r = r
+        self.pi = pi
+        self.pi0 = pi0
+        self.multiplicities = multiplicities
+        self.equal = equal
+        self.dims = dims if dims is not None else {}  # {lam: dim L(lam)} over pi and pi0, each computed once
 
     def pi_minus_pi0(self):
         return tuple(w for w in self.pi if w not in self.pi0)

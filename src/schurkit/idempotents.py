@@ -12,6 +12,7 @@ are plain indicator diagonals, so the family is materialized that way
 after the polynomial formula has been re-verified on a sample of weights.
 The check stays in integers: the deleted-factor product N of the numerators
 must equal d * 1_lam, where d = prod_i P1^(lam_i)(lam_i) is the normaliser.
+With diagonal H_i the product of the factors is taken index by index.
 
 P1 and P2, whose roots are -r, -r+2, ..., r, are kept as integer root
 tuples and applied factor by factor with `product_of_shifts`; no
@@ -24,7 +25,6 @@ ladder relations R3-R6; the presentation report takes its groups from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .replinalg import ExactMatrix, Representation, product_of_shifts, right_products
 from .rootdata import Weight, build_root_system
@@ -51,30 +51,40 @@ def polynomial_idempotent(rep: Representation, lam: Weight):
 
     N = prod_i P1^(lam_i)(H_i) is an integer matrix and d = prod_i
     P1^(lam_i)(lam_i) its nonzero integer normaliser.  Never expands the
-    degree-2rn product symbolically: each factor (H_i - j) is applied as a
-    matrix product.
+    degree-2rn product symbolically: each P1^(lam_i)(H_i) is formed by
+    `product_of_shifts`, and the factors are multiplied together.  When
+    every factor is diagonal, as for Cartan operators on the tensor basis,
+    N's diagonal is the per-index product of theirs; otherwise the factors
+    are matrix products.
     """
     r = rep.r
     roots = p1(r)
-    acc = ExactMatrix.identity(rep.dim)
+    factors = []
     denom = 1
     for i, hi in enumerate(rep.h):
         k = lam.coords[i]
         if k not in roots:
             raise ValueError(f"eigenvalue {k} for H_{i+1} escapes the integer window [-{r}, {r}]")
         shifts = [j for j in roots if j != k]
-        acc = acc @ product_of_shifts(hi, shifts)
+        factors.append(product_of_shifts(hi, shifts))
         denom *= math.prod(k - j for j in shifts)
+    if all(m.is_diagonal() for m in factors):
+        return ExactMatrix.diag([math.prod(values) for values in zip(*(m.diagonal() for m in factors))]), denom
+    acc = ExactMatrix.identity(rep.dim)
+    for m in factors:
+        acc = acc @ m
     return acc, denom
 
 
-@dataclass(frozen=True)
 class IdempotentFamily:
     """The complete system of weight projectors on one carrier."""
 
-    rep: Representation
-    pi_all: WeightSet
-    table: dict
+    __slots__ = ("rep", "pi_all", "table")
+
+    def __init__(self, rep, pi_all, table):
+        self.rep = rep
+        self.pi_all = pi_all
+        self.table = table
 
     def weighted_sum(self, coeff) -> ExactMatrix:
         """Sum of coeff(lam) * 1_lam over the family."""
@@ -136,7 +146,7 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
         for idx in picks:
             lam = elements[idx]
             product, normaliser = polynomial_idempotent(rep, lam)
-            if product != normaliser * table[lam]:
+            if product != ExactMatrix.diag([normaliser * v for v in table[lam].diagonal()]):
                 raise ArithmeticError(f"polynomial and indicator projectors disagree at {lam!r}")
     return IdempotentFamily(rep=rep, pi_all=pi_all, table=table)
 
@@ -148,13 +158,15 @@ def reconstruct_H(fam: IdempotentFamily, i) -> ExactMatrix:
     return fam.weighted_sum(lambda lam: lam.coords[i - 1])
 
 
-@dataclass
 class LadderReport:
     """Nonzero residuals of the ladder families R3-R6, per label."""
 
-    residuals: dict  # label -> [(case, residual)], in case order
-    checked: int
-    skipped: int
+    __slots__ = ("residuals", "checked", "skipped")
+
+    def __init__(self, residuals, checked, skipped):
+        self.residuals = residuals  # label -> [(case, residual)], in case order
+        self.checked = checked
+        self.skipped = skipped
 
     @property
     def ok(self):

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 
@@ -47,12 +46,30 @@ from .weightsets import tensor_dominant_pi
 DEFAULT_CRYSTAL_CAP = 5000
 
 
-@dataclass(frozen=True)
 class Path:
-    """Canonical breakpoint polyline of a piecewise-linear path from 0: `num` over `den`."""
+    """Canonical breakpoint polyline of a piecewise-linear path from 0: `num` over `den`.
 
-    num: tuple  # int tuple per breakpoint; num[0] is the origin
-    den: int  # positive, and gcd(den, every coordinate) == 1
+    Equality and hashing are structural; the hash is computed once, since
+    paths key the crystal index and the string memo.
+    """
+
+    __slots__ = ("num", "den", "_hash")
+
+    def __init__(self, num, den):
+        self.num = num  # int tuple per breakpoint; num[0] is the origin
+        self.den = den  # positive, and gcd(den, every coordinate) == 1
+        self._hash = hash((num, den))
+
+    def __eq__(self, other):
+        if not isinstance(other, Path):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Path(num={self.num!r}, den={self.den!r})"
 
     @classmethod
     def from_points(cls, points):
@@ -239,14 +256,16 @@ def is_integral(rs: RootSystem, path: Path) -> bool:
     return all(_minima_integral(_heights(path, _int_root(rs, i)[1]), path.den) for i in range(1, rs.rank + 1))
 
 
-@dataclass(frozen=True)
 class Crystal:
     """Closure of a straight dominant path under the lowering operators."""
 
-    rs: RootSystem
-    highest: Weight
-    elements: tuple  # Paths in discovery order; elements[0] is the straight path
-    edges: tuple  # ((from_index, root_index, to_index), ...) for lowering steps
+    __slots__ = ("rs", "highest", "elements", "edges")
+
+    def __init__(self, rs, highest, elements, edges):
+        self.rs = rs
+        self.highest = highest
+        self.elements = elements  # Paths in discovery order; elements[0] is the straight path
+        self.edges = edges  # ((from_index, root_index, to_index), ...) for lowering steps
 
     def __len__(self):
         return len(self.elements)
@@ -347,18 +366,29 @@ def opposite_strings(tuples):
     return tuple(sorted((tuple(reversed(t)) for t in tuples), reverse=True))
 
 
-@dataclass
 class CensusReport:
     """Per-weight string counts against squared dimensions, with the total."""
 
-    lie_type: LieType
-    r: int
-    reduced_word: tuple
-    rows: list
-    total: int
-    expected_total: int
-    w0_is_minus_identity: bool
-    note: str
+    __slots__ = (
+        "lie_type",
+        "r",
+        "reduced_word",
+        "rows",
+        "total",
+        "expected_total",
+        "w0_is_minus_identity",
+        "note",
+    )
+
+    def __init__(self, lie_type, r, reduced_word, rows, total, expected_total, w0_is_minus_identity, note):
+        self.lie_type = lie_type
+        self.r = r
+        self.reduced_word = reduced_word
+        self.rows = rows
+        self.total = total
+        self.expected_total = expected_total
+        self.w0_is_minus_identity = w0_is_minus_identity
+        self.note = note
 
     @property
     def ok(self):

@@ -15,28 +15,36 @@ signed sums take one pass each of `replinalg`'s row kernel.  Groups the two
 presentations share are built by one helper each: the commutator [e_i, f_j]
 = delta_ij target(i) (X2, R2) and the Serre relations (X4/X5, R7/R8).  The
 ladder groups R3-R6 are computed by `idempotents.ladder_check`.  The
-zero-locus scan and the quotient comparison live here as well, since they
-decide which relation groups are redundant and when the single-power image
-is a proper quotient.
+zero-locus scan (over the L1 shells a zero can lie on) and the quotient
+comparison live here as well, since they decide which relation groups are
+redundant and when the single-power image is a proper quotient.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .decomposition import schur_dimensions
 from .idempotents import IdempotentFamily, annihilator_for_signed_sums, ladder_check, p1
 from .replinalg import ExactMatrix, Representation, _combine, algebra_closure, product_of_shifts, right_products
 from .rootdata import LieType, Weight, build_root_system
-from .weightsets import WeightSet, tensor_weights_Pi
+from .weightsets import WeightSet, compositions, tensor_weights_Pi
 
 
-@dataclass
 class RelationCheck:
-    label: str
-    holds: bool
-    witness: dict | None = None
+    """One relation group's outcome; equal by label, status and witness."""
+
+    __slots__ = ("label", "holds", "witness")
+
+    def __init__(self, label, holds, witness=None):
+        self.label = label
+        self.holds = holds
+        self.witness = witness
+
+    def __eq__(self, other):
+        if not isinstance(other, RelationCheck):
+            return NotImplemented
+        return (self.label, self.holds, self.witness) == (other.label, other.holds, other.witness)
 
     def to_json(self):
         doc = {"label": self.label, "status": "holds" if self.holds else "fails"}
@@ -45,16 +53,18 @@ class RelationCheck:
         return doc
 
 
-@dataclass
 class RelationReport:
-    presentation: str
-    family: str
-    rank: int
-    r: int
-    carrier: str
-    reduced_word: tuple
-    generator_convention: str
-    relations: list = field(default_factory=list)
+    __slots__ = ("presentation", "family", "rank", "r", "carrier", "reduced_word", "generator_convention", "relations")
+
+    def __init__(self, presentation, family, rank, r, carrier, reduced_word, generator_convention, relations=None):
+        self.presentation = presentation
+        self.family = family
+        self.rank = rank
+        self.r = r
+        self.carrier = carrier
+        self.reduced_word = reduced_word
+        self.generator_convention = generator_convention
+        self.relations = relations if relations is not None else []
 
     @property
     def all_hold(self):
@@ -255,45 +265,48 @@ def verify_idempotent_presentation(
 
 
 def zero_locus(lt: LieType, r: int, include_p1hi: bool = True) -> WeightSet:
-    """Common zeros of the signed-sum annihilator equations, by direct scan.
+    """Common zeros of the signed-sum annihilator equations, by a pruned scan.
 
-    Scans the half-integer box [-r, r]^n, doubled: each point is an integer
-    vector in [-2r, 2r]^n, tested against doubled root sets and kept as the
-    weight point/2.  A point vanishes under a factored annihilator
-    polynomial exactly when the signed sum hits one of its roots, so
-    membership is decided against the root sets.
+    Points are doubled: each candidate is an integer vector v, tested
+    against doubled root sets and kept as the weight v/2.  A point vanishes
+    under a factored annihilator polynomial exactly when the signed sum
+    hits one of its roots, so membership is decided against the root sets.
+
+    The signed sum with the signs of v itself is its L1 norm, so every zero
+    lies on a shell |v|_1 = c for a nonnegative doubled root c, and only
+    those shells are scanned.  Every root is at most r, so the shells lie
+    inside the box [-2r, 2r]^n of the half-integer window.  The P1(H_i)
+    equations make each coordinate a doubled P1 root, that is, even.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     n = lt.rank
     signed_roots = {2 * c for c in annihilator_for_signed_sums(lt.family, r)}
-    h_roots = {2 * c for c in p1(r)}
-    sign_vectors = list(itertools.product((1, -1), repeat=n))
+    step = 2 if include_p1hi else 1
     out = []
-    for point in itertools.product(range(-2 * r, 2 * r + 1), repeat=n):
-        if include_p1hi and not all(v in h_roots for v in point):
-            continue
-        ok = True
-        for signs in sign_vectors:
-            total = sum(s * v for s, v in zip(signs, point))
-            if total not in signed_roots:
-                ok = False
-                break
-        if ok:
-            out.append(Weight.from_numerators(point, 2))
+    for norm in sorted(c for c in signed_roots if c >= 0):
+        for comp in compositions(n, norm // step):
+            for point in itertools.product(*[(step * c, -step * c) if c else (0,) for c in comp]):
+                sums = {0}  # the signed sums of the coordinates so far, over all their sign vectors
+                for v in point:
+                    sums = {t + v for t in sums} | {t - v for t in sums}
+                if sums <= signed_roots:
+                    out.append(Weight.from_numerators(point, 2))
     flag = "all-equations" if include_p1hi else "signed-sums-only"
     return WeightSet.make(out, f"V({lt},{r},{flag})")
 
 
-@dataclass
 class ZeroLocusReport:
-    lie_type: LieType
-    r: int
-    include_p1hi: bool
-    locus: WeightSet
-    pi_all: WeightSet
-    equals_pi: bool
-    extra_points: tuple
+    __slots__ = ("lie_type", "r", "include_p1hi", "locus", "pi_all", "equals_pi", "extra_points")
+
+    def __init__(self, lie_type, r, include_p1hi, locus, pi_all, equals_pi, extra_points):
+        self.lie_type = lie_type
+        self.r = r
+        self.include_p1hi = include_p1hi
+        self.locus = locus
+        self.pi_all = pi_all
+        self.equals_pi = equals_pi
+        self.extra_points = extra_points
 
     def to_json(self):
         return {
@@ -330,15 +343,17 @@ def zero_locus_report(lt: LieType, r: int, include_p1hi: bool = True) -> ZeroLoc
 # Quotient comparison and cross-presentation closure
 
 
-@dataclass
 class QuotientReport:
-    lie_type: LieType
-    r: int
-    dim_single: int
-    dim_tower: int
-    expected_single: int
-    expected_tower: int
-    difference: int
+    __slots__ = ("lie_type", "r", "dim_single", "dim_tower", "expected_single", "expected_tower", "difference")
+
+    def __init__(self, lie_type, r, dim_single, dim_tower, expected_single, expected_tower, difference):
+        self.lie_type = lie_type
+        self.r = r
+        self.dim_single = dim_single
+        self.dim_tower = dim_tower
+        self.expected_single = expected_single
+        self.expected_tower = expected_tower
+        self.difference = difference
 
     @property
     def equal(self):

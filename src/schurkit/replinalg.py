@@ -43,7 +43,6 @@ from __future__ import annotations
 import bisect
 import math
 import os
-from dataclasses import dataclass, field
 
 from .rootdata import CapExceeded, LieType, Weight
 from .weightsets import tensor_degrees
@@ -323,15 +322,17 @@ def right_products(table):
 # Chevalley generators on the natural module
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """Raising, lowering, and Cartan generators acting on the natural module."""
 
-    lie_type: LieType
-    e: tuple
-    f: tuple
-    h: tuple
-    form: ExactMatrix
+    __slots__ = ("lie_type", "e", "f", "h", "form")
+
+    def __init__(self, lie_type, e, f, h, form):
+        self.lie_type = lie_type
+        self.e = e
+        self.f = f
+        self.h = h
+        self.form = form
 
 
 def form_matrix(lt: LieType) -> ExactMatrix:
@@ -418,7 +419,6 @@ def tensor_lift(X: ExactMatrix, r: int) -> ExactMatrix:
     return ExactMatrix.from_entries(m**r, m**r, _lift_entries(X, r, 0))
 
 
-@dataclass(frozen=True)
 class Representation:
     """Generators realized on a direct sum of tensor powers, with weights.
 
@@ -426,15 +426,18 @@ class Representation:
     is the simultaneous H-eigenvalue vector of basis vector b.
     """
 
-    lie_type: LieType
-    r: int
-    e: tuple
-    f: tuple
-    h: tuple
-    dim: int
-    weights: tuple
-    blocks: tuple
-    kind: str
+    __slots__ = ("lie_type", "r", "e", "f", "h", "dim", "weights", "blocks", "kind")
+
+    def __init__(self, lie_type, r, e, f, h, dim, weights, blocks, kind):
+        self.lie_type = lie_type
+        self.r = r
+        self.e = e
+        self.f = f
+        self.h = h
+        self.dim = dim
+        self.weights = weights
+        self.blocks = blocks
+        self.kind = kind
 
     @property
     def rank(self):
@@ -575,7 +578,6 @@ class _RowSpan:
         return tuple(tuple(sorted(reduced[p].items())) for p in self._pivots)
 
 
-@dataclass(frozen=True)
 class ClosureResult:
     """Dimension and canonical echelon basis of a generated matrix algebra.
 
@@ -584,9 +586,12 @@ class ClosureResult:
     global basis is assembled only when asked for.
     """
 
-    dimension: int
-    size: int
-    _pieces: tuple = field(repr=False)
+    __slots__ = ("dimension", "size", "_pieces")
+
+    def __init__(self, dimension, size, pieces):
+        self.dimension = dimension
+        self.size = size
+        self._pieces = pieces
 
     def canonical_rows(self):
         """Basis rows in pivot order, each the tuple of its nonzero (row-major index, value) pairs."""
@@ -698,5 +703,5 @@ def algebra_closure(mats) -> ClosureResult:
     return ClosureResult(
         dimension=sum(span.dimension for span in pieces.values()),
         size=size,
-        _pieces=tuple((tuple(classes[a]), tuple(classes[d]), span) for (a, d), span in pieces.items()),
+        pieces=tuple((tuple(classes[a]), tuple(classes[d]), span) for (a, d), span in pieces.items()),
     )

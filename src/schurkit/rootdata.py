@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 FAMILIES = ("B", "C", "D")
@@ -175,19 +174,30 @@ def _weight(num, den):
     return w
 
 
-@dataclass(frozen=True)
 class LieType:
-    """A classical family letter together with a rank."""
+    """A classical family letter together with a rank; equal and hashed by both."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        min_rank = 2 if self.family == "D" else 1
-        if not isinstance(self.rank, int) or self.rank < min_rank:
-            raise ValueError(f"rank {self.rank} out of range for family {self.family} (need >= {min_rank})")
+    def __init__(self, family, rank):
+        if family not in FAMILIES:
+            raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+        min_rank = 2 if family == "D" else 1
+        if not isinstance(rank, int) or rank < min_rank:
+            raise ValueError(f"rank {rank} out of range for family {family} (need >= {min_rank})")
+        self.family = family
+        self.rank = rank
+
+    def __eq__(self, other):
+        if not isinstance(other, LieType):
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
+
+    def __repr__(self):
+        return f"LieType(family={self.family!r}, rank={self.rank!r})"
 
     @property
     def natural_dim(self):
@@ -199,16 +209,18 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """Simple roots, Cartan matrix, positive roots, and rho for one type."""
 
-    lie_type: LieType
-    simple_roots: tuple
-    cartan: tuple
-    positive_roots: tuple
-    rho: Weight
-    coroots: tuple  # alpha_i^vee = 2 alpha_i / (alpha_i, alpha_i), computed once
+    __slots__ = ("lie_type", "simple_roots", "cartan", "positive_roots", "rho", "coroots")
+
+    def __init__(self, lie_type, simple_roots, cartan, positive_roots, rho, coroots):
+        self.lie_type = lie_type
+        self.simple_roots = simple_roots
+        self.cartan = cartan
+        self.positive_roots = positive_roots
+        self.rho = rho
+        self.coroots = coroots  # alpha_i^vee = 2 alpha_i / (alpha_i, alpha_i), computed once
 
     @property
     def rank(self):

@@ -8,8 +8,6 @@ lexicographic order so that dominance-maximal elements come first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .rootdata import LieType, RootSystem, Weight
 
 
@@ -18,16 +16,23 @@ def _canonical(elements):
     return tuple(uniq)
 
 
-@dataclass(frozen=True)
 class WeightSet:
-    """A finite, duplicate-free, canonically ordered set of weights."""
+    """A finite, duplicate-free, canonically ordered set of weights; equal by elements and label."""
 
-    elements: tuple
-    label: str
-    _members: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ("elements", "label", "_members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.elements))
+    def __init__(self, elements, label):
+        self.elements = elements
+        self.label = label
+        self._members = frozenset(elements)
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightSet):
+            return NotImplemented
+        return self.elements == other.elements and self.label == other.label
+
+    def __hash__(self):
+        return hash((self.elements, self.label))
 
     @classmethod
     def make(cls, elements, label):

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,19 @@ def fundamental_weights(rs):
 @pytest.fixture(scope="session")
 def root_systems():
     return {lt: build_root_system(lt) for lt in all_lie_types(4)}
+
+
+def rebuild(obj, **changes):
+    """A copy of obj made by its class's constructor, with the named arguments changed.
+
+    Every other constructor argument is read back from the attribute of the
+    same name, so the copy goes through the constructor's own checks.
+    """
+    params = inspect.signature(type(obj)).parameters
+    unknown = changes.keys() - params.keys()
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} takes no argument {sorted(unknown)}")
+    return type(obj)(**{name: changes[name] if name in changes else getattr(obj, name) for name in params})
 
 
 def naive_matmul(a, b):

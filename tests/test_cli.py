@@ -1,18 +1,38 @@
-import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 import schurkit
-from schurkit import cli, decomposition, pathmodel
+from schurkit import cli, decomposition, pathmodel, presentation, replinalg
 from schurkit.presentation import RelationCheck, RelationReport
 from schurkit.replinalg import ExactMatrix, tower_rep
 from schurkit.rootdata import Weight
+from conftest import rebuild
 
 SRC = os.path.dirname(os.path.dirname(schurkit.__file__))
+ROOT = Path(__file__).resolve().parents[1]
+
+# The names `schurkit` re-exported when it imported every layer eagerly.
+EXPORTS = [
+    "CapExceeded", "LieType", "RootSystem", "Weight", "build_root_system",
+    "WeightSet", "is_saturated", "lambda_minus", "lambda_plus", "lambda_pm", "signed_compositions",
+    "tensor_dominant_pi", "tensor_weights_Pi",
+    "ExactMatrix", "GeneratorSet", "Representation", "algebra_closure", "natural_rep", "single_power_rep",
+    "tensor_lift", "tower_rep",
+    "IdempotentFamily", "build_idempotents", "ladder_check", "p1", "p2", "polynomial_idempotent", "reconstruct_H",
+    "RelationReport", "quotient_witness", "verify_idempotent_presentation", "verify_serre_presentation",
+    "zero_locus", "zero_locus_report",
+    "DecompositionResult", "FormalCharacter", "classify_type_B", "compare_pi0_pi", "decompose_tensor_character",
+    "freudenthal_multiplicities", "pi0_weyl_rules", "schur_dimensions", "weyl_dimension",
+    "Crystal", "Path", "basis_census", "e_op", "f_op", "generate_crystal", "opposite_strings", "straight_path",
+    "string_tuples",
+]
 
 
 def run_cli(argv):
@@ -155,9 +175,9 @@ def test_idempotents_ladder_failure_exits_one(monkeypatch):
         rep = tower_rep(lt, r, max_dim)
         # e_1 acting on basis vector 0 without shifting its weight
         e1 = rep.e[0] + ExactMatrix.unit(rep.dim, 0, 0)
-        return dataclasses.replace(rep, e=(e1,) + rep.e[1:])
+        return rebuild(rep, e=(e1,) + rep.e[1:])
 
-    monkeypatch.setattr(cli, "tower_rep", perturbed_tower)
+    monkeypatch.setattr(replinalg, "tower_rep", perturbed_tower)
     code, doc, err = run_json(["idempotents", "C", "2", "2"])
     assert code == 1
     assert doc["ladders_ok"] is False and doc["ranks_match_multiplicities"] is True
@@ -188,7 +208,7 @@ def test_failing_verification_exits_one_and_names_label(monkeypatch):
             relations=[RelationCheck(label="C2", holds=False, witness={"case": "i=2,j=2"})],
         )
 
-    monkeypatch.setattr(cli, "verify_serre_presentation", fake_verify)
+    monkeypatch.setattr(presentation, "verify_serre_presentation", fake_verify)
     code, out, err = run_cli(["verify", "C", "2", "2", "--presentation", "serre"])
     assert code == 1
     assert "C2" in err
@@ -211,9 +231,9 @@ def test_invariant_error_exits_one_and_names_label(monkeypatch):
 
 def test_carrier_weight_outside_window_exits_one(monkeypatch):
     def mislabeled_tower(lt, r, max_dim=None):
-        return dataclasses.replace(tower_rep(lt, r, max_dim), r=r - 1)
+        return rebuild(tower_rep(lt, r, max_dim), r=r - 1)
 
-    monkeypatch.setattr(cli, "tower_rep", mislabeled_tower)
+    monkeypatch.setattr(replinalg, "tower_rep", mislabeled_tower)
     code, out, err = run_cli(["idempotents", "C", "2", "2"])
     assert code == 1 and out == ""
     assert "check failed: carrier weight" in err
@@ -233,7 +253,7 @@ def census_with_altered_crystals(monkeypatch, alter):
 def test_wrong_dominant_path_fails_string_extraction(monkeypatch):
     def swap_first_two(crystal):
         first, second, *rest = crystal.elements
-        return dataclasses.replace(crystal, elements=(second, first, *rest))
+        return rebuild(crystal, elements=(second, first, *rest))
 
     code, out, err = census_with_altered_crystals(monkeypatch, swap_first_two)
     assert code == 1 and out == ""
@@ -242,7 +262,7 @@ def test_wrong_dominant_path_fails_string_extraction(monkeypatch):
 
 def test_repeated_crystal_element_fails_string_injectivity(monkeypatch):
     def repeat_last(crystal):
-        return dataclasses.replace(crystal, elements=crystal.elements + crystal.elements[-1:])
+        return rebuild(crystal, elements=crystal.elements + crystal.elements[-1:])
 
     code, out, err = census_with_altered_crystals(monkeypatch, repeat_last)
     assert code == 1 and out == ""
@@ -293,3 +313,25 @@ def test_text_format_has_header_and_table():
     assert lines[0].startswith("# {")
     assert lines[1].split() == ["set", "weight"]
     assert lines[-1] == "passed: True"
+
+
+def test_package_exports_resolve_through_their_layers():
+    assert schurkit.__all__ == EXPORTS
+    for name in EXPORTS:
+        value = getattr(schurkit, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        schurkit.no_such_name
+
+
+def test_traced_job_prints_the_plain_document():
+    argv = ["-m", "schurkit.cli", "verify", "C", "2", "2", "--presentation", "serre"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    plain = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=ROOT)
+    traced = subprocess.run(
+        [sys.executable, "bench/trace_child.py", *argv], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    assert plain.returncode == traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    spans = json.loads(traced.stderr.splitlines()[-1].removeprefix("SPANS "))
+    assert {"replinalg.tower_rep", "presentation.verify_serre_presentation"} <= {span[0] for span in spans}

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 from collections import Counter
@@ -17,6 +16,7 @@ from schurkit.idempotents import (
 )
 from schurkit.replinalg import ExactMatrix, Representation, product_of_shifts, single_power_rep, tower_rep
 from schurkit.rootdata import LieType, Weight, build_root_system
+from conftest import rebuild
 
 
 def trivial_rep(lt, r):
@@ -162,7 +162,7 @@ def test_polynomial_indicator_disagreement_is_a_failed_check(monkeypatch):
 
 def test_carrier_weight_outside_tensor_weights_is_a_failed_check():
     # (1,) lies in the window [-2, 2] but is not a weight of the C1 tower at r=2
-    rep = dataclasses.replace(trivial_rep(LieType("C", 1), 2), weights=(Weight((1,)),))
+    rep = rebuild(trivial_rep(LieType("C", 1), 2), weights=(Weight((1,)),))
     with pytest.raises(ArithmeticError, match="not contained"):
         build_idempotents(rep)
 

@@ -10,7 +10,6 @@ idempotent reports (their witnesses included) must equal the reports built
 with every product, sum and bracket formed unfused by a dense oracle.
 """
 
-import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -22,7 +21,7 @@ from schurkit.idempotents import build_idempotents, ladder_check
 from schurkit.presentation import _check_many, verify_idempotent_presentation, verify_serre_presentation
 from schurkit.replinalg import ExactMatrix, right_products, tower_rep
 from schurkit.rootdata import LieType, build_root_system
-from conftest import unfused_combine
+from conftest import rebuild, unfused_combine
 
 LADDER_LABELS = ("R3", "R4", "R5", "R6")
 CARRIERS = (("B", 1), ("B", 2), ("C", 1), ("C", 2), ("D", 2))
@@ -47,7 +46,7 @@ def perturbed_towers(draw):
     value = draw(st.sampled_from((-2, -1, 1, 2)))
     gens = list(getattr(rep, side))
     gens[i] = gens[i] + ExactMatrix.unit(rep.dim, row, col, value)
-    return lt, r, fam, dataclasses.replace(rep, **{side: tuple(gens)})
+    return lt, r, fam, rebuild(rep, **{side: tuple(gens)})
 
 
 def direct_ladder_residuals(fam, rep):
@@ -105,7 +104,7 @@ def _faulty_family(fam, kind):
         table[lams[2]] = 2 * table[lams[2]]
     elif kind == "overlapping":
         table[lams[0]] = table[lams[0]] + table[lams[-1]] + ExactMatrix.unit(dim, 3, 3, -3)
-    return dataclasses.replace(fam, table=table)
+    return rebuild(fam, table=table)
 
 
 def _per_pair_r1(fam):
@@ -155,8 +154,8 @@ def _seeded_faults(rep, fam):
     e[0] = e[0] + ExactMatrix.unit(dim, 1, dim - 2, 3)
     f = list(rep.f)
     f[n - 1] = 2 * f[n - 1]
-    yield "off-diagonal e_1 entry", dataclasses.replace(rep, e=tuple(e)), fam
-    yield "2 f_n", dataclasses.replace(rep, f=tuple(f)), fam
+    yield "off-diagonal e_1 entry", rebuild(rep, e=tuple(e)), fam
+    yield "2 f_n", rebuild(rep, f=tuple(f)), fam
     for kind in ("dropped", "scaled", "overlapping"):
         yield f"{kind} projector", rep, _faulty_family(fam, kind)
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -553,24 +554,58 @@ def test_algebra_closure_tower_dimension_matches_dimension_sums(family, rank, r)
 
 
 IMPORT_HYGIENE = """
-import sys
-import schurkit
+import io, json, sys, types
 import schurkit.cli
+
+LAYERS = ("rootdata", "weightsets", "replinalg", "idempotents", "presentation", "decomposition", "pathmodel")
+
+
+def executed():
+    # a lazily registered module becomes a plain module when it executes
+    return [name for name in LAYERS if type(sys.modules["schurkit." + name]) is types.ModuleType]
+
+
+doc = {
+    "machinery": [name for name in ("dataclasses", "inspect") if name in sys.modules],
+    "registered": [name for name in LAYERS if "schurkit." + name in sys.modules],
+    "after_import": executed(),
+}
+schurkit.cli.run(["compare", "C", "2", "2"], stdout=io.StringIO())
+doc["after_compare"] = executed()
 from schurkit.replinalg import algebra_closure, tower_rep
 from schurkit.rootdata import LieType
-print(algebra_closure(tower_rep(LieType("C", 2), 2).generator_lists()).dimension, "numpy" in sys.modules)
+doc["closure_dim"] = algebra_closure(tower_rep(LieType("C", 2), 2).generator_lists()).dimension
+for name in schurkit.__all__:
+    getattr(schurkit, name)
+doc["after_all"] = executed()
+doc["late"] = [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+print(json.dumps(doc))
 """
 
 
 def test_no_module_loads_numpy():
+    """A fresh interpreter: the import contract of `schurkit.cli`, then no numpy once every layer has run.
+
+    `import schurkit.cli` registers the seven layers and executes only
+    `rootdata`, without `dataclasses` or `inspect`; `compare C 2 2` adds
+    only the layers it calls into.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    layers = ["rootdata", "weightsets", "replinalg", "idempotents", "presentation", "decomposition", "pathmodel"]
+    assert doc["machinery"] == []
+    assert doc["registered"] == layers
+    assert doc["after_import"] == ["rootdata"]
+    assert doc["after_compare"] == ["rootdata", "weightsets", "decomposition"]
+    assert doc["after_all"] == layers
     lt = LieType("C", 2)
     rs = build_root_system(lt)
     expected = sum(weyl_dimension(rs, lam) ** 2 for lam in tensor_dominant_pi(lt, 2))
-    assert done.stdout.split() == [str(expected), "False"]
+    assert doc["closure_dim"] == expected
+    assert doc["late"] == []
 
 
 def test_algebra_closure_generator_order_invariance():
