@@ -109,7 +109,3 @@ def __getattr__(name):
     if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(globals()[layer], name)
-
-
-def __dir__():
-    return sorted([*globals(), *__all__])

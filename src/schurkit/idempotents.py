@@ -12,7 +12,8 @@ are plain indicator diagonals, so the family is materialized that way
 after the polynomial formula has been re-verified on a sample of weights.
 The check stays in integers: the deleted-factor product N of the numerators
 must equal d * 1_lam, where d = prod_i P1^(lam_i)(lam_i) is the normaliser.
-With diagonal H_i the product of the factors is taken index by index.
+The H_i are diagonal, so the product of the factors is taken index by index;
+an H_i that is not diagonal on the weight basis is a failed check.
 
 P1 and P2, whose roots are -r, -r+2, ..., r, are kept as integer root
 tuples and applied factor by factor with `product_of_shifts`; no
@@ -52,28 +53,25 @@ def polynomial_idempotent(rep: Representation, lam: Weight):
     N = prod_i P1^(lam_i)(H_i) is an integer matrix and d = prod_i
     P1^(lam_i)(lam_i) its nonzero integer normaliser.  Never expands the
     degree-2rn product symbolically: each P1^(lam_i)(H_i) is formed by
-    `product_of_shifts`, and the factors are multiplied together.  When
-    every factor is diagonal, as for Cartan operators on the tensor basis,
-    N's diagonal is the per-index product of theirs; otherwise the factors
-    are matrix products.
+    `product_of_shifts`, and N's diagonal is the per-index product of the
+    factors' diagonals.  A carrier's H_i are diagonal on its weight basis
+    (`weights[b]` is basis vector b's eigenvalue vector); an H_i that is
+    not raises ArithmeticError.
     """
     r = rep.r
     roots = p1(r)
-    factors = []
+    diagonals = []
     denom = 1
     for i, hi in enumerate(rep.h):
         k = lam.coords[i]
         if k not in roots:
             raise ValueError(f"eigenvalue {k} for H_{i+1} escapes the integer window [-{r}, {r}]")
+        if not hi.is_diagonal():
+            raise ArithmeticError(f"H_{i+1} not diagonal on the weight basis")
         shifts = [j for j in roots if j != k]
-        factors.append(product_of_shifts(hi, shifts))
+        diagonals.append(product_of_shifts(hi, shifts).diagonal())
         denom *= math.prod(k - j for j in shifts)
-    if all(m.is_diagonal() for m in factors):
-        return ExactMatrix.diag([math.prod(values) for values in zip(*(m.diagonal() for m in factors))]), denom
-    acc = ExactMatrix.identity(rep.dim)
-    for m in factors:
-        acc = acc @ m
-    return acc, denom
+    return ExactMatrix.diag([math.prod(values) for values in zip(*diagonals)]), denom
 
 
 class IdempotentFamily:

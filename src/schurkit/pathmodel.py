@@ -50,7 +50,9 @@ class Path:
     """Canonical breakpoint polyline of a piecewise-linear path from 0: `num` over `den`.
 
     Equality and hashing are structural; the hash is computed once, since
-    paths key the crystal index and the string memo.
+    paths key the crystal index and the string memo.  Paths are values:
+    their fields must not be reassigned after construction, or the stored
+    hash goes stale while `==` reads the new fields.
     """
 
     __slots__ = ("num", "den", "_hash")

@@ -175,7 +175,10 @@ def _weight(num, den):
 
 
 class LieType:
-    """A classical family letter together with a rank; equal and hashed by both."""
+    """A classical family letter together with a rank; equal and hashed by both.
+
+    A value: the fields must not be reassigned after construction.
+    """
 
     __slots__ = ("family", "rank")
 

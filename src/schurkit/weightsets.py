@@ -17,7 +17,11 @@ def _canonical(elements):
 
 
 class WeightSet:
-    """A finite, duplicate-free, canonically ordered set of weights; equal by elements and label."""
+    """A finite, duplicate-free, canonically ordered set of weights; equal by elements and label.
+
+    A value: the fields must not be reassigned after construction, since
+    the member set is derived from `elements` once, in the constructor.
+    """
 
     __slots__ = ("elements", "label", "_members")
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from schurkit import cli, idempotents
+from schurkit import cli, idempotents, replinalg
 from schurkit.idempotents import (
     annihilator_for_signed_sums,
     build_idempotents,
@@ -155,6 +155,20 @@ def test_polynomial_indicator_disagreement_is_a_failed_check(monkeypatch):
     monkeypatch.setattr(idempotents, "polynomial_idempotent", lambda rep, lam: (2 * ExactMatrix.identity(rep.dim), 1))
     with pytest.raises(ArithmeticError, match="disagree"):
         build_idempotents(tower_rep(LieType("C", 2), 2))
+    err = io.StringIO()
+    assert cli.run(["idempotents", "C", "2", "2"], stdout=io.StringIO(), stderr=err) == 1
+    assert "check failed" in err.getvalue()
+
+
+def test_non_diagonal_cartan_operator_is_a_failed_check(monkeypatch):
+    def skewed_tower(lt, r, max_dim=None):
+        rep = tower_rep(lt, r, max_dim)
+        # an off-diagonal H_1 entry: the weight basis is no longer an eigenbasis
+        return rebuild(rep, h=(rep.h[0] + ExactMatrix.unit(rep.dim, 0, 1),) + rep.h[1:])
+
+    with pytest.raises(ArithmeticError, match="H_1 not diagonal"):
+        build_idempotents(skewed_tower(LieType("C", 2), 2))
+    monkeypatch.setattr(replinalg, "tower_rep", skewed_tower)
     err = io.StringIO()
     assert cli.run(["idempotents", "C", "2", "2"], stdout=io.StringIO(), stderr=err) == 1
     assert "check failed" in err.getvalue()

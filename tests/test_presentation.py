@@ -225,33 +225,10 @@ def fraction_zero_locus(lt, r, include_p1hi):
 @pytest.mark.parametrize("include_p1hi", [True, False])
 @pytest.mark.parametrize("lt", all_lie_types(3), ids=str)
 def test_zero_locus_matches_fraction_scan(lt, include_p1hi):
-    for r in (1, 2):
+    for r in range(1, 5):
         assert zero_locus(lt, r, include_p1hi) == fraction_zero_locus(lt, r, include_p1hi)
 
 
-def box_zero_locus(lt, r, include_p1hi):
-    """The unpruned scan: every doubled point of the box [-2r, 2r]^n, tested against all sign vectors."""
-    n = lt.rank
-    signed_roots = {2 * c for c in annihilator_for_signed_sums(lt.family, r)}
-    h_roots = {2 * c for c in p1(r)}
-    sign_vectors = list(itertools.product((1, -1), repeat=n))
-    out = []
-    for point in itertools.product(range(-2 * r, 2 * r + 1), repeat=n):
-        if include_p1hi and not all(v in h_roots for v in point):
-            continue
-        if all(sum(s * v for s, v in zip(signs, point)) in signed_roots for signs in sign_vectors):
-            out.append(Weight.from_numerators(point, 2))
-    flag = "all-equations" if include_p1hi else "signed-sums-only"
-    return WeightSet.make(out, f"V({lt},{r},{flag})")
-
-
-@pytest.mark.parametrize("include_p1hi", [True, False])
-@pytest.mark.parametrize("lt", all_lie_types(3), ids=str)
-def test_shell_scan_matches_the_box_scan(lt, include_p1hi):
-    for r in range(1, 5):
-        assert zero_locus(lt, r, include_p1hi) == box_zero_locus(lt, r, include_p1hi)
-
-
-def test_shell_scan_matches_the_box_scan_on_c4_without_h_equations():
+def test_zero_locus_matches_fraction_scan_on_c4_without_h_equations():
     lt = LieType("C", 4)
-    assert zero_locus(lt, 4, include_p1hi=False) == box_zero_locus(lt, 4, include_p1hi=False)
+    assert zero_locus(lt, 4, include_p1hi=False) == fraction_zero_locus(lt, 4, include_p1hi=False)
