@@ -35,7 +35,6 @@ _EXPORTS = {
     ),
     "replinalg": (
         "ExactMatrix",
-        "GeneratorSet",
         "Representation",
         "algebra_closure",
         "natural_rep",

@@ -18,6 +18,7 @@ others lazily) and each job executes only the layers its command uses.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as csv_module
 import io
 import json
@@ -311,7 +312,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes usage, its errors and --help to sys.stdout and sys.stderr
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -12,7 +12,8 @@ Two routes to the same answer are kept deliberately separate:
 The factor rules state the exponent conditions against the tensor degree
 r.  Factor multiplicities come only from the walk; the rules decide
 membership only.  Freudenthal's recursion gives the full character of a
-simple module, which the path model checks crystal endpoints against.
+simple module; the path model does not call it, and the acceptance suite
+(criterion 7) compares each crystal's endpoint multiset with it.
 """
 
 from __future__ import annotations

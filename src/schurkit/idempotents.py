@@ -91,7 +91,7 @@ class IdempotentFamily:
             c = coeff(lam)
             if c != 0:
                 items.extend((i, j, c * v) for i, j, v in proj.iter_entries())
-        return ExactMatrix.from_entries(self.rep.dim, self.rep.dim, items)
+        return ExactMatrix.from_entries(self.rep.dim, items)
 
     def rank_table(self):
         """Projector ranks per weight; for indicator diagonals this is the trace."""
@@ -134,7 +134,7 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
         raise ArithmeticError("carrier weights are not contained in the expected weight set")
 
     table = {
-        lam: ExactMatrix.from_entries(rep.dim, rep.dim, [(b, b, 1) for b in support.get(lam, ())]) for lam in pi_all
+        lam: ExactMatrix.from_entries(rep.dim, [(b, b, 1) for b in support.get(lam, ())]) for lam in pi_all
     }
 
     elements = list(pi_all)

@@ -26,7 +26,16 @@ import itertools
 
 from .decomposition import schur_dimensions
 from .idempotents import IdempotentFamily, annihilator_for_signed_sums, ladder_check, p1
-from .replinalg import ExactMatrix, Representation, _combine, algebra_closure, product_of_shifts, right_products
+from .replinalg import (
+    ExactMatrix,
+    Representation,
+    _combine,
+    algebra_closure,
+    product_of_shifts,
+    right_products,
+    single_power_rep,
+    tower_rep,
+)
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import WeightSet, compositions, tensor_weights_Pi
 
@@ -194,7 +203,7 @@ def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> Relat
             for j in range(n):
                 c = eps_i.dot(rs.simple_root(j + 1))
                 for name, x, d in ("e", e[j], -c), ("f", f[j], c):
-                    res = _combine(rep.dim, rep.dim, ((1, h[i], x), (-1, x, h[i])), ((d, x),))
+                    res = _combine(rep.dim, ((1, h[i], x), (-1, x, h[i])), ((d, x),))
                     yield (f"[H_{i+1},{name}_{j+1}]", res)
 
     report.relations.append(_check_many(f"{fam}3", x3_cases()))
@@ -212,7 +221,7 @@ def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> Relat
 
     def x7_cases():
         for signs in itertools.product((1, -1), repeat=n):
-            j_op = _combine(rep.dim, rep.dim, (), tuple(zip(signs, h)))
+            j_op = _combine(rep.dim, (), tuple(zip(signs, h)))
             label = "J=" + "".join("+" if s == 1 else "-" for s in signs)
             yield (label, product_of_shifts(j_op, signed))
 
@@ -244,7 +253,7 @@ def verify_idempotent_presentation(
         # sum of the projectors minus the identity in one pass; repeated + would copy the total each time
         minus_identity = ((b, b, -1) for b in range(rep.dim))
         terms = (entry for lam in lams for entry in table[lam].iter_entries())
-        yield ("completeness", ExactMatrix.from_entries(rep.dim, rep.dim, itertools.chain(minus_identity, terms)))
+        yield ("completeness", ExactMatrix.from_entries(rep.dim, itertools.chain(minus_identity, terms)))
 
     report.relations.append(_check_many("R1", r1_cases()))
 
@@ -386,8 +395,6 @@ def quotient_witness(lt: LieType, r: int, max_dim=None) -> QuotientReport:
     power as a proper quotient and equals the squared-dimension total of
     the missing factors.
     """
-    from .replinalg import single_power_rep, tower_rep
-
     single = single_power_rep(lt, r, max_dim)
     tower = tower_rep(lt, r, max_dim)
     dim_single = algebra_closure(single.generator_lists()).dimension

@@ -1,27 +1,30 @@
 """Exact integer matrices and concrete realizations on tensor powers.
 
-Matrices keep dense semantics (fixed shape, entrywise exact equality) over
-a sparse dict-of-rows store, since the operators handled here - Chevalley
-generators lifted to tensor powers, weight projectors, their products -
-are overwhelmingly sparse.  Every operator identity checked here has
-integer coefficients, so entries and scalars are Python ints (unbounded,
-never floats, bools or Fractions); any other entry or scalar raises
-TypeError.
+Every matrix is a square operator on one carrier, the natural module or a
+tower of its tensor powers, with dense semantics (one fixed size,
+entrywise exact equality) over a sparse dict-of-rows store, since the
+operators handled here - Chevalley generators lifted to tensor powers,
+weight projectors, their products - are overwhelmingly sparse.  Every
+operator identity checked here has integer coefficients, so entries and
+scalars are Python ints (unbounded, never floats, bools or Fractions); any
+other entry or scalar raises TypeError.
 
 Products, sums, scalar multiples and brackets run one row-wise kernel
 that adds up sum c*(x @ y) + sum c*x one output row at a time, so a
 residual x@y - y@x - t takes one pass and no intermediate matrix.
 
-Cartan operators and weight projectors are diagonal on the tensor basis.
-Three places use that, and each gives exactly what the general code would:
-`product_of_shifts` multiplies out each diagonal value once,
-`right_products` forms op @ P, and on request P @ op, for a whole table of
-diagonal P in one pass over op's rows, and the algebra closure grades by
-the diagonal generators.
+Cartan operators and weight projectors are diagonal on the weight basis
+of every carrier.  Three places use that.  `product_of_shifts` takes
+diagonal operators only and multiplies out each diagonal value once; a
+non-diagonal one is a failed check (ArithmeticError).  `right_products`
+forms op @ P, and on request P @ op, for a whole table of diagonal P in
+one pass over op's rows, exactly as @ would.  The algebra closure grades
+by the diagonal generators.
 
-The module also provides the tower carrier (a direct sum of tensor powers
-of the natural module on which the whole family of simple modules with
-dominant weights in pi is realized) and the span-closure computation that
+The module also provides the carriers - the natural module as the
+degree-1 carrier, and the tower (a direct sum of tensor powers of the
+natural module on which the whole family of simple modules with dominant
+weights in pi is realized) - and the span-closure computation that
 measures the dimension of a generated operator algebra.
 
 The closure is graded.  The diagonal generators (Cartan elements or weight
@@ -70,25 +73,25 @@ def _int_entry(v):
 
 
 class ExactMatrix:
-    """Immutable sparse integer matrix; equality is entrywise and exact.
+    """Immutable sparse square integer matrix; equality is entrywise and exact.
 
-    Entries are ints only: `from_entries`, `diag` and `unit` raise TypeError
-    on any other value, and `*` takes only int scalars.
+    Every operator here acts on one carrier, so a matrix has a single
+    `size`.  Entries are ints only: `from_entries`, `diag` and `unit` raise
+    TypeError on any other value, and `*` takes only int scalars.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("size", "_data")
 
-    def __init__(self, rows, cols, data=None):
-        self.rows = rows
-        self.cols = cols
-        self._data = data if data is not None else {}
+    def __init__(self, size, data):
+        self.size = size
+        self._data = data
 
     @classmethod
-    def from_entries(cls, rows, cols, items):
+    def from_entries(cls, size, items):
         data = {}
         for i, j, v in items:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
+            if not (0 <= i < size and 0 <= j < size):
+                raise IndexError(f"entry ({i},{j}) outside {size}x{size}")
             _int_entry(v)
             if v == 0:
                 continue
@@ -98,32 +101,32 @@ class ExactMatrix:
                 del row[j]
                 if not row:
                     del data[i]
-        return cls(rows, cols, data)
+        return cls(size, data)
 
     @classmethod
     def from_dense(cls, dense):
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        return cls.from_entries(rows, cols, ((i, j, v) for i, r in enumerate(dense) for j, v in enumerate(r)))
+        size = len(dense)
+        if any(len(r) != size for r in dense):
+            raise ValueError(f"from_dense needs a square list of rows, got row lengths {[len(r) for r in dense]}")
+        return cls.from_entries(size, ((i, j, v) for i, r in enumerate(dense) for j, v in enumerate(r)))
 
     @classmethod
-    def zeros(cls, rows, cols=None):
-        return cls(rows, cols if cols is not None else rows, {})
+    def zeros(cls, size):
+        return cls(size, {})
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {i: {i: 1} for i in range(n)})
+        return cls(n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def diag(cls, values):
         values = [_int_entry(v) for v in values]
-        n = len(values)
-        return cls(n, n, {i: {i: v} for i, v in enumerate(values) if v != 0})
+        return cls(len(values), {i: {i: v} for i, v in enumerate(values) if v != 0})
 
     @classmethod
     def unit(cls, m, i, j, value=1):
         """The elementary matrix with a single entry at (i, j), 0-based."""
-        return cls.from_entries(m, m, [(i, j, value)])
+        return cls.from_entries(m, [(i, j, value)])
 
     def entry(self, i, j):
         return self._data.get(i, {}).get(j, 0)
@@ -141,57 +144,49 @@ class ExactMatrix:
     def is_zero(self):
         return not self._data
 
-    def is_square(self):
-        return self.rows == self.cols
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._data == other._data
+        return self.size == other.size and self._data == other._data
 
     __hash__ = None
 
     def __add__(self, other):
-        self._check_shape(other)
-        return _combine(self.rows, self.cols, (), ((1, self), (1, other)))
+        self._check_size(other)
+        return _combine(self.size, (), ((1, self), (1, other)))
 
     def __neg__(self):
         return -1 * self
 
     def __sub__(self, other):
-        self._check_shape(other)
-        return _combine(self.rows, self.cols, (), ((1, self), (-1, other)))
+        self._check_size(other)
+        return _combine(self.size, (), ((1, self), (-1, other)))
 
     def __mul__(self, scalar):
         if type(scalar) is not int:
             return NotImplemented
-        return _combine(self.rows, self.cols, (), ((scalar, self),))
+        return _combine(self.size, (), ((scalar, self),))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return _combine(self.rows, other.cols, ((1, self, other),))
+        self._check_size(other)
+        return _combine(self.size, ((1, self, other),))
 
     def bracket(self, other, minus=None):
         """self @ other - other @ self - minus (minus defaults to zero), in one pass."""
-        if not self.is_square():
-            raise ValueError(f"bracket of a non-square {self.rows}x{self.cols} matrix")
         terms = () if minus is None else ((-1, minus),)
         for _, m in ((1, other),) + terms:
-            self._check_shape(m)
-        return _combine(self.rows, self.cols, ((1, self, other), (-1, other, self)), terms)
+            self._check_size(m)
+        return _combine(self.size, ((1, self, other), (-1, other, self)), terms)
 
     def trace(self):
-        if not self.is_square():
-            raise ValueError("trace of a non-square matrix")
         return sum(r.get(i, 0) for i, r in self._data.items())
 
     def diagonal(self):
-        out = [0] * min(self.rows, self.cols)
+        out = [0] * self.size
         for i, row in self._data.items():
-            if i in row:  # a row i past the last column holds no key i
+            if i in row:
                 out[i] = row[i]
         return out
 
@@ -206,25 +201,18 @@ class ExactMatrix:
                 best = (abs(v), i, j, v)
         return best
 
-    def to_json(self):
-        entries = []
-        for i in range(self.rows):
-            row = self._data.get(i, {})
-            entries.extend(f"{row.get(j, 0)}/1" for j in range(self.cols))
-        return {"rows": self.rows, "cols": self.cols, "entries": entries}
-
-    def _check_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+    def _check_size(self, other):
+        if self.size != other.size:
+            raise ValueError(f"size mismatch: {self.size} vs {other.size}")
 
     def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+        return f"ExactMatrix({self.size}x{self.size}, nnz={self.nnz})"
 
 
-def _combine(rows, cols, products, terms=()):
+def _combine(size, products, terms=()):
     """sum c * (x @ y) over products (c, x, y) plus sum c * x over terms (c, x).
 
-    Shapes are the caller's to check.  Row i draws only on the rows i of the
+    Sizes are the caller's to check.  Row i draws only on the rows i of the
     left factors x; each of their row keys is visited once.  One dict,
     cleared after each row, accumulates it and is copied out without zeros,
     if nonzero: no stored zero and no empty row, as `==` and `is_zero` need.
@@ -258,26 +246,23 @@ def _combine(rows, cols, products, terms=()):
                 if any(acc.values()):
                     out[i] = acc.copy() if 0 not in acc.values() else {j: v for j, v in acc.items() if v}
                 acc.clear()
-    return ExactMatrix(rows, cols, out)
+    return ExactMatrix(size, out)
 
 
 def product_of_shifts(M, shifts):
-    """Product over s in shifts of (M - s*I), cut short once exactly zero.
+    """Product over s in shifts of (M - s*I) for a diagonal M.
 
-    A diagonal M gives the diagonal of the products prod_s (m_ii - s), one
-    per distinct diagonal value; zero products are not stored, as in the
-    general loop.
+    The result is the diagonal of the products prod_s (m_ii - s), formed
+    once per distinct diagonal value; zero products are not stored.  A
+    carrier's Cartan operators, and every combination of them, are diagonal
+    on its weight basis, so a non-diagonal M is a failed check and raises
+    ArithmeticError.
     """
-    if M.is_square() and M.is_diagonal():
-        diagonal = M.diagonal()
-        value = {m: math.prod(m - s for s in shifts) for m in set(diagonal)}
-        return ExactMatrix.diag(value[m] for m in diagonal)
-    acc = ExactMatrix.identity(M.rows)
-    for s in shifts:
-        acc = _combine(M.rows, M.cols, ((1, acc, M),), ((-s, acc),))
-        if acc.is_zero():
-            break
-    return acc
+    if not M.is_diagonal():
+        raise ArithmeticError("operator not diagonal on the weight basis")
+    diagonal = M.diagonal()
+    value = {m: math.prod(m - s for s in shifts) for m in set(diagonal)}
+    return ExactMatrix.diag(value[m] for m in diagonal)
 
 
 def right_products(table):
@@ -294,15 +279,14 @@ def right_products(table):
     if not all(m.is_diagonal() for m in table.values()):
         right = lambda op: {key: op @ m for key, m in table.items()}
         return lambda op, left=False: (right(op), {key: m @ op for key, m in table.items()}) if left else right(op)
-    items = table.items()
     holders = {}  # j -> [(table position, entry at j)]; a position costs no key hash per entry
     for n, m in enumerate(table.values()):
         for j, row in m._data.items():
             holders.setdefault(j, []).append((n, row[j]))
 
     def products(op, left=False):
-        if any(op.cols != m.rows or left and op.rows != m.cols for m in table.values()):
-            raise ValueError(f"shape mismatch: {op.rows}x{op.cols} against the table")
+        if any(op.size != m.size for m in table.values()):
+            raise ValueError(f"size mismatch: {op.size} against the table")
         data = [{} for _ in table]
         ldata = [{} for _ in table] if left else None
         for i, row in op._data.items():
@@ -312,27 +296,14 @@ def right_products(table):
             if left:
                 for n, d in holders.get(i, ()):
                     ldata[n][i] = {j: d * a for j, a in row.items()}
-        right = {key: ExactMatrix(op.rows, m.cols, r) for (key, m), r in zip(items, data)}
-        return (right, {key: ExactMatrix(m.rows, op.cols, r) for (key, m), r in zip(items, ldata)}) if left else right
+        right = {key: ExactMatrix(op.size, r) for key, r in zip(table, data)}
+        return (right, {key: ExactMatrix(op.size, r) for key, r in zip(table, ldata)}) if left else right
 
     return products
 
 
 # ---------------------------------------------------------------------------
 # Chevalley generators on the natural module
-
-
-class GeneratorSet:
-    """Raising, lowering, and Cartan generators acting on the natural module."""
-
-    __slots__ = ("lie_type", "e", "f", "h", "form")
-
-    def __init__(self, lie_type, e, f, h, form):
-        self.lie_type = lie_type
-        self.e = e
-        self.f = f
-        self.h = h
-        self.form = form
 
 
 def form_matrix(lt: LieType) -> ExactMatrix:
@@ -345,7 +316,7 @@ def form_matrix(lt: LieType) -> ExactMatrix:
         items += [(n + i, i, 1) for i in range(n)]
     if lt.family == "B":
         items.append((2 * n, 2 * n, 1))
-    return ExactMatrix.from_entries(lt.natural_dim, lt.natural_dim, items)
+    return ExactMatrix.from_entries(lt.natural_dim, items)
 
 
 def natural_weights(lt: LieType):
@@ -358,8 +329,8 @@ def natural_weights(lt: LieType):
     return out
 
 
-def natural_rep(lt: LieType) -> GeneratorSet:
-    """Simple root vectors e_i, f_i and Cartan elements H_i on the natural module.
+def natural_rep(lt: LieType) -> Representation:
+    """The natural module as the degree-1 carrier: simple root vectors e_i, f_i and Cartan elements H_i.
 
     H_i has +1 at position i and -1 at position n+i.  For i < n the root
     vectors are shared by all three families; the last one depends on the
@@ -368,7 +339,7 @@ def natural_rep(lt: LieType) -> GeneratorSet:
     """
     n, m = lt.rank, lt.natural_dim
     E = lambda i, j, v=1: ExactMatrix.unit(m, i, j, v)
-    es, fs, hs = [], [], []
+    es, fs = [], []
     for i in range(1, n):
         es.append(E(i - 1, i) - E(n + i, n + i - 1))
         fs.append(E(i, i - 1) - E(n + i - 1, n + i))
@@ -382,7 +353,17 @@ def natural_rep(lt: LieType) -> GeneratorSet:
         es.append(E(n - 2, 2 * n - 1) - E(n - 1, 2 * n - 2))
         fs.append(E(2 * n - 1, n - 2) - E(2 * n - 2, n - 1))
     hs = [E(i, i) - E(n + i, n + i) for i in range(n)]
-    return GeneratorSet(lie_type=lt, e=tuple(es), f=tuple(fs), h=tuple(hs), form=form_matrix(lt))
+    return Representation(
+        lie_type=lt,
+        r=1,
+        e=tuple(es),
+        f=tuple(fs),
+        h=tuple(hs),
+        dim=m,
+        weights=tuple(natural_weights(lt)),
+        blocks=((1, 0, m),),
+        kind="power",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +379,7 @@ def _lift_entries(X: ExactMatrix, s: int, offset: int):
     Diagonal entries of different terms meet on one index; the caller's
     `from_entries` adds them up.
     """
-    m = X.rows
+    m = X.size
     entries = list(X.iter_entries())
     for k in range(s):
         stride = m ** (s - 1 - k)
@@ -413,10 +394,7 @@ def tensor_lift(X: ExactMatrix, r: int) -> ExactMatrix:
     """Derivation action of X on the r-th tensor power of its column space."""
     if r < 1:
         raise ValueError("tensor_lift needs r >= 1")
-    if not X.is_square():
-        raise ValueError("tensor_lift needs a square matrix")
-    m = X.rows
-    return ExactMatrix.from_entries(m**r, m**r, _lift_entries(X, r, 0))
+    return ExactMatrix.from_entries(X.size**r, _lift_entries(X, r, 0))
 
 
 class Representation:
@@ -453,7 +431,7 @@ def _build_rep(lt: LieType, r: int, degrees, kind, max_dim=None):
     dim = sum(m**s for s in degrees)
     if dim > cap:
         raise CapExceeded(f"carrier dimension {dim} exceeds cap {cap} for {lt}, r={r}")
-    base = natural_weights(lt)
+    natural = natural_rep(lt)
     # layer s lists the weights of the s-th power in basis order: digit 0 is the most significant
     layer = [Weight.zero(lt.rank)]
     weights = []
@@ -461,22 +439,20 @@ def _build_rep(lt: LieType, r: int, degrees, kind, max_dim=None):
     offset = 0
     for s in range(max(degrees) + 1):
         if s:
-            layer = [w + b for w in layer for b in base]
+            layer = [w + b for w in layer for b in natural.weights]
         if s in degrees:
             blocks.append((s, offset, m**s))
             weights.extend(layer)
             offset += m**s
-    gens = natural_rep(lt)
     lift_all = lambda mats: tuple(
-        ExactMatrix.from_entries(dim, dim, (e for s, off, _ in blocks for e in _lift_entries(g, s, off))) for g in mats
+        ExactMatrix.from_entries(dim, (e for s, off, _ in blocks for e in _lift_entries(g, s, off))) for g in mats
     )
-    evs, fvs, hvs = lift_all(gens.e), lift_all(gens.f), lift_all(gens.h)
     return Representation(
         lie_type=lt,
         r=r,
-        e=evs,
-        f=fvs,
-        h=hvs,
+        e=lift_all(natural.e),
+        f=lift_all(natural.f),
+        h=lift_all(natural.h),
         dim=dim,
         weights=tuple(weights),
         blocks=tuple(blocks),
@@ -605,7 +581,7 @@ class ClosureResult:
 
 
 def algebra_closure(mats) -> ClosureResult:
-    """Basis of the unital associative algebra generated by square matrices.
+    """Basis of the unital associative algebra generated by matrices of one size.
 
     Grading: label each coordinate by the tuple of its entries in the
     diagonal generators.  Interpolating over the finitely many joint
@@ -635,10 +611,9 @@ def algebra_closure(mats) -> ClosureResult:
     mats = list(mats)
     if not mats:
         raise ValueError("need at least one generator")
-    size = mats[0].rows
-    for m in mats:
-        if not m.is_square() or m.rows != size:
-            raise ValueError("generators must be square matrices of equal size")
+    size = mats[0].size
+    if any(m.size != size for m in mats):
+        raise ValueError("generators must have equal size")
 
     diagonals = [m.diagonal() for m in mats if m.is_diagonal()]
     by_label = {}

@@ -1,10 +1,8 @@
 import inspect
 from fractions import Fraction
 
-import pytest
-
 from schurkit.replinalg import ExactMatrix
-from schurkit.rootdata import LieType, Weight, build_root_system
+from schurkit.rootdata import LieType, Weight
 
 
 def all_lie_types(max_rank=3):
@@ -37,11 +35,6 @@ def fundamental_weights(rs):
     return tuple(out)
 
 
-@pytest.fixture(scope="session")
-def root_systems():
-    return {lt: build_root_system(lt) for lt in all_lie_types(4)}
-
-
 def rebuild(obj, **changes):
     """A copy of obj made by its class's constructor, with the named arguments changed.
 
@@ -62,19 +55,19 @@ def naive_matmul(a, b):
 
 def dense(m):
     """The entries of an ExactMatrix as a list of rows."""
-    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    return [[m.entry(i, j) for j in range(m.size)] for i in range(m.size)]
 
 
-def unfused_combine(rows, cols, products, terms=()):
+def unfused_combine(size, products, terms=()):
     """Dense oracle for the sparse row-wise kernel: sum c * (x @ y) plus sum c * x.
 
     Every product and term is formed on its own as a dense matrix and the
     parts are then added up entry by entry, so nothing is fused.
     """
     parts = [(c, naive_matmul(dense(x), dense(y))) for c, x, y in products] + [(c, dense(x)) for c, x in terms]
-    total = [[0] * cols for _ in range(rows)]
+    total = [[0] * size for _ in range(size)]
     for c, part in parts:
-        for i in range(rows):
-            for j in range(cols):
+        for i in range(size):
+            for j in range(size):
                 total[i][j] += c * part[i][j]
     return ExactMatrix.from_dense(total)

@@ -23,7 +23,7 @@ EXPORTS = [
     "CapExceeded", "LieType", "RootSystem", "Weight", "build_root_system",
     "WeightSet", "is_saturated", "lambda_minus", "lambda_plus", "lambda_pm", "signed_compositions",
     "tensor_dominant_pi", "tensor_weights_Pi",
-    "ExactMatrix", "GeneratorSet", "Representation", "algebra_closure", "natural_rep", "single_power_rep",
+    "ExactMatrix", "Representation", "algebra_closure", "natural_rep", "single_power_rep",
     "tensor_lift", "tower_rep",
     "IdempotentFamily", "build_idempotents", "ladder_check", "p1", "p2", "polynomial_idempotent", "reconstruct_H",
     "RelationReport", "quotient_witness", "verify_idempotent_presentation", "verify_serre_presentation",
@@ -140,11 +140,19 @@ def test_crystal_rejects_non_dominant():
     assert "not dominant" in err
 
 
-def test_invalid_arguments_exit_two():
+def test_invalid_arguments_exit_two(capsys):
     assert run_cli(["weights", "E", "2", "2"])[0] == 2
     assert run_cli(["crystal", "B", "2", "--lambda", "1,x"])[0] == 2
     assert run_cli(["crystal", "B", "2", "--lambda", "1"])[0] == 2
     assert run_cli(["nonsense"])[0] == 2
+    # argparse's usage errors and --help go to the streams passed in, not the process's own
+    code, out, err = run_cli(["verify", "B", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: schurkit verify") and "the following arguments are required: r" in err
+    code, out, err = run_cli(["verify", "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: schurkit verify") and "--presentation" in out
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cap_exceeded_exits_two():

@@ -169,9 +169,14 @@ def test_non_diagonal_cartan_operator_is_a_failed_check(monkeypatch):
     with pytest.raises(ArithmeticError, match="H_1 not diagonal"):
         build_idempotents(skewed_tower(LieType("C", 2), 2))
     monkeypatch.setattr(replinalg, "tower_rep", skewed_tower)
-    err = io.StringIO()
-    assert cli.run(["idempotents", "C", "2", "2"], stdout=io.StringIO(), stderr=err) == 1
-    assert "check failed" in err.getvalue()
+    for argv in (
+        ["idempotents", "C", "2", "2"],
+        ["verify", "C", "2", "2", "--presentation", "serre"],
+        ["verify", "C", "2", "2", "--presentation", "idempotent"],
+    ):
+        err = io.StringIO()
+        assert cli.run(argv, stdout=io.StringIO(), stderr=err) == 1, argv
+        assert "check failed" in err.getvalue() and "not diagonal" in err.getvalue(), argv
 
 
 def test_carrier_weight_outside_tensor_weights_is_a_failed_check():

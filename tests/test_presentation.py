@@ -39,10 +39,10 @@ def scaled_fn_rep(rep, factor=2):
 
 def binomial_serre_sum(x, y, k):
     """sum_s (-1)^s C(k, s) x^{k-s} y x^s from explicit powers of x."""
-    powers = [ExactMatrix.identity(x.rows)]
+    powers = [ExactMatrix.identity(x.size)]
     for _ in range(k):
         powers.append(powers[-1] @ x)
-    total = ExactMatrix.zeros(x.rows)
+    total = ExactMatrix.zeros(x.size)
     for s in range(k + 1):
         total = total + (-1) ** s * comb(k, s) * (powers[k - s] @ y @ powers[s])
     return total
