@@ -144,10 +144,9 @@ def _cmd_verify(args):
     lt = _parse_type(args)
     rep = replinalg.tower_rep(lt, args.r, args.max_dim)
     if args.presentation == "serre":
-        report = presentation.verify_serre_presentation(lt, args.r, rep)
+        report = presentation.verify_serre_presentation(rep)
     else:
-        fam = idempotents.build_idempotents(rep)
-        report = presentation.verify_idempotent_presentation(lt, args.r, rep, fam)
+        report = presentation.verify_idempotent_presentation(rep, idempotents.build_idempotents(rep))
     rows = [[c.label, "holds" if c.holds else "fails"] for c in report.relations]
     failures = [f"relation {label}" for label in report.failing_labels()]
     return JobResult(_header(lt, args.r), report.to_json(), ["label", "status"], rows, report.all_hold, failures)

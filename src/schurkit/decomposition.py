@@ -244,14 +244,18 @@ def decompose_tensor_character(lt: LieType, r: int) -> DecompositionResult:
     the decomposition of tensor powers, 1993).  The steps +-eps_i have
     straight paths, so such a step is kept iff it ends in the chamber.  The
     zero weight of type B has the path that dips to lam - eps_n/2 and back,
-    so it is a step only where lam_n > 0.  The counts must satisfy
-    sum_lam m_lam dim L(lam) = m^r, or InvariantError is raised.  The
-    dimensions, of every weight in pi and pi0, are kept in the result.
+    so it is a step only where lam_n > 0.  Every walk must end in pi, and
+    the counts must satisfy sum_lam m_lam dim L(lam) = m^r, or
+    InvariantError is raised.  The dimensions of the weights in pi are kept
+    in the result.
     """
     rs = build_root_system(lt)
     mults = {Weight(lam): count for lam, count in sorted(_chamber_walks(lt, r).items(), reverse=True)}
     pi = tensor_dominant_pi(lt, r)
-    dims = {lam: weyl_dimension(rs, lam) for lam in dict.fromkeys([*pi, *mults])}
+    outside = [lam for lam in mults if lam not in pi]
+    if outside:
+        raise InvariantError("chamber walk", f"endpoints {outside[:3]} of {lt} r={r} are not dominant tensor weights")
+    dims = {lam: weyl_dimension(rs, lam) for lam in pi}
     total = sum(m * dims[lam] for lam, m in mults.items())
     if total != lt.natural_dim**r:
         raise InvariantError(
@@ -300,8 +304,11 @@ def classify_type_B(n_max: int, r_max: int):
 
 
 def schur_dimensions(lt: LieType, r: int):
-    """Wedderburn dimension sums over pi and over pi0: sums of squared dims."""
+    """Wedderburn dimension sums over pi and over pi0 (by the factor rules, which must lie in pi)."""
     rs = build_root_system(lt)
-    dim_pi = sum(weyl_dimension(rs, lam) ** 2 for lam in tensor_dominant_pi(lt, r))
-    dim_schur = sum(weyl_dimension(rs, lam) ** 2 for lam in pi0_weyl_rules(lt, r))
-    return dim_pi, dim_schur
+    pi, rules = tensor_dominant_pi(lt, r), pi0_weyl_rules(lt, r)
+    outside = [lam for lam in rules if lam not in pi]
+    if outside:
+        raise InvariantError("factor rules", f"{outside[:3]} of {lt} r={r} are not dominant tensor weights")
+    squares = {lam: weyl_dimension(rs, lam) ** 2 for lam in pi}
+    return sum(squares.values()), sum(squares[lam] for lam in rules)

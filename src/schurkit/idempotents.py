@@ -69,7 +69,7 @@ def polynomial_idempotent(rep: Representation, lam: Weight):
         if not hi.is_diagonal():
             raise ArithmeticError(f"H_{i+1} not diagonal on the weight basis")
         shifts = [j for j in roots if j != k]
-        diagonals.append(product_of_shifts(hi, shifts).diagonal())
+        diagonals.append(product_of_shifts(hi.diagonal(), shifts).diagonal())
         denom *= math.prod(k - j for j in shifts)
     return ExactMatrix.diag([math.prod(values) for values in zip(*diagonals)]), denom
 

@@ -411,7 +411,7 @@ class CensusReport:
         }
 
 
-def basis_census(lt: LieType, r: int, cap: int = DEFAULT_CRYSTAL_CAP) -> CensusReport:
+def basis_census(lt: LieType, r: int) -> CensusReport:
     """Count string pairs (n, t) per dominant tensor weight and sum them.
 
     For each weight lam the lowering strings of lam pair with the reversed
@@ -426,13 +426,13 @@ def basis_census(lt: LieType, r: int, cap: int = DEFAULT_CRYSTAL_CAP) -> CensusR
     total = 0
     for lam in tensor_dominant_pi(lt, r):
         dim = weyl_dimension(rs, lam)
-        crystal = generate_crystal(rs, lam, cap)
+        crystal = generate_crystal(rs, lam)
         strings = string_tuples(crystal, word)
         dual_hw = -w0(lam)
         if dual_hw == lam:
             dual_strings = strings
         else:
-            dual_strings = string_tuples(generate_crystal(rs, dual_hw, cap), word)
+            dual_strings = string_tuples(generate_crystal(rs, dual_hw), word)
         opp = opposite_strings(dual_strings)
         product = len(strings) * len(opp)
         rows.append(

@@ -2,19 +2,24 @@
 
 The Serre-compatible presentation has seven relation groups per family
 (labels B1..B7, C1..C7, D1..D7): commuting Cartan operators, the
-family-specific commutator targets, eigenvalue commutators, both Serre
+coroot commutator targets, eigenvalue commutators, both Serre
 relations, an annihilator polynomial for each H_i, and one for every
 signed sum J of the H_i.  The projector presentation has eight groups
 (R1..R8): orthogonal idempotents summing to one, the commutator-to-
 projector identity, four ladder families, and both Serre relations.
 
 Every relation group is checked as an exact operator identity on the
-given carrier; a failing group records the sub-case and the location of
-its largest residual entry.  Bracket residuals (X1-X5, R2, R7, R8) and X7's
-signed sums take one pass each of `replinalg`'s row kernel.  Groups the two
-presentations share are built by one helper each: the commutator [e_i, f_j]
-= delta_ij target(i) (X2, R2) and the Serre relations (X4/X5, R7/R8).  The
-ladder groups R3-R6 are computed by `idempotents.ladder_check`.  The
+given carrier, which is the only input: the type and degree are the
+carrier's own, and the constants come from its root system.  A failing
+group records the sub-case and the location of its largest residual entry.
+Bracket residuals (X1-X5, R2, R7, R8) take one pass each of `replinalg`'s
+row kernel.  Groups the two presentations share are built by one helper
+each: the commutator [e_i, f_j] = delta_ij h_i (X2, R2), whose target is
+the coroot element h_i = sum_k <eps_k, alpha_i^vee> H_k (X2) or sum_lam
+<lam, alpha_i^vee> 1_lam (R2), and the Serre relations (X4/X5, R7/R8).
+X6 and X7 read each H_i's diagonal once, since the weight basis is an
+eigenbasis of every H_i; an H_i that is not diagonal is a failed check.
+The ladder groups R3-R6 are computed by `idempotents.ladder_check`.  The
 zero-locus scan (over the L1 shells a zero can lie on) and the quotient
 comparison live here as well, since they decide which relation groups are
 redundant and when the single-power image is a proper quotient.
@@ -150,17 +155,20 @@ def _commutator_cases(e, f, target):
             yield (f"i={i+1},j={j+1}", e[i].bracket(f[j], target(i) if i == j else None))
 
 
-def _new_report(presentation, lt: LieType, r: int, rep: Representation):
-    """An empty report for a carrier of lt at degree r, and lt's root system."""
-    if rep.lie_type != lt or rep.r != r:
-        raise ValueError(f"carrier mismatch: rep is for {rep.lie_type}, r={rep.r}")
-    rs = build_root_system(lt)
+def _coroot_element(rs, h, i):
+    """h_i = sum_k <eps_k, alpha_i^vee> H_k, the target of [e_i, f_i], in one kernel pass (i 0-based)."""
+    return _combine(h[i].size, (), tuple((c, hk) for c, hk in zip(rs.coroot(i + 1).coords, h) if c))
+
+
+def _new_report(presentation, rep: Representation):
+    """An empty report for a carrier, and the root system of its type."""
+    rs = build_root_system(rep.lie_type)
     word, _ = rs.longest_element()
     report = RelationReport(
         presentation=presentation,
-        family=lt.family,
-        rank=lt.rank,
-        r=r,
+        family=rs.family,
+        rank=rs.rank,
+        r=rep.r,
         carrier=rep.kind,
         reduced_word=word,
         generator_convention=_GENERATOR_CONVENTION,
@@ -168,40 +176,19 @@ def _new_report(presentation, lt: LieType, r: int, rep: Representation):
     return report, rs
 
 
-def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> RelationReport:
+def verify_serre_presentation(rep: Representation) -> RelationReport:
     """Check the seven Cartan-generator relation groups on a carrier."""
-    report, rs = _new_report("serre", lt, r, rep)
-    n = lt.rank
-    fam = lt.family
+    report, rs = _new_report("serre", rep)
+    n, fam = rs.rank, rs.family
     e, f, h = rep.e, rep.f, rep.h
-
-    report.relations.append(
-        _check_many(
-            f"{fam}1",
-            (
-                (f"H_{i+1}H_{j+1}", h[i].bracket(h[j]))
-                for i in range(n)
-                for j in range(i + 1, n)
-            ),
-        )
-    )
-
-    def commutator_target(i):
-        if i < n - 1:
-            return h[i] - h[i + 1]
-        if fam == "B":
-            return 2 * h[n - 1]
-        if fam == "C":
-            return h[n - 1]
-        return h[n - 2] + h[n - 1]
-
-    report.relations.append(_check_many(f"{fam}2", _commutator_cases(e, f, commutator_target)))
+    x1_cases = ((f"H_{i+1}H_{j+1}", h[i].bracket(h[j])) for i in range(n) for j in range(i + 1, n))
+    report.relations.append(_check_many(f"{fam}1", x1_cases))
+    report.relations.append(_check_many(f"{fam}2", _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i))))
 
     def x3_cases():
         for i in range(n):
-            eps_i = Weight.eps(n, i + 1)
             for j in range(n):
-                c = eps_i.dot(rs.simple_root(j + 1))
+                c = rs.simple_root(j + 1).num[i]  # <eps_i, alpha_j>: simple roots are integral
                 for name, x, d in ("e", e[j], -c), ("f", f[j], c):
                     res = _combine(rep.dim, ((1, h[i], x), (-1, x, h[i])), ((d, x),))
                     yield (f"[H_{i+1},{name}_{j+1}]", res)
@@ -210,28 +197,29 @@ def verify_serre_presentation(lt: LieType, r: int, rep: Representation) -> Relat
     report.relations.append(_check_many(f"{fam}4", _serre_cases(e, rs.cartan)))
     report.relations.append(_check_many(f"{fam}5", _serre_cases(f, rs.cartan)))
 
-    window = p1(r)
-    report.relations.append(
-        _check_many(
-            f"{fam}6", ((f"P1(H_{i+1})", product_of_shifts(h[i], window)) for i in range(n))
-        )
-    )
-
-    signed = annihilator_for_signed_sums(fam, r)
+    # X6 and X7 read each H_i's diagonal once: the weight basis of a carrier is an eigenbasis
+    diagonals = []
+    for i, hi in enumerate(h):
+        if not hi.is_diagonal():
+            raise ArithmeticError(f"{fam}6: H_{i+1} not diagonal on the weight basis")
+        diagonals.append(hi.diagonal())
+    x6_cases = ((f"P1(H_{i+1})", product_of_shifts(d, p1(rep.r))) for i, d in enumerate(diagonals))
+    report.relations.append(_check_many(f"{fam}6", x6_cases))
+    signed = annihilator_for_signed_sums(fam, rep.r)
 
     def x7_cases():
         for signs in itertools.product((1, -1), repeat=n):
-            j_op = _combine(rep.dim, (), tuple(zip(signs, h)))
+            j_diagonal = [0] * rep.dim
+            for s, d in zip(signs, diagonals):
+                j_diagonal = [a + s * v for a, v in zip(j_diagonal, d)]
             label = "J=" + "".join("+" if s == 1 else "-" for s in signs)
-            yield (label, product_of_shifts(j_op, signed))
+            yield (label, product_of_shifts(j_diagonal, signed))
 
     report.relations.append(_check_many(f"{fam}7", x7_cases()))
     return report
 
 
-def verify_idempotent_presentation(
-    lt: LieType, r: int, rep: Representation, fam: IdempotentFamily
-) -> RelationReport:
+def verify_idempotent_presentation(rep: Representation, fam: IdempotentFamily) -> RelationReport:
     """Check the eight projector-presentation relation groups on a carrier.
 
     The ladder groups R3-R6 come from `idempotents.ladder_check`, the one
@@ -240,7 +228,7 @@ def verify_idempotent_presentation(
     does belong to the carrier weight set) are skipped: the missing
     projector is a completeness defect, which R1 reports.
     """
-    report, rs = _new_report("idempotent", lt, r, rep)
+    report, rs = _new_report("idempotent", rep)
     table = fam.table
 
     def r1_cases():
@@ -256,11 +244,7 @@ def verify_idempotent_presentation(
         yield ("completeness", ExactMatrix.from_entries(rep.dim, itertools.chain(minus_identity, terms)))
 
     report.relations.append(_check_many("R1", r1_cases()))
-
-    def coroot_target(i):
-        cor = rs.coroot(i + 1)
-        return fam.weighted_sum(cor.dot)
-
+    coroot_target = lambda i: fam.weighted_sum(rs.coroot(i + 1).dot)  # sum_lam <lam, alpha_i^vee> 1_lam
     report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target)))
     for label, cases in ladder_check(fam, rep).residuals.items():
         report.relations.append(_check_many(label, cases))

@@ -14,12 +14,13 @@ that adds up sum c*(x @ y) + sum c*x one output row at a time, so a
 residual x@y - y@x - t takes one pass and no intermediate matrix.
 
 Cartan operators and weight projectors are diagonal on the weight basis
-of every carrier.  Three places use that.  `product_of_shifts` takes
-diagonal operators only and multiplies out each diagonal value once; a
-non-diagonal one is a failed check (ArithmeticError).  `right_products`
-forms op @ P, and on request P @ op, for a whole table of diagonal P in
-one pass over op's rows, exactly as @ would.  The algebra closure grades
-by the diagonal generators.
+of every carrier.  Three places use that.  `product_of_shifts` takes the
+diagonal values of an operator, which its caller has read off once, and
+multiplies out each distinct value once.  `right_products` forms op @ P,
+and on request P @ op, for a whole table of diagonal P in one pass over
+op's rows, exactly as @ would; a table matrix that is not diagonal is a
+failed check (ArithmeticError).  The algebra closure grades by the
+diagonal generators.
 
 The module also provides the carriers - the natural module as the
 degree-1 carrier, and the tower (a direct sum of tensor powers of the
@@ -249,38 +250,34 @@ def _combine(size, products, terms=()):
     return ExactMatrix(size, out)
 
 
-def product_of_shifts(M, shifts):
-    """Product over s in shifts of (M - s*I) for a diagonal M.
+def product_of_shifts(diagonal, shifts):
+    """Product over s in shifts of (M - s*I) for the diagonal M with these diagonal values.
 
     The result is the diagonal of the products prod_s (m_ii - s), formed
-    once per distinct diagonal value; zero products are not stored.  A
-    carrier's Cartan operators, and every combination of them, are diagonal
-    on its weight basis, so a non-diagonal M is a failed check and raises
-    ArithmeticError.
+    once per distinct diagonal value; zero products are not stored.  The
+    caller reads the values off a carrier's Cartan operators, which are
+    diagonal on its weight basis, and checks that they are.
     """
-    if not M.is_diagonal():
-        raise ArithmeticError("operator not diagonal on the weight basis")
-    diagonal = M.diagonal()
     value = {m: math.prod(m - s for s in shifts) for m in set(diagonal)}
     return ExactMatrix.diag(value[m] for m in diagonal)
 
 
 def right_products(table):
-    """The map op -> {key: op @ table[key]} for a dict of matrices.
+    """The map op -> {key: op·P} over the diagonal matrices P = table[key].
 
-    With left=True the map gives the pair ({key: op @ P}, {key: P @ op}).
-    When every matrix of the table is diagonal, both come from one pass
-    over op's rows: column j of op is scaled by the diagonal entry at j of
-    each matrix whose support holds j, and row i by the entry at i.  Each
-    product entry is then the single term a*d of two nonzero ints, so the
-    result equals op @ P and P @ op entry for entry, also for overlapping
-    or non-0/1 diagonals.  Otherwise each product is formed with @.
+    With left=True the map gives the pair ({key: op·P}, {key: P·op}).  Both
+    come from one pass over op's rows: column j of op is scaled by the
+    diagonal entry at j of each matrix whose support holds j, and row i by
+    the entry at i.  Each product entry is then the single term a*d of two
+    nonzero ints, so the result equals the matrix products op·P and P·op
+    entry for entry, also for overlapping or non-0/1 diagonals.  The table holds weight
+    projectors, which are diagonal on the weight basis of every carrier; a
+    matrix that is not is a failed check and raises ArithmeticError.
     """
-    if not all(m.is_diagonal() for m in table.values()):
-        right = lambda op: {key: op @ m for key, m in table.items()}
-        return lambda op, left=False: (right(op), {key: m @ op for key, m in table.items()}) if left else right(op)
     holders = {}  # j -> [(table position, entry at j)]; a position costs no key hash per entry
-    for n, m in enumerate(table.values()):
+    for n, (key, m) in enumerate(table.items()):
+        if not m.is_diagonal():
+            raise ArithmeticError(f"projector {key!r} not diagonal on the weight basis")
         for j, row in m._data.items():
             holders.setdefault(j, []).append((n, row[j]))
 

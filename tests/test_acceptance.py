@@ -65,10 +65,10 @@ def test_criterion_1_presentations_hold_exactly():
             continue
         rep = cached_tower(lt.family, lt.rank, r)
         assert rep.dim <= MAX_CARRIER
-        serre = verify_serre_presentation(lt, r, rep)
+        serre = verify_serre_presentation(rep)
         if not serre.all_hold:
             failures.append((str(lt), r, "serre", serre.failing_labels()))
-        idem = verify_idempotent_presentation(lt, r, rep, cached_family(lt.family, lt.rank, r))
+        idem = verify_idempotent_presentation(rep, cached_family(lt.family, lt.rank, r))
         if not idem.all_hold:
             failures.append((str(lt), r, "idempotent", idem.failing_labels()))
         cases += 1
@@ -239,12 +239,12 @@ def test_criterion_8_fault_injection():
         blocks=rep.blocks,
         kind=rep.kind,
     )
-    flagged = [verify_serre_presentation(lt, 2, scaled).failing_labels() for _ in range(2)]
+    flagged = [verify_serre_presentation(scaled).failing_labels() for _ in range(2)]
     if flagged[0] != ("C2",) or flagged[0] != flagged[1]:
         failures.append(("scaled f_n", f"flagged {flagged}"))
 
     removed = fam.without(Weight((0, 0)))
-    flagged_r = [verify_idempotent_presentation(lt, 2, rep, removed).failing_labels() for _ in range(2)]
+    flagged_r = [verify_idempotent_presentation(rep, removed).failing_labels() for _ in range(2)]
     if flagged_r[0] != ("R1",) or flagged_r[0] != flagged_r[1]:
         failures.append(("removed projector", f"flagged {flagged_r}"))
     report("criterion 8 (fault injection flags exactly one relation)", failures)

@@ -204,12 +204,12 @@ def test_byte_identical_reruns():
 
 
 def test_failing_verification_exits_one_and_names_label(monkeypatch):
-    def fake_verify(lt, r, rep):
+    def fake_verify(rep):
         return RelationReport(
             presentation="serre",
-            family=lt.family,
-            rank=lt.rank,
-            r=r,
+            family=rep.lie_type.family,
+            rank=rep.rank,
+            r=rep.r,
             carrier="tower",
             reduced_word=(1,),
             generator_convention="",
@@ -250,8 +250,8 @@ def test_carrier_weight_outside_window_exits_one(monkeypatch):
 def census_with_altered_crystals(monkeypatch, alter):
     real = pathmodel.generate_crystal
 
-    def altered(rs, lam, cap):
-        crystal = real(rs, lam, cap)
+    def altered(rs, lam):
+        crystal = real(rs, lam)
         return alter(crystal) if len(crystal) > 1 else crystal
 
     monkeypatch.setattr(pathmodel, "generate_crystal", altered)

@@ -360,13 +360,55 @@ SKEWED_COMPARE = (
 )
 
 
+def run_script(flags, script):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_miscounted_walk_fails_the_dimension_check(flags):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, *flags, "-c", SKEWED_COMPARE], capture_output=True, text=True, env=env)
+    proc = run_script(flags, SKEWED_COMPARE)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "check failed: tensor dimension" in proc.stderr
+
+
+# A non-dominant weight from a faulty walk or rule is a failed check (exit 1),
+# caught before any Weyl dimension is asked for, not bad input (exit 2).
+UNCHAMBERED_COMPARE = (
+    "import sys\n"
+    "from schurkit import cli, decomposition\n"
+    "decomposition._in_chamber = lambda family, mu: True\n"
+    "sys.exit(cli.run(['compare', 'B', '2', '2']))\n"
+)
+EXTRA_RULE_CLOSURE = (
+    "import sys\n"
+    "from schurkit import cli, decomposition\n"
+    "from schurkit.rootdata import Weight\n"
+    "from schurkit.weightsets import WeightSet\n"
+    "real = decomposition.pi0_weyl_rules\n"
+    "def extra(lt, r):\n"
+    "    return WeightSet.make([*real(lt, r), Weight((0, 1))], 'pi0')\n"
+    "decomposition.pi0_weyl_rules = extra\n"
+    "sys.exit(cli.run(['closure', 'B', '2', '2']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "script,message",
+    [
+        (UNCHAMBERED_COMPARE, "check failed: chamber walk: endpoints [Weight("),
+        (EXTRA_RULE_CLOSURE, "check failed: factor rules: [Weight(0, 1)] of B2 r=2 are not dominant tensor weights"),
+    ],
+    ids=["walk-outside-the-chamber", "rule-outside-pi"],
+)
+def test_non_dominant_factor_weight_is_a_failed_check(flags, script, message):
+    proc = run_script(flags, script)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(message)
+    assert "is not dominant" not in proc.stderr
 
 
 def test_type_b_zero_step_needs_a_positive_last_coordinate(monkeypatch):

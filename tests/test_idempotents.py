@@ -51,7 +51,7 @@ def test_deleted_factor_examples():
         for k in p1(r):
             shifts = [j for j in p1(r) if j != k]
             expected = math.prod(k - j for j in shifts)
-            deleted = product_of_shifts(window, shifts)
+            deleted = product_of_shifts(window.diagonal(), shifts)
             assert expected != 0
             assert deleted == ExactMatrix.unit(2 * r + 1, k + r, k + r, expected)
 
@@ -169,6 +169,7 @@ def test_non_diagonal_cartan_operator_is_a_failed_check(monkeypatch):
     with pytest.raises(ArithmeticError, match="H_1 not diagonal"):
         build_idempotents(skewed_tower(LieType("C", 2), 2))
     monkeypatch.setattr(replinalg, "tower_rep", skewed_tower)
+    messages = {}
     for argv in (
         ["idempotents", "C", "2", "2"],
         ["verify", "C", "2", "2", "--presentation", "serre"],
@@ -177,6 +178,9 @@ def test_non_diagonal_cartan_operator_is_a_failed_check(monkeypatch):
         err = io.StringIO()
         assert cli.run(argv, stdout=io.StringIO(), stderr=err) == 1, argv
         assert "check failed" in err.getvalue() and "not diagonal" in err.getvalue(), argv
+        messages[argv[-1]] = err.getvalue()
+    # the Serre check names the relation group and the operator
+    assert messages["serre"] == "check failed: C6: H_1 not diagonal on the weight basis\n"
 
 
 def test_carrier_weight_outside_tensor_weights_is_a_failed_check():

@@ -3,20 +3,23 @@
 Single-entry perturbations of one e_i or f_i on small towers: the ladder
 check must agree with a direct evaluation of the four identities, and with
 the ladder groups of the projector-presentation report.  Projector faults
-(dropped, off-diagonal, scaled, overlapping) must give the same products,
-ladder report and R1 check from the one-pass products as from one product
-per projector.  On seeded generator and projector faults, the serre and
-idempotent reports (their witnesses included) must equal the reports built
-with every product, sum and bracket formed unfused by a dense oracle.
+(dropped, scaled, overlapping) must give the same products, ladder report
+and R1 check from the one-pass products as from one product per
+projector; an off-diagonal projector is a failed check.  On seeded
+generator and projector faults, the serre and idempotent reports (their
+witnesses included) must equal the reports built with every product, sum
+and bracket formed unfused by a dense oracle.
 """
 
+import io
+import re
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurkit import presentation, replinalg
+from schurkit import cli, idempotents, presentation, replinalg
 from schurkit.idempotents import build_idempotents, ladder_check
 from schurkit.presentation import _check_many, verify_idempotent_presentation, verify_serre_presentation
 from schurkit.replinalg import ExactMatrix, right_products, tower_rep
@@ -84,7 +87,7 @@ def test_ladder_check_matches_direct_evaluation_and_report(case):
     failing = {label: cases for label, cases in ladders.residuals.items() if cases}
     assert failing == direct_ladder_residuals(fam, bad)
 
-    runs = [verify_idempotent_presentation(lt, r, bad, fam).failing_labels() for _ in range(2)]
+    runs = [verify_idempotent_presentation(bad, fam).failing_labels() for _ in range(2)]
     assert runs[0] == runs[1]
     report_ladders = tuple(label for label in runs[0] if label in LADDER_LABELS)
     assert ladders.ok == (not report_ladders)
@@ -98,8 +101,6 @@ def _faulty_family(fam, kind):
     dim = fam.rep.dim
     if kind == "dropped":
         del table[lams[len(lams) // 2]]
-    elif kind == "off-diagonal":
-        table[lams[1]] = table[lams[1]] + ExactMatrix.unit(dim, 0, dim - 1)
     elif kind == "scaled":
         table[lams[2]] = 2 * table[lams[2]]
     elif kind == "overlapping":
@@ -122,7 +123,7 @@ def _per_pair_r1(fam):
     return _check_many("R1", cases)
 
 
-@pytest.mark.parametrize("kind", ["clean", "dropped", "off-diagonal", "scaled", "overlapping"])
+@pytest.mark.parametrize("kind", ["clean", "dropped", "scaled", "overlapping"])
 @pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2)])
 def test_one_pass_ladder_check_matches_per_projector_products(family, rank, r, kind):
     lt, rep, clean = clean_tower(family, rank, r)
@@ -144,7 +145,34 @@ def test_one_pass_ladder_check_matches_per_projector_products(family, rank, r, k
     assert fast.ok == (kind in ("clean", "dropped"))
     assert (fast.skipped > 0) == (kind == "dropped")
 
-    assert verify_idempotent_presentation(lt, r, rep, fam).relations[0] == _per_pair_r1(fam)
+    assert verify_idempotent_presentation(rep, fam).relations[0] == _per_pair_r1(fam)
+
+
+def _off_diagonal_family(fam):
+    """A copy of a clean family whose second projector has an entry off the diagonal."""
+    lams = list(fam.table)
+    table = dict(fam.table)
+    table[lams[1]] = table[lams[1]] + ExactMatrix.unit(fam.rep.dim, 0, fam.rep.dim - 1)
+    return rebuild(fam, table=table), lams[1]
+
+
+@pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2)])
+def test_off_diagonal_projector_is_a_failed_check(family, rank, r, monkeypatch):
+    lt, rep, clean = clean_tower(family, rank, r)
+    fam, skewed = _off_diagonal_family(clean)
+    message = f"projector {skewed!r} not diagonal on the weight basis"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        right_products(fam.table)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        ladder_check(fam)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        verify_idempotent_presentation(rep, fam)
+
+    monkeypatch.setattr(idempotents, "build_idempotents", lambda carrier: _off_diagonal_family(clean)[0])
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["idempotents", family, str(rank), str(r)], stdout=out, stderr=err) == 1
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"check failed: {message}\n"
 
 
 def _seeded_faults(rep, fam):
@@ -165,13 +193,13 @@ def test_fused_witnesses_match_an_unfused_dense_reference(family, rank, r, monke
     lt, rep, clean = clean_tower(family, rank, r)
     faults = list(_seeded_faults(rep, clean))
     fused = [
-        (verify_serre_presentation(lt, r, bad).to_json(), verify_idempotent_presentation(lt, r, bad, fam).to_json())
+        (verify_serre_presentation(bad).to_json(), verify_idempotent_presentation(bad, fam).to_json())
         for _, bad, fam in faults
     ]
     monkeypatch.setattr(replinalg, "_combine", unfused_combine)
     monkeypatch.setattr(presentation, "_combine", unfused_combine)
     for (name, bad, fam), (serre, idem) in zip(faults, fused):
-        assert serre == verify_serre_presentation(lt, r, bad).to_json(), name
-        assert idem == verify_idempotent_presentation(lt, r, bad, fam).to_json(), name
+        assert serre == verify_serre_presentation(bad).to_json(), name
+        assert idem == verify_idempotent_presentation(bad, fam).to_json(), name
     # every fault is seen, so the witnesses compared above are not all empty
     assert all(any(rel["status"] == "fails" for rel in serre["relations"] + idem["relations"]) for serre, idem in fused)

@@ -7,6 +7,7 @@ import pytest
 
 from schurkit.idempotents import annihilator_for_signed_sums, build_idempotents, p1
 from schurkit.presentation import (
+    _coroot_element,
     _serre_sum,
     presentations_generate_same_algebra,
     quotient_witness,
@@ -15,8 +16,8 @@ from schurkit.presentation import (
     zero_locus,
     zero_locus_report,
 )
-from schurkit.replinalg import ExactMatrix, Representation, tower_rep
-from schurkit.rootdata import LieType, Weight
+from schurkit.replinalg import ExactMatrix, Representation, single_power_rep, tower_rep
+from schurkit.rootdata import LieType, Weight, build_root_system
 from schurkit.weightsets import WeightSet, tensor_weights_Pi
 from conftest import all_lie_types
 
@@ -68,7 +69,7 @@ def test_serre_sum_is_the_iterated_commutator(k):
 def test_serre_report_structure_and_success():
     lt = LieType("B", 2)
     rep = tower_rep(lt, 2)
-    report = verify_serre_presentation(lt, 2, rep)
+    report = verify_serre_presentation(rep)
     assert [c.label for c in report.relations] == ["B1", "B2", "B3", "B4", "B5", "B6", "B7"]
     assert report.all_hold
     doc = report.to_json()
@@ -80,30 +81,54 @@ def test_serre_report_structure_and_success():
 def test_serre_c2_r3():
     lt = LieType("C", 2)
     rep = tower_rep(lt, 3)
-    assert verify_serre_presentation(lt, 3, rep).all_hold
+    assert verify_serre_presentation(rep).all_hold
 
 
 def test_idempotent_presentation_d3():
     lt = LieType("D", 3)
     rep = tower_rep(lt, 2)
     fam = build_idempotents(rep)
-    report = verify_idempotent_presentation(lt, 2, rep, fam)
+    report = verify_idempotent_presentation(rep, fam)
     assert [c.label for c in report.relations] == [f"R{k}" for k in range(1, 9)]
     assert report.all_hold
 
 
-def test_rep_type_mismatch_rejected():
-    rep = tower_rep(LieType("C", 2), 2)
-    with pytest.raises(ValueError):
-        verify_serre_presentation(LieType("B", 2), 2, rep)
-    with pytest.raises(ValueError):
-        verify_serre_presentation(LieType("C", 2), 3, rep)
+@pytest.mark.parametrize("kind", ["tower", "power"])
+def test_report_header_is_read_off_the_carrier(kind):
+    for lt, r in ((LieType("C", 2), 3), (LieType("B", 1), 2), (LieType("D", 3), 1)):
+        rep = tower_rep(lt, r) if kind == "tower" else single_power_rep(lt, r)
+        for report in (verify_serre_presentation(rep), verify_idempotent_presentation(rep, build_idempotents(rep))):
+            doc = report.to_json()
+            assert (doc["type"], doc["rank"], doc["r"], doc["carrier"]) == (lt.family, lt.rank, r, kind)
+            assert report.all_hold
+
+
+def family_commutator_target(lt, h, i):
+    """[e_i, f_i] by the per-family table of the generator convention (i 0-based)."""
+    n = lt.rank
+    if i < n - 1:
+        return h[i] - h[i + 1]
+    if lt.family == "B":
+        return 2 * h[n - 1]
+    if lt.family == "C":
+        return h[n - 1]
+    return h[n - 2] + h[n - 1]
+
+
+@pytest.mark.parametrize("lt", all_lie_types(4), ids=str)
+def test_coroot_target_equals_the_family_table(lt):
+    rep = tower_rep(lt, 2)
+    rs = build_root_system(lt)
+    for i in range(lt.rank):
+        target = _coroot_element(rs, rep.h, i)
+        assert target == family_commutator_target(lt, rep.h, i)
+        assert target == rep.e[i].bracket(rep.f[i])
 
 
 def test_fault_scaled_fn_flags_exactly_c2():
     lt = LieType("C", 2)
     rep = scaled_fn_rep(tower_rep(lt, 2))
-    report = verify_serre_presentation(lt, 2, rep)
+    report = verify_serre_presentation(rep)
     assert report.failing_labels() == ("C2",)
     witness = next(c.witness for c in report.relations if not c.holds)
     assert witness["case"] == "i=2,j=2"
@@ -113,7 +138,7 @@ def test_witness_of_a_negative_integer_residual():
     # on the C2 natural module (tower at r=1), -2 f_2 leaves [e_2, f_2] - H_2 = -3 H_2 =
     # diag(0, -3, 0, 3): the first of the two largest entries is the witness
     lt = LieType("C", 2)
-    report = verify_serre_presentation(lt, 1, scaled_fn_rep(tower_rep(lt, 1), factor=-2))
+    report = verify_serre_presentation(scaled_fn_rep(tower_rep(lt, 1), factor=-2))
     assert report.failing_labels() == ("C2",)
     assert report.relations[1].witness == {"case": "i=2,j=2", "entry": [1, 1], "value": "-3/1", "magnitude": "3"}
 
@@ -124,7 +149,7 @@ def test_fault_scaled_fn_idempotent_side_flags_exactly_r2():
     lt = LieType("C", 2)
     clean = tower_rep(lt, 2)
     fam = build_idempotents(clean)
-    report = verify_idempotent_presentation(lt, 2, scaled_fn_rep(clean), fam)
+    report = verify_idempotent_presentation(scaled_fn_rep(clean), fam)
     assert report.failing_labels() == ("R2",)
 
 
@@ -132,7 +157,7 @@ def test_fault_removed_idempotent_flags_exactly_r1():
     lt = LieType("C", 2)
     rep = tower_rep(lt, 2)
     fam = build_idempotents(rep).without(Weight((0, 0)))
-    report = verify_idempotent_presentation(lt, 2, rep, fam)
+    report = verify_idempotent_presentation(rep, fam)
     assert report.failing_labels() == ("R1",)
     witness = next(c.witness for c in report.relations if not c.holds)
     assert witness["case"] == "completeness"
@@ -198,9 +223,9 @@ def test_deep_grid_degree_four_towers():
     # one size up from the acceptance grid: the 2801-dimensional carrier
     lt = LieType("B", 3)
     rep = tower_rep(lt, 4)
-    assert verify_serre_presentation(lt, 4, rep).all_hold
+    assert verify_serre_presentation(rep).all_hold
     fam = build_idempotents(rep)
-    assert verify_idempotent_presentation(lt, 4, rep, fam).all_hold
+    assert verify_idempotent_presentation(rep, fam).all_hold
 
 
 def fraction_zero_locus(lt, r, include_p1hi):
