@@ -66,7 +66,7 @@ def freudenthal_multiplicities(rs: RootSystem, lam: Weight) -> FormalCharacter:
     if cached is not None:
         return cached
 
-    d = math.lcm(lam.den, rs.rho.den)  # roots are integral
+    d = math.lcm(lam.den, rs.rho.den)  # roots are integral, as RootSystem checks
 
     def scaled(w):
         return tuple([a * (d // w.den) for a in w.num])
@@ -117,7 +117,8 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
 
     Numerator and denominator are integer products of pairings against
     lam + rho and rho, both scaled by one common denominator (roots are
-    integral), which cancels in the single division at the end.
+    integral, as RootSystem checks), which cancels in the single division
+    at the end.
     """
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam!r} is not dominant for {rs.lie_type}")
@@ -206,20 +207,14 @@ class DecompositionResult:
         }
 
 
-def _in_chamber(family, mu):
-    """Dominance of an integer tuple: lam_1 >= ... >= lam_n >= 0 (B, C) or >= |lam_n| (D)."""
-    chain = mu[:-1] + (abs(mu[-1]),) if family == "D" else mu + (0,)
-    return all(a >= b for a, b in zip(chain, chain[1:]))
-
-
 def _zero_step_allowed(family, lam):
     """Type B's zero weight: its path dips to lam - eps_n/2, dominant iff lam_n > 0."""
     return family == "B" and lam[-1] > 0
 
 
-def _chamber_walks(lt: LieType, r: int) -> dict:
+def _chamber_walks(rs: RootSystem, r: int) -> dict:
     """{lam: number of dominant r-step walks from 0 to lam}, on integer tuples."""
-    n, family = lt.rank, lt.family
+    n, family, in_chamber = rs.rank, rs.family, rs.in_chamber
     walks = {(0,) * n: 1}
     for _ in range(r):
         nxt = {}
@@ -228,7 +223,7 @@ def _chamber_walks(lt: LieType, r: int) -> dict:
             if _zero_step_allowed(family, lam):
                 ends.append(lam)
             for mu in ends:
-                if _in_chamber(family, mu):
+                if in_chamber(mu):
                     nxt[mu] = nxt.get(mu, 0) + count
         walks = nxt
     return walks
@@ -250,7 +245,7 @@ def decompose_tensor_character(lt: LieType, r: int) -> DecompositionResult:
     in the result.
     """
     rs = build_root_system(lt)
-    mults = {Weight(lam): count for lam, count in sorted(_chamber_walks(lt, r).items(), reverse=True)}
+    mults = {Weight(lam): count for lam, count in sorted(_chamber_walks(rs, r).items(), reverse=True)}
     pi = tensor_dominant_pi(lt, r)
     outside = [lam for lam in mults if lam not in pi]
     if outside:

@@ -17,12 +17,12 @@ checks.  Only the lowering operator is written out; the raising operator
 is its conjugate under path duality.
 
 Simple roots and coroots of B, C and D are integral in the epsilon-basis
-(checked where they are read), so the calculus runs on ints over a path's
-denominator d: a breakpoint p has height (p, alpha^vee) over d, its mirror
-image at level q is p - (h - q) alpha, its translate is p - d alpha, and
-duality is a subtraction.  A level crossed inside a segment rescales the
-polyline by that segment's height step, so the crossing lands on an
-integer point.
+(checked once, when the RootSystem is constructed), so the calculus runs
+on ints over a path's denominator d: a breakpoint p has height
+(p, alpha^vee) over d, its mirror image at level q is p - (h - q) alpha,
+its translate is p - d alpha, and duality is a subtraction.  A level
+crossed inside a segment rescales the polyline by that segment's height
+step, so the crossing lands on an integer point.
 
 Strings are extracted greedily along a fixed reduced word for the longest
 Weyl element: raise maximally letter by letter until the dominant path
@@ -141,16 +141,6 @@ def _positively_parallel(u, v):
     return a * b > 0 and all(x * b == y * a for x, y in zip(u, v))
 
 
-def _int_root(rs: RootSystem, i: int):
-    """alpha_i and alpha_i^vee as int tuples; the integer calculus needs both integral."""
-    alpha, coroot = rs.simple_root(i), rs.coroot(i)
-    if alpha.den != 1 or coroot.den != 1:
-        raise InvariantError(
-            "integral simple roots", f"alpha_{i} = {alpha!r} or its coroot {coroot!r} in {rs.lie_type} is not integral"
-        )
-    return alpha.num, coroot.num
-
-
 def _heights(path: Path, coroot):
     """Heights (x_k, coroot) of the breakpoints, as ints over path.den."""
     return [sum(map(mul, p, coroot)) for p in path.num]
@@ -171,8 +161,7 @@ def f_op(rs: RootSystem, i: int, path: Path):
     last minimum and the next crossing of level q+1 is reflected, and the
     rest of the path is translated by -alpha.
     """
-    alpha, coroot = _int_root(rs, i)
-    return _lower(alpha, path, _heights(path, coroot))
+    return _lower(rs.simple_root(i).num, path, _heights(path, rs.coroot(i).num))
 
 
 def _lower(alpha, path: Path, h):
@@ -224,12 +213,11 @@ def e_op(rs: RootSystem, i: int, path: Path):
     heights; the dual path's heights are h(1 - t) - h(1) over the same
     denominator, so they are not recomputed.
     """
-    alpha, coroot = _int_root(rs, i)
-    h = _heights(path, coroot)
+    h = _heights(path, rs.coroot(i).num)
     if min(h) > -path.den:
         return None
     end = h[-1]
-    return _dual(_lower(alpha, _dual(path), [v - end for v in reversed(h)]))
+    return _dual(_lower(rs.simple_root(i).num, _dual(path), [v - end for v in reversed(h)]))
 
 
 def _minima_integral(h, d):
@@ -255,7 +243,7 @@ def is_integral(rs: RootSystem, path: Path) -> bool:
 
     The operator formulas above are exact precisely on such paths.
     """
-    return all(_minima_integral(_heights(path, _int_root(rs, i)[1]), path.den) for i in range(1, rs.rank + 1))
+    return all(_minima_integral(_heights(path, rs.coroot(i).num), path.den) for i in range(1, rs.rank + 1))
 
 
 class Crystal:
@@ -293,7 +281,7 @@ def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP
     Each element's heights are computed once per simple root; its
     integral-path check and its lowering steps read them.
     """
-    roots = [_int_root(rs, i) for i in range(1, rs.rank + 1)]
+    roots = [(rs.simple_root(i).num, rs.coroot(i).num) for i in range(1, rs.rank + 1)]
     start = straight_path(rs, lam)
     elements = [start]
     index = {start: 0}
@@ -417,18 +405,24 @@ def basis_census(lt: LieType, r: int) -> CensusReport:
     For each weight lam the lowering strings of lam pair with the reversed
     raising strings of the dual's highest weight -w0(lam); the product
     must equal the squared simple dimension, and the grand total must
-    equal the squared-dimension sum over all of pi.
+    equal the squared-dimension sum over all of pi.  Every lam and its
+    dual are checked dominant before any dimension or crystal is built:
+    a weight outside the chamber here is a failed check, not bad input.
     """
     rs = build_root_system(lt)
     word, w0 = rs.longest_element()
     minus_identity = all(w0(Weight.eps(lt.rank, i)) == -Weight.eps(lt.rank, i) for i in range(1, lt.rank + 1))
+    pairs = [(lam, -w0(lam)) for lam in tensor_dominant_pi(lt, r)]
+    for lam, dual_hw in pairs:
+        for w in (lam, dual_hw):
+            if not rs.is_dominant(w):
+                raise InvariantError("census weights", f"{w!r}, from {lam!r}, lies outside the dominant chamber of {lt}")
     rows = []
     total = 0
-    for lam in tensor_dominant_pi(lt, r):
+    for lam, dual_hw in pairs:
         dim = weyl_dimension(rs, lam)
         crystal = generate_crystal(rs, lam)
         strings = string_tuples(crystal, word)
-        dual_hw = -w0(lam)
         if dual_hw == lam:
             dual_strings = strings
         else:

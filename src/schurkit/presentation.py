@@ -188,7 +188,7 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
     def x3_cases():
         for i in range(n):
             for j in range(n):
-                c = rs.simple_root(j + 1).num[i]  # <eps_i, alpha_j>: simple roots are integral
+                c = rs.simple_root(j + 1).num[i]  # <eps_i, alpha_j>: integral, as RootSystem checks
                 for name, x, d in ("e", e[j], -c), ("f", f[j], c):
                     res = _combine(rep.dim, ((1, h[i], x), (-1, x, h[i])), ((d, x),))
                     yield (f"[H_{i+1},{name}_{j+1}]", res)

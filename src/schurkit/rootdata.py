@@ -9,6 +9,11 @@ stays on Python ints.  Coordinates are given and read back exactly: the
 constructor takes int or Fraction (floats and bools are rejected), and
 `coords` returns the int/Fraction tuple, with integral entries as ints.
 
+The root system is the one source of two facts the other layers rest on:
+its simple roots, coroots and positive roots are integral (checked once,
+at construction), and dominance is the one chamber test
+(lam, alpha_i^vee) >= 0 on int numerators, with no per-family table.
+
 Conventions:
   * simple-root indices in the public API are 1-based (i = 1..n),
   * the natural module has dimension m = 2n+1 in type B and 2n in C, D,
@@ -21,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 FAMILIES = ("B", "C", "D")
 
@@ -218,6 +224,10 @@ class RootSystem:
     __slots__ = ("lie_type", "simple_roots", "cartan", "positive_roots", "rho", "coroots")
 
     def __init__(self, lie_type, simple_roots, cartan, positive_roots, rho, coroots):
+        for name, roots in (("simple root", simple_roots), ("coroot", coroots), ("positive root", positive_roots)):
+            for w in roots:
+                if w.den != 1:
+                    raise InvariantError("integral simple roots", f"{name} {w!r} in {lie_type} is not integral")
         self.lie_type = lie_type
         self.simple_roots = simple_roots
         self.cartan = cartan
@@ -243,20 +253,17 @@ class RootSystem:
         self._check_index(i)
         return self.coroots[i - 1]
 
+    def in_chamber(self, num):
+        """True iff (num, alpha_i^vee) >= 0 for every i: the closed dominant chamber.
+
+        num is an int tuple, the numerators of a weight over any positive
+        denominator; the coroots are integral, so each pairing is an int.
+        """
+        return all(sum(map(mul, num, c.num)) >= 0 for c in self.coroots)
+
     def is_dominant(self, w):
-        """Chain inequalities on the coordinates; type D allows a signed tail."""
-        c = w.num  # over a positive denominator, so the inequalities carry over
-        n = self.rank
-        for k in range(n - 2):
-            if c[k] < c[k + 1]:
-                return False
-        if self.family == "D":
-            if n >= 2 and c[n - 2] < abs(c[n - 1]):
-                return False
-            return True
-        if n >= 2 and c[n - 2] < c[n - 1]:
-            return False
-        return c[n - 1] >= 0
+        """w is in the chamber; its numerators have the signs of its pairings."""
+        return self.in_chamber(w.num)
 
     def simple_root_coefficients(self, v):
         """Coefficients c with v = sum c_i alpha_i, as exact rationals."""

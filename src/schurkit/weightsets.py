@@ -151,43 +151,30 @@ def tensor_dominant_pi(lt: LieType, r) -> WeightSet:
     return WeightSet.make(out, f"pi({lt},{r})")
 
 
-def dominant_box(rs: RootSystem, top):
-    """Dominant integer weights mu with first coordinate at most `top`.
-
-    Any dominant mu below a dominant lam in dominance order satisfies
-    mu_1 <= lam_1, so this box contains every candidate needed by the
-    saturation test.
-    """
-    n = rs.rank
-    out = []
-
-    def go(prefix, bound):
-        if len(prefix) == n:
-            out.append(Weight(prefix))
-            return
-        is_last = len(prefix) == n - 1
-        if is_last and rs.family == "D":
-            for c in range(bound, -bound - 1, -1):
-                go(prefix + (c,), bound)
-        else:
-            for c in range(bound, -1, -1):
-                go(prefix + (c,), c)
-
-    go((), top)
-    return out
-
-
 def is_saturated(rs: RootSystem, ws: WeightSet) -> bool:
-    """True iff ws is closed downward under dominance among dominant weights."""
+    """True iff ws is closed downward under dominance among dominant weights.
+
+    The candidates below a dominant lam with |lam|_1 = s > 0 are the dominant
+    weights of the s-th tensor power: a dominant mu <= lam has |mu|_1 <= s,
+    of the parity of s in types C and D.  In B and C the coefficients of
+    x = lam - mu on the simple roots are its partial sums s_k (in C the
+    last one halved), so |lam|_1 - |mu|_1 = s_n >= 0.  In D the last two
+    are (s_{n-1} -+ x_n)/2 >= 0, so s_{n-1} >= |x_n|, and
+    |lam|_1 - |mu|_1 = s_{n-1} + |lam_n| - |mu_n| >= s_{n-1} - |x_n| >= 0.
+    In C and D the root lattice has even coordinate sum, which fixes the
+    parity.  Below 0 is only 0 itself.
+    """
     members = ws.as_set()
     for lam in members:
         if not rs.is_dominant(lam):
             raise ValueError(f"non-dominant element {lam!r} in weight set {ws.label}")
     for lam in members:
-        top = lam.coords[0]
-        if not isinstance(top, int):
+        if not lam.is_integral():
             raise ValueError("saturation test expects integer weights")
-        for mu in dominant_box(rs, top):
+        degree = sum(map(abs, lam.num))
+        if degree == 0:
+            continue
+        for mu in tensor_dominant_pi(rs.lie_type, degree):
             if mu not in members and rs.dominance_leq(mu, lam):
                 return False
     return True

@@ -21,7 +21,7 @@ from schurkit.decomposition import (
 )
 from schurkit.rootdata import InvariantError, LieType, Weight, build_root_system
 from schurkit.weightsets import tensor_dominant_pi
-from conftest import all_lie_types, fundamental_weights
+from conftest import all_lie_types, fundamental_weights, rebuild
 
 SRC = os.path.dirname(os.path.dirname(schurkit.__file__))
 
@@ -377,8 +377,9 @@ def test_miscounted_walk_fails_the_dimension_check(flags):
 # caught before any Weyl dimension is asked for, not bad input (exit 2).
 UNCHAMBERED_COMPARE = (
     "import sys\n"
-    "from schurkit import cli, decomposition\n"
-    "decomposition._in_chamber = lambda family, mu: True\n"
+    "from schurkit import cli\n"
+    "from schurkit.rootdata import RootSystem\n"
+    "RootSystem.in_chamber = lambda self, num: True\n"
     "sys.exit(cli.run(['compare', 'B', '2', '2']))\n"
 )
 EXTRA_RULE_CLOSURE = (
@@ -411,10 +412,60 @@ def test_non_dominant_factor_weight_is_a_failed_check(flags, script, message):
     assert "is not dominant" not in proc.stderr
 
 
+# The census checks each weight and its dual -w0(lam) against the chamber
+# before any dimension or crystal is built, so a fault there is exit 1 too.
+IDENTITY_W0_CENSUS = (
+    "import sys\n"
+    "from schurkit import cli\n"
+    "from schurkit.rootdata import RootSystem\n"
+    "real = RootSystem.longest_element\n"
+    "def identity_action(self):\n"
+    "    word, _ = real(self)\n"
+    "    return word, lambda w: w\n"
+    "RootSystem.longest_element = identity_action\n"
+    "sys.exit(cli.run(['census', 'C', '2', '2']))\n"
+)
+EXTRA_PI_CENSUS = (
+    "import sys\n"
+    "from schurkit import cli, pathmodel\n"
+    "from schurkit.rootdata import Weight\n"
+    "from schurkit.weightsets import WeightSet\n"
+    "real = pathmodel.tensor_dominant_pi\n"
+    "def extra(lt, r):\n"
+    "    return WeightSet.make([*real(lt, r), Weight((0, 1))], 'pi')\n"
+    "pathmodel.tensor_dominant_pi = extra\n"
+    "sys.exit(cli.run(['census', 'C', '2', '2']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "script,message",
+    [
+        (
+            IDENTITY_W0_CENSUS,
+            "check failed: census weights: Weight(-2, 0), from Weight(2, 0), lies outside the dominant chamber of C2\n",
+        ),
+        (
+            EXTRA_PI_CENSUS,
+            "check failed: census weights: Weight(0, 1), from Weight(0, 1), lies outside the dominant chamber of C2\n",
+        ),
+    ],
+    ids=["dual-outside-the-chamber", "weight-outside-the-chamber"],
+)
+def test_non_dominant_census_weight_is_a_failed_check(flags, script, message):
+    proc = run_script(flags, script)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == message
+    assert "is not dominant" not in proc.stderr
+
+
 def test_type_b_zero_step_needs_a_positive_last_coordinate(monkeypatch):
-    assert set(decomposition._chamber_walks(LieType("B", 2), 2)) == {(2, 0), (1, 1), (0, 0)}
+    rs = build_root_system(LieType("B", 2))
+    assert set(decomposition._chamber_walks(rs, 2)) == {(2, 0), (1, 1), (0, 0)}
     monkeypatch.setattr(decomposition, "_zero_step_allowed", lambda family, lam: family == "B")
-    mutant = decomposition._chamber_walks(LieType("B", 2), 2)
+    mutant = decomposition._chamber_walks(rs, 2)
     assert (1, 0) in mutant
     assert set(mutant) != coords(pi0_weyl_rules(LieType("B", 2), 2))
     with pytest.raises(ArithmeticError):
@@ -422,16 +473,17 @@ def test_type_b_zero_step_needs_a_positive_last_coordinate(monkeypatch):
 
 
 def test_type_d_chamber_signs_the_last_coordinate(monkeypatch):
-    assert set(decomposition._chamber_walks(LieType("D", 2), 2)) == {(2, 0), (1, 1), (1, -1), (0, 0)}
-    d3 = decomposition._chamber_walks(LieType("D", 3), 3)
-    assert (1, 1, 1) in d3 and (1, 1, -1) in d3
+    d2, d3 = build_root_system(LieType("D", 2)), build_root_system(LieType("D", 3))
+    assert set(decomposition._chamber_walks(d2, 2)) == {(2, 0), (1, 1), (1, -1), (0, 0)}
+    walks = decomposition._chamber_walks(d3, 3)
+    assert (1, 1, 1) in walks and (1, 1, -1) in walks
 
-    def unsigned(family, mu):  # lam_1 >= ... >= lam_n >= 0 in every family
-        chain = mu + (0,)
-        return all(a >= b for a, b in zip(chain, chain[1:]))
+    def unsigned(rs):  # last coroot eps_n: lam_1 >= ... >= lam_n >= 0 in every family
+        return rebuild(rs, coroots=rs.coroots[:-1] + (Weight.eps(rs.rank, rs.rank),))
 
-    monkeypatch.setattr(decomposition, "_in_chamber", unsigned)
-    assert (1, 1, -1) not in decomposition._chamber_walks(LieType("D", 3), 3)
+    assert (1, 1, -1) not in decomposition._chamber_walks(unsigned(d3), 3)
+    real = decomposition._chamber_walks
+    monkeypatch.setattr(decomposition, "_chamber_walks", lambda rs, r: real(unsigned(rs), r))
     for lt, r in ((LieType("D", 2), 2), (LieType("D", 3), 3)):
         with pytest.raises(ArithmeticError):
             compare_pi0_pi(lt, r)

@@ -532,13 +532,5 @@ def test_non_integral_lowering_result_is_an_invariant_error(monkeypatch):
 
 def test_non_integral_coroot_is_an_invariant_error():
     rs = rs_of("C", 2)
-    halved = rebuild(rs, coroots=(HALF * rs.coroots[0], rs.coroots[1]))
-    lam = Weight((1, 0))
-    for call in (
-        lambda: generate_crystal(halved, lam),
-        lambda: f_op(halved, 1, straight_path(halved, lam)),
-        lambda: e_op(halved, 1, straight_path(halved, lam)),
-        lambda: is_integral(halved, straight_path(halved, lam)),
-    ):
-        with pytest.raises(InvariantError, match="integral simple roots"):
-            call()
+    with pytest.raises(InvariantError, match="integral simple roots"):
+        rebuild(rs, coroots=(HALF * rs.coroots[0], rs.coroots[1]))

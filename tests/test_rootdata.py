@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurkit.rootdata import LieType, Weight, build_root_system
-from conftest import all_lie_types, fundamental_weights
+from schurkit.rootdata import InvariantError, LieType, Weight, build_root_system
+from conftest import all_lie_types, fundamental_weights, rebuild
 
 HALF = Fraction(1, 2)
 
@@ -102,6 +103,43 @@ def test_is_dominant_examples():
     assert not rs_of("B", 2).is_dominant(Weight((1, 2)))
     assert not rs_of("C", 2).is_dominant(Weight((1, -1)))
     assert rs_of("B", 2).is_dominant(Weight((HALF, HALF)))
+
+
+def chain_is_dominant(family, c):
+    """The per-family chain table: c_1 >= ... >= c_n >= 0 (B, C), or c_{n-1} >= |c_n| (D)."""
+    n = len(c)
+    for k in range(n - 2):
+        if c[k] < c[k + 1]:
+            return False
+    if family == "D":
+        return c[n - 2] >= abs(c[n - 1])
+    if n >= 2 and c[n - 2] < c[n - 1]:
+        return False
+    return c[n - 1] >= 0
+
+
+@pytest.mark.parametrize("lt", all_lie_types(4), ids=str)
+def test_coroot_chamber_equals_the_family_chain_table(lt):
+    rs = build_root_system(lt)
+    for num in itertools.product(range(-6, 7), repeat=lt.rank):  # the half-integer box [-3, 3]^n
+        w = Weight.from_numerators(num, 2)
+        expected = chain_is_dominant(lt.family, w.num)
+        assert rs.in_chamber(num) == expected
+        assert rs.is_dominant(w) == expected
+
+
+@pytest.mark.parametrize(
+    "field,index", [("simple_roots", 0), ("simple_roots", -1), ("coroots", -1), ("positive_roots", 0)]
+)
+@pytest.mark.parametrize("family", "BCD")
+def test_non_integral_root_data_is_refused_at_construction(field, index, family):
+    rs = rs_of(family, 3)
+    roots = list(getattr(rs, field))
+    roots[index] = Fraction(1, 3) * roots[index]
+    with pytest.raises(InvariantError, match="integral simple roots") as info:
+        rebuild(rs, **{field: tuple(roots)})
+    assert info.value.label == "integral simple roots"
+    assert rebuild(rs).coroots == rs.coroots
 
 
 def test_dominance_leq_b2_by_exhaustive_expansion():

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -120,6 +121,45 @@ def test_saturation_counterexample_and_errors():
     assert is_saturated(rs, WeightSet.make([Weight((0, 0))], "origin"))
     with pytest.raises(ValueError):
         is_saturated(rs, WeightSet.make([Weight((0, 1))], "bad"))
+    # dominant for B2 but not a weight of it: every coordinate must be integral
+    with pytest.raises(ValueError, match="integer weights"):
+        is_saturated(build_root_system(LieType("B", 2)), WeightSet.make([Weight((1, Fraction(1, 2)))], "half"))
+
+
+def box_is_saturated(rs, ws):
+    """The saturation test over the box of dominant weights with mu_1 <= lam_1."""
+    n = rs.rank
+
+    def box(top):
+        out = []
+
+        def go(prefix, bound):
+            if len(prefix) == n:
+                out.append(Weight(prefix))
+            elif len(prefix) == n - 1 and rs.family == "D":
+                for c in range(bound, -bound - 1, -1):
+                    go(prefix + (c,), bound)
+            else:
+                for c in range(bound, -1, -1):
+                    go(prefix + (c,), c)
+
+        go((), top)
+        return out
+
+    members = ws.as_set()
+    assert all(rs.is_dominant(lam) and lam.is_integral() for lam in members)
+    return all(mu in members or not rs.dominance_leq(mu, lam) for lam in members for mu in box(lam.coords[0]))
+
+
+@pytest.mark.parametrize("lt", all_lie_types(3), ids=str)
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_saturation_equals_the_dominant_box_reference(lt, r):
+    rs = build_root_system(lt)
+    pi = tensor_dominant_pi(lt, r)
+    sets = [pi] + [WeightSet.make([w for w in pi if w != drop], "dropped") for drop in pi]
+    verdicts = [is_saturated(rs, ws) for ws in sets]
+    assert verdicts == [box_is_saturated(rs, ws) for ws in sets]
+    assert verdicts[0]
 
 
 def test_canonical_order_puts_top_weight_first():
