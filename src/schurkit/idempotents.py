@@ -13,11 +13,15 @@ after the polynomial formula has been re-verified on a sample of weights.
 The check stays in integers: the deleted-factor product N of the numerators
 must equal d * 1_lam, where d = prod_i P1^(lam_i)(lam_i) is the normaliser.
 The H_i are diagonal, so the product of the factors is taken index by index;
-an H_i that is not diagonal on the weight basis is a failed check.
+an H_i that is not diagonal on the weight basis is a failed check, and so is
+a weight of the family with a coordinate outside [-r, r] (InvariantError).
+The table's indicators and every weighted sum of them (the R2 target
+sum_lam <lam, alpha_i^vee> 1_lam, and H_i itself) are built as diagonals.
 
 P1 and P2, whose roots are -r, -r+2, ..., r, are kept as integer root
-tuples and applied factor by factor with `product_of_shifts`; no
-coefficient is formed.
+tuples and applied factor by factor with `shift_products` (diagonal
+values) or `product_of_shifts` (the diagonal operator); no coefficient is
+formed.
 
 `ladder_check` is the one implementation of the projector presentation's
 ladder relations R3-R6; the presentation report takes its groups from it.
@@ -27,8 +31,8 @@ from __future__ import annotations
 
 import math
 
-from .replinalg import ExactMatrix, Representation, product_of_shifts, right_products
-from .rootdata import Weight, build_root_system
+from .replinalg import ExactMatrix, Representation, diagonal_index, right_products, shift_products
+from .rootdata import InvariantError, Weight, build_root_system
 from .weightsets import WeightSet, tensor_weights_Pi
 
 
@@ -52,26 +56,28 @@ def polynomial_idempotent(rep: Representation, lam: Weight):
 
     N = prod_i P1^(lam_i)(H_i) is an integer matrix and d = prod_i
     P1^(lam_i)(lam_i) its nonzero integer normaliser.  Never expands the
-    degree-2rn product symbolically: each P1^(lam_i)(H_i) is formed by
-    `product_of_shifts`, and N's diagonal is the per-index product of the
-    factors' diagonals.  A carrier's H_i are diagonal on its weight basis
+    degree-2rn product symbolically: the diagonal values of each
+    P1^(lam_i)(H_i) come from `shift_products`, and N's diagonal is their
+    per-index product.  A carrier's H_i are diagonal on its weight basis
     (`weights[b]` is basis vector b's eigenvalue vector); an H_i that is
-    not raises ArithmeticError.
+    not raises ArithmeticError.  The weights come from the tensor weight
+    set, so a coordinate outside [-r, r] is a failed check too
+    (InvariantError), not bad input.
     """
     r = rep.r
     roots = p1(r)
-    diagonals = []
+    values = [1] * rep.dim
     denom = 1
     for i, hi in enumerate(rep.h):
         k = lam.coords[i]
         if k not in roots:
-            raise ValueError(f"eigenvalue {k} for H_{i+1} escapes the integer window [-{r}, {r}]")
+            raise InvariantError("integer window", f"eigenvalue {k} for H_{i+1} escapes [-{r}, {r}]")
         if not hi.is_diagonal():
             raise ArithmeticError(f"H_{i+1} not diagonal on the weight basis")
         shifts = [j for j in roots if j != k]
-        diagonals.append(product_of_shifts(hi.diagonal(), shifts).diagonal())
+        values = [v * w for v, w in zip(values, shift_products(hi.diagonal(), shifts))]
         denom *= math.prod(k - j for j in shifts)
-    return ExactMatrix.diag([math.prod(values) for values in zip(*diagonals)]), denom
+    return ExactMatrix.diag(values), denom
 
 
 class IdempotentFamily:
@@ -85,13 +91,15 @@ class IdempotentFamily:
         self.table = table
 
     def weighted_sum(self, coeff) -> ExactMatrix:
-        """Sum of coeff(lam) * 1_lam over the family."""
-        items = []
-        for lam, proj in self.table.items():
-            c = coeff(lam)
-            if c != 0:
-                items.extend((i, j, c * v) for i, j, v in proj.iter_entries())
-        return ExactMatrix.from_entries(self.rep.dim, items)
+        """Sum of coeff(lam) * 1_lam over the family, accumulated on the diagonal.
+
+        The projectors are diagonal; one that is not raises ArithmeticError (`diagonal_index`).
+        """
+        coeffs = [coeff(lam) for lam in self.table]
+        total = [0] * self.rep.dim
+        for b, held in diagonal_index(self.table).items():
+            total[b] = sum(coeffs[p] * v for p, v in held)
+        return ExactMatrix.diag(total)
 
     def rank_table(self):
         """Projector ranks per weight; for indicator diagonals this is the trace."""
@@ -133,9 +141,8 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
     if not support.keys() <= pi_all.as_set():
         raise ArithmeticError("carrier weights are not contained in the expected weight set")
 
-    table = {
-        lam: ExactMatrix.from_entries(rep.dim, [(b, b, 1) for b in support.get(lam, ())]) for lam in pi_all
-    }
+    # indicator diagonals; their indices are basis positions, so no entry needs validating
+    table = {lam: ExactMatrix(rep.dim, {b: {b: 1} for b in support.get(lam, ())}) for lam in pi_all}
 
     elements = list(pi_all)
     if elements:

@@ -12,17 +12,40 @@ Every relation group is checked as an exact operator identity on the
 given carrier, which is the only input: the type and degree are the
 carrier's own, and the constants come from its root system.  A failing
 group records the sub-case and the location of its largest residual entry.
-Bracket residuals (X1-X5, R2, R7, R8) take one pass each of `replinalg`'s
-row kernel.  Groups the two presentations share are built by one helper
-each: the commutator [e_i, f_j] = delta_ij h_i (X2, R2), whose target is
-the coroot element h_i = sum_k <eps_k, alpha_i^vee> H_k (X2) or sum_lam
+Groups the two presentations share are built by one helper each: the
+commutator [e_i, f_j] = delta_ij h_i (X2, R2), whose target is the coroot
+element h_i = sum_k <eps_k, alpha_i^vee> H_k (X2) or sum_lam
 <lam, alpha_i^vee> 1_lam (R2), and the Serre relations (X4/X5, R7/R8).
-X6 and X7 read each H_i's diagonal once, since the weight basis is an
-eigenbasis of every H_i; an H_i that is not diagonal is a failed check.
-The ladder groups R3-R6 are computed by `idempotents.ladder_check`.  The
-zero-locus scan (over the L1 shells a zero can lie on) and the quotient
-comparison live here as well, since they decide which relation groups are
-redundant and when the single-power image is a proper quotient.
+The ladder groups R3-R6 are computed by `idempotents.ladder_check`.
+
+Two facts of the carriers halve the passes of `replinalg`'s row kernel.
+
+Transpose duality.  Every carrier has f_i = c_i e_i^T, with c = (1, ...,
+1, 2) in type B (the natural f_n is 2 e_n^T) and c = 1 in C and D, since
+lifting to tensor powers commutes with transposes and scalars.  This is
+checked exactly on the given carrier, by entry lookups.  Where it holds,
+ad_{A^T}(B^T) = -(ad_A B)^T gives the f-side Serre residual at (i, j) as
+(-1)^k c_i^k c_j times the transpose of the e-side one, k = 1 - a_ij, and
+the commutator residual at i > j as (c_j / c_i) times the transpose of the
+one at (j, i), an exact division.  Only nonzero e-side residuals are kept,
+as the transpose of zero is zero.  Where it fails (a perturbed carrier),
+both sides are formed bracket by bracket.  On both sides the Serre sums
+share the first bracket of each unordered pair: [x_j, x_i] = -[x_i, x_j].
+Every residual is entrywise the one the brackets would give, so reports
+and witnesses do not depend on the path.
+
+Diagonal scans.  The weight basis is an eigenbasis of every H_i and every
+1_lam, so each H_i's diagonal is read once, and an H_i that is not
+diagonal is a failed check.  X1 then holds (diagonal operators commute);
+X3's residual [H_i, x] + d x has the entries x_ab (h_a - h_b + d), one
+scan of x; X6 and X7 multiply out diagonal values, each signed sum J of X7
+being the signed sum of the diagonals.  R1's product 1_lam 1_mu is
+index-by-index, so only projectors whose supports meet are paired, and the
+completeness sum is a sum of diagonal values.
+
+The zero-locus scan (over the L1 shells a zero can lie on) and the
+quotient comparison live here as well, since they decide which relation
+groups are redundant and when the single-power image is a proper quotient.
 """
 
 from __future__ import annotations
@@ -36,10 +59,12 @@ from .replinalg import (
     Representation,
     _combine,
     algebra_closure,
+    diagonal_bracket,
+    diagonal_index,
     product_of_shifts,
-    right_products,
     single_power_rep,
     tower_rep,
+    transpose_scale,
 )
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import WeightSet, compositions, tensor_weights_Pi
@@ -138,21 +163,79 @@ def _serre_sum(x, y, a_xy):
     return z
 
 
-def _serre_cases(gens, cartan):
-    """Serre residuals of one generator list, over all ordered pairs i != j."""
-    n = len(gens)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                yield (f"i={i+1},j={j+1}", _serre_sum(gens[i], gens[j], cartan[i][j]))
+def _serre_residuals(gens, cartan):
+    """The nonzero Serre residuals ad_{x_i}^k(x_j), k = 1 - a_ij, keyed by the ordered pair (i, j), i != j.
+
+    [x_j, x_i] = -[x_i, x_j], so the first bracket of each unordered pair
+    is formed once and serves both orders.
+    """
+    out = {}
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        first = gens[i].bracket(gens[j])
+        for a, b, sign in ((i, j, 1), (j, i, -1)):
+            z = _serre_sum(gens[a], first, cartan[a][b] + 1)  # ad_{x_a}^{k-1} of [x_a, x_b] = sign * first
+            if not z.is_zero():
+                out[a, b] = z if sign == 1 else -z
+        first = z = None  # free this pair's brackets before the next pair's first one is formed
+    return out
 
 
-def _commutator_cases(e, f, target):
-    """Residuals of [e_i, f_j] = delta_ij target(i); target is built only when i == j."""
+def _dual_serre_residuals(residuals, cartan, scales):
+    """The f-side Serre residuals from the e-side ones, when f_i = c_i e_i^T for every i.
+
+    ad_{A^T}(B^T) = -(ad_A B)^T, so ad_{f_i}^k(f_j) = (-1)^k c_i^k c_j (ad_{e_i}^k e_j)^T.
+    """
+    out = {}
+    for (i, j), res in residuals.items():
+        k = 1 - cartan[i][j]
+        out[i, j] = res.scaled_transpose((-1) ** k * scales[i] ** k * scales[j])
+    return out
+
+
+def _serre_cases(residuals):
+    """The Serre cases in (i, j) order; only nonzero residuals are kept, as `_check_many` skips the rest."""
+    return ((f"i={i+1},j={j+1}", residuals[i, j]) for i, j in sorted(residuals))
+
+
+def _transpose_scales(rep):
+    """The ints c_i with f_i = c_i e_i^T on the carrier, or None when some f_i is not such a multiple.
+
+    Every carrier `_build_rep` makes has them, since lifting to tensor
+    powers commutes with transposes and scalars: c = (1, ..., 1, 2) in
+    type B (the natural f_n is 2 e_n^T) and c = 1 in types C and D.
+    """
+    scales = tuple(transpose_scale(e, f) for e, f in zip(rep.e, rep.f))
+    return None if None in scales else scales
+
+
+def _commutator_cases(e, f, target, scales):
+    """Residuals of [e_i, f_j] = delta_ij target(i); target is built only when i == j.
+
+    With transpose scales (f_k = c_k e_k^T), the residual at i > j is
+    (c_j / c_i) times the transpose of the one at (j, i), which is formed
+    first; the division is exact, since both residuals are integral.
+    """
     n = len(e)
+    upper = {}
     for i in range(n):
         for j in range(n):
-            yield (f"i={i+1},j={j+1}", e[i].bracket(f[j], target(i) if i == j else None))
+            case = f"i={i+1},j={j+1}"
+            if scales is not None and i > j:
+                if (j, i) in upper:
+                    yield (case, upper[j, i].scaled_transpose(scales[j], scales[i]))
+                continue
+            res = e[i].bracket(f[j], target(i) if i == j else None)
+            if i < j and not res.is_zero():
+                upper[i, j] = res
+            yield (case, res)
+
+
+def _serre_groups(rep, rs, scales):
+    """The (e-side, f-side) Serre residuals; the f side by transpose duality where it holds."""
+    e_side = _serre_residuals(rep.e, rs.cartan)
+    if scales is None:
+        return e_side, _serre_residuals(rep.f, rs.cartan)
+    return e_side, _dual_serre_residuals(e_side, rs.cartan, scales)
 
 
 def _coroot_element(rs, h, i):
@@ -181,28 +264,29 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
     report, rs = _new_report("serre", rep)
     n, fam = rs.rank, rs.family
     e, f, h = rep.e, rep.f, rep.h
-    x1_cases = ((f"H_{i+1}H_{j+1}", h[i].bracket(h[j])) for i in range(n) for j in range(i + 1, n))
-    report.relations.append(_check_many(f"{fam}1", x1_cases))
-    report.relations.append(_check_many(f"{fam}2", _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i))))
-
-    def x3_cases():
-        for i in range(n):
-            for j in range(n):
-                c = rs.simple_root(j + 1).num[i]  # <eps_i, alpha_j>: integral, as RootSystem checks
-                for name, x, d in ("e", e[j], -c), ("f", f[j], c):
-                    res = _combine(rep.dim, ((1, h[i], x), (-1, x, h[i])), ((d, x),))
-                    yield (f"[H_{i+1},{name}_{j+1}]", res)
-
-    report.relations.append(_check_many(f"{fam}3", x3_cases()))
-    report.relations.append(_check_many(f"{fam}4", _serre_cases(e, rs.cartan)))
-    report.relations.append(_check_many(f"{fam}5", _serre_cases(f, rs.cartan)))
-
-    # X6 and X7 read each H_i's diagonal once: the weight basis of a carrier is an eigenbasis
+    # the weight basis of a carrier is an eigenbasis of every H_i: X1, X3, X6 and X7 read the diagonals
     diagonals = []
     for i, hi in enumerate(h):
         if not hi.is_diagonal():
             raise ArithmeticError(f"{fam}6: H_{i+1} not diagonal on the weight basis")
         diagonals.append(hi.diagonal())
+    report.relations.append(RelationCheck(label=f"{fam}1", holds=True))  # diagonal operators commute
+    scales = _transpose_scales(rep)
+    x2_cases = _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i), scales)
+    report.relations.append(_check_many(f"{fam}2", x2_cases))
+
+    def x3_cases():
+        for i, d in enumerate(diagonals):
+            for j in range(n):
+                c = rs.simple_root(j + 1).num[i]  # <eps_i, alpha_j>: integral, as RootSystem checks
+                for name, x, shift in ("e", e[j], -c), ("f", f[j], c):
+                    yield (f"[H_{i+1},{name}_{j+1}]", diagonal_bracket(d, x, shift))
+
+    report.relations.append(_check_many(f"{fam}3", x3_cases()))
+    e_serre, f_serre = _serre_groups(rep, rs, scales)
+    report.relations.append(_check_many(f"{fam}4", _serre_cases(e_serre)))
+    report.relations.append(_check_many(f"{fam}5", _serre_cases(f_serre)))
+
     x6_cases = ((f"P1(H_{i+1})", product_of_shifts(d, p1(rep.r))) for i, d in enumerate(diagonals))
     report.relations.append(_check_many(f"{fam}6", x6_cases))
     signed = annihilator_for_signed_sums(fam, rep.r)
@@ -219,6 +303,29 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
     return report
 
 
+def _projector_cases(table, dim):
+    """The nonzero residuals of 1_lam 1_mu = delta 1_lam, in (lam, mu) order, then of the completeness sum.
+
+    The projectors are diagonal (`diagonal_index` raises otherwise), so
+    1_lam 1_mu is the index-by-index product, and only pairs whose
+    supports share an index can leave a residual.
+    """
+    lams = list(table)
+    holders = diagonal_index(table)
+    products = {}  # (position of lam, position of mu) -> {index: entry of 1_lam 1_mu - delta 1_lam}
+    for b, held in holders.items():
+        for p, u in held:
+            for q, v in held:
+                w = u * v - u if p == q else u * v
+                if w:
+                    products.setdefault((p, q), {})[b] = w
+    for p, q in sorted(products):
+        data = {b: {b: w} for b, w in products[p, q].items()}
+        yield (f"1_{lams[p].coords} 1_{lams[q].coords}", ExactMatrix(dim, data))
+    total = ((b, sum(v for _, v in holders.get(b, ())) - 1) for b in range(dim))
+    yield ("completeness", ExactMatrix(dim, {b: {b: w} for b, w in total if w}))
+
+
 def verify_idempotent_presentation(rep: Representation, fam: IdempotentFamily) -> RelationReport:
     """Check the eight projector-presentation relation groups on a carrier.
 
@@ -229,27 +336,15 @@ def verify_idempotent_presentation(rep: Representation, fam: IdempotentFamily) -
     projector is a completeness defect, which R1 reports.
     """
     report, rs = _new_report("idempotent", rep)
-    table = fam.table
-
-    def r1_cases():
-        lams = list(table)
-        products = right_products(table)
-        for lam in lams:
-            prods = products(table[lam])
-            for mu in lams:
-                yield (f"1_{lam.coords} 1_{mu.coords}", prods[mu] - table[lam] if lam == mu else prods[mu])
-        # sum of the projectors minus the identity in one pass; repeated + would copy the total each time
-        minus_identity = ((b, b, -1) for b in range(rep.dim))
-        terms = (entry for lam in lams for entry in table[lam].iter_entries())
-        yield ("completeness", ExactMatrix.from_entries(rep.dim, itertools.chain(minus_identity, terms)))
-
-    report.relations.append(_check_many("R1", r1_cases()))
+    report.relations.append(_check_many("R1", _projector_cases(fam.table, rep.dim)))
+    scales = _transpose_scales(rep)
     coroot_target = lambda i: fam.weighted_sum(rs.coroot(i + 1).dot)  # sum_lam <lam, alpha_i^vee> 1_lam
-    report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target)))
+    report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target, scales)))
     for label, cases in ladder_check(fam, rep).residuals.items():
         report.relations.append(_check_many(label, cases))
-    report.relations.append(_check_many("R7", _serre_cases(rep.e, rs.cartan)))
-    report.relations.append(_check_many("R8", _serre_cases(rep.f, rs.cartan)))
+    e_serre, f_serre = _serre_groups(rep, rs, scales)
+    report.relations.append(_check_many("R7", _serre_cases(e_serre)))
+    report.relations.append(_check_many("R8", _serre_cases(f_serre)))
     return report
 
 

@@ -14,13 +14,18 @@ that adds up sum c*(x @ y) + sum c*x one output row at a time, so a
 residual x@y - y@x - t takes one pass and no intermediate matrix.
 
 Cartan operators and weight projectors are diagonal on the weight basis
-of every carrier.  Three places use that.  `product_of_shifts` takes the
-diagonal values of an operator, which its caller has read off once, and
-multiplies out each distinct value once.  `right_products` forms op @ P,
+of every carrier.  Four places use that.  `product_of_shifts` (and
+`shift_products`, its list of values) takes the diagonal values of an
+operator, which its caller has read off once, and multiplies out each
+distinct value once.  `diagonal_bracket` forms [D, x] + s*x for such a
+diagonal D in one scan of x's entries.  `right_products` forms op @ P,
 and on request P @ op, for a whole table of diagonal P in one pass over
-op's rows, exactly as @ would; a table matrix that is not diagonal is a
-failed check (ArithmeticError).  The algebra closure grades by the
-diagonal generators.
+op's rows, exactly as @ would; `diagonal_index` lists, per index, the
+table matrices that hold it, and a table matrix that is not diagonal is
+a failed check (ArithmeticError).  The algebra closure grades by the
+diagonal generators.  For the transpose duality of the relation checks,
+`transpose_scale` reads off the int c with y = c * x^T by entry lookups,
+and `ExactMatrix.scaled_transpose` transposes a residual.
 
 The module also provides the carriers - the natural module as the
 degree-1 carrier, and the tower (a direct sum of tensor powers of the
@@ -181,6 +186,14 @@ class ExactMatrix:
             self._check_size(m)
         return _combine(self.size, ((1, self, other), (-1, other, self)), terms)
 
+    def scaled_transpose(self, num, den=1):
+        """(num/den) * self^T; every num * entry must be a multiple of den, as the caller's identity guarantees."""
+        data = {}
+        for i, row in self._data.items():
+            for j, v in row.items():
+                data.setdefault(j, {})[i] = num * v // den
+        return ExactMatrix(self.size, data)
+
     def trace(self):
         return sum(r.get(i, 0) for i, r in self._data.items())
 
@@ -250,6 +263,12 @@ def _combine(size, products, terms=()):
     return ExactMatrix(size, out)
 
 
+def shift_products(diagonal, shifts):
+    """The values prod_s (m - s) over the diagonal values m, each distinct m multiplied out once."""
+    value = {m: math.prod(m - s for s in shifts) for m in set(diagonal)}
+    return [value[m] for m in diagonal]
+
+
 def product_of_shifts(diagonal, shifts):
     """Product over s in shifts of (M - s*I) for the diagonal M with these diagonal values.
 
@@ -258,8 +277,59 @@ def product_of_shifts(diagonal, shifts):
     caller reads the values off a carrier's Cartan operators, which are
     diagonal on its weight basis, and checks that they are.
     """
-    value = {m: math.prod(m - s for s in shifts) for m in set(diagonal)}
-    return ExactMatrix.diag(value[m] for m in diagonal)
+    return ExactMatrix.diag(shift_products(diagonal, shifts))
+
+
+def diagonal_bracket(diagonal, x, shift):
+    """[D, x] + shift * x for the diagonal D with these diagonal values, in one scan of x's entries.
+
+    Entry (a, b) is x_ab * (d_a - d_b + shift); zeros are not stored.
+    """
+    data = {}
+    for a, row in x._data.items():
+        da = diagonal[a] + shift
+        out = {b: v * (da - diagonal[b]) for b, v in row.items() if da != diagonal[b]}
+        if out:
+            data[a] = out
+    return ExactMatrix(x.size, data)
+
+
+def transpose_scale(x, y):
+    """The int c with y == c * x^T, by entry lookups and no transposed copy; None if there is none.
+
+    c is read off the first entry of y; 1 when both matrices are zero.
+    """
+    if x.nnz != y.nnz:
+        return None
+    c = None
+    for j, row in y._data.items():
+        for i, v in row.items():
+            u = x._data.get(i, {}).get(j)
+            if u is None:
+                return None
+            if c is None:
+                c, rest = divmod(v, u)
+                if rest:
+                    return None
+            elif v != c * u:
+                return None
+    return 1 if c is None else c
+
+
+def diagonal_index(table):
+    """j -> [(table position, entry at j)] over a table of diagonal matrices.
+
+    The table holds weight projectors, which are diagonal on the weight
+    basis of every carrier; a matrix that is not is a failed check and
+    raises ArithmeticError naming its key.
+    """
+    holders = {}
+    for n, (key, m) in enumerate(table.items()):
+        if not m.is_diagonal():
+            raise ArithmeticError(f"projector {key!r} not diagonal on the weight basis")
+        for j, row in m._data.items():
+            holders.setdefault(j, []).append((n, row[j]))
+    return holders
 
 
 def right_products(table):
@@ -270,16 +340,10 @@ def right_products(table):
     diagonal entry at j of each matrix whose support holds j, and row i by
     the entry at i.  Each product entry is then the single term a*d of two
     nonzero ints, so the result equals the matrix products op·P and P·op
-    entry for entry, also for overlapping or non-0/1 diagonals.  The table holds weight
-    projectors, which are diagonal on the weight basis of every carrier; a
-    matrix that is not is a failed check and raises ArithmeticError.
+    entry for entry, also for overlapping or non-0/1 diagonals.  A table
+    matrix that is not diagonal raises ArithmeticError (`diagonal_index`).
     """
-    holders = {}  # j -> [(table position, entry at j)]; a position costs no key hash per entry
-    for n, (key, m) in enumerate(table.items()):
-        if not m.is_diagonal():
-            raise ArithmeticError(f"projector {key!r} not diagonal on the weight basis")
-        for j, row in m._data.items():
-            holders.setdefault(j, []).append((n, row[j]))
+    holders = diagonal_index(table)  # a position costs no key hash per entry
 
     def products(op, left=False):
         if any(op.size != m.size for m in table.values()):

@@ -1,6 +1,10 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +238,26 @@ def test_family_summary_json():
     assert doc["dim"] == 5
     assert {tuple(x["weight"]) for x in doc["ranks"]} == {(2,), (0,), (-2,)}
     assert sum(x["rank"] for x in doc["ranks"]) == 5
+
+
+# A tensor weight outside the window [-r, r] is an internal fault (exit 1), not bad input (exit 2).
+WIDENED_PI = (
+    "import sys\n"
+    "from schurkit import cli, idempotents\n"
+    "from schurkit.rootdata import Weight\n"
+    "from schurkit.weightsets import WeightSet\n"
+    "real = idempotents.tensor_weights_Pi\n"
+    "idempotents.tensor_weights_Pi = lambda lt, r: WeightSet.make([*real(lt, r), Weight((r + 1, 0))], 'Pi')\n"
+    "sys.exit(cli.run(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [["idempotents", "C", "2", "2"], ["verify", "C", "2", "2", "--presentation", "idempotent"]], ids=" ".join
+)
+def test_weight_outside_the_window_is_a_failed_check_under_optimized_mode(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", WIDENED_PI, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "check failed: integer window: eigenvalue 3 for H_1 escapes [-2, 2]\n"

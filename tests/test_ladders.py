@@ -21,7 +21,18 @@ from hypothesis import strategies as st
 
 from schurkit import cli, idempotents, presentation, replinalg
 from schurkit.idempotents import build_idempotents, ladder_check
-from schurkit.presentation import _check_many, verify_idempotent_presentation, verify_serre_presentation
+from schurkit.presentation import (
+    _check_many,
+    _commutator_cases,
+    _coroot_element,
+    _projector_cases,
+    _serre_cases,
+    _serre_groups,
+    _serre_sum,
+    _transpose_scales,
+    verify_idempotent_presentation,
+    verify_serre_presentation,
+)
 from schurkit.replinalg import ExactMatrix, right_products, tower_rep
 from schurkit.rootdata import LieType, build_root_system
 from conftest import rebuild, unfused_combine
@@ -182,8 +193,21 @@ def _seeded_faults(rep, fam):
     e[0] = e[0] + ExactMatrix.unit(dim, 1, dim - 2, 3)
     f = list(rep.f)
     f[n - 1] = 2 * f[n - 1]
+    h = list(rep.h)
+    h[0] = h[0] + ExactMatrix.unit(dim, dim - 1, dim - 1, 1)  # still diagonal: X3 and X6 scan it
+    f_1 = list(rep.f)
+    f_1[0] = f_1[0] + ExactMatrix.unit(dim, 2, dim - 3, 1)  # no longer a multiple of e_1^T
+    e_3, f_3 = list(rep.e), list(rep.f)
+    e_3[0], f_3[0] = 3 * e_3[0], 3 * f_3[0]  # f_1 is still (3 e_1)^T, and [e_1, f_1] = 9 h_1
+    e_p, f_p = list(rep.e), list(rep.f)
+    e_p[0] = e_p[0] + ExactMatrix.unit(dim, 1, dim - 2, 3)
+    f_p[0] = f_p[0] + ExactMatrix.unit(dim, dim - 2, 1, 3)  # f_1 is still e_1^T: the Serre sums fail on both sides
     yield "off-diagonal e_1 entry", rebuild(rep, e=tuple(e)), fam
     yield "2 f_n", rebuild(rep, f=tuple(f)), fam
+    yield "changed diagonal entry of H_1", rebuild(rep, h=tuple(h)), fam
+    yield "f_1 plus a unit entry", rebuild(rep, f=tuple(f_1)), fam
+    yield "3 e_1 and 3 f_1", rebuild(rep, e=tuple(e_3), f=tuple(f_3)), fam
+    yield "transposed entries of e_1 and f_1", rebuild(rep, e=tuple(e_p), f=tuple(f_p)), fam
     for kind in ("dropped", "scaled", "overlapping"):
         yield f"{kind} projector", rep, _faulty_family(fam, kind)
 
@@ -203,3 +227,76 @@ def test_fused_witnesses_match_an_unfused_dense_reference(family, rank, r, monke
         assert idem == verify_idempotent_presentation(bad, fam).to_json(), name
     # every fault is seen, so the witnesses compared above are not all empty
     assert all(any(rel["status"] == "fails" for rel in serre["relations"] + idem["relations"]) for serre, idem in fused)
+
+
+def _direct_cases(rep, fam):
+    """The cases of X2-X5 and R2, R7, R8 with every bracket formed in full: no transpose duality, no diagonal scan."""
+    rs = build_root_system(rep.lie_type)
+    n = rep.rank
+    e, f, h = rep.e, rep.f, rep.h
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+
+    def commutators(target):
+        return [(f"i={i+1},j={j+1}", e[i].bracket(f[j], target(i) if i == j else None)) for i, j in pairs]
+
+    def serre(gens):
+        return [(f"i={i+1},j={j+1}", _serre_sum(gens[i], gens[j], rs.cartan[i][j])) for i, j in pairs if i != j]
+
+    def projector_target(i):
+        total = ExactMatrix.zeros(rep.dim)
+        for lam, proj in fam.table.items():
+            total = total + rs.coroot(i + 1).dot(lam) * proj
+        return total
+
+    x3 = []
+    for i in range(n):
+        for j in range(n):
+            c = rs.simple_root(j + 1).num[i]
+            for name, x, d in ("e", e[j], -c), ("f", f[j], c):
+                x3.append((f"[H_{i+1},{name}_{j+1}]", h[i] @ x - x @ h[i] + d * x))
+    return {
+        "X2": commutators(lambda i: _coroot_element(rs, h, i)),
+        "X3": x3,
+        "X4": serre(e),
+        "X5": serre(f),
+        "R2": commutators(projector_target),
+    }
+
+
+def _nonzero(cases):
+    return [(case, res) for case, res in cases if not res.is_zero()]
+
+
+@pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2)])
+def test_shortcut_groups_match_the_direct_brackets(family, rank, r):
+    lt, rep, clean = clean_tower(family, rank, r)
+    rs = build_root_system(lt)
+    cases = [("clean", rep, clean)] + list(_seeded_faults(rep, clean))
+    # both paths run: the duality fails exactly where an f_1 or e_1 entry lost its transpose partner
+    direct_path = {name for name, bad, _ in cases if _transpose_scales(bad) is None}
+    assert direct_path == {"off-diagonal e_1 entry", "f_1 plus a unit entry"}
+    for name, bad, fam in cases:
+        direct = _direct_cases(bad, fam)
+        x1 = [(f"H_{i+1}H_{j+1}", bad.h[i].bracket(bad.h[j])) for i in range(rank) for j in range(i + 1, rank)]
+        serre = [_check_many(f"{family}1", x1)]
+        serre += [_check_many(f"{family}{k}", direct[f"X{k}"]) for k in range(2, 6)]
+        assert verify_serre_presentation(bad).relations[:5] == serre, name
+        idem = [_per_pair_r1(fam), _check_many("R2", direct["R2"])]
+        idem += [_check_many(f"R{k}", direct[f"X{k - 3}"]) for k in (7, 8)]
+        relations = verify_idempotent_presentation(bad, fam).relations
+        assert [relations[k] for k in (0, 1, 6, 7)] == idem, name
+        # every nonzero residual, not only each group's witness, the transposed ones included
+        per_pair = [
+            (f"1_{lam.coords} 1_{mu.coords}", p @ q - p if lam == mu else p @ q)
+            for lam, p in fam.table.items()
+            for mu, q in fam.table.items()
+        ]
+        total = sum(fam.table.values(), ExactMatrix.zeros(bad.dim)) - ExactMatrix.identity(bad.dim)
+        expected = _nonzero(per_pair) + [("completeness", total)]
+        assert list(_projector_cases(fam.table, bad.dim)) == expected, name
+        scales = _transpose_scales(bad)
+        target = lambda i: _coroot_element(rs, bad.h, i)
+        assert _nonzero(_commutator_cases(bad.e, bad.f, target, scales)) == _nonzero(direct["X2"]), name
+        e_side, f_side = _serre_groups(bad, rs, scales)
+        assert list(_serre_cases(e_side)) == _nonzero(direct["X4"]), name
+        assert list(_serre_cases(f_side)) == _nonzero(direct["X5"]), name

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -5,10 +6,12 @@ from math import comb
 
 import pytest
 
+from schurkit import cli
 from schurkit.idempotents import annihilator_for_signed_sums, build_idempotents, p1
 from schurkit.presentation import (
     _coroot_element,
     _serre_sum,
+    _transpose_scales,
     presentations_generate_same_algebra,
     quotient_witness,
     verify_idempotent_presentation,
@@ -19,7 +22,7 @@ from schurkit.presentation import (
 from schurkit.replinalg import ExactMatrix, Representation, single_power_rep, tower_rep
 from schurkit.rootdata import LieType, Weight, build_root_system
 from schurkit.weightsets import WeightSet, tensor_weights_Pi
-from conftest import all_lie_types
+from conftest import all_lie_types, rebuild
 
 HALF = Fraction(1, 2)
 
@@ -123,6 +126,34 @@ def test_coroot_target_equals_the_family_table(lt):
         target = _coroot_element(rs, rep.h, i)
         assert target == family_commutator_target(lt, rep.h, i)
         assert target == rep.e[i].bracket(rep.f[i])
+
+
+@pytest.mark.parametrize("lt", all_lie_types(4), ids=str)
+def test_transpose_scales_per_family(lt):
+    # f_i = c_i e_i^T on every carrier: the natural f_n of type B is 2 e_n^T, and lifts keep the scale
+    expected = (1,) * (lt.rank - 1) + (2 if lt.family == "B" else 1,)
+    for r in (1, 2, 3):
+        assert _transpose_scales(tower_rep(lt, r)) == expected
+        assert _transpose_scales(single_power_rep(lt, r)) == expected
+    rep = tower_rep(lt, 2)
+    for i in range(lt.rank):
+        f = list(rep.f)
+        f[i] = f[i] + ExactMatrix.unit(rep.dim, 0, rep.dim - 1)
+        assert _transpose_scales(rebuild(rep, f=tuple(f))) is None
+
+
+def test_bracket_counts_on_the_b3_tower(monkeypatch):
+    # B3 r=4: [e_i, f_j] is formed for i <= j only (6), and the e-side Serre sums take one first
+    # bracket per unordered pair (3) plus k - 1 = -a_ij more per ordered pair (5); X1, the f-side
+    # Serre sums and [e_i, f_j] for i > j come from diagonals and transposes
+    calls = []
+    bracket = ExactMatrix.bracket
+    monkeypatch.setattr(ExactMatrix, "bracket", lambda self, *args: calls.append(1) or bracket(self, *args))
+    for presentation in ("serre", "idempotent"):
+        calls.clear()
+        argv = ["verify", "B", "3", "4", "--presentation", presentation]
+        assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        assert len(calls) == 14, presentation
 
 
 def test_fault_scaled_fn_flags_exactly_c2():
