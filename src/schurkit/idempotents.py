@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .replinalg import ExactMatrix, Representation, diagonal_index, right_products, shift_products
+from .replinalg import ExactMatrix, Representation, diagonal_index, shift_products
 from .rootdata import InvariantError, Weight, build_root_system
 from .weightsets import WeightSet, tensor_weights_Pi
 
@@ -64,6 +64,17 @@ def polynomial_idempotent(rep: Representation, lam: Weight):
     set, so a coordinate outside [-r, r] is a failed check too
     (InvariantError), not bad input.
     """
+    values, denom = _deleted_factor_values(rep, lam, [])
+    return ExactMatrix.diag(values), denom
+
+
+def _deleted_factor_values(rep, lam, diagonals):
+    """N's diagonal values and d, as `polynomial_idempotent` defines them.
+
+    `diagonals` holds the H_i diagonals read so far, in order; an H_i is
+    read, and checked to be diagonal, only where the list stops, so a
+    caller that keeps the list reads each H_i once.
+    """
     r = rep.r
     roots = p1(r)
     values = [1] * rep.dim
@@ -72,12 +83,14 @@ def polynomial_idempotent(rep: Representation, lam: Weight):
         k = lam.coords[i]
         if k not in roots:
             raise InvariantError("integer window", f"eigenvalue {k} for H_{i+1} escapes [-{r}, {r}]")
-        if not hi.is_diagonal():
-            raise ArithmeticError(f"H_{i+1} not diagonal on the weight basis")
+        if i == len(diagonals):
+            if not hi.is_diagonal():
+                raise ArithmeticError(f"H_{i+1} not diagonal on the weight basis")
+            diagonals.append(hi.diagonal())
         shifts = [j for j in roots if j != k]
-        values = [v * w for v, w in zip(values, shift_products(hi.diagonal(), shifts))]
+        values = [v * w for v, w in zip(values, shift_products(diagonals[i], shifts))]
         denom *= math.prod(k - j for j in shifts)
-    return ExactMatrix.diag(values), denom
+    return values, denom
 
 
 class IdempotentFamily:
@@ -127,8 +140,9 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
 
     The indicator-diagonal shortcut and the polynomial product must agree
     exactly (N == d * 1_lam, see `polynomial_idempotent`); they are compared
-    on a deterministic sample of weights (spread through the canonical
-    order, plus the extremes).
+    as diagonal values on a deterministic sample of weights (spread through
+    the canonical order, plus the extremes), and each H_i's diagonal is
+    read once for the whole sample.
     """
     r = rep.r
     pi_all = tensor_weights_Pi(rep.lie_type, r)
@@ -148,10 +162,11 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
     if elements:
         stride = max(1, len(elements) // min(_VERIFY_SAMPLE, len(elements)))
         picks = sorted(set(range(0, len(elements), stride)) | {len(elements) - 1})
+        diagonals = []
         for idx in picks:
             lam = elements[idx]
-            product, normaliser = polynomial_idempotent(rep, lam)
-            if product != ExactMatrix.diag([normaliser * v for v in table[lam].diagonal()]):
+            values, normaliser = _deleted_factor_values(rep, lam, diagonals)
+            if values != [normaliser * v for v in table[lam].diagonal()]:
                 raise ArithmeticError(f"polynomial and indicator projectors disagree at {lam!r}")
     return IdempotentFamily(rep=rep, pi_all=pi_all, table=table)
 
@@ -178,17 +193,23 @@ class LadderReport:
         return not any(self.residuals.values())
 
 
+_ZERO = -1  # the target position of a weight outside the carrier weight set, whose projector is zero
+
+
 def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderReport:
     """Verify the four ladder families on every projector of the family.
 
         R3: e_i 1_lam = 1_{lam+a_i} e_i        R5: 1_lam e_i = e_i 1_{lam-a_i}
         R4: f_i 1_lam = 1_{lam-a_i} f_i        R6: 1_lam f_i = f_i 1_{lam+a_i}
 
-    Each product op 1_lam and 1_lam op is formed once per (i, lam), both in
-    one pass per generator: R5 at lam reuses the two products R3 compares
-    at lam - a_i, and R6 reuses R4's the same way.  The generators come from
-    `rep` (default: the family's own carrier), so a perturbed carrier can
-    be checked against a clean family.
+    The projectors are diagonal (`diagonal_index` raises otherwise), so the
+    residual op 1_lam - 1_mu op has the entries op_ab (P_lam[b] - P_mu[a]):
+    it is zero exactly when P_lam[b] = P_mu[a] at every entry (a, b) of op,
+    and 1_lam op - op 1_mu exactly when P_lam[a] = P_mu[b].  So one scan of
+    each generator's entries decides every case (`_ladder_failures`), and a
+    residual matrix is formed only for a failing case.  The generators come
+    from `rep` (default: the family's own carrier), so a perturbed carrier
+    can be checked against a clean family.
 
     Weights mu outside the carrier weight set contribute 1_mu = 0.  If a
     weight inside the set is missing from the family's table the case is
@@ -200,8 +221,22 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
     rep = rep if rep is not None else fam.rep
     rs = build_root_system(rep.lie_type)
     members = fam.pi_all.as_set()
+    table = fam.table
+    if any(m.size != rep.dim for m in table.values()):
+        raise ValueError(f"size mismatch: the projectors against a carrier of dimension {rep.dim}")
+    holders = diagonal_index(table)
+    lams = list(table)
+    position = {lam: n for n, lam in enumerate(lams)}
+    # each index's class: the (position, value) pairs of the projectors that hold it
+    classes = {}
+    cls = [classes.setdefault(tuple(holders.get(b, ())), len(classes)) for b in range(rep.dim)]
+    held = [dict(pairs) for pairs in classes]
+
+    def target(mu):
+        """mu's table position, _ZERO outside the weight set, None (skipped) where the table lacks it."""
+        return _ZERO if mu not in members else position.get(mu)
+
     zero = ExactMatrix.zeros(rep.dim)
-    times_projectors = right_products(fam.table)
     residuals = {label: [] for label in ("R3", "R4", "R5", "R6")}
     checked = skipped = 0
     for idx in range(1, rep.rank + 1):
@@ -211,20 +246,43 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
             (rep.e[idx - 1], alpha, "R3", "R5"),
             (rep.f[idx - 1], -alpha, "R4", "R6"),
         ):
-            op_lam, lam_op = times_projectors(op, left=True)
-            for lam in fam.table:
-                for label, lhs, rhs, target in (
-                    (left, op_lam[lam], lam_op, lam + shift),
-                    (right, lam_op[lam], op_lam, lam - shift),
-                ):
-                    if target in members:
-                        expected = rhs.get(target)
-                        if expected is None:
-                            skipped += 1
-                            continue
-                    else:
-                        expected = zero
+            up = [target(lam + shift) for lam in lams]
+            down = [target(lam - shift) for lam in lams]
+            pairs = {(cls[a], cls[b]) for a, row in op._data.items() for b in row}
+            # op 1_lam - 1_up op has the entries op_ab (P_lam[b] - P_up[a]),
+            # and 1_lam op - op 1_down the entries op_ab (P_lam[a] - P_down[b])
+            sides = (
+                (left, up, _ladder_failures({(b, a) for a, b in pairs}, held, up), lambda p: op @ p, lambda q: q @ op),
+                (right, down, _ladder_failures(pairs, held, down), lambda p: p @ op, lambda q: op @ q),
+            )
+            for n, lam in enumerate(lams):
+                for label, targets, failing, lhs, rhs in sides:
+                    mu = targets[n]
+                    if mu is None:
+                        skipped += 1
+                        continue
                     checked += 1
-                    if lhs != expected:
-                        residuals[label].append((f"i={idx},lam={lam.coords}", lhs - expected))
+                    if n in failing:
+                        expected = zero if mu == _ZERO else rhs(table[lams[mu]])
+                        residuals[label].append((f"i={idx},lam={lam.coords}", lhs(table[lam]) - expected))
     return LadderReport(residuals=residuals, checked=checked, skipped=skipped)
+
+
+def _ladder_failures(pairs, held, targets):
+    """The positions n with P_n[x] != P_targets[n][y] for some (class of x, class of y) in pairs.
+
+    held[c] is the {position: value} of the projectors that hold an index of
+    class c, and targets[n] the position of the projector that case n
+    compares with P_n: _ZERO for a zero projector, None for a skipped case.
+    The two values can differ only at a position n that holds x or whose
+    target holds y.
+    """
+    inverse = {m: n for n, m in enumerate(targets) if m is not None and m != _ZERO}
+    failing = set()
+    for cx, cy in pairs:
+        at_x, at_y = held[cx], held[cy]
+        for n in set(at_x).union(inverse[m] for m in at_y if m in inverse):
+            mu = targets[n]
+            if mu is not None and at_x.get(n, 0) != (0 if mu == _ZERO else at_y.get(mu, 0)):
+                failing.add(n)
+    return failing

@@ -18,7 +18,7 @@ element h_i = sum_k <eps_k, alpha_i^vee> H_k (X2) or sum_lam
 <lam, alpha_i^vee> 1_lam (R2), and the Serre relations (X4/X5, R7/R8).
 The ladder groups R3-R6 are computed by `idempotents.ladder_check`.
 
-Two facts of the carriers halve the passes of `replinalg`'s row kernel.
+Three facts of the carriers cut the work of `replinalg`'s row kernel.
 
 Transpose duality.  Every carrier has f_i = c_i e_i^T, with c = (1, ...,
 1, 2) in type B (the natural f_n is 2 e_n^T) and c = 1 in C and D, since
@@ -43,6 +43,19 @@ being the signed sum of the diagonals.  R1's product 1_lam 1_mu is
 index-by-index, so only projectors whose supports meet are paired, and the
 completeness sum is a sum of diagonal values.
 
+Place symmetry.  The lifted generators commute with the permutations of
+the tensor places of each tower block, which permute the base-m digits of
+an index, so every residual R of them has R[sa, sb] = R[a, b] and is zero
+exactly when its rows at the non-decreasing digit tuples are
+(`replinalg.orbit_rows`): 330 of 2801 rows on B3 r=4.  Where the e_i and
+f_i (and the H_i diagonals, or R2's target) pass `place_invariance`'s
+entry lookups, the X2/R2 commutators, the last bracket of each Serre
+chain and the X3 scans are formed on those rows; the Serre intermediates
+are right factors and stay full.  A residual that is nonzero on those
+rows is formed in full, so reports and witnesses are the full ones; where
+the check fails (a perturbed carrier, a faulty R2 target), the residuals
+are formed in full from the start, as where the transpose duality fails.
+
 The zero-locus scan (over the L1 shells a zero can lie on) and the
 quotient comparison live here as well, since they decide which relation
 groups are redundant and when the single-power image is a proper quotient.
@@ -52,7 +65,7 @@ from __future__ import annotations
 
 import itertools
 
-from .decomposition import schur_dimensions
+from . import decomposition
 from .idempotents import IdempotentFamily, annihilator_for_signed_sums, ladder_check, p1
 from .replinalg import (
     ExactMatrix,
@@ -61,6 +74,8 @@ from .replinalg import (
     algebra_closure,
     diagonal_bracket,
     diagonal_index,
+    orbit_rows,
+    place_invariance,
     product_of_shifts,
     single_power_rep,
     tower_rep,
@@ -151,29 +166,50 @@ def _check_many(label, cases):
     return RelationCheck(label=label, holds=False, witness=witness)
 
 
-def _serre_sum(x, y, a_xy):
+def _on_orbits(form, rows):
+    """The residual form(rows) formed on the orbit rows alone when it is zero there, else in full, form(None).
+
+    rows is None where some factor is not fixed by the place permutations;
+    the residual is then formed in full at once.  A residual of fixed
+    factors is zero exactly when its orbit rows are, and a nonzero one is
+    formed in full, so its witness is the full residual's.
+    """
+    if rows is not None:
+        res = form(rows)
+        if res.is_zero():
+            return res
+    return form(None)
+
+
+def _serre_sum(x, y, a_xy, rows=None):
     """sum_s (-1)^s C(k, s) x^{k-s} y x^s with k = 1-a, exactly.
 
     The sum is the iterated commutator ad_x^k(y), formed as k brackets
-    [x, z], each in one pass, and no list of powers.
+    [x, z], each in one pass, and no list of powers.  The last bracket is
+    formed on the orbit rows (`_on_orbits`); the others are its right
+    factors and are formed in full.
     """
     z = y
-    for _ in range(1 - a_xy):
+    k = 1 - a_xy
+    for _ in range(k - 1):
         z = x.bracket(z)
+    if k > 0:
+        z = _on_orbits(lambda r: x.bracket(z, None, r), rows)
     return z
 
 
-def _serre_residuals(gens, cartan):
+def _serre_residuals(gens, cartan, rows=None):
     """The nonzero Serre residuals ad_{x_i}^k(x_j), k = 1 - a_ij, keyed by the ordered pair (i, j), i != j.
 
     [x_j, x_i] = -[x_i, x_j], so the first bracket of each unordered pair
-    is formed once and serves both orders.
+    is formed once and serves both orders.  It is the last bracket of both
+    chains when a_ij = 0, and is then formed on the orbit rows.
     """
     out = {}
     for i, j in itertools.combinations(range(len(gens)), 2):
-        first = gens[i].bracket(gens[j])
+        first = _on_orbits(lambda r: gens[i].bracket(gens[j], None, r), rows if cartan[i][j] == 0 else None)
         for a, b, sign in ((i, j, 1), (j, i, -1)):
-            z = _serre_sum(gens[a], first, cartan[a][b] + 1)  # ad_{x_a}^{k-1} of [x_a, x_b] = sign * first
+            z = _serre_sum(gens[a], first, cartan[a][b] + 1, rows)  # ad_{x_a}^{k-1} of [x_a, x_b] = sign * first
             if not z.is_zero():
                 out[a, b] = z if sign == 1 else -z
         first = z = None  # free this pair's brackets before the next pair's first one is formed
@@ -208,12 +244,15 @@ def _transpose_scales(rep):
     return None if None in scales else scales
 
 
-def _commutator_cases(e, f, target, scales):
+def _commutator_cases(e, f, target, scales, rows=None, fixed=None):
     """Residuals of [e_i, f_j] = delta_ij target(i); target is built only when i == j.
 
     With transpose scales (f_k = c_k e_k^T), the residual at i > j is
     (c_j / c_i) times the transpose of the one at (j, i), which is formed
-    first; the division is exact, since both residuals are integral.
+    first; the division is exact, since both residuals are integral.  Each
+    residual is formed on the orbit rows (`_on_orbits`); a target, which is
+    diagonal, goes with them where its values pass `fixed` (None: every
+    target is fixed).
     """
     n = len(e)
     upper = {}
@@ -224,18 +263,32 @@ def _commutator_cases(e, f, target, scales):
                 if (j, i) in upper:
                     yield (case, upper[j, i].scaled_transpose(scales[j], scales[i]))
                 continue
-            res = e[i].bracket(f[j], target(i) if i == j else None)
+            t = target(i) if i == j else None
+            on = rows if t is None or fixed is None or fixed(t.diagonal()) else None
+            res = _on_orbits(lambda r: e[i].bracket(f[j], t, r), on)
             if i < j and not res.is_zero():
                 upper[i, j] = res
             yield (case, res)
 
 
-def _serre_groups(rep, rs, scales):
+def _serre_groups(rep, rs, scales, rows=None):
     """The (e-side, f-side) Serre residuals; the f side by transpose duality where it holds."""
-    e_side = _serre_residuals(rep.e, rs.cartan)
+    e_side = _serre_residuals(rep.e, rs.cartan, rows)
     if scales is None:
-        return e_side, _serre_residuals(rep.f, rs.cartan)
+        return e_side, _serre_residuals(rep.f, rs.cartan, rows)
     return e_side, _dual_serre_residuals(e_side, rs.cartan, scales)
+
+
+def _orbits(rep, scales, diagonals=()):
+    """(rows, fixed): the carrier's orbit rows and the test `place_invariance` gives.
+
+    rows is None when some e_i or f_i, or one of the given diagonals, is not
+    fixed by the place permutations.  Where the transpose scales hold,
+    f_i = c_i e_i^T is fixed with e_i.
+    """
+    fixed = place_invariance(rep)
+    gens = rep.e if scales is not None else rep.e + rep.f
+    return (orbit_rows(rep) if all(map(fixed, gens)) and all(map(fixed, diagonals)) else None), fixed
 
 
 def _coroot_element(rs, h, i):
@@ -272,7 +325,8 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
         diagonals.append(hi.diagonal())
     report.relations.append(RelationCheck(label=f"{fam}1", holds=True))  # diagonal operators commute
     scales = _transpose_scales(rep)
-    x2_cases = _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i), scales)
+    rows, _ = _orbits(rep, scales, diagonals)  # X2's targets and X3's diagonals come from the H_i
+    x2_cases = _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i), scales, rows)
     report.relations.append(_check_many(f"{fam}2", x2_cases))
 
     def x3_cases():
@@ -280,10 +334,10 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
             for j in range(n):
                 c = rs.simple_root(j + 1).num[i]  # <eps_i, alpha_j>: integral, as RootSystem checks
                 for name, x, shift in ("e", e[j], -c), ("f", f[j], c):
-                    yield (f"[H_{i+1},{name}_{j+1}]", diagonal_bracket(d, x, shift))
+                    yield (f"[H_{i+1},{name}_{j+1}]", _on_orbits(lambda r: diagonal_bracket(d, x, shift, r), rows))
 
     report.relations.append(_check_many(f"{fam}3", x3_cases()))
-    e_serre, f_serre = _serre_groups(rep, rs, scales)
+    e_serre, f_serre = _serre_groups(rep, rs, scales, rows)
     report.relations.append(_check_many(f"{fam}4", _serre_cases(e_serre)))
     report.relations.append(_check_many(f"{fam}5", _serre_cases(f_serre)))
 
@@ -338,11 +392,12 @@ def verify_idempotent_presentation(rep: Representation, fam: IdempotentFamily) -
     report, rs = _new_report("idempotent", rep)
     report.relations.append(_check_many("R1", _projector_cases(fam.table, rep.dim)))
     scales = _transpose_scales(rep)
+    rows, fixed = _orbits(rep, scales)
     coroot_target = lambda i: fam.weighted_sum(rs.coroot(i + 1).dot)  # sum_lam <lam, alpha_i^vee> 1_lam
-    report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target, scales)))
+    report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target, scales, rows, fixed)))
     for label, cases in ladder_check(fam, rep).residuals.items():
         report.relations.append(_check_many(label, cases))
-    e_serre, f_serre = _serre_groups(rep, rs, scales)
+    e_serre, f_serre = _serre_groups(rep, rs, scales, rows)
     report.relations.append(_check_many("R7", _serre_cases(e_serre)))
     report.relations.append(_check_many("R8", _serre_cases(f_serre)))
     return report
@@ -478,7 +533,7 @@ def quotient_witness(lt: LieType, r: int, max_dim=None) -> QuotientReport:
     tower = tower_rep(lt, r, max_dim)
     dim_single = algebra_closure(single.generator_lists()).dimension
     dim_tower = algebra_closure(tower.generator_lists()).dimension
-    expected_tower, expected_single = schur_dimensions(lt, r)
+    expected_tower, expected_single = decomposition.schur_dimensions(lt, r)
     return QuotientReport(
         lie_type=lt,
         r=r,

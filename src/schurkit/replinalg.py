@@ -11,21 +11,28 @@ other entry or scalar raises TypeError.
 
 Products, sums, scalar multiples and brackets run one row-wise kernel
 that adds up sum c*(x @ y) + sum c*x one output row at a time, so a
-residual x@y - y@x - t takes one pass and no intermediate matrix.
+residual x@y - y@x - t takes one pass and no intermediate matrix.  The
+kernel, `ExactMatrix.bracket` and `diagonal_bracket` take an optional
+list of rows and then form those rows only.
 
 Cartan operators and weight projectors are diagonal on the weight basis
-of every carrier.  Four places use that.  `product_of_shifts` (and
+of every carrier.  Three places use that.  `product_of_shifts` (and
 `shift_products`, its list of values) takes the diagonal values of an
 operator, which its caller has read off once, and multiplies out each
 distinct value once.  `diagonal_bracket` forms [D, x] + s*x for such a
-diagonal D in one scan of x's entries.  `right_products` forms op @ P,
-and on request P @ op, for a whole table of diagonal P in one pass over
-op's rows, exactly as @ would; `diagonal_index` lists, per index, the
-table matrices that hold it, and a table matrix that is not diagonal is
-a failed check (ArithmeticError).  The algebra closure grades by the
-diagonal generators.  For the transpose duality of the relation checks,
-`transpose_scale` reads off the int c with y = c * x^T by entry lookups,
-and `ExactMatrix.scaled_transpose` transposes a residual.
+diagonal D in one scan of x's entries.  `diagonal_index` lists, per
+index, the matrices of a table of diagonals that hold it, and a table
+matrix that is not diagonal is a failed check (ArithmeticError).  The
+algebra closure grades by the diagonal generators.  For the transpose
+duality of the relation checks, `transpose_scale` reads off the int c
+with y = c * x^T by entry lookups, and `ExactMatrix.scaled_transpose`
+transposes a residual.
+
+The permutations of the tensor places of a tower block commute with the
+lifted generators.  `orbit_rows` lists one basis index per orbit, and
+`place_invariance` tests by entry lookups whether an operator is fixed by
+those permutations: an operator built from fixed ones is zero exactly
+when its orbit rows are.
 
 The module also provides the carriers - the natural module as the
 degree-1 carrier, and the tower (a direct sum of tensor powers of the
@@ -50,8 +57,10 @@ bound is ever checked and no other number type is ever needed.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import os
+from array import array
 
 from .rootdata import CapExceeded, LieType, Weight
 from .weightsets import tensor_degrees
@@ -179,12 +188,12 @@ class ExactMatrix:
         self._check_size(other)
         return _combine(self.size, ((1, self, other),))
 
-    def bracket(self, other, minus=None):
-        """self @ other - other @ self - minus (minus defaults to zero), in one pass."""
+    def bracket(self, other, minus=None, rows=None):
+        """self @ other - other @ self - minus (minus defaults to zero), in one pass; only `rows`, if given."""
         terms = () if minus is None else ((-1, minus),)
         for _, m in ((1, other),) + terms:
             self._check_size(m)
-        return _combine(self.size, ((1, self, other), (-1, other, self)), terms)
+        return _combine(self.size, ((1, self, other), (-1, other, self)), terms, rows)
 
     def scaled_transpose(self, num, den=1):
         """(num/den) * self^T; every num * entry must be a multiple of den, as the caller's identity guarantees."""
@@ -223,43 +232,40 @@ class ExactMatrix:
         return f"ExactMatrix({self.size}x{self.size}, nnz={self.nnz})"
 
 
-def _combine(size, products, terms=()):
+def _combine(size, products, terms=(), rows=None):
     """sum c * (x @ y) over products (c, x, y) plus sum c * x over terms (c, x).
 
     Sizes are the caller's to check.  Row i draws only on the rows i of the
-    left factors x; each of their row keys is visited once.  One dict,
-    cleared after each row, accumulates it and is copied out without zeros,
-    if nonzero: no stored zero and no empty row, as `==` and `is_zero` need.
+    left factors x.  The rows formed are those the left factors store, each
+    visited once, or only the given `rows`, whose other rows are left out of
+    the result.  One dict, cleared after each row, accumulates it and is
+    copied out without zeros, if nonzero: no stored zero and no empty row,
+    as `==` and `is_zero` need.
     """
-    lefts = [x._data for _, x, _ in products] + [x._data for _, x in terms]
+    if rows is None:
+        rows = set().union(*(x._data for _, x, _ in products), *(x._data for _, x in terms))
     products = [(c, x._data, y._data) for c, x, y in products]
     terms = [(c, x._data) for c, x in terms]
     out, acc = {}, {}
     get = acc.get
-    for n, left in enumerate(lefts):
-        earlier = lefts[:n]
-        for i in left:
-            for d in earlier:
-                if i in d:
-                    break
-            else:
-                for c, xdata, ydata in products:
-                    row = xdata.get(i)
-                    if row is not None:
-                        for k, a in row.items():
-                            yrow = ydata.get(k)
-                            if yrow is not None:
-                                a *= c
-                                for j, b in yrow.items():
-                                    acc[j] = get(j, 0) + a * b
-                for c, xdata in terms:
-                    row = xdata.get(i)
-                    if row is not None:
-                        for j, v in row.items():
-                            acc[j] = get(j, 0) + c * v
-                if any(acc.values()):
-                    out[i] = acc.copy() if 0 not in acc.values() else {j: v for j, v in acc.items() if v}
-                acc.clear()
+    for i in rows:
+        for c, xdata, ydata in products:
+            row = xdata.get(i)
+            if row is not None:
+                for k, a in row.items():
+                    yrow = ydata.get(k)
+                    if yrow is not None:
+                        a *= c
+                        for j, b in yrow.items():
+                            acc[j] = get(j, 0) + a * b
+        for c, xdata in terms:
+            row = xdata.get(i)
+            if row is not None:
+                for j, v in row.items():
+                    acc[j] = get(j, 0) + c * v
+        if any(acc.values()):
+            out[i] = acc.copy() if 0 not in acc.values() else {j: v for j, v in acc.items() if v}
+        acc.clear()
     return ExactMatrix(size, out)
 
 
@@ -280,13 +286,18 @@ def product_of_shifts(diagonal, shifts):
     return ExactMatrix.diag(shift_products(diagonal, shifts))
 
 
-def diagonal_bracket(diagonal, x, shift):
+def diagonal_bracket(diagonal, x, shift, rows=None):
     """[D, x] + shift * x for the diagonal D with these diagonal values, in one scan of x's entries.
 
-    Entry (a, b) is x_ab * (d_a - d_b + shift); zeros are not stored.
+    Entry (a, b) is x_ab * (d_a - d_b + shift); zeros are not stored.  With
+    `rows`, only those rows are formed.
     """
     data = {}
-    for a, row in x._data.items():
+    stored = x._data
+    for a in stored if rows is None else rows:
+        row = stored.get(a)
+        if row is None:
+            continue
         da = diagonal[a] + shift
         out = {b: v * (da - diagonal[b]) for b, v in row.items() if da != diagonal[b]}
         if out:
@@ -330,37 +341,6 @@ def diagonal_index(table):
         for j, row in m._data.items():
             holders.setdefault(j, []).append((n, row[j]))
     return holders
-
-
-def right_products(table):
-    """The map op -> {key: op·P} over the diagonal matrices P = table[key].
-
-    With left=True the map gives the pair ({key: op·P}, {key: P·op}).  Both
-    come from one pass over op's rows: column j of op is scaled by the
-    diagonal entry at j of each matrix whose support holds j, and row i by
-    the entry at i.  Each product entry is then the single term a*d of two
-    nonzero ints, so the result equals the matrix products op·P and P·op
-    entry for entry, also for overlapping or non-0/1 diagonals.  A table
-    matrix that is not diagonal raises ArithmeticError (`diagonal_index`).
-    """
-    holders = diagonal_index(table)  # a position costs no key hash per entry
-
-    def products(op, left=False):
-        if any(op.size != m.size for m in table.values()):
-            raise ValueError(f"size mismatch: {op.size} against the table")
-        data = [{} for _ in table]
-        ldata = [{} for _ in table] if left else None
-        for i, row in op._data.items():
-            for j, a in row.items():
-                for n, d in holders.get(j, ()):
-                    data[n].setdefault(i, {})[j] = a * d
-            if left:
-                for n, d in holders.get(i, ()):
-                    ldata[n][i] = {j: d * a for j, a in row.items()}
-        right = {key: ExactMatrix(op.size, r) for key, r in zip(table, data)}
-        return (right, {key: ExactMatrix(op.size, r) for key, r in zip(table, ldata)}) if left else right
-
-    return products
 
 
 # ---------------------------------------------------------------------------
@@ -431,31 +411,50 @@ def natural_rep(lt: LieType) -> Representation:
 # Tensor lifts and tower carriers
 
 
-def _lift_entries(X: ExactMatrix, s: int, offset: int):
-    """Entries of sum_k I^(x)k (x) X (x) I^(x)(s-1-k) on the s-th power, indices shifted by offset.
+def _lift_rows(X: ExactMatrix, blocks):
+    """The rows of sum_k I^(x)k (x) X (x) I^(x)(s-1-k) on each block (power s, offset, size) of a carrier.
 
     Basis vector b of the power has s base-m digits, the first most
     significant.  Term k acts on digit k alone, which has weight m^(s-1-k):
     X[i, j] maps each vector with digit j there to the one with digit i.
-    Diagonal entries of different terms meet on one index; the caller's
-    `from_entries` adds them up.
+    X's entries are ints already, and every index lies in its block, so the
+    entries are written into the rows as they are.  An off-diagonal entry
+    changes one digit, so no two of them meet.  The diagonal terms of all
+    places meet on each index: its value is the sum of X's diagonal values
+    at its digits, and a zero sum is not stored.
     """
     m = X.size
-    entries = list(X.iter_entries())
-    for k in range(s):
-        stride = m ** (s - 1 - k)
-        for high in range(offset, offset + m**s, m * stride):
-            for i, j, v in entries:
-                row, col = high + i * stride, high + j * stride
-                for low in range(stride):
-                    yield row + low, col + low, v
+    off = [(i, j, v) for i, j, v in X.iter_entries() if i != j]
+    on = X.diagonal()
+    data = {}
+    for s, offset, size in blocks:
+        for k in range(s):
+            stride = m ** (s - 1 - k)
+            for high in range(offset, offset + size, m * stride):
+                for i, j, v in off:
+                    row, col = high + i * stride, high + j * stride
+                    for low in range(stride):
+                        stored = data.get(row + low)
+                        if stored is None:
+                            data[row + low] = {col + low: v}
+                        else:
+                            stored[col + low] = v
+        if any(on):
+            sums = [0]
+            for _ in range(s):
+                sums = [t + v for t in sums for v in on]  # one more digit, the least significant
+            for b, v in enumerate(sums, offset):
+                if v:
+                    data.setdefault(b, {})[b] = v
+    return data
 
 
 def tensor_lift(X: ExactMatrix, r: int) -> ExactMatrix:
     """Derivation action of X on the r-th tensor power of its column space."""
     if r < 1:
         raise ValueError("tensor_lift needs r >= 1")
-    return ExactMatrix.from_entries(X.size**r, _lift_entries(X, r, 0))
+    size = X.size**r
+    return ExactMatrix(size, _lift_rows(X, ((r, 0, size),)))
 
 
 class Representation:
@@ -505,9 +504,7 @@ def _build_rep(lt: LieType, r: int, degrees, kind, max_dim=None):
             blocks.append((s, offset, m**s))
             weights.extend(layer)
             offset += m**s
-    lift_all = lambda mats: tuple(
-        ExactMatrix.from_entries(dim, (e for s, off, _ in blocks for e in _lift_entries(g, s, off))) for g in mats
-    )
+    lift_all = lambda mats: tuple(ExactMatrix(dim, _lift_rows(g, blocks)) for g in mats)
     return Representation(
         lie_type=lt,
         r=r,
@@ -540,6 +537,75 @@ def single_power_rep(lt: LieType, r: int, max_dim=None) -> Representation:
     if r < 1:
         raise ValueError("single_power_rep needs r >= 1")
     return _build_rep(lt, r, [r], "power", max_dim)
+
+
+# ---------------------------------------------------------------------------
+# Place permutations of the tensor powers
+
+
+def orbit_rows(rep: Representation):
+    """One basis index per orbit of the tensor-place permutations: those whose digits do not decrease.
+
+    The permutations of the s places of a block permute the s base-m digits
+    of its indices, and each orbit holds exactly one index whose digits do
+    not decrease: C(m+s-1, s) of the block's m^s indices.  An operator fixed
+    by the place permutations (`place_invariance`) is zero exactly when its
+    rows at these indices are, and products, sums and brackets of fixed
+    operators are fixed.
+    """
+    m = rep.lie_type.natural_dim
+    rows = []
+    for s, offset, _ in rep.blocks:
+        for digits in itertools.combinations_with_replacement(range(m), s):
+            index = 0
+            for d in digits:
+                index = index * m + d
+            rows.append(offset + index)
+    return rows
+
+
+def place_invariance(rep: Representation):
+    """The exact test whether an operator, or a list of diagonal values, is fixed by the place permutations.
+
+    Two index maps stand for all of them: the swap of the first two places
+    and the rotation of all places, on every block at once.  On a block of
+    power s they generate S_s, so the group they generate moves every index
+    to every index of its orbit.  An operator x is fixed by a map p when,
+    for every stored row a, the stored row p(a) has as many entries and
+    holds x[a, b] at p(b) for each of them: as p is a bijection, the stored
+    rows are then permuted among themselves and x[p(a), p(b)] = x[a, b]
+    everywhere.  A diagonal d
+    is fixed when d[p(a)] = d[a].  Only blocks with s >= 2 move an index.
+    The maps are int arrays, a machine word per index.
+    """
+    m = rep.lie_type.natural_dim
+    swap, rotate = array("l", range(rep.dim)), array("l", range(rep.dim))
+    for s, offset, size in rep.blocks:
+        if s < 2:
+            continue
+        top, low = m ** (s - 1), m ** (s - 2)
+        for x in range(size):
+            first, rest = divmod(x, top)  # digit 0, and the number the other digits spell
+            second, tail = divmod(rest, low)
+            swap[offset + x] = offset + (second * m + first) * low + tail
+            rotate[offset + x] = offset + rest * m + first
+    maps = [p for p in (swap, rotate) if any(a != i for i, a in enumerate(p))]
+
+    def fixed(x):
+        if isinstance(x, list):
+            return all([x[a] for a in p] == x for p in maps)
+        data = x._data
+        for p in maps:
+            for a, row in data.items():
+                moved = data.get(p[a])
+                if moved is None or len(moved) != len(row):
+                    return False
+                for b, v in row.items():
+                    if moved.get(p[b]) != v:
+                        return False
+        return True
+
+    return fixed
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,12 @@ def dense(m):
     return [[m.entry(i, j) for j in range(m.size)] for i in range(m.size)]
 
 
-def unfused_combine(size, products, terms=()):
-    """Dense oracle for the sparse row-wise kernel: sum c * (x @ y) plus sum c * x.
+def unfused_combine(size, products, terms=(), rows=None):
+    """Dense oracle for the sparse row-wise kernel: sum c * (x @ y) plus sum c * x, on `rows` only if given.
 
-    Every product and term is formed on its own as a dense matrix and the
-    parts are then added up entry by entry, so nothing is fused.
+    Every product and term is formed on its own as a whole dense matrix and
+    the parts are then added up entry by entry, so nothing is fused; the
+    rows outside `rows` are cleared only at the end.
     """
     parts = [(c, naive_matmul(dense(x), dense(y))) for c, x, y in products] + [(c, dense(x)) for c, x in terms]
     total = [[0] * size for _ in range(size)]
@@ -70,4 +71,7 @@ def unfused_combine(size, products, terms=()):
         for i in range(size):
             for j in range(size):
                 total[i][j] += c * part[i][j]
+    if rows is not None:
+        kept = set(rows)
+        total = [row if i in kept else [0] * size for i, row in enumerate(total)]
     return ExactMatrix.from_dense(total)

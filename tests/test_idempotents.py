@@ -156,7 +156,7 @@ def test_ladder_zero_branches():
 
 def test_polynomial_indicator_disagreement_is_a_failed_check(monkeypatch):
     # a raised ArithmeticError, not an assert, so the check survives python -O
-    monkeypatch.setattr(idempotents, "polynomial_idempotent", lambda rep, lam: (2 * ExactMatrix.identity(rep.dim), 1))
+    monkeypatch.setattr(idempotents, "_deleted_factor_values", lambda rep, lam, diagonals: ([2] * rep.dim, 1))
     with pytest.raises(ArithmeticError, match="disagree"):
         build_idempotents(tower_rep(LieType("C", 2), 2))
     err = io.StringIO()

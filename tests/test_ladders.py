@@ -1,14 +1,15 @@
 """Property tests for the shared ladder check (relations R3-R6).
 
 Single-entry perturbations of one e_i or f_i on small towers: the ladder
-check must agree with a direct evaluation of the four identities, and with
-the ladder groups of the projector-presentation report.  Projector faults
-(dropped, scaled, overlapping) must give the same products, ladder report
-and R1 check from the one-pass products as from one product per
-projector; an off-diagonal projector is a failed check.  On seeded
-generator and projector faults, the serre and idempotent reports (their
-witnesses included) must equal the reports built with every product, sum
-and bracket formed unfused by a dense oracle.
+check must agree with a direct evaluation of the four identities, with the
+reference below that forms every op 1_lam and 1_lam op, and with the ladder
+groups of the projector-presentation report.  Projector faults (dropped,
+scaled, overlapping) must give the same ladder report and R1 check from the
+one scan of each generator as from one product per projector; an
+off-diagonal projector is a failed check.  On seeded generator and
+projector faults, the serre and idempotent reports (their witnesses
+included) must equal the reports built with every product, sum and bracket
+formed unfused by a dense oracle.
 """
 
 import io
@@ -20,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurkit import cli, idempotents, presentation, replinalg
-from schurkit.idempotents import build_idempotents, ladder_check
+from schurkit.idempotents import LadderReport, build_idempotents, ladder_check
 from schurkit.presentation import (
     _check_many,
     _commutator_cases,
     _coroot_element,
+    _orbits,
     _projector_cases,
     _serre_cases,
     _serre_groups,
@@ -33,7 +35,7 @@ from schurkit.presentation import (
     verify_idempotent_presentation,
     verify_serre_presentation,
 )
-from schurkit.replinalg import ExactMatrix, right_products, tower_rep
+from schurkit.replinalg import ExactMatrix, diagonal_index, tower_rep
 from schurkit.rootdata import LieType, build_root_system
 from conftest import rebuild, unfused_combine
 
@@ -90,6 +92,65 @@ def direct_ladder_residuals(fam, rep):
     return found
 
 
+def right_products(table):
+    """The map op -> {key: op·P} over the diagonal matrices P = table[key]; with left=True also {key: P·op}.
+
+    Both come from one pass over op's rows: column j of op is scaled by the
+    diagonal entry at j of each matrix whose support holds j, and row i by
+    the entry at i.  A table matrix that is not diagonal raises
+    ArithmeticError (`diagonal_index`).
+    """
+    holders = diagonal_index(table)
+
+    def products(op, left=False):
+        data = [{} for _ in table]
+        ldata = [{} for _ in table]
+        for i, row in op._data.items():
+            for j, a in row.items():
+                for n, d in holders.get(j, ()):
+                    data[n].setdefault(i, {})[j] = a * d
+            for n, d in holders.get(i, ()):
+                ldata[n][i] = {j: d * a for j, a in row.items()}
+        right = {key: ExactMatrix(op.size, r) for key, r in zip(table, data)}
+        return (right, {key: ExactMatrix(op.size, r) for key, r in zip(table, ldata)}) if left else right
+
+    return products
+
+
+def reference_ladder_check(fam, rep):
+    """The ladder report from every product op 1_lam and 1_lam op, formed as matrices one generator at a time."""
+    rs = build_root_system(rep.lie_type)
+    members = fam.pi_all.as_set()
+    zero = ExactMatrix.zeros(rep.dim)
+    times_projectors = right_products(fam.table)
+    residuals = {label: [] for label in LADDER_LABELS}
+    checked = skipped = 0
+    for idx in range(1, rep.rank + 1):
+        alpha = rs.simple_root(idx)
+        for op, shift, left, right in ((rep.e[idx - 1], alpha, "R3", "R5"), (rep.f[idx - 1], -alpha, "R4", "R6")):
+            op_lam, lam_op = times_projectors(op, left=True)
+            for lam in fam.table:
+                for label, lhs, rhs, target in (
+                    (left, op_lam[lam], lam_op, lam + shift),
+                    (right, lam_op[lam], op_lam, lam - shift),
+                ):
+                    if target in members:
+                        expected = rhs.get(target)
+                        if expected is None:
+                            skipped += 1
+                            continue
+                    else:
+                        expected = zero
+                    checked += 1
+                    if lhs != expected:
+                        residuals[label].append((f"i={idx},lam={lam.coords}", lhs - expected))
+    return LadderReport(residuals=residuals, checked=checked, skipped=skipped)
+
+
+def assert_same_ladder_report(got, expected):
+    assert (got.residuals, got.checked, got.skipped) == (expected.residuals, expected.checked, expected.skipped)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(perturbed_towers())
 def test_ladder_check_matches_direct_evaluation_and_report(case):
@@ -97,6 +158,7 @@ def test_ladder_check_matches_direct_evaluation_and_report(case):
     ladders = ladder_check(fam, bad)
     failing = {label: cases for label, cases in ladders.residuals.items() if cases}
     assert failing == direct_ladder_residuals(fam, bad)
+    assert_same_ladder_report(ladders, reference_ladder_check(fam, bad))
 
     runs = [verify_idempotent_presentation(bad, fam).failing_labels() for _ in range(2)]
     assert runs[0] == runs[1]
@@ -149,14 +211,22 @@ def test_one_pass_ladder_check_matches_per_projector_products(family, rank, r, k
             {lam: proj @ op for lam, proj in fam.table.items()},
         )
 
-    # the ladder report against the per-projector route
+    # the ladder report against the per-projector route and the reference from all products
     fast = ladder_check(fam)
     assert {label: cases for label, cases in fast.residuals.items() if cases} == direct_ladder_residuals(fam, rep)
+    assert_same_ladder_report(fast, reference_ladder_check(fam, rep))
     # a missing projector skips its cases: completeness is R1's check
     assert fast.ok == (kind in ("clean", "dropped"))
     assert (fast.skipped > 0) == (kind == "dropped")
 
     assert verify_idempotent_presentation(rep, fam).relations[0] == _per_pair_r1(fam)
+
+
+def test_projectors_of_another_carrier_are_refused():
+    _, small, _ = clean_tower("C", 2, 1)
+    _, _, fam = clean_tower("C", 2, 2)
+    with pytest.raises(ValueError, match="size mismatch"):
+        ladder_check(fam, small)
 
 
 def _off_diagonal_family(fam):
@@ -296,7 +366,10 @@ def test_shortcut_groups_match_the_direct_brackets(family, rank, r):
         assert list(_projector_cases(fam.table, bad.dim)) == expected, name
         scales = _transpose_scales(bad)
         target = lambda i: _coroot_element(rs, bad.h, i)
-        assert _nonzero(_commutator_cases(bad.e, bad.f, target, scales)) == _nonzero(direct["X2"]), name
-        e_side, f_side = _serre_groups(bad, rs, scales)
-        assert list(_serre_cases(e_side)) == _nonzero(direct["X4"]), name
-        assert list(_serre_cases(f_side)) == _nonzero(direct["X5"]), name
+        # in full, and on the orbit rows where the generators are fixed by the place permutations
+        for rows in (None, _orbits(bad, scales)[0]):
+            cases = _commutator_cases(bad.e, bad.f, target, scales, rows)
+            assert _nonzero(cases) == _nonzero(direct["X2"]), name
+            e_side, f_side = _serre_groups(bad, rs, scales, rows)
+            assert list(_serre_cases(e_side)) == _nonzero(direct["X4"]), name
+            assert list(_serre_cases(f_side)) == _nonzero(direct["X5"]), name

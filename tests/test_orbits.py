@@ -1,0 +1,269 @@
+"""The relation checks on one row per orbit of the tensor-place permutations.
+
+`orbit_rows` must list one index per orbit, C(m+s-1, s) per block, and
+`place_invariance` must agree with invariance under every element of the
+group its two maps generate.  The orbit path of the relation checks must
+give the reports of the path that forms every residual in full: on the 24
+criterion-1 carriers, on the rank-4 towers, and on seeded faults.  A fault
+that is not fixed by the place permutations takes the full path; a fixed
+one leaves a nonzero residual on the orbit rows, which is then formed in
+full, so the witness is the full residual's.
+"""
+
+import io
+import json
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from math import comb
+from pathlib import Path
+
+import pytest
+
+from schurkit import cli, presentation
+from schurkit.idempotents import build_idempotents
+from schurkit.presentation import _orbits, _transpose_scales, verify_idempotent_presentation, verify_serre_presentation
+from schurkit.replinalg import ExactMatrix, Representation, orbit_rows, place_invariance, tower_rep
+from schurkit.rootdata import LieType
+from schurkit.weightsets import tensor_degrees
+from conftest import rebuild
+
+CRITERION_1 = [
+    (family, rank, r)
+    for family in "BCD"
+    for rank in range(2 if family == "D" else 1, 4)
+    for r in (1, 2, 3)
+]
+RANK_4 = [("B", 4, 4, 10000), ("C", 4, 4, 5000), ("D", 4, 4, 5000)]
+
+
+@lru_cache(maxsize=None)
+def tower(family, rank, r, max_dim=None):
+    rep = tower_rep(LieType(family, rank), r, max_dim)
+    return rep, build_idempotents(rep)
+
+
+def blocks_only(lt, r, degrees):
+    """A carrier record with its blocks and no operators: all that `orbit_rows` reads."""
+    m = lt.natural_dim
+    blocks, offset = [], 0
+    for s in degrees:
+        blocks.append((s, offset, m**s))
+        offset += m**s
+    return Representation(lt, r, (), (), (), offset, (), tuple(blocks), "tower")
+
+
+def digits(rep, index):
+    """(block offset, digit tuple) of a basis index, the first digit most significant."""
+    m = rep.lie_type.natural_dim
+    for s, offset, size in rep.blocks:
+        if offset <= index < offset + size:
+            local = index - offset
+            return offset, tuple(local // m ** (s - 1 - k) % m for k in range(s))
+    raise IndexError(index)
+
+
+@pytest.mark.parametrize("family,rank,r", CRITERION_1 + [("B", 4, 3), ("C", 4, 4), ("D", 4, 4)])
+def test_orbit_rows_are_the_non_decreasing_digit_tuples(family, rank, r):
+    rep = tower_rep(LieType(family, rank), r, 5000)
+    m = rep.lie_type.natural_dim
+    rows = orbit_rows(rep)
+    assert len(rows) == sum(comb(m + s - 1, s) for s, _, _ in rep.blocks)
+    assert rows == sorted(set(rows))
+    # one orbit row per orbit: the index with the same digits, sorted
+    sorted_digits = {(offset, tuple(sorted(d))) for offset, d in map(lambda b: digits(rep, b), range(rep.dim))}
+    assert [digits(rep, b) for b in rows] == sorted(sorted_digits)
+
+
+def test_orbit_row_counts_of_the_benchmark_towers():
+    for family, rank, r, count in (("B", 3, 4, 330), ("C", 3, 4, 148), ("D", 3, 4, 148), ("B", 3, 5, 792)):
+        lt = LieType(family, rank)
+        assert len(orbit_rows(blocks_only(lt, r, tensor_degrees(lt, r)))) == count
+
+
+def group_of(maps):
+    """Every permutation the index maps generate, as tuples."""
+    identity = tuple(range(len(maps[0])))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for p in maps:
+            h = tuple(p[a] for a in g)
+            if h not in seen:
+                seen.add(h)
+                frontier.append(h)
+    return seen
+
+
+def place_maps(rep):
+    """The swap of the first two places and the rotation of all places, on every block at once."""
+    swap, rotate = list(range(rep.dim)), list(range(rep.dim))
+    index = {}
+    for b in range(rep.dim):
+        offset, d = digits(rep, b)
+        index[offset, d] = b
+    for b in range(rep.dim):
+        offset, d = digits(rep, b)
+        if len(d) >= 2:
+            swap[b] = index[offset, (d[1], d[0]) + d[2:]]
+            rotate[b] = index[offset, d[1:] + d[:1]]
+    return swap, rotate
+
+
+@pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 1, 3), ("D", 2, 3)])
+def test_place_invariance_is_invariance_under_the_generated_group(family, rank, r):
+    rep, fam = tower(family, rank, r)
+    group = group_of(place_maps(rep))
+    rows = set(orbit_rows(rep))
+    # the group moves every index onto exactly one orbit row: its own orbit's
+    for b in range(rep.dim):
+        assert len({g[b] for g in group} & rows) == 1
+
+    def invariant(x):
+        entries = dict(((a, b), v) for a, b, v in x.iter_entries())
+        return all(x.entry(g[a], g[b]) == v for g in group for (a, b), v in entries.items())
+
+    fixed = place_invariance(rep)
+    dim = rep.dim
+    candidates = list(rep.generator_lists()) + list(fam.table.values())
+    candidates += [
+        rep.e[0] + ExactMatrix.unit(dim, 1, dim - 2, 3),  # one extra entry
+        2 * rep.e[0],
+        rep.e[0] + ExactMatrix.unit(dim, dim - 1, dim - 1),  # the last index is its own orbit
+        rep.h[0] + ExactMatrix.unit(dim, dim - 2, dim - 2),  # the orbit of the index before it is larger
+        rep.e[0].bracket(rep.f[0]),
+    ]
+    outcomes = [fixed(x) for x in candidates]
+    assert outcomes == [invariant(x) for x in candidates]
+    assert outcomes[: len(rep.generator_lists())] == [True] * len(rep.generator_lists())
+    assert False in outcomes
+    for x in candidates:
+        if x.is_diagonal():
+            assert fixed(x.diagonal()) == invariant(x)
+
+
+def test_natural_module_has_no_moving_place():
+    rep, _ = tower("B", 2, 1)
+    fixed = place_invariance(rep)
+    assert orbit_rows(rep) == list(range(rep.dim))
+    assert fixed(ExactMatrix.unit(rep.dim, 0, 3, 7)) and fixed([1, 2, 3, 4, 5])
+
+
+def forced_full(form, rows):
+    return form(None)
+
+
+def reports(rep, fam):
+    return verify_serre_presentation(rep).to_json(), verify_idempotent_presentation(rep, fam).to_json()
+
+
+class OrbitProbe:
+    """Stands in for `_on_orbits`: forms each residual both ways, checks they agree, and records the outcome."""
+
+    def __init__(self):
+        self.restricted = []  # for every residual formed on orbit rows: whether it was nonzero there
+
+    def __call__(self, form, rows):
+        full = form(None)
+        if rows is not None:
+            part = form(rows)
+            kept = set(rows)
+            assert part._data == {i: row for i, row in full._data.items() if i in kept}
+            assert part.is_zero() == full.is_zero()
+            self.restricted.append(not part.is_zero())
+        return full
+
+
+@pytest.mark.parametrize("family,rank,r", CRITERION_1)
+def test_orbit_path_matches_the_full_path_on_criterion_1_carriers(family, rank, r, monkeypatch):
+    rep, fam = tower(family, rank, r)
+    orbit = reports(rep, fam)
+    probe = OrbitProbe()
+    monkeypatch.setattr(presentation, "_on_orbits", probe)
+    assert reports(rep, fam) == orbit
+    assert probe.restricted and not any(probe.restricted)  # every residual was formed on the orbit rows, all zero
+    monkeypatch.setattr(presentation, "_on_orbits", forced_full)
+    assert reports(rep, fam) == orbit
+
+
+@pytest.mark.parametrize("family,rank,r,max_dim", RANK_4)
+def test_orbit_path_matches_the_full_path_on_rank_4_towers(family, rank, r, max_dim, monkeypatch):
+    rep, fam = tower(family, rank, r, max_dim)
+    orbit = reports(rep, fam)
+    monkeypatch.setattr(presentation, "_on_orbits", forced_full)
+    assert reports(rep, fam) == orbit
+
+
+def seeded_faults(rep, fam):
+    """(name, carrier, family, fixed): one fault each, and whether it is fixed by the place permutations."""
+    dim = rep.dim
+    e = list(rep.e)
+    e[0] = e[0] + ExactMatrix.unit(dim, 1, dim - 2, 3)
+    yield "extra entry in e_1", rebuild(rep, e=tuple(e)), fam, False
+    e = list(rep.e)
+    e[0] = 2 * e[0]
+    yield "2 e_1", rebuild(rep, e=tuple(e)), fam, True
+    lams = list(fam.table)
+    table = dict(fam.table)
+    table[lams[2]] = 2 * table[lams[2]]
+    yield "scaled projector", rep, rebuild(fam, table=table), True
+
+
+@pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2)])
+def test_faults_take_the_full_path_or_a_nonzero_orbit_residual(family, rank, r, monkeypatch):
+    rep, clean = tower(family, rank, r)
+    for name, bad, fam, symmetric in seeded_faults(rep, clean):
+        rows, _ = _orbits(bad, _transpose_scales(bad))
+        assert (rows is not None) == symmetric, name
+        orbit = reports(bad, fam)
+        assert any(rel["status"] == "fails" for report in orbit for rel in report["relations"]), name
+        probe = OrbitProbe()
+        monkeypatch.setattr(presentation, "_on_orbits", probe)
+        assert reports(bad, fam) == orbit, name
+        # a fixed fault leaves a nonzero residual on the orbit rows; one that is not fixed forms none there
+        assert any(probe.restricted) if symmetric else probe.restricted == [], name
+        monkeypatch.setattr(presentation, "_on_orbits", forced_full)
+        assert reports(bad, fam) == orbit, name
+        monkeypatch.undo()
+
+
+def test_most_brackets_of_the_b3_tower_run_on_orbit_rows(monkeypatch):
+    # B3 r=4: the 6 commutators [e_i, f_j], i <= j, and the last bracket of each of the 5 Serre
+    # chains run on the 330 orbit rows; the first brackets of the pairs with a_ij != 0 (2) and one
+    # middle bracket of the a_ij = -2 chain are right factors and run in full
+    calls = []
+    bracket = ExactMatrix.bracket
+
+    def counted(self, other, minus=None, rows=None):
+        calls.append(rows is not None)
+        return bracket(self, other, minus, rows)
+
+    monkeypatch.setattr(ExactMatrix, "bracket", counted)
+    for kind in ("serre", "idempotent"):
+        calls.clear()
+        argv = ["verify", "B", "3", "4", "--presentation", kind]
+        assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        assert (calls.count(True), calls.count(False)) == (11, 3), kind
+
+
+VERIFY_LAYERS = """
+import io, json, sys, types
+import schurkit.cli
+
+LAYERS = ("rootdata", "weightsets", "replinalg", "idempotents", "presentation", "decomposition", "pathmodel")
+executed = {}
+for kind in ("serre", "idempotent"):
+    schurkit.cli.run(["verify", "C", "2", "2", "--presentation", kind], stdout=io.StringIO())
+    executed[kind] = [name for name in LAYERS if type(sys.modules["schurkit." + name]) is types.ModuleType]
+print(json.dumps(executed))
+"""
+
+
+def test_verify_jobs_do_not_execute_the_decomposition_layer():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", VERIFY_LAYERS], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    layers = ["rootdata", "weightsets", "replinalg", "idempotents", "presentation"]
+    assert json.loads(done.stdout) == {"serre": layers, "idempotent": layers}

@@ -26,7 +26,6 @@ from schurkit.replinalg import (
     natural_rep,
     natural_weights,
     product_of_shifts,
-    right_products,
     single_power_rep,
     tensor_lift,
     tower_rep,
@@ -155,8 +154,6 @@ def test_basic_arithmetic_and_normalization():
     assert (a @ b).entry(0, 1) == 1
     with pytest.raises(ValueError):
         a @ ExactMatrix.zeros(3)
-    with pytest.raises(ValueError):
-        right_products({"diagonal": a})(ExactMatrix.zeros(3))
     assert a.max_abs_with_location() == (1, 0, 0, 1)
 
 
