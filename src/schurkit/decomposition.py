@@ -246,7 +246,7 @@ def decompose_tensor_character(lt: LieType, r: int) -> DecompositionResult:
     """
     rs = build_root_system(lt)
     mults = {Weight(lam): count for lam, count in sorted(_chamber_walks(rs, r).items(), reverse=True)}
-    pi = tensor_dominant_pi(lt, r)
+    pi = _dominant_pi(rs, lt, r)
     outside = [lam for lam in mults if lam not in pi]
     if outside:
         raise InvariantError("chamber walk", f"endpoints {outside[:3]} of {lt} r={r} are not dominant tensor weights")
@@ -298,10 +298,24 @@ def classify_type_B(n_max: int, r_max: int):
     return rows
 
 
+def _dominant_pi(rs: RootSystem, lt: LieType, r: int) -> WeightSet:
+    """pi, checked once against the chamber before any Weyl dimension is taken.
+
+    A weight of pi outside the chamber is a failed check (InvariantError),
+    not an invalid request, so it must not reach `weyl_dimension`'s
+    ValueError.
+    """
+    pi = tensor_dominant_pi(lt, r)
+    outside = [lam for lam in pi if not rs.in_chamber(lam.num)]
+    if outside:
+        raise InvariantError("dominant tensor weights", f"{outside[:3]} of {lt} r={r} lie outside the dominant chamber")
+    return pi
+
+
 def schur_dimensions(lt: LieType, r: int):
     """Wedderburn dimension sums over pi and over pi0 (by the factor rules, which must lie in pi)."""
     rs = build_root_system(lt)
-    pi, rules = tensor_dominant_pi(lt, r), pi0_weyl_rules(lt, r)
+    pi, rules = _dominant_pi(rs, lt, r), pi0_weyl_rules(lt, r)
     outside = [lam for lam in rules if lam not in pi]
     if outside:
         raise InvariantError("factor rules", f"{outside[:3]} of {lt} r={r} are not dominant tensor weights")

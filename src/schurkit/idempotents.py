@@ -96,21 +96,32 @@ def _deleted_factor_values(rep, lam, diagonals):
 class IdempotentFamily:
     """The complete system of weight projectors on one carrier."""
 
-    __slots__ = ("rep", "pi_all", "table")
+    __slots__ = ("rep", "pi_all", "table", "_holders")
 
     def __init__(self, rep, pi_all, table):
         self.rep = rep
         self.pi_all = pi_all
-        self.table = table
+        self.table = table  # not to be changed once holders() has read it
+        self._holders = None
+
+    def holders(self):
+        """`diagonal_index` of the table, built on the first call and kept.
+
+        The projectors are diagonal; one that is not raises ArithmeticError
+        on every call, since nothing is kept then.
+        """
+        if self._holders is None:
+            self._holders = diagonal_index(self.table)
+        return self._holders
 
     def weighted_sum(self, coeff) -> ExactMatrix:
         """Sum of coeff(lam) * 1_lam over the family, accumulated on the diagonal.
 
-        The projectors are diagonal; one that is not raises ArithmeticError (`diagonal_index`).
+        The projectors are diagonal; one that is not raises ArithmeticError (`holders`).
         """
         coeffs = [coeff(lam) for lam in self.table]
         total = [0] * self.rep.dim
-        for b, held in diagonal_index(self.table).items():
+        for b, held in self.holders().items():
             total[b] = sum(coeffs[p] * v for p, v in held)
         return ExactMatrix.diag(total)
 
@@ -202,7 +213,7 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
         R3: e_i 1_lam = 1_{lam+a_i} e_i        R5: 1_lam e_i = e_i 1_{lam-a_i}
         R4: f_i 1_lam = 1_{lam-a_i} f_i        R6: 1_lam f_i = f_i 1_{lam+a_i}
 
-    The projectors are diagonal (`diagonal_index` raises otherwise), so the
+    The projectors are diagonal (`fam.holders()` raises otherwise), so the
     residual op 1_lam - 1_mu op has the entries op_ab (P_lam[b] - P_mu[a]):
     it is zero exactly when P_lam[b] = P_mu[a] at every entry (a, b) of op,
     and 1_lam op - op 1_mu exactly when P_lam[a] = P_mu[b].  So one scan of
@@ -224,7 +235,7 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
     table = fam.table
     if any(m.size != rep.dim for m in table.values()):
         raise ValueError(f"size mismatch: the projectors against a carrier of dimension {rep.dim}")
-    holders = diagonal_index(table)
+    holders = fam.holders()
     lams = list(table)
     position = {lam: n for n, lam in enumerate(lams)}
     # each index's class: the (position, value) pairs of the projectors that hold it

@@ -27,9 +27,11 @@ step, so the crossing lands on an integer point.
 Strings are extracted greedily along a fixed reduced word for the longest
 Weyl element: raise maximally letter by letter until the dominant path
 returns.  The resulting exponent tuples index the crystal bijectively and
-drive the basis-counting reports.  The raising chains of a crystal's
-elements merge, so the remaining string is memoized per path and word
-position: each such pair costs at most one raising-operator call.
+drive the basis-counting reports.  A crystal is closed under the raising
+operators, and e_i(y) = x exactly when f_i(x) = y, so every raise is read
+off the crystal's own lowering edges; no raising operator runs.  The
+raising chains of a crystal's elements merge, so the remaining string is
+memoized per element and word position.
 """
 
 from __future__ import annotations
@@ -120,11 +122,16 @@ def _canonical(pts, den):
         else:
             out.append(p)
             u = v
-    g = math.gcd(den, *itertools.chain.from_iterable(out))
+    return _reduced(out, den)
+
+
+def _reduced(pts, den):
+    """The Path of a polyline without pauses or collinear continuations, over its least denominator."""
+    g = math.gcd(den, *itertools.chain.from_iterable(pts))
     if g != 1:
-        out = [tuple([a // g for a in p]) for p in out]
+        pts = [tuple([a // g for a in p]) for p in pts]
         den //= g
-    return Path(tuple(out), den)
+    return Path(tuple(pts), den)
 
 
 def _positively_parallel(u, v):
@@ -165,7 +172,14 @@ def f_op(rs: RootSystem, i: int, path: Path):
 
 
 def _lower(alpha, path: Path, h):
-    """The body of f_op, given the int root alpha and the path's heights h."""
+    """The body of f_op, given the int root alpha and the path's heights h.
+
+    The image is the canonical prefix up to the last minimum, the mirror
+    image of the piece up to level q+1, and the translated tail.  Mirror
+    and translation are affine bijections, so each piece stays canonical
+    and no two consecutive points coincide: a collinear continuation can
+    only appear at the two junctions, and only those are checked.
+    """
     d = path.den
     q = min(h)
     if h[-1] - q < d:
@@ -173,12 +187,14 @@ def _lower(alpha, path: Path, h):
     top = q + d
     pts = path.num
     j = len(h) - 1 - h[::-1].index(q)  # the last minimum
+    first = j  # the first junction: the last minimum, which the mirror fixes
     new_pts = list(pts[: j + 1])
     while h[j + 1] < top:  # strictly between q and q+1 after the last minimum: reflect at level q
         k = h[j + 1] - q
         new_pts.append(tuple([a - k * b for a, b in zip(pts[j + 1], alpha)]))
         j += 1
     tail = pts[j + 1 :]
+    after = j + 2  # the original index of the tail's second point
     if h[j + 1] > top:
         # level q+1 is crossed inside the segment (j, j+1): scale the polyline
         # by the segment's height step, so that the crossing is an integer point
@@ -187,9 +203,24 @@ def _lower(alpha, path: Path, h):
         new_pts = [tuple([s * a for a in p]) for p in new_pts]
         tail = [crossing] + [tuple([s * a for a in p]) for p in tail]
         d *= s
+        after = j + 1
+    second = len(new_pts)  # the second junction: the tail's first point, at level q+1
     shift = [d * b for b in alpha]
     new_pts.extend(tuple(map(sub, p, shift)) for p in tail)
-    return _canonical(new_pts, d)
+    # the mirrored piece descends from level q to q-1, so a junction can only
+    # continue it straight where the neighboring segment descends as well
+    if after < len(h) and h[after] < top:
+        _merge_junction(new_pts, second)
+    if first > 0 and h[first - 1] > q:
+        _merge_junction(new_pts, first)  # first < second: its index is unchanged
+    return _reduced(new_pts, d)
+
+
+def _merge_junction(pts, k):
+    """Drop the interior point pts[k] if the polyline continues straight through it."""
+    a, b, c = pts[k - 1], pts[k], pts[k + 1]
+    if _positively_parallel(tuple(map(sub, b, a)), tuple(map(sub, c, b))):
+        del pts[k]
 
 
 def _dual(path: Path) -> Path:
@@ -224,16 +255,20 @@ def _minima_integral(h, d):
     """All local minima of the heights h (ints over d) sit at integer levels.
 
     Plateau runs are treated as single critical points; boundary runs
-    count as minima when their inner neighbor is higher.
+    count as minima when their inner neighbor is higher.  Only a point off
+    the integer levels can fail, so only the plateau run of each such point
+    is inspected; over d = 1 every level is an integer.
     """
-    runs = []
-    for v in h:
-        if not runs or runs[-1] != v:
-            runs.append(v)
-    for k, v in enumerate(runs):
-        left_up = k == 0 or runs[k - 1] > v
-        right_up = k == len(runs) - 1 or runs[k + 1] > v
-        if left_up and right_up and v % d:
+    if d == 1:
+        return True
+    last = len(h) - 1
+    for k in [k for k, v in enumerate(h) if v % d]:
+        v, a, b = h[k], k, k
+        while a > 0 and h[a - 1] == v:
+            a -= 1
+        while b < last and h[b + 1] == v:
+            b += 1
+        if (a == 0 or h[a - 1] > v) and (b == last or h[b + 1] > v):
             return False
     return True
 
@@ -279,7 +314,7 @@ def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP
     """Breadth-first closure of the straight path under all lowering operators.
 
     Each element's heights are computed once per simple root; its
-    integral-path check and its lowering steps read them.
+    integral-path check, the kill test and its lowering steps read them.
     """
     roots = [(rs.simple_root(i).num, rs.coroot(i).num) for i in range(1, rs.rank + 1)]
     start = straight_path(rs, lam)
@@ -293,9 +328,9 @@ def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP
             h = _heights(current, coroot)
             if not _minima_integral(h, current.den):
                 raise InvariantError("integral-path regime", f"an operator left it in the crystal of {lam!r}")
+            if h[-1] - min(h) < current.den:
+                continue  # f_i kills the path
             image = _lower(alpha, current, h)
-            if image is None:
-                continue
             at = index.get(image)
             if at is None:
                 if len(elements) >= cap:
@@ -307,46 +342,71 @@ def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP
     return Crystal(rs=rs, highest=lam, elements=tuple(elements), edges=tuple(edges))
 
 
+def _raising_table(crystal: Crystal):
+    """up[i][y] = x for every lowering edge f_i(x) = y, so up[i].get(y) is e_i(y) by index.
+
+    The crystal is closed under the raising operators, and e_i(y) = x
+    exactly when f_i(x) = y, so the edges are all the raising steps; a
+    second edge into y under one f_i breaks the crystal axiom.
+    """
+    up = [{} for _ in range(crystal.rs.rank + 1)]
+    for x, i, y in crystal.edges:
+        if up[i].setdefault(y, x) != x:
+            raise InvariantError(
+                "crystal axiom", f"element {y} of the crystal of {crystal.highest!r} has two preimages under f_{i}"
+            )
+    return up
+
+
 def string_tuples(crystal: Crystal, word):
     """All greedy strings of a crystal; in bijection with its elements.
 
-    The exponents of a path from word position k on depend only on the
-    pair (path, k), and the raising chains of different elements merge, so
-    each pair is settled once: if e_{word[k]} kills the path, its string
-    from k is 0 followed by its string from k + 1; otherwise it is the
-    string of the raised path from k with the first exponent one higher.
-    Each walk follows raises and letters until it meets a settled pair (or
-    the end of the word, where the path must be the dominant one), then
-    settles the pairs it passed in reverse.
+    Every raise is read off the crystal's lowering edges (`_raising_table`),
+    so no raising operator runs.  The exponents of an element from word
+    position k on depend only on the pair (element index, k), and the
+    raising chains of different elements merge, so each pair is settled
+    once: if e_{word[k]} kills the element, its string from k is 0 followed
+    by its string from k + 1; otherwise it is the string of the raised
+    element from k with the first exponent one higher.  Each walk follows
+    raises and letters until it meets a settled pair (or the end of the
+    word, where the path must be the straight path to the highest weight),
+    then settles the pairs it passed in reverse.
+    A path that occurs twice among the elements is walked from its first
+    index, so the two copies share a string.
     """
-    rs, top, n = crystal.rs, crystal.elements[0], len(word)
-    memo = {}  # (path, k) -> exponents from word position k on
-    for start in crystal.elements:
+    elements, n = crystal.elements, len(word)
+    up = _raising_table(crystal)
+    top = straight_path(crystal.rs, crystal.highest)
+    first = {}  # path -> the first index that holds it
+    for x, path in enumerate(elements):
+        first.setdefault(path, x)
+    memo = {}  # (element index, k) -> exponents from word position k on
+    for start in first.values():
         trail = []
-        path, k = start, 0
-        while (path, k) not in memo:
+        x, k = start, 0
+        while (x, k) not in memo:
             if k == n:
-                if path != top:
+                if elements[x] != top:
                     raise InvariantError(
                         "string extraction",
                         f"greedy raising along {word} did not reach the dominant path of {crystal.highest!r}",
                     )
-                memo[path, k] = ()
+                memo[x, k] = ()
                 break
-            trail.append((path, k))
-            raised = e_op(rs, word[k], path)
+            trail.append((x, k))
+            raised = up[word[k]].get(x)
             if raised is None:
                 k += 1
             else:
-                path = raised
-        value = memo[path, k]
+                x = raised
+        value = memo[x, k]
         for key in reversed(trail):
             # a raise keeps the word position; a killed letter moves on to the next one
             value = (value[0] + 1,) + value[1:] if key[1] == k else (0,) + value
             memo[key] = value
             k = key[1]
-    unique = sorted({memo[p, 0] for p in crystal.elements}, reverse=True)
-    if len(unique) != len(crystal.elements):
+    unique = sorted({memo[x, 0] for x in first.values()}, reverse=True)
+    if len(unique) != len(elements):
         raise InvariantError("string injectivity", f"two elements of the crystal of {crystal.highest!r} share a string")
     return tuple(unique)
 
@@ -417,17 +477,21 @@ def basis_census(lt: LieType, r: int) -> CensusReport:
         for w in (lam, dual_hw):
             if not rs.is_dominant(w):
                 raise InvariantError("census weights", f"{w!r}, from {lam!r}, lies outside the dominant chamber of {lt}")
+    pending = {}  # weight -> the strings of its crystal, kept from its first use to its second
+
+    def strings_for(w):
+        """Each weight is used twice, as a row's weight and as the dual in the row of -w0(w)."""
+        if w in pending:
+            return pending.pop(w)
+        pending[w] = strings = string_tuples(generate_crystal(rs, w), word)
+        return strings
+
     rows = []
     total = 0
     for lam, dual_hw in pairs:
         dim = weyl_dimension(rs, lam)
-        crystal = generate_crystal(rs, lam)
-        strings = string_tuples(crystal, word)
-        if dual_hw == lam:
-            dual_strings = strings
-        else:
-            dual_strings = string_tuples(generate_crystal(rs, dual_hw), word)
-        opp = opposite_strings(dual_strings)
+        strings = strings_for(lam)
+        opp = opposite_strings(strings_for(dual_hw))
         product = len(strings) * len(opp)
         rows.append(
             {

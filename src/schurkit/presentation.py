@@ -73,7 +73,6 @@ from .replinalg import (
     _combine,
     algebra_closure,
     diagonal_bracket,
-    diagonal_index,
     orbit_rows,
     place_invariance,
     product_of_shifts,
@@ -357,15 +356,15 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
     return report
 
 
-def _projector_cases(table, dim):
+def _projector_cases(fam, dim):
     """The nonzero residuals of 1_lam 1_mu = delta 1_lam, in (lam, mu) order, then of the completeness sum.
 
-    The projectors are diagonal (`diagonal_index` raises otherwise), so
+    The projectors are diagonal (`fam.holders()` raises otherwise), so
     1_lam 1_mu is the index-by-index product, and only pairs whose
     supports share an index can leave a residual.
     """
-    lams = list(table)
-    holders = diagonal_index(table)
+    lams = list(fam.table)
+    holders = fam.holders()
     products = {}  # (position of lam, position of mu) -> {index: entry of 1_lam 1_mu - delta 1_lam}
     for b, held in holders.items():
         for p, u in held:
@@ -390,16 +389,17 @@ def verify_idempotent_presentation(rep: Representation, fam: IdempotentFamily) -
     projector is a completeness defect, which R1 reports.
     """
     report, rs = _new_report("idempotent", rep)
-    report.relations.append(_check_many("R1", _projector_cases(fam.table, rep.dim)))
     scales = _transpose_scales(rep)
     rows, fixed = _orbits(rep, scales)
+    # R7 and R8 are checked first, so that the Serre brackets, the largest
+    # intermediates, are freed before the family's projector index is built
+    serre = [_check_many(f"R{k}", _serre_cases(side)) for k, side in zip((7, 8), _serre_groups(rep, rs, scales, rows))]
+    report.relations.append(_check_many("R1", _projector_cases(fam, rep.dim)))
     coroot_target = lambda i: fam.weighted_sum(rs.coroot(i + 1).dot)  # sum_lam <lam, alpha_i^vee> 1_lam
     report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target, scales, rows, fixed)))
     for label, cases in ladder_check(fam, rep).residuals.items():
         report.relations.append(_check_many(label, cases))
-    e_serre, f_serre = _serre_groups(rep, rs, scales, rows)
-    report.relations.append(_check_many("R7", _serre_cases(e_serre)))
-    report.relations.append(_check_many("R8", _serre_cases(f_serre)))
+    report.relations.extend(serre)
     return report
 
 

@@ -135,7 +135,11 @@ class ExactMatrix:
 
     @classmethod
     def diag(cls, values):
-        values = [_int_entry(v) for v in values]
+        return cls._diag([_int_entry(v) for v in values])
+
+    @classmethod
+    def _diag(cls, values):
+        """`diag` of int values the caller made itself, without checking each one again."""
         return cls(len(values), {i: {i: v} for i, v in enumerate(values) if v != 0})
 
     @classmethod
@@ -281,9 +285,10 @@ def product_of_shifts(diagonal, shifts):
     The result is the diagonal of the products prod_s (m_ii - s), formed
     once per distinct diagonal value; zero products are not stored.  The
     caller reads the values off a carrier's Cartan operators, which are
-    diagonal on its weight basis, and checks that they are.
+    diagonal on its weight basis, and checks that they are; the values are
+    then ints by construction and are not validated again.
     """
-    return ExactMatrix.diag(shift_products(diagonal, shifts))
+    return ExactMatrix._diag(shift_products(diagonal, shifts))
 
 
 def diagonal_bracket(diagonal, x, shift, rows=None):

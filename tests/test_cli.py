@@ -13,6 +13,7 @@ from schurkit import cli, decomposition, pathmodel, presentation, replinalg
 from schurkit.presentation import RelationCheck, RelationReport
 from schurkit.replinalg import ExactMatrix, tower_rep
 from schurkit.rootdata import Weight
+from schurkit.weightsets import WeightSet
 from conftest import rebuild
 
 SRC = os.path.dirname(os.path.dirname(schurkit.__file__))
@@ -275,6 +276,31 @@ def test_repeated_crystal_element_fails_string_injectivity(monkeypatch):
     code, out, err = census_with_altered_crystals(monkeypatch, repeat_last)
     assert code == 1 and out == ""
     assert "check failed: string injectivity" in err
+
+
+def test_second_preimage_under_one_lowering_fails_the_crystal_axiom(monkeypatch):
+    def duplicate_edge_target(crystal):
+        src, i, dst = crystal.edges[-1]
+        other = next(x for x in range(len(crystal)) if x != src)
+        return rebuild(crystal, edges=crystal.edges + ((other, i, dst),))
+
+    code, out, err = census_with_altered_crystals(monkeypatch, duplicate_edge_target)
+    assert code == 1 and out == ""
+    assert "check failed: crystal axiom" in err
+
+
+@pytest.mark.parametrize("command", ["dims", "closure"])
+def test_non_dominant_tensor_weight_exits_one(monkeypatch, command):
+    real = decomposition.tensor_dominant_pi
+
+    def with_outsider(lt, r):
+        pi = real(lt, r)
+        return WeightSet.make(list(pi) + [Weight((0, 1))], pi.label)
+
+    monkeypatch.setattr(decomposition, "tensor_dominant_pi", with_outsider)
+    code, out, err = run_cli([command, "C", "2", "2"])
+    assert code == 1 and out == ""
+    assert "check failed: dominant tensor weights" in err
 
 
 def test_non_integral_cartan_matrix_exits_one(monkeypatch):

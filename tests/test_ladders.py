@@ -222,6 +222,20 @@ def test_one_pass_ladder_check_matches_per_projector_products(family, rank, r, k
     assert verify_idempotent_presentation(rep, fam).relations[0] == _per_pair_r1(fam)
 
 
+def test_idempotent_presentation_indexes_the_projector_table_once(monkeypatch):
+    _, rep, clean = clean_tower("B", 2, 2)
+    fam = rebuild(clean)  # a family whose index no earlier check has built
+    calls = []
+
+    def counting_index(table):
+        calls.append(len(table))
+        return diagonal_index(table)
+
+    monkeypatch.setattr(idempotents, "diagonal_index", counting_index)
+    assert verify_idempotent_presentation(rep, fam).all_hold
+    assert calls == [len(fam.table)]
+
+
 def test_projectors_of_another_carrier_are_refused():
     _, small, _ = clean_tower("C", 2, 1)
     _, _, fam = clean_tower("C", 2, 2)
@@ -363,7 +377,7 @@ def test_shortcut_groups_match_the_direct_brackets(family, rank, r):
         ]
         total = sum(fam.table.values(), ExactMatrix.zeros(bad.dim)) - ExactMatrix.identity(bad.dim)
         expected = _nonzero(per_pair) + [("completeness", total)]
-        assert list(_projector_cases(fam.table, bad.dim)) == expected, name
+        assert list(_projector_cases(fam, bad.dim)) == expected, name
         scales = _transpose_scales(bad)
         target = lambda i: _coroot_element(rs, bad.h, i)
         # in full, and on the orbit rows where the generators are fixed by the place permutations

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from schurkit.decomposition import freudenthal_multiplicities, schur_dimensions,
 from schurkit.pathmodel import (
     Path,
     _positively_parallel,
+    _raising_table,
     basis_census,
     e_op,
     f_op,
@@ -339,35 +339,83 @@ def test_memoized_strings_match_reference_on_d3_dual_pairs(lam):
         assert string_tuples(crystal, word) == reference_string_tuples(crystal, word)
 
 
-def visited_pairs(crystal, word):
-    """Every (path, word position) short of the word's end that some greedy walk passes."""
-    seen = set()
-    todo = [(p, 0) for p in crystal.elements]
-    while todo:
-        path, k = key = todo.pop()
-        if k == len(word) or key in seen:
-            continue
-        seen.add(key)
-        raised = e_op(crystal.rs, word[k], path)
-        todo.append((path, k + 1) if raised is None else (raised, k))
-    return seen
-
-
 @pytest.mark.parametrize("family,rank,lam", [("B", 3, (1, 1, 0)), ("D", 3, (1, 1, -1)), ("C", 4, (2, 1, 1, 0))])
-def test_each_path_and_word_position_reaches_e_op_once(monkeypatch, family, rank, lam):
+def test_strings_read_raises_off_edges_without_e_op(monkeypatch, family, rank, lam):
     rs = rs_of(family, rank)
     word, _ = rs.longest_element()
     crystal = generate_crystal(rs, Weight(lam))
-    expected = Counter((path, word[k]) for path, k in visited_pairs(crystal, word))
-    calls = Counter()
+    expected = reference_string_tuples(crystal, word)
+    calls = []
 
     def counting_e_op(rs, i, path):
-        calls[path, i] += 1
+        calls.append((i, path))
         return e_op(rs, i, path)
 
     monkeypatch.setattr(pathmodel, "e_op", counting_e_op)
+    assert string_tuples(crystal, word) == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("family,rank,lam", STRING_CASES)
+def test_edge_table_raise_matches_e_op(family, rank, lam):
+    rs = rs_of(family, rank)
+    crystal = generate_crystal(rs, Weight(lam))
+    up = _raising_table(crystal)
+    index = {p: x for x, p in enumerate(crystal.elements)}
+    for x, p in enumerate(crystal.elements):
+        for i in range(1, rank + 1):
+            raised = e_op(rs, i, p)
+            assert up[i].get(x) == (None if raised is None else index[raised])
+
+
+@st.composite
+def small_dominant_weights(draw):
+    """(family, rank, lam): a dominant weight of rank <= 3 with coordinates <= 2, spin weights included."""
+    family = draw(st.sampled_from("BCD"))
+    rank = draw(st.integers(2 if family == "D" else 1, 3))
+    half = family != "C" and draw(st.booleans())
+    coords = sorted(draw(st.lists(st.integers(0, 1 if half else 2), min_size=rank, max_size=rank)), reverse=True)
+    lam = [c + HALF if half else Fraction(c) for c in coords]
+    if family == "D" and draw(st.booleans()):
+        lam[-1] = -lam[-1]
+    return family, rank, Weight(lam)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_dominant_weights())
+def test_edge_strings_match_reference_on_small_dominant_weights(case):
+    family, rank, lam = case
+    rs = rs_of(family, rank)
+    assert rs.is_dominant(lam)
+    word, _ = rs.longest_element()
+    crystal = generate_crystal(rs, lam)
     assert string_tuples(crystal, word) == reference_string_tuples(crystal, word)
-    assert calls == expected
+
+
+def test_lowering_merges_at_the_tail_junction():
+    # heights along alpha_1^vee of C2: 0, 1, 1/2, 3/2.  The tail leaves level 1
+    # downward, parallel to the mirrored first segment, so the second junction
+    # merges; on integral paths that descent would be a minimum at a half level.
+    rs = rs_of("C", 2)
+    w = Weight
+    path = Path.from_points([w((0, 0)), w((HALF, -HALF)), w((Fraction(1, 4), Fraction(-1, 4))), w((1, -HALF))])
+    expected = _reference_f_op(rs, 1, path)
+    assert expected == (w((0, 0)), w((Fraction(-3, 4), Fraction(3, 4))), w((0, HALF)))
+    assert f_op(rs, 1, path).points == expected
+
+
+@pytest.mark.parametrize("family,rank,r", [("B", 3, 4), ("C", 3, 3), ("D", 4, 3)])
+def test_lowering_checks_only_its_junctions_and_stays_canonical(family, rank, r):
+    # a full rescan of every lowering result finds nothing left to merge or reduce
+    lt = LieType(family, rank)
+    rs = build_root_system(lt)
+    for lam in tensor_dominant_pi(lt, r):
+        for p in generate_crystal(rs, lam).elements:
+            for i in range(1, rank + 1):
+                q = f_op(rs, i, p)
+                if q is not None:
+                    rescanned = Path.from_points(q.points)
+                    assert (q.num, q.den) == (rescanned.num, rescanned.den)
 
 
 @pytest.mark.parametrize("family,rank,lam", [("B", 2, (1, 1)), ("C", 2, (2, 0)), ("D", 3, (1, 1, 1))])
