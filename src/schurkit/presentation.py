@@ -18,21 +18,7 @@ element h_i = sum_k <eps_k, alpha_i^vee> H_k (X2) or sum_lam
 <lam, alpha_i^vee> 1_lam (R2), and the Serre relations (X4/X5, R7/R8).
 The ladder groups R3-R6 are computed by `idempotents.ladder_check`.
 
-Three facts of the carriers cut the work of `replinalg`'s row kernel.
-
-Transpose duality.  Every carrier has f_i = c_i e_i^T, with c = (1, ...,
-1, 2) in type B (the natural f_n is 2 e_n^T) and c = 1 in C and D, since
-lifting to tensor powers commutes with transposes and scalars.  This is
-checked exactly on the given carrier, by entry lookups.  Where it holds,
-ad_{A^T}(B^T) = -(ad_A B)^T gives the f-side Serre residual at (i, j) as
-(-1)^k c_i^k c_j times the transpose of the e-side one, k = 1 - a_ij, and
-the commutator residual at i > j as (c_j / c_i) times the transpose of the
-one at (j, i), an exact division.  Only nonzero e-side residuals are kept,
-as the transpose of zero is zero.  Where it fails (a perturbed carrier),
-both sides are formed bracket by bracket.  On both sides the Serre sums
-share the first bracket of each unordered pair: [x_j, x_i] = -[x_i, x_j].
-Every residual is entrywise the one the brackets would give, so reports
-and witnesses do not depend on the path.
+Two facts of the carriers cut the work of `replinalg`'s row kernel.
 
 Diagonal scans.  The weight basis is an eigenbasis of every H_i and every
 1_lam, so each H_i's diagonal is read once, and an H_i that is not
@@ -49,12 +35,14 @@ an index, so every residual R of them has R[sa, sb] = R[a, b] and is zero
 exactly when its rows at the non-decreasing digit tuples are
 (`replinalg.orbit_rows`): 330 of 2801 rows on B3 r=4.  Where the e_i and
 f_i (and the H_i diagonals, or R2's target) pass `place_invariance`'s
-entry lookups, the X2/R2 commutators, the last bracket of each Serre
-chain and the X3 scans are formed on those rows; the Serre intermediates
-are right factors and stay full.  A residual that is nonzero on those
-rows is formed in full, so reports and witnesses are the full ones; where
-the check fails (a perturbed carrier, a faulty R2 target), the residuals
-are formed in full from the start, as where the transpose duality fails.
+entry lookups, the X2/R2 commutators, the Serre chains and the X3 scans
+are formed on those rows.  Row a of [x, z] reads row a of z and the rows
+of z at the columns x stores in row a, so each bracket of a Serre chain
+forms just the rows the next one reads, planned backwards from the orbit
+rows, and no intermediate is formed in full.  A residual that is nonzero
+on the orbit rows is formed in full, so reports and witnesses are the
+full ones; where the check fails (a perturbed carrier, a faulty R2
+target), the residuals are formed in full from the start.
 
 The zero-locus scan (over the L1 shells a zero can lie on) and the
 quotient comparison live here as well, since they decide which relation
@@ -78,7 +66,6 @@ from .replinalg import (
     product_of_shifts,
     single_power_rep,
     tower_rep,
-    transpose_scale,
 )
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import WeightSet, compositions, tensor_weights_Pi
@@ -180,114 +167,68 @@ def _on_orbits(form, rows):
     return form(None)
 
 
+def _needed_rows(x, rows):
+    """The rows of z that the rows `rows` of [x, z] read: each row a, and the columns x stores in row a (None: all)."""
+    if rows is None:
+        return None
+    stored = x._data
+    needed = set(rows)
+    for a in rows:
+        needed.update(stored.get(a, ()))
+    return needed
+
+
 def _serre_sum(x, y, a_xy, rows=None):
-    """sum_s (-1)^s C(k, s) x^{k-s} y x^s with k = 1-a, exactly.
+    """sum_s (-1)^s C(k, s) x^{k-s} y x^s with k = 1-a, exactly; only `rows`, if given.
 
     The sum is the iterated commutator ad_x^k(y), formed as k brackets
-    [x, z], each in one pass, and no list of powers.  The last bracket is
-    formed on the orbit rows (`_on_orbits`); the others are its right
-    factors and are formed in full.
+    [x, z], each in one pass, and no list of powers.  Each bracket forms
+    only the rows the next one reads (`_needed_rows`), planned backwards
+    from `rows`, so no intermediate is formed in full.
     """
-    z = y
     k = 1 - a_xy
+    plan = [rows]  # the rows of the last bracket, then those of each bracket before it
     for _ in range(k - 1):
-        z = x.bracket(z)
-    if k > 0:
-        z = _on_orbits(lambda r: x.bracket(z, None, r), rows)
+        plan.append(_needed_rows(x, plan[-1]))
+    z = y
+    for r in reversed(plan[:k]):
+        z = x.bracket(z, None, r)
     return z
 
 
-def _serre_residuals(gens, cartan, rows=None):
-    """The nonzero Serre residuals ad_{x_i}^k(x_j), k = 1 - a_ij, keyed by the ordered pair (i, j), i != j.
+def _serre_cases(gens, cartan, rows=None):
+    """The Serre residuals ad_{x_i}^k(x_j), k = 1 - a_ij, in (i, j) order, i != j.
 
-    [x_j, x_i] = -[x_i, x_j], so the first bracket of each unordered pair
-    is formed once and serves both orders.  It is the last bracket of both
-    chains when a_ij = 0, and is then formed on the orbit rows.
+    Each chain is formed on the orbit rows (`_on_orbits`), and in full
+    where it is nonzero there.
     """
-    out = {}
-    for i, j in itertools.combinations(range(len(gens)), 2):
-        first = _on_orbits(lambda r: gens[i].bracket(gens[j], None, r), rows if cartan[i][j] == 0 else None)
-        for a, b, sign in ((i, j, 1), (j, i, -1)):
-            z = _serre_sum(gens[a], first, cartan[a][b] + 1, rows)  # ad_{x_a}^{k-1} of [x_a, x_b] = sign * first
-            if not z.is_zero():
-                out[a, b] = z if sign == 1 else -z
-        first = z = None  # free this pair's brackets before the next pair's first one is formed
-    return out
+    for i, j in itertools.permutations(range(len(gens)), 2):
+        yield (f"i={i+1},j={j+1}", _on_orbits(lambda r: _serre_sum(gens[i], gens[j], cartan[i][j], r), rows))
 
 
-def _dual_serre_residuals(residuals, cartan, scales):
-    """The f-side Serre residuals from the e-side ones, when f_i = c_i e_i^T for every i.
-
-    ad_{A^T}(B^T) = -(ad_A B)^T, so ad_{f_i}^k(f_j) = (-1)^k c_i^k c_j (ad_{e_i}^k e_j)^T.
-    """
-    out = {}
-    for (i, j), res in residuals.items():
-        k = 1 - cartan[i][j]
-        out[i, j] = res.scaled_transpose((-1) ** k * scales[i] ** k * scales[j])
-    return out
-
-
-def _serre_cases(residuals):
-    """The Serre cases in (i, j) order; only nonzero residuals are kept, as `_check_many` skips the rest."""
-    return ((f"i={i+1},j={j+1}", residuals[i, j]) for i, j in sorted(residuals))
-
-
-def _transpose_scales(rep):
-    """The ints c_i with f_i = c_i e_i^T on the carrier, or None when some f_i is not such a multiple.
-
-    Every carrier `_build_rep` makes has them, since lifting to tensor
-    powers commutes with transposes and scalars: c = (1, ..., 1, 2) in
-    type B (the natural f_n is 2 e_n^T) and c = 1 in types C and D.
-    """
-    scales = tuple(transpose_scale(e, f) for e, f in zip(rep.e, rep.f))
-    return None if None in scales else scales
-
-
-def _commutator_cases(e, f, target, scales, rows=None, fixed=None):
+def _commutator_cases(e, f, target, rows=None, fixed=None):
     """Residuals of [e_i, f_j] = delta_ij target(i); target is built only when i == j.
 
-    With transpose scales (f_k = c_k e_k^T), the residual at i > j is
-    (c_j / c_i) times the transpose of the one at (j, i), which is formed
-    first; the division is exact, since both residuals are integral.  Each
-    residual is formed on the orbit rows (`_on_orbits`); a target, which is
-    diagonal, goes with them where its values pass `fixed` (None: every
-    target is fixed).
+    Each residual is formed on the orbit rows (`_on_orbits`); a target,
+    which is diagonal, goes with them where its values pass `fixed` (None:
+    every target is fixed).
     """
     n = len(e)
-    upper = {}
     for i in range(n):
         for j in range(n):
-            case = f"i={i+1},j={j+1}"
-            if scales is not None and i > j:
-                if (j, i) in upper:
-                    yield (case, upper[j, i].scaled_transpose(scales[j], scales[i]))
-                continue
             t = target(i) if i == j else None
             on = rows if t is None or fixed is None or fixed(t.diagonal()) else None
-            res = _on_orbits(lambda r: e[i].bracket(f[j], t, r), on)
-            if i < j and not res.is_zero():
-                upper[i, j] = res
-            yield (case, res)
+            yield (f"i={i+1},j={j+1}", _on_orbits(lambda r: e[i].bracket(f[j], t, r), on))
 
 
-def _serre_groups(rep, rs, scales, rows=None):
-    """The (e-side, f-side) Serre residuals; the f side by transpose duality where it holds."""
-    e_side = _serre_residuals(rep.e, rs.cartan, rows)
-    if scales is None:
-        return e_side, _serre_residuals(rep.f, rs.cartan, rows)
-    return e_side, _dual_serre_residuals(e_side, rs.cartan, scales)
-
-
-def _orbits(rep, scales, diagonals=()):
+def _orbits(rep, diagonals=()):
     """(rows, fixed): the carrier's orbit rows and the test `place_invariance` gives.
 
     rows is None when some e_i or f_i, or one of the given diagonals, is not
-    fixed by the place permutations.  Where the transpose scales hold,
-    f_i = c_i e_i^T is fixed with e_i.
+    fixed by the place permutations.
     """
     fixed = place_invariance(rep)
-    gens = rep.e if scales is not None else rep.e + rep.f
-    return (orbit_rows(rep) if all(map(fixed, gens)) and all(map(fixed, diagonals)) else None), fixed
+    return (orbit_rows(rep) if all(map(fixed, rep.e + rep.f)) and all(map(fixed, diagonals)) else None), fixed
 
 
 def _coroot_element(rs, h, i):
@@ -323,9 +264,8 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
             raise ArithmeticError(f"{fam}6: H_{i+1} not diagonal on the weight basis")
         diagonals.append(hi.diagonal())
     report.relations.append(RelationCheck(label=f"{fam}1", holds=True))  # diagonal operators commute
-    scales = _transpose_scales(rep)
-    rows, _ = _orbits(rep, scales, diagonals)  # X2's targets and X3's diagonals come from the H_i
-    x2_cases = _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i), scales, rows)
+    rows, _ = _orbits(rep, diagonals)  # X2's targets and X3's diagonals come from the H_i
+    x2_cases = _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i), rows)
     report.relations.append(_check_many(f"{fam}2", x2_cases))
 
     def x3_cases():
@@ -336,9 +276,8 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
                     yield (f"[H_{i+1},{name}_{j+1}]", _on_orbits(lambda r: diagonal_bracket(d, x, shift, r), rows))
 
     report.relations.append(_check_many(f"{fam}3", x3_cases()))
-    e_serre, f_serre = _serre_groups(rep, rs, scales, rows)
-    report.relations.append(_check_many(f"{fam}4", _serre_cases(e_serre)))
-    report.relations.append(_check_many(f"{fam}5", _serre_cases(f_serre)))
+    report.relations.append(_check_many(f"{fam}4", _serre_cases(e, rs.cartan, rows)))
+    report.relations.append(_check_many(f"{fam}5", _serre_cases(f, rs.cartan, rows)))
 
     x6_cases = ((f"P1(H_{i+1})", product_of_shifts(d, p1(rep.r))) for i, d in enumerate(diagonals))
     report.relations.append(_check_many(f"{fam}6", x6_cases))
@@ -389,14 +328,13 @@ def verify_idempotent_presentation(rep: Representation, fam: IdempotentFamily) -
     projector is a completeness defect, which R1 reports.
     """
     report, rs = _new_report("idempotent", rep)
-    scales = _transpose_scales(rep)
-    rows, fixed = _orbits(rep, scales)
+    rows, fixed = _orbits(rep)
     # R7 and R8 are checked first, so that the Serre brackets, the largest
     # intermediates, are freed before the family's projector index is built
-    serre = [_check_many(f"R{k}", _serre_cases(side)) for k, side in zip((7, 8), _serre_groups(rep, rs, scales, rows))]
+    serre = [_check_many(f"R{k}", _serre_cases(gens, rs.cartan, rows)) for k, gens in ((7, rep.e), (8, rep.f))]
     report.relations.append(_check_many("R1", _projector_cases(fam, rep.dim)))
     coroot_target = lambda i: fam.weighted_sum(rs.coroot(i + 1).dot)  # sum_lam <lam, alpha_i^vee> 1_lam
-    report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target, scales, rows, fixed)))
+    report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target, rows, fixed)))
     for label, cases in ladder_check(fam, rep).residuals.items():
         report.relations.append(_check_many(label, cases))
     report.relations.extend(serre)

@@ -23,10 +23,7 @@ distinct value once.  `diagonal_bracket` forms [D, x] + s*x for such a
 diagonal D in one scan of x's entries.  `diagonal_index` lists, per
 index, the matrices of a table of diagonals that hold it, and a table
 matrix that is not diagonal is a failed check (ArithmeticError).  The
-algebra closure grades by the diagonal generators.  For the transpose
-duality of the relation checks, `transpose_scale` reads off the int c
-with y = c * x^T by entry lookups, and `ExactMatrix.scaled_transpose`
-transposes a residual.
+algebra closure grades by the diagonal generators.
 
 The permutations of the tensor places of a tower block commute with the
 lifted generators.  `orbit_rows` lists one basis index per orbit, and
@@ -199,14 +196,6 @@ class ExactMatrix:
             self._check_size(m)
         return _combine(self.size, ((1, self, other), (-1, other, self)), terms, rows)
 
-    def scaled_transpose(self, num, den=1):
-        """(num/den) * self^T; every num * entry must be a multiple of den, as the caller's identity guarantees."""
-        data = {}
-        for i, row in self._data.items():
-            for j, v in row.items():
-                data.setdefault(j, {})[i] = num * v // den
-        return ExactMatrix(self.size, data)
-
     def trace(self):
         return sum(r.get(i, 0) for i, r in self._data.items())
 
@@ -308,28 +297,6 @@ def diagonal_bracket(diagonal, x, shift, rows=None):
         if out:
             data[a] = out
     return ExactMatrix(x.size, data)
-
-
-def transpose_scale(x, y):
-    """The int c with y == c * x^T, by entry lookups and no transposed copy; None if there is none.
-
-    c is read off the first entry of y; 1 when both matrices are zero.
-    """
-    if x.nnz != y.nnz:
-        return None
-    c = None
-    for j, row in y._data.items():
-        for i, v in row.items():
-            u = x._data.get(i, {}).get(j)
-            if u is None:
-                return None
-            if c is None:
-                c, rest = divmod(v, u)
-                if rest:
-                    return None
-            elif v != c * u:
-                return None
-    return 1 if c is None else c
 
 
 def diagonal_index(table):

@@ -29,9 +29,7 @@ from schurkit.presentation import (
     _orbits,
     _projector_cases,
     _serre_cases,
-    _serre_groups,
     _serre_sum,
-    _transpose_scales,
     verify_idempotent_presentation,
     verify_serre_presentation,
 )
@@ -280,12 +278,12 @@ def _seeded_faults(rep, fam):
     h = list(rep.h)
     h[0] = h[0] + ExactMatrix.unit(dim, dim - 1, dim - 1, 1)  # still diagonal: X3 and X6 scan it
     f_1 = list(rep.f)
-    f_1[0] = f_1[0] + ExactMatrix.unit(dim, 2, dim - 3, 1)  # no longer a multiple of e_1^T
+    f_1[0] = f_1[0] + ExactMatrix.unit(dim, 2, dim - 3, 1)  # no longer fixed by the place permutations
     e_3, f_3 = list(rep.e), list(rep.f)
-    e_3[0], f_3[0] = 3 * e_3[0], 3 * f_3[0]  # f_1 is still (3 e_1)^T, and [e_1, f_1] = 9 h_1
+    e_3[0], f_3[0] = 3 * e_3[0], 3 * f_3[0]  # still fixed, and [e_1, f_1] = 9 h_1
     e_p, f_p = list(rep.e), list(rep.f)
     e_p[0] = e_p[0] + ExactMatrix.unit(dim, 1, dim - 2, 3)
-    f_p[0] = f_p[0] + ExactMatrix.unit(dim, dim - 2, 1, 3)  # f_1 is still e_1^T: the Serre sums fail on both sides
+    f_p[0] = f_p[0] + ExactMatrix.unit(dim, dim - 2, 1, 3)  # mirrored entries: the Serre sums fail on both sides
     yield "off-diagonal e_1 entry", rebuild(rep, e=tuple(e)), fam
     yield "2 f_n", rebuild(rep, f=tuple(f)), fam
     yield "changed diagonal entry of H_1", rebuild(rep, h=tuple(h)), fam
@@ -314,7 +312,7 @@ def test_fused_witnesses_match_an_unfused_dense_reference(family, rank, r, monke
 
 
 def _direct_cases(rep, fam):
-    """The cases of X2-X5 and R2, R7, R8 with every bracket formed in full: no transpose duality, no diagonal scan."""
+    """The cases of X2-X5 and R2, R7, R8 with every bracket formed in full: no orbit rows, no diagonal scan."""
     rs = build_root_system(rep.lie_type)
     n = rep.rank
     e, f, h = rep.e, rep.f, rep.h
@@ -356,9 +354,9 @@ def test_shortcut_groups_match_the_direct_brackets(family, rank, r):
     lt, rep, clean = clean_tower(family, rank, r)
     rs = build_root_system(lt)
     cases = [("clean", rep, clean)] + list(_seeded_faults(rep, clean))
-    # both paths run: the duality fails exactly where an f_1 or e_1 entry lost its transpose partner
-    direct_path = {name for name, bad, _ in cases if _transpose_scales(bad) is None}
-    assert direct_path == {"off-diagonal e_1 entry", "f_1 plus a unit entry"}
+    # both paths run: the orbit rows are dropped exactly where a unit entry broke the place symmetry
+    full_path = {name for name, bad, _ in cases if _orbits(bad)[0] is None}
+    assert full_path == {"off-diagonal e_1 entry", "f_1 plus a unit entry", "transposed entries of e_1 and f_1"}
     for name, bad, fam in cases:
         direct = _direct_cases(bad, fam)
         x1 = [(f"H_{i+1}H_{j+1}", bad.h[i].bracket(bad.h[j])) for i in range(rank) for j in range(i + 1, rank)]
@@ -369,7 +367,7 @@ def test_shortcut_groups_match_the_direct_brackets(family, rank, r):
         idem += [_check_many(f"R{k}", direct[f"X{k - 3}"]) for k in (7, 8)]
         relations = verify_idempotent_presentation(bad, fam).relations
         assert [relations[k] for k in (0, 1, 6, 7)] == idem, name
-        # every nonzero residual, not only each group's witness, the transposed ones included
+        # every nonzero residual, not only each group's witness
         per_pair = [
             (f"1_{lam.coords} 1_{mu.coords}", p @ q - p if lam == mu else p @ q)
             for lam, p in fam.table.items()
@@ -378,12 +376,9 @@ def test_shortcut_groups_match_the_direct_brackets(family, rank, r):
         total = sum(fam.table.values(), ExactMatrix.zeros(bad.dim)) - ExactMatrix.identity(bad.dim)
         expected = _nonzero(per_pair) + [("completeness", total)]
         assert list(_projector_cases(fam, bad.dim)) == expected, name
-        scales = _transpose_scales(bad)
         target = lambda i: _coroot_element(rs, bad.h, i)
         # in full, and on the orbit rows where the generators are fixed by the place permutations
-        for rows in (None, _orbits(bad, scales)[0]):
-            cases = _commutator_cases(bad.e, bad.f, target, scales, rows)
-            assert _nonzero(cases) == _nonzero(direct["X2"]), name
-            e_side, f_side = _serre_groups(bad, rs, scales, rows)
-            assert list(_serre_cases(e_side)) == _nonzero(direct["X4"]), name
-            assert list(_serre_cases(f_side)) == _nonzero(direct["X5"]), name
+        for rows in (None, _orbits(bad)[0]):
+            assert _nonzero(_commutator_cases(bad.e, bad.f, target, rows)) == _nonzero(direct["X2"]), name
+            assert _nonzero(_serre_cases(bad.e, rs.cartan, rows)) == _nonzero(direct["X4"]), name
+            assert _nonzero(_serre_cases(bad.f, rs.cartan, rows)) == _nonzero(direct["X5"]), name

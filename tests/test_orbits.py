@@ -23,9 +23,9 @@ import pytest
 
 from schurkit import cli, presentation
 from schurkit.idempotents import build_idempotents
-from schurkit.presentation import _orbits, _transpose_scales, verify_idempotent_presentation, verify_serre_presentation
+from schurkit.presentation import _orbits, _serre_sum, verify_idempotent_presentation, verify_serre_presentation
 from schurkit.replinalg import ExactMatrix, Representation, orbit_rows, place_invariance, tower_rep
-from schurkit.rootdata import LieType
+from schurkit.rootdata import LieType, build_root_system
 from schurkit.weightsets import tensor_degrees
 from conftest import rebuild
 
@@ -204,6 +204,9 @@ def seeded_faults(rep, fam):
     e = list(rep.e)
     e[0] = 2 * e[0]
     yield "2 e_1", rebuild(rep, e=tuple(e)), fam, True
+    e = list(rep.e)
+    e[0] = e[0] + rep.f[0]  # [e_1 + f_1, [e_1 + f_1, e_2]] = -[h_1, e_2]: a nonzero Serre residual
+    yield "e_1 + f_1 in place of e_1", rebuild(rep, e=tuple(e)), fam, True
     lams = list(fam.table)
     table = dict(fam.table)
     table[lams[2]] = 2 * table[lams[2]]
@@ -214,7 +217,7 @@ def seeded_faults(rep, fam):
 def test_faults_take_the_full_path_or_a_nonzero_orbit_residual(family, rank, r, monkeypatch):
     rep, clean = tower(family, rank, r)
     for name, bad, fam, symmetric in seeded_faults(rep, clean):
-        rows, _ = _orbits(bad, _transpose_scales(bad))
+        rows, _ = _orbits(bad)
         assert (rows is not None) == symmetric, name
         orbit = reports(bad, fam)
         assert any(rel["status"] == "fails" for report in orbit for rel in report["relations"]), name
@@ -229,14 +232,14 @@ def test_faults_take_the_full_path_or_a_nonzero_orbit_residual(family, rank, r, 
 
 
 def test_most_brackets_of_the_b3_tower_run_on_orbit_rows(monkeypatch):
-    # B3 r=4: the 6 commutators [e_i, f_j], i <= j, and the last bracket of each of the 5 Serre
-    # chains run on the 330 orbit rows; the first brackets of the pairs with a_ij != 0 (2) and one
-    # middle bracket of the a_ij = -2 chain are right factors and run in full
+    # B3 r=4: the 9 commutators [e_i, f_j] and the 11 brackets of the e-side and of the f-side
+    # Serre chains (k = 1 - a_ij = 2, 1, 2, 2, 1, 3 over the ordered pairs in order) all run restricted: the
+    # last bracket of a chain on the 330 orbit rows, each earlier one on the rows the next reads
     calls = []
     bracket = ExactMatrix.bracket
 
     def counted(self, other, minus=None, rows=None):
-        calls.append(rows is not None)
+        calls.append(None if rows is None else len(rows))
         return bracket(self, other, minus, rows)
 
     monkeypatch.setattr(ExactMatrix, "bracket", counted)
@@ -244,7 +247,51 @@ def test_most_brackets_of_the_b3_tower_run_on_orbit_rows(monkeypatch):
         calls.clear()
         argv = ["verify", "B", "3", "4", "--presentation", kind]
         assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
-        assert (calls.count(True), calls.count(False)) == (11, 3), kind
+        assert (len(calls) - calls.count(None), calls.count(None)) == (31, 0), kind
+        # the rows formed: 11 brackets on 330 rows and 3 on all 2801 before the chains were restricted
+        assert sum(calls) <= 12033, kind
+
+
+def chain_prefixes(rep):
+    """(case, x, y, a) for every bracket count 1..k of every Serre chain ad_{x_i}^k(x_j), both sides: a = 1 - count."""
+    cartan = build_root_system(rep.lie_type).cartan
+    for side, gens in (("e", rep.e), ("f", rep.f)):
+        for i in range(rep.rank):
+            for j in range(rep.rank):
+                if i != j:
+                    for count in range(1, 2 - cartan[i][j]):
+                        yield f"{side} i={i+1},j={j+1} k={count}", gens[i], gens[j], 1 - count
+
+
+def restriction(x, rows):
+    kept = set(rows)
+    return {i: row for i, row in x._data.items() if i in kept}
+
+
+@pytest.mark.parametrize("family,rank,r", CRITERION_1)
+def test_restricted_serre_chains_are_the_full_ones_at_the_orbit_rows(family, rank, r):
+    # every prefix of every chain, the a_ij = -2 ones included: the shorter ones are nonzero
+    rep, _ = tower(family, rank, r)
+    rows = orbit_rows(rep)
+    nonzero = 0
+    for case, x, y, a in chain_prefixes(rep):
+        full = _serre_sum(x, y, a)
+        assert _serre_sum(x, y, a, rows)._data == restriction(full, rows), case
+        nonzero += not full.is_zero()
+    assert nonzero or rank == 1 or (family, rank) == ("D", 2)  # D2 = A1 x A1: every chain is one bracket, zero
+
+
+@pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2)])
+def test_a_place_fixed_serre_fault_is_nonzero_on_the_orbit_rows(family, rank, r):
+    rep, clean = tower(family, rank, r)
+    bad = {name: carrier for name, carrier, _, _ in seeded_faults(rep, clean)}["e_1 + f_1 in place of e_1"]
+    rows = _orbits(bad)[0]
+    assert rows is not None
+    a = build_root_system(bad.lie_type).cartan[0][1]
+    full = _serre_sum(bad.e[0], bad.e[1], a)
+    part = _serre_sum(bad.e[0], bad.e[1], a, rows)
+    assert not part.is_zero()
+    assert part._data == restriction(full, rows)
 
 
 VERIFY_LAYERS = """

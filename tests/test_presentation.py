@@ -1,17 +1,17 @@
-import io
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schurkit import cli
 from schurkit.idempotents import annihilator_for_signed_sums, build_idempotents, p1
 from schurkit.presentation import (
     _coroot_element,
     _serre_sum,
-    _transpose_scales,
     presentations_generate_same_algebra,
     quotient_witness,
     verify_idempotent_presentation,
@@ -22,7 +22,7 @@ from schurkit.presentation import (
 from schurkit.replinalg import ExactMatrix, Representation, single_power_rep, tower_rep
 from schurkit.rootdata import LieType, Weight, build_root_system
 from schurkit.weightsets import WeightSet, tensor_weights_Pi
-from conftest import all_lie_types, rebuild
+from conftest import all_lie_types
 
 HALF = Fraction(1, 2)
 
@@ -128,32 +128,17 @@ def test_coroot_target_equals_the_family_table(lt):
         assert target == rep.e[i].bracket(rep.f[i])
 
 
+def transpose(m):
+    return ExactMatrix.from_entries(m.size, ((j, i, v) for i, j, v in m.iter_entries()))
+
+
 @pytest.mark.parametrize("lt", all_lie_types(4), ids=str)
 def test_transpose_scales_per_family(lt):
     # f_i = c_i e_i^T on every carrier: the natural f_n of type B is 2 e_n^T, and lifts keep the scale
     expected = (1,) * (lt.rank - 1) + (2 if lt.family == "B" else 1,)
     for r in (1, 2, 3):
-        assert _transpose_scales(tower_rep(lt, r)) == expected
-        assert _transpose_scales(single_power_rep(lt, r)) == expected
-    rep = tower_rep(lt, 2)
-    for i in range(lt.rank):
-        f = list(rep.f)
-        f[i] = f[i] + ExactMatrix.unit(rep.dim, 0, rep.dim - 1)
-        assert _transpose_scales(rebuild(rep, f=tuple(f))) is None
-
-
-def test_bracket_counts_on_the_b3_tower(monkeypatch):
-    # B3 r=4: [e_i, f_j] is formed for i <= j only (6), and the e-side Serre sums take one first
-    # bracket per unordered pair (3) plus k - 1 = -a_ij more per ordered pair (5); X1, the f-side
-    # Serre sums and [e_i, f_j] for i > j come from diagonals and transposes
-    calls = []
-    bracket = ExactMatrix.bracket
-    monkeypatch.setattr(ExactMatrix, "bracket", lambda self, *args: calls.append(1) or bracket(self, *args))
-    for presentation in ("serre", "idempotent"):
-        calls.clear()
-        argv = ["verify", "B", "3", "4", "--presentation", presentation]
-        assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
-        assert len(calls) == 14, presentation
+        for rep in (tower_rep(lt, r), single_power_rep(lt, r)):
+            assert [f == c * transpose(e) for e, f, c in zip(rep.e, rep.f, expected)] == [True] * lt.rank
 
 
 def test_fault_scaled_fn_flags_exactly_c2():
@@ -192,6 +177,32 @@ def test_fault_removed_idempotent_flags_exactly_r1():
     assert report.failing_labels() == ("R1",)
     witness = next(c.witness for c in report.relations if not c.holds)
     assert witness["case"] == "completeness"
+
+
+@lru_cache(maxsize=None)
+def clean_tower(family, rank, r):
+    rep = tower_rep(LieType(family, rank), r)
+    return rep, build_idempotents(rep)
+
+
+@st.composite
+def dropped_projectors(draw):
+    """(carrier, family, lam): a B/C/D tower of rank <= 3 and r <= 3 under the default cap, and one weight of it."""
+    family = draw(st.sampled_from("BCD"))
+    rank = draw(st.integers(2 if family == "D" else 1, 3))
+    rep, fam = clean_tower(family, rank, draw(st.integers(1, 3)))
+    return rep, fam, draw(st.sampled_from(sorted(fam.table, key=lambda lam: lam.coords)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dropped_projectors())
+def test_any_dropped_projector_flags_r1_and_r2_unless_it_is_the_zero_weight(case):
+    # completeness fails at the dropped weight's indices; R2's target sum_lam <lam, alpha_i^vee> 1_lam
+    # misses a term exactly when some <lam, alpha_i^vee> != 0, that is, when lam != 0
+    rep, fam, lam = case
+    report = verify_idempotent_presentation(rep, fam.without(lam))
+    assert report.failing_labels() == (("R1",) if lam == Weight.zero(rep.rank) else ("R1", "R2"))
+    assert report.relations[0].witness["case"] == "completeness"
 
 
 def test_zero_locus_equals_weight_set_c2():

@@ -29,7 +29,6 @@ from schurkit.replinalg import (
     single_power_rep,
     tensor_lift,
     tower_rep,
-    transpose_scale,
 )
 from schurkit.rootdata import LieType, Weight, build_root_system
 from schurkit.weightsets import tensor_dominant_pi, tensor_weights_Pi
@@ -121,24 +120,6 @@ def test_diagonal_bracket_matches_the_full_bracket():
             assert diagonal_bracket(diag, x, shift) == d @ x - x @ d + shift * x
     # an eigenvector ladder: [D, x] = 2x, so the residual with shift -2 is zero
     assert diagonal_bracket([1, -1], ExactMatrix.unit(2, 0, 1, 5), -2).is_zero()
-
-
-def test_transpose_scale_and_scaled_transpose():
-    rng = random.Random(19)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        x = ExactMatrix.from_dense(random_matrix(rng, n))
-        c = rng.choice((-3, -1, 1, 2))
-        y = c * transpose(x)
-        assert x.scaled_transpose(c) == y
-        assert y.scaled_transpose(1, c) == x  # c divides every entry of y
-        assert transpose_scale(x, y) == (1 if x.is_zero() else c)
-    d = ExactMatrix.from_dense
-    assert transpose_scale(d([[0, 0], [0, 0]]), d([[0, 0], [0, 0]])) == 1
-    assert transpose_scale(d([[0, 2], [0, 0]]), d([[0, 0], [1, 0]])) is None  # the scale would be 1/2
-    assert transpose_scale(d([[0, 1], [0, 0]]), d([[0, 0], [1, 1]])) is None  # an entry without a partner
-    assert transpose_scale(d([[1, 1], [0, 0]]), d([[1, 0], [2, 0]])) is None  # two different scales
-    assert transpose_scale(d([[0, 1], [1, 0]]), d([[0, 0], [3, 0]])) is None  # a partner without an entry
 
 
 def test_basic_arithmetic_and_normalization():
