@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurkit import cli
 from schurkit.idempotents import annihilator_for_signed_sums, build_idempotents, p1
 from schurkit.presentation import (
     _coroot_element,
@@ -139,6 +141,19 @@ def test_transpose_scales_per_family(lt):
     for r in (1, 2, 3):
         for rep in (tower_rep(lt, r), single_power_rep(lt, r)):
             assert [f == c * transpose(e) for e, f, c in zip(rep.e, rep.f, expected)] == [True] * lt.rank
+
+
+def test_bracket_counts_on_the_b3_tower(monkeypatch):
+    # B3 r=4: [e_i, f_j] is formed once for each of the 9 pairs, and each ordered pair's Serre chain
+    # ad_{x_i}^k(x_j), k = 1 - a_ij = 2, 1, 2, 2, 1, 3, takes k brackets on each side (11 + 11)
+    calls = []
+    bracket = ExactMatrix.bracket
+    monkeypatch.setattr(ExactMatrix, "bracket", lambda self, *args, **kw: calls.append(1) or bracket(self, *args, **kw))
+    for presentation in ("serre", "idempotent"):
+        calls.clear()
+        argv = ["verify", "B", "3", "4", "--presentation", presentation]
+        assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        assert len(calls) == 31, presentation
 
 
 def test_fault_scaled_fn_flags_exactly_c2():
