@@ -6,7 +6,7 @@ exact matrix identities, reproduces the weight-set and decomposition
 combinatorics with an independent character oracle, and counts bases
 through the path model.
 
-Importing the package runs no layer code.  Each of the seven layer modules
+Importing the package runs no layer code.  Each of the eight layer modules
 is registered in `sys.modules` at once, under its full name, as a lazy
 module (`importlib.util.LazyLoader`) that executes on its first attribute
 access, so a CLI job executes only the layers it calls into.  The names
@@ -53,12 +53,12 @@ _EXPORTS = {
     ),
     "presentation": (
         "RelationReport",
-        "quotient_witness",
         "verify_idempotent_presentation",
         "verify_serre_presentation",
         "zero_locus",
         "zero_locus_report",
     ),
+    "closure": ("quotient_witness",),
     "decomposition": (
         "DecompositionResult",
         "FormalCharacter",

@@ -23,7 +23,7 @@ import csv as csv_module
 import io
 import json
 import sys
-from . import __version__, decomposition, idempotents, pathmodel, presentation, replinalg, weightsets
+from . import __version__, closure, decomposition, idempotents, pathmodel, presentation, replinalg, weightsets
 from .rootdata import CapExceeded, LieType, Weight, build_root_system
 
 
@@ -184,14 +184,17 @@ def _cmd_dims(args):
 
 def _cmd_closure(args):
     lt = _parse_type(args)
-    report = presentation.quotient_witness(lt, args.r, args.max_dim)
+    report = closure.quotient_witness(lt, args.r, args.max_dim)
     body = report.to_json()
     cols = ["carrier", "dimension", "expected", "matches"]
     rows = [
         ["single_power", report.dim_single, report.expected_single, report.dim_single == report.expected_single],
         ["tower", report.dim_tower, report.expected_tower, report.dim_tower == report.expected_tower],
     ]
-    failures = [] if report.matches_expected else ["closure dimension vs squared-dimension sum"]
+    failures = []
+    if not report.matches_expected:
+        where = f" ({report.mismatch})" if report.mismatch else ""
+        failures.append(f"closure dimension vs squared-dimension sum{where}")
     return JobResult(_header(lt, args.r), body, cols, rows, report.matches_expected, failures)
 
 

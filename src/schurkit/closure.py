@@ -1,0 +1,188 @@
+"""Generated-algebra dimensions: the closure of a carrier's generators.
+
+`quotient_witness` measures the algebra A the Chevalley generators
+generate on the single power and on the tower, against the Wedderburn sums
+sum_lam dim L(lam)^2 over pi0 and pi; a positive difference exhibits the
+single power as a proper quotient.  `presentations_generate_same_algebra`
+checks that the Cartan and the projector generators generate one algebra.
+
+Each closure is seeded at the rows that determine A (`_closure_seeds`).
+Where the generators pass the place gate of `presentation`, A commutes
+with the place permutations, and the closure multiplies on the right only,
+so restriction to the orbit rows is injective on A.  Where X2 and X3 hold,
+n_i = exp(e_i) exp(-f_i) exp(e_i) lies in A and conjugates 1_mu to
+1_{s_i mu}, so 1_{w mu} A = n_w 1_mu A: only the dominant weights' rows
+are seeded, and dim A = sum over dominant mu of |W mu| dim 1_mu A.
+Otherwise every row, or every weight class, is seeded.  A dimension that
+differs from its expected sum names the first weight mu at which
+dim 1_mu A differs from sum_lam m_lam(mu) dim L(lam).
+
+The relation checks do not need this module, so the jobs that run them do
+not execute it.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from . import decomposition
+from .idempotents import IdempotentFamily
+from .presentation import _commutator_cases, _coroot_element, _orbits, _x3_cases
+from .replinalg import Representation, algebra_closure, single_power_rep, tower_rep
+from .rootdata import LieType, Weight, build_root_system
+from .weightsets import tensor_dominant_pi
+
+
+class QuotientReport:
+    __slots__ = (
+        "lie_type", "r", "dim_single", "dim_tower", "expected_single", "expected_tower", "difference", "mismatch"
+    )
+
+    def __init__(self, lie_type, r, dim_single, dim_tower, expected_single, expected_tower, difference, mismatch=None):
+        self.lie_type = lie_type
+        self.r = r
+        self.dim_single = dim_single
+        self.dim_tower = dim_tower
+        self.expected_single = expected_single
+        self.expected_tower = expected_tower
+        self.difference = difference
+        self.mismatch = mismatch  # where a dimension differs: the first weight whose dim 1_mu A does
+
+    @property
+    def equal(self):
+        return self.dim_single == self.dim_tower
+
+    @property
+    def matches_expected(self):
+        return self.dim_single == self.expected_single and self.dim_tower == self.expected_tower
+
+    def to_json(self):
+        return {
+            "family": self.lie_type.family,
+            "rank": self.lie_type.rank,
+            "r": self.r,
+            "dim_single_power": self.dim_single,
+            "dim_tower": self.dim_tower,
+            "difference": self.difference,
+            "equal": self.equal,
+            "expected_single_power": self.expected_single,
+            "expected_tower": self.expected_tower,
+            "matches_expected": self.matches_expected,
+        }
+
+
+def _closure_seeds(rep: Representation, rs, also=()):
+    """(orbits, weight): what a closure of the carrier's generators may leave unseeded.
+
+    orbits is `_orbits`' list of orbit rows, None where an e_i, f_i, H_i or
+    an operator of `also` fails the place gate.  weight(a) is the H-eigenvalue
+    tuple of index a where every H_i is diagonal and X2 and X3 hold, so that
+    the dominant weights' rows determine A; else weight is None.
+    """
+    if not all(hi.is_diagonal() for hi in rep.h):
+        return None, None
+    diagonals = [hi.diagonal() for hi in rep.h]
+    orbits, _ = _orbits(rep, diagonals + list(also))
+    x2 = _commutator_cases(rep.e, rep.f, lambda i: _coroot_element(rs, rep.h, i), orbits)
+    if not all(res.is_zero() for _, res in itertools.chain(x2, _x3_cases(rs, rep, diagonals, orbits))):
+        return orbits, None
+    return orbits, lambda a: tuple(d[a] for d in diagonals)
+
+
+def _dominant_rows(rs, rows, weight):
+    return [a for a in rows if rs.in_chamber(weight(a))]
+
+
+def _closure_dimension(rep: Representation, rs):
+    """(dim A, the closure, whether only dominant weights were seeded) for the algebra A of the carrier's generators.
+
+    With dominant seeds, dim A = sum over dominant mu of |W mu| dim 1_mu A.
+    """
+    orbits, weight = _closure_seeds(rep, rs)
+    rows = orbits if weight is None else _dominant_rows(rs, orbits or range(rep.dim), weight)
+    res = algebra_closure(rep.generator_lists(), rows)
+    if weight is None:
+        return res.dimension, res, False
+    dims = res.class_dimensions().items()
+    return sum(len(rs.weyl_orbit(Weight(weight(c[0])))) * d for c, d in dims), res, True
+
+
+def _first_differing_weight(rs, lams, rep, res, dominant):
+    """Where dim 1_mu A differs from sum_lam m_lam(mu) dim L(lam): at the first seeded weight mu, highest first."""
+    expected = {}
+    for lam in lams:
+        dim = decomposition.weyl_dimension(rs, lam)
+        for mu, m in decomposition.freudenthal_multiplicities(rs, lam).terms:
+            if not dominant or rs.is_dominant(mu):
+                expected[mu] = expected.get(mu, 0) + m * dim
+    got = {}
+    for c, d in res.class_dimensions().items():
+        got[rep.weights[c[0]]] = got.get(rep.weights[c[0]], 0) + d
+    for mu in sorted(expected.keys() | got.keys(), key=lambda w: w.coords, reverse=True):
+        if got.get(mu, 0) != expected.get(mu, 0):
+            return f"{rep.kind}: dim 1_mu A = {got.get(mu, 0)} at mu={mu.coords}, expected {expected.get(mu, 0)}"
+    return None
+
+
+def quotient_witness(lt: LieType, r: int, max_dim=None) -> QuotientReport:
+    """Generated-algebra dimensions on the single power and on the tower.
+
+    Equality means the single-power image already realizes the whole
+    family of simple modules; a positive difference exhibits the single
+    power as a proper quotient and equals the squared-dimension total of
+    the missing factors.  Where a dimension differs from its expected sum,
+    `mismatch` names the first weight mu at which dim 1_mu A differs from
+    sum_lam m_lam(mu) dim L(lam), lam over pi (tower) or pi0 (single power).
+    """
+    rs = build_root_system(lt)
+    single = single_power_rep(lt, r, max_dim)
+    tower = tower_rep(lt, r, max_dim)
+    single_closure, tower_closure = _closure_dimension(single, rs), _closure_dimension(tower, rs)
+    dim_single, dim_tower = single_closure[0], tower_closure[0]
+    expected_tower, expected_single = decomposition.schur_dimensions(lt, r)
+    mismatch = None
+    for rep, (dim, res, dominant), expected, lams in (
+        (tower, tower_closure, expected_tower, tensor_dominant_pi),
+        (single, single_closure, expected_single, decomposition.pi0_weyl_rules),
+    ):
+        if dim != expected and mismatch is None:
+            mismatch = _first_differing_weight(rs, lams(lt, r), rep, res, dominant)
+    return QuotientReport(
+        lie_type=lt,
+        r=r,
+        dim_single=dim_single,
+        dim_tower=dim_tower,
+        expected_single=expected_single,
+        expected_tower=expected_tower,
+        difference=dim_tower - dim_single,
+        mismatch=mismatch,
+    )
+
+
+def _same_classes(diagonals, others):
+    """The joint eigenvalue classes of two lists of diagonals are the same partition of the indices."""
+    pairs = set(zip(zip(*diagonals), zip(*others)))
+    return len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+
+
+def presentations_generate_same_algebra(rep: Representation, fam: IdempotentFamily) -> bool:
+    """Same span test: Cartan generators against projector generators.
+
+    Where both generator sets pass the place gate, the projectors' classes
+    are the H_i's and X2 and X3 hold, both algebras contain every n_w and
+    commute with the place permutations, so only their rows at the dominant
+    weights' orbit rows are compared; otherwise the whole algebras are.
+    """
+    rs = build_root_system(rep.lie_type)
+    projectors = list(fam.table.values())
+    orbits, weight = _closure_seeds(rep, rs, projectors)
+    rows = None
+    if orbits is not None and weight is not None and projectors and all(p.is_diagonal() for p in projectors):
+        if _same_classes([h.diagonal() for h in rep.h], [p.diagonal() for p in projectors]):
+            rows = _dominant_rows(rs, orbits, weight)
+    with_h = algebra_closure(list(rep.e) + list(rep.f) + list(rep.h), rows)
+    with_proj = algebra_closure(list(rep.e) + list(rep.f) + projectors, rows)
+    return (
+        with_h.dimension == with_proj.dimension
+        and with_h.canonical_rows() == with_proj.canonical_rows()
+    )

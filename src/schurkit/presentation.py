@@ -44,28 +44,26 @@ on the orbit rows is formed in full, so reports and witnesses are the
 full ones; where the check fails (a perturbed carrier, a faulty R2
 target), the residuals are formed in full from the start.
 
-The zero-locus scan (over the L1 shells a zero can lie on) and the
-quotient comparison live here as well, since they decide which relation
-groups are redundant and when the single-power image is a proper quotient.
+The zero-locus scan (over the L1 shells a zero can lie on) lives here as
+well, since it decides which relation groups are redundant.  The
+generated-algebra comparisons, which read the X2 and X3 checks and the
+place gate from here, are in `closure`, so that the jobs that check
+relations do not execute them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import decomposition
 from .idempotents import IdempotentFamily, annihilator_for_signed_sums, ladder_check, p1
 from .replinalg import (
     ExactMatrix,
     Representation,
     _combine,
-    algebra_closure,
     diagonal_bracket,
     orbit_rows,
     place_invariance,
     product_of_shifts,
-    single_power_rep,
-    tower_rep,
 )
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import WeightSet, compositions, tensor_weights_Pi
@@ -236,6 +234,15 @@ def _coroot_element(rs, h, i):
     return _combine(h[i].size, (), tuple((c, hk) for c, hk in zip(rs.coroot(i + 1).coords, h) if c))
 
 
+def _x3_cases(rs, rep, diagonals, rows):
+    """Residuals of [H_k, x_j] = <eps_k, +-alpha_j> x_j for x = e, f (X3), each one scan of x on the orbit rows."""
+    for k, d in enumerate(diagonals):
+        for j in range(rs.rank):
+            c = rs.simple_root(j + 1).num[k]  # <eps_k, alpha_j>: integral, as RootSystem checks
+            for name, x, shift in ("e", rep.e[j], -c), ("f", rep.f[j], c):
+                yield (f"[H_{k+1},{name}_{j+1}]", _on_orbits(lambda r: diagonal_bracket(d, x, shift, r), rows))
+
+
 def _new_report(presentation, rep: Representation):
     """An empty report for a carrier, and the root system of its type."""
     rs = build_root_system(rep.lie_type)
@@ -268,14 +275,7 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
     x2_cases = _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i), rows)
     report.relations.append(_check_many(f"{fam}2", x2_cases))
 
-    def x3_cases():
-        for i, d in enumerate(diagonals):
-            for j in range(n):
-                c = rs.simple_root(j + 1).num[i]  # <eps_i, alpha_j>: integral, as RootSystem checks
-                for name, x, shift in ("e", e[j], -c), ("f", f[j], c):
-                    yield (f"[H_{i+1},{name}_{j+1}]", _on_orbits(lambda r: diagonal_bracket(d, x, shift, r), rows))
-
-    report.relations.append(_check_many(f"{fam}3", x3_cases()))
+    report.relations.append(_check_many(f"{fam}3", _x3_cases(rs, rep, diagonals, rows)))
     report.relations.append(_check_many(f"{fam}4", _serre_cases(e, rs.cartan, rows)))
     report.relations.append(_check_many(f"{fam}5", _serre_cases(f, rs.cartan, rows)))
 
@@ -420,74 +420,10 @@ def zero_locus_report(lt: LieType, r: int, include_p1hi: bool = True) -> ZeroLoc
     )
 
 
-# ---------------------------------------------------------------------------
-# Quotient comparison and cross-presentation closure
+def __getattr__(name):
+    """`presentations_generate_same_algebra` of `closure`, also read under this module's name."""
+    if name == "presentations_generate_same_algebra":
+        from . import closure
 
-
-class QuotientReport:
-    __slots__ = ("lie_type", "r", "dim_single", "dim_tower", "expected_single", "expected_tower", "difference")
-
-    def __init__(self, lie_type, r, dim_single, dim_tower, expected_single, expected_tower, difference):
-        self.lie_type = lie_type
-        self.r = r
-        self.dim_single = dim_single
-        self.dim_tower = dim_tower
-        self.expected_single = expected_single
-        self.expected_tower = expected_tower
-        self.difference = difference
-
-    @property
-    def equal(self):
-        return self.dim_single == self.dim_tower
-
-    @property
-    def matches_expected(self):
-        return self.dim_single == self.expected_single and self.dim_tower == self.expected_tower
-
-    def to_json(self):
-        return {
-            "family": self.lie_type.family,
-            "rank": self.lie_type.rank,
-            "r": self.r,
-            "dim_single_power": self.dim_single,
-            "dim_tower": self.dim_tower,
-            "difference": self.difference,
-            "equal": self.equal,
-            "expected_single_power": self.expected_single,
-            "expected_tower": self.expected_tower,
-            "matches_expected": self.matches_expected,
-        }
-
-
-def quotient_witness(lt: LieType, r: int, max_dim=None) -> QuotientReport:
-    """Generated-algebra dimensions on the single power and on the tower.
-
-    Equality means the single-power image already realizes the whole
-    family of simple modules; a positive difference exhibits the single
-    power as a proper quotient and equals the squared-dimension total of
-    the missing factors.
-    """
-    single = single_power_rep(lt, r, max_dim)
-    tower = tower_rep(lt, r, max_dim)
-    dim_single = algebra_closure(single.generator_lists()).dimension
-    dim_tower = algebra_closure(tower.generator_lists()).dimension
-    expected_tower, expected_single = decomposition.schur_dimensions(lt, r)
-    return QuotientReport(
-        lie_type=lt,
-        r=r,
-        dim_single=dim_single,
-        dim_tower=dim_tower,
-        expected_single=expected_single,
-        expected_tower=expected_tower,
-        difference=dim_tower - dim_single,
-    )
-
-
-def presentations_generate_same_algebra(rep: Representation, fam: IdempotentFamily) -> bool:
-    """Same span test: Cartan generators against projector generators."""
-    with_h = algebra_closure(list(rep.e) + list(rep.f) + list(rep.h))
-    with_proj = algebra_closure(list(rep.e) + list(rep.f) + list(fam.table.values()))
-    return (
-        with_h.dimension == with_proj.dimension
-        and with_h.canonical_rows() == with_proj.canonical_rows()
-    )
+        return closure.presentations_generate_same_algebra
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

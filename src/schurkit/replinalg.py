@@ -45,6 +45,9 @@ reduced in its own row span and products are formed block by block.  The
 pieces occupy disjoint coordinates, so the union of their reduced echelon
 rows, sorted by pivot, is exactly the reduced echelon basis of A over all
 matrix entries: the canonical rows do not depend on the grading.
+Given a list of rows, the closure seeds each 1_c at those of its indices
+only and spans the restriction of A to them, E_R A: the closure multiplies
+on the right, and row a of X g reads row a of X alone.
 
 The closure runs on the same ints as the matrices: its rows are
 {column: int} dicts, reduced fraction-free and kept primitive, so no entry
@@ -668,6 +671,13 @@ class ClosureResult:
         self.size = size
         self._pieces = pieces
 
+    def class_dimensions(self):
+        """dim 1_c A (of the seeded rows) per row class c, keyed by the class's coordinates."""
+        dims = {}
+        for rows, _, span in self._pieces:
+            dims[rows] = dims.get(rows, 0) + span.dimension
+        return dims
+
     def canonical_rows(self):
         """Basis rows in pivot order, each the tuple of its nonzero (row-major index, value) pairs."""
         out = []
@@ -679,7 +689,7 @@ class ClosureResult:
         return tuple(out)
 
 
-def algebra_closure(mats) -> ClosureResult:
+def algebra_closure(mats, rows=None) -> ClosureResult:
     """Basis of the unital associative algebra generated by matrices of one size.
 
     Grading: label each coordinate by the tuple of its entries in the
@@ -700,6 +710,11 @@ def algebra_closure(mats) -> ClosureResult:
     diagonal generator acts on every class as a scalar, so it only shapes
     the grading.  Every word 1_c w 1_c' is a sum of such block products, so
     the accepted blocks span A.
+
+    Given `rows`, each 1_c is seeded at its indices in `rows` only, and a
+    class with none is not seeded: the span is then E_R A, the algebra with
+    every row outside R cleared, and `class_dimensions` gives dim E_R 1_c A
+    per row class.
 
     The pieces have disjoint coordinate supports, and within a piece the
     local row-major order is the global one restricted.  The union of the
@@ -746,12 +761,15 @@ def algebra_closure(mats) -> ClosureResult:
                 entries.setdefault(n, []).append((pos[j], v))
             index[b][q].extend(entries.items())
 
+    seeded = None if rows is None else set(rows)
     pieces = {}
     queue = []
     for c, coords in enumerate(classes):
         width = len(coords)
-        span = pieces[c, c] = _RowSpan()
-        queue.append((c, c, span.insert({p * width + p: 1 for p in range(width)})))
+        local = [p for p, i in enumerate(coords) if seeded is None or i in seeded]
+        if local:
+            span = pieces[c, c] = _RowSpan()
+            queue.append((c, c, span.insert({p * width + p: 1 for p in local})))
     for a, b, row in queue:  # the queue grows while it is read
         width = len(classes[b])
         widths = [len(classes[d]) for d in targets[b]]

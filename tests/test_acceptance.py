@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from functools import lru_cache
 
+from schurkit.closure import quotient_witness
 from schurkit.decomposition import (
     compare_pi0_pi,
     decompose_tensor_character,
@@ -20,7 +21,6 @@ from schurkit.decomposition import (
 from schurkit.idempotents import build_idempotents, ladder_check, reconstruct_H
 from schurkit.pathmodel import basis_census, generate_crystal
 from schurkit.presentation import (
-    quotient_witness,
     verify_idempotent_presentation,
     verify_serre_presentation,
     zero_locus,

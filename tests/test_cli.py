@@ -19,7 +19,7 @@ from conftest import rebuild
 SRC = os.path.dirname(os.path.dirname(schurkit.__file__))
 ROOT = Path(__file__).resolve().parents[1]
 
-# The names `schurkit` re-exported when it imported every layer eagerly.
+# The names `schurkit` re-exported when it imported every layer eagerly, in `__all__` order (`quotient_witness` is `closure`'s).
 EXPORTS = [
     "CapExceeded", "LieType", "RootSystem", "Weight", "build_root_system",
     "WeightSet", "is_saturated", "lambda_minus", "lambda_plus", "lambda_pm", "signed_compositions",
@@ -27,8 +27,8 @@ EXPORTS = [
     "ExactMatrix", "Representation", "algebra_closure", "natural_rep", "single_power_rep",
     "tensor_lift", "tower_rep",
     "IdempotentFamily", "build_idempotents", "ladder_check", "p1", "p2", "polynomial_idempotent", "reconstruct_H",
-    "RelationReport", "quotient_witness", "verify_idempotent_presentation", "verify_serre_presentation",
-    "zero_locus", "zero_locus_report",
+    "RelationReport", "verify_idempotent_presentation", "verify_serre_presentation",
+    "zero_locus", "zero_locus_report", "quotient_witness",
     "DecompositionResult", "FormalCharacter", "classify_type_B", "compare_pi0_pi", "decompose_tensor_character",
     "freudenthal_multiplicities", "pi0_weyl_rules", "schur_dimensions", "weyl_dimension",
     "Crystal", "Path", "basis_census", "e_op", "f_op", "generate_crystal", "opposite_strings", "straight_path",

@@ -298,7 +298,7 @@ VERIFY_LAYERS = """
 import io, json, sys, types
 import schurkit.cli
 
-LAYERS = ("rootdata", "weightsets", "replinalg", "idempotents", "presentation", "decomposition", "pathmodel")
+LAYERS = ("rootdata", "weightsets", "replinalg", "idempotents", "presentation", "closure", "decomposition", "pathmodel")
 executed = {}
 for kind in ("serre", "idempotent"):
     schurkit.cli.run(["verify", "C", "2", "2", "--presentation", kind], stdout=io.StringIO())

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurkit import cli
+from schurkit.closure import presentations_generate_same_algebra, quotient_witness
 from schurkit.idempotents import annihilator_for_signed_sums, build_idempotents, p1
 from schurkit.presentation import (
     _coroot_element,
     _serre_sum,
-    presentations_generate_same_algebra,
-    quotient_witness,
     verify_idempotent_presentation,
     verify_serre_presentation,
     zero_locus,

@@ -553,7 +553,7 @@ IMPORT_HYGIENE = """
 import io, json, sys, types
 import schurkit.cli
 
-LAYERS = ("rootdata", "weightsets", "replinalg", "idempotents", "presentation", "decomposition", "pathmodel")
+LAYERS = ("rootdata", "weightsets", "replinalg", "idempotents", "presentation", "closure", "decomposition", "pathmodel")
 
 
 def executed():
@@ -582,7 +582,7 @@ print(json.dumps(doc))
 def test_no_module_loads_numpy():
     """A fresh interpreter: the import contract of `schurkit.cli`, then no numpy once every layer has run.
 
-    `import schurkit.cli` registers the seven layers and executes only
+    `import schurkit.cli` registers the eight layers and executes only
     `rootdata`, without `dataclasses` or `inspect`; `compare C 2 2` adds
     only the layers it calls into.
     """
@@ -591,7 +591,7 @@ def test_no_module_loads_numpy():
     done = subprocess.run([sys.executable, "-c", IMPORT_HYGIENE], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     doc = json.loads(done.stdout)
-    layers = ["rootdata", "weightsets", "replinalg", "idempotents", "presentation", "decomposition", "pathmodel"]
+    layers = ["rootdata", "weightsets", "replinalg", "idempotents", "presentation", "closure", "decomposition", "pathmodel"]
     assert doc["machinery"] == []
     assert doc["registered"] == layers
     assert doc["after_import"] == ["rootdata"]
@@ -683,7 +683,8 @@ def _matmul(a, b):
     return {key: v for key, v in out.items() if v}
 
 
-def _reference_canonical_rows(mats):
+def _reference_canonical_rows(mats, rows=None):
+    """The canonical rows of the algebra the matrices generate, or, given `rows`, of its restriction to those rows."""
     size = mats[0].size
     gens = [{(i, j): Fraction(v) for i, j, v in m.iter_entries()} for m in mats]
     echelon = {}  # pivot -> sparse row, 1 at the pivot and nothing before it
@@ -711,6 +712,9 @@ def _reference_canonical_rows(mats):
             for prod in (_matmul(word, g), _matmul(g, word)):
                 if independent(prod):
                     queue.append(prod)
+    if rows is not None:
+        kept = set(rows)
+        accepted = [[x if k // size in kept else 0 for k, x in enumerate(vec)] for vec in accepted]
     return _sympy_canonical_rows(accepted)
 
 
@@ -765,6 +769,16 @@ def test_algebra_closure_matches_ungraded_reference(gens):
     assert res.canonical_rows() == expected
     assert all(v != 0 for row in res.canonical_rows() for _, v in row)
     assert algebra_closure(list(reversed(mats))).canonical_rows() == expected
+    # seeded at a row subset: none of the first index's class, or every other row where there is one class
+    diagonals = [m.diagonal() for m in mats if m.is_diagonal()]
+    label = lambda i: tuple(d[i] for d in diagonals)
+    rows = [i for i in range(mats[0].size) if label(i) != label(0)] or list(range(1, mats[0].size, 2))
+    expected = _reference_canonical_rows(mats, rows)
+    res = algebra_closure(mats, rows)
+    assert 0 < res.dimension == len(expected)
+    assert res.canonical_rows() == expected
+    assert sum(res.class_dimensions().values()) == res.dimension
+    assert all(0 not in coords for coords in res.class_dimensions()) or not diagonals
 
 
 def test_carrier_cap():
