@@ -320,6 +320,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.max_dim is not None and args.max_dim < 1:
+            raise ValueError(f"--max-dim must be a positive dimension cap, got {args.max_dim}")
         result = _COMMANDS[args.command](args)
     except (CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=stderr)

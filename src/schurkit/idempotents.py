@@ -129,11 +129,6 @@ class IdempotentFamily:
         """Projector ranks per weight; for indicator diagonals this is the trace."""
         return {lam: mat.trace() for lam, mat in self.table.items()}
 
-    def without(self, lam: Weight) -> "IdempotentFamily":
-        """Copy of the family with one projector dropped (for fault probes)."""
-        table = {mu: mat for mu, mat in self.table.items() if mu != lam}
-        return IdempotentFamily(rep=self.rep, pi_all=self.pi_all, table=table)
-
     def summary_json(self):
         return {
             "carrier": self.rep.kind,

@@ -36,13 +36,17 @@ exactly when its rows at the non-decreasing digit tuples are
 (`replinalg.orbit_rows`): 330 of 2801 rows on B3 r=4.  Where the e_i and
 f_i (and the H_i diagonals, or R2's target) pass `place_invariance`'s
 entry lookups, the X2/R2 commutators, the Serre chains and the X3 scans
-are formed on those rows.  Row a of [x, z] reads row a of z and the rows
-of z at the columns x stores in row a, so each bracket of a Serre chain
-forms just the rows the next one reads, planned backwards from the orbit
-rows, and no intermediate is formed in full.  A residual that is nonzero
-on the orbit rows is formed in full, so reports and witnesses are the
-full ones; where the check fails (a perturbed carrier, a faulty R2
-target), the residuals are formed in full from the start.
+are formed on those rows alone, and in full where they do not.  Row a of
+[x, z] reads row a of z and the rows of z at the columns x stores in row
+a, so each bracket of a Serre chain forms just the rows the next one
+reads, planned backwards from the orbit rows, and no intermediate is
+formed in full.  The orbit rows also give the full residual's witness.
+Sorting an index's digits gives its orbit row, the smallest index of its
+orbit (digit 0 is the most significant), and row sa is row a with its
+columns permuted.  So the smallest row that holds a largest-magnitude
+entry is an orbit row, formed whole: whether a residual is zero, its
+largest magnitude and the first entry of it in (row, column) order are the
+full residual's, and the witness is the one the full residuals give.
 
 The zero-locus scan (over the L1 shells a zero can lie on) lives here as
 well, since it decides which relation groups are redundant.  The
@@ -150,21 +154,6 @@ def _check_many(label, cases):
     return RelationCheck(label=label, holds=False, witness=witness)
 
 
-def _on_orbits(form, rows):
-    """The residual form(rows) formed on the orbit rows alone when it is zero there, else in full, form(None).
-
-    rows is None where some factor is not fixed by the place permutations;
-    the residual is then formed in full at once.  A residual of fixed
-    factors is zero exactly when its orbit rows are, and a nonzero one is
-    formed in full, so its witness is the full residual's.
-    """
-    if rows is not None:
-        res = form(rows)
-        if res.is_zero():
-            return res
-    return form(None)
-
-
 def _needed_rows(x, rows):
     """The rows of z that the rows `rows` of [x, z] read: each row a, and the columns x stores in row a (None: all)."""
     if rows is None:
@@ -195,28 +184,24 @@ def _serre_sum(x, y, a_xy, rows=None):
 
 
 def _serre_cases(gens, cartan, rows=None):
-    """The Serre residuals ad_{x_i}^k(x_j), k = 1 - a_ij, in (i, j) order, i != j.
-
-    Each chain is formed on the orbit rows (`_on_orbits`), and in full
-    where it is nonzero there.
-    """
+    """The Serre residuals ad_{x_i}^k(x_j), k = 1 - a_ij, in (i, j) order, i != j, on `rows` (None: all)."""
     for i, j in itertools.permutations(range(len(gens)), 2):
-        yield (f"i={i+1},j={j+1}", _on_orbits(lambda r: _serre_sum(gens[i], gens[j], cartan[i][j], r), rows))
+        yield (f"i={i+1},j={j+1}", _serre_sum(gens[i], gens[j], cartan[i][j], rows))
 
 
 def _commutator_cases(e, f, target, rows=None, fixed=None):
     """Residuals of [e_i, f_j] = delta_ij target(i); target is built only when i == j.
 
-    Each residual is formed on the orbit rows (`_on_orbits`); a target,
-    which is diagonal, goes with them where its values pass `fixed` (None:
-    every target is fixed).
+    Each residual is formed on `rows` (None: all); a target, which is
+    diagonal, goes with them where its values pass `fixed` (None: every
+    target is fixed), and is formed in full otherwise.
     """
     n = len(e)
     for i in range(n):
         for j in range(n):
             t = target(i) if i == j else None
             on = rows if t is None or fixed is None or fixed(t.diagonal()) else None
-            yield (f"i={i+1},j={j+1}", _on_orbits(lambda r: e[i].bracket(f[j], t, r), on))
+            yield (f"i={i+1},j={j+1}", e[i].bracket(f[j], t, on))
 
 
 def _orbits(rep, diagonals=()):
@@ -235,12 +220,12 @@ def _coroot_element(rs, h, i):
 
 
 def _x3_cases(rs, rep, diagonals, rows):
-    """Residuals of [H_k, x_j] = <eps_k, +-alpha_j> x_j for x = e, f (X3), each one scan of x on the orbit rows."""
+    """Residuals of [H_k, x_j] = <eps_k, +-alpha_j> x_j for x = e, f (X3), each one scan of x on `rows` (None: all)."""
     for k, d in enumerate(diagonals):
         for j in range(rs.rank):
             c = rs.simple_root(j + 1).num[k]  # <eps_k, alpha_j>: integral, as RootSystem checks
             for name, x, shift in ("e", rep.e[j], -c), ("f", rep.f[j], c):
-                yield (f"[H_{k+1},{name}_{j+1}]", _on_orbits(lambda r: diagonal_bracket(d, x, shift, r), rows))
+                yield (f"[H_{k+1},{name}_{j+1}]", diagonal_bracket(d, x, shift, rows))
 
 
 def _new_report(presentation, rep: Representation):

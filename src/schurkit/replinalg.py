@@ -322,19 +322,6 @@ def diagonal_index(table):
 # Chevalley generators on the natural module
 
 
-def form_matrix(lt: LieType) -> ExactMatrix:
-    """Gram matrix of the defining bilinear or symplectic form."""
-    n = lt.rank
-    items = [(i, n + i, 1) for i in range(n)]
-    if lt.family == "C":
-        items += [(n + i, i, -1) for i in range(n)]
-    else:
-        items += [(n + i, i, 1) for i in range(n)]
-    if lt.family == "B":
-        items.append((2 * n, 2 * n, 1))
-    return ExactMatrix.from_entries(lt.natural_dim, items)
-
-
 def natural_weights(lt: LieType):
     """Weight of each standard basis vector of the natural module."""
     n = lt.rank

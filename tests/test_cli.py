@@ -168,11 +168,32 @@ def test_cap_env_variable(monkeypatch):
     assert code == 2 and "cap" in err
 
 
+ONE_JOB_PER_COMMAND = [
+    ["weights", "C", "2", "1"],
+    ["pi0", "C", "2", "2"],
+    ["compare", "C", "2", "2"],
+    ["classify-b", "2", "2"],
+    ["idempotents", "C", "2", "2"],
+    ["verify", "C", "2", "2", "--presentation", "serre"],
+    ["zero-locus", "C", "2", "2"],
+    ["dims", "C", "2", "2"],
+    ["closure", "C", "2", "2"],
+    ["crystal", "B", "2", "--lambda", "1,0"],
+    ["census", "C", "2", "2"],
+]
+
+
 def test_nonpositive_cap_exits_two(monkeypatch):
-    for cap in ("0", "-5"):
-        code, out, err = run_cli(["idempotents", "C", "2", "2", "--max-dim", cap])
-        assert code == 2 and out == ""
-        assert f"--max-dim must be a positive dimension cap, got {cap}" in err
+    assert [argv[0] for argv in ONE_JOB_PER_COMMAND] == list(cli._COMMANDS)
+    with monkeypatch.context() as patched:
+        # every command refuses the cap before its handler starts
+        for name in cli._COMMANDS:
+            patched.setitem(cli._COMMANDS, name, lambda args: pytest.fail(f"{args.command} ran"))
+        for argv in ONE_JOB_PER_COMMAND:
+            for cap in ("0", "-3"):
+                code, out, err = run_cli(argv + ["--max-dim", cap])
+                assert code == 2 and out == "", argv
+                assert f"--max-dim must be a positive dimension cap, got {cap}" in err, argv
     monkeypatch.setenv("SCHURKIT_MAX_DIM", "-5")
     code, out, err = run_cli(["verify", "C", "2", "2", "--presentation", "serre"])
     assert code == 2 and out == ""

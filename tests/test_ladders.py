@@ -349,6 +349,14 @@ def _nonzero(cases):
     return [(case, res) for case, res in cases if not res.is_zero()]
 
 
+def _on_rows(cases, rows):
+    """Each residual restricted to `rows` (None: all)."""
+    if rows is None:
+        return cases
+    kept = set(rows)
+    return [(case, ExactMatrix(res.size, {i: row for i, row in res._data.items() if i in kept})) for case, res in cases]
+
+
 @pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2)])
 def test_shortcut_groups_match_the_direct_brackets(family, rank, r):
     lt, rep, clean = clean_tower(family, rank, r)
@@ -379,6 +387,9 @@ def test_shortcut_groups_match_the_direct_brackets(family, rank, r):
         target = lambda i: _coroot_element(rs, bad.h, i)
         # in full, and on the orbit rows where the generators are fixed by the place permutations
         for rows in (None, _orbits(bad)[0]):
-            assert _nonzero(_commutator_cases(bad.e, bad.f, target, rows)) == _nonzero(direct["X2"]), name
-            assert _nonzero(_serre_cases(bad.e, rs.cartan, rows)) == _nonzero(direct["X4"]), name
-            assert _nonzero(_serre_cases(bad.f, rs.cartan, rows)) == _nonzero(direct["X5"]), name
+            for label, cases in (
+                ("X2", _commutator_cases(bad.e, bad.f, target, rows)),
+                ("X4", _serre_cases(bad.e, rs.cartan, rows)),
+                ("X5", _serre_cases(bad.f, rs.cartan, rows)),
+            ):
+                assert _nonzero(cases) == _nonzero(_on_rows(direct[label], rows)), (name, label)

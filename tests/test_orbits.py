@@ -2,12 +2,16 @@
 
 `orbit_rows` must list one index per orbit, C(m+s-1, s) per block, and
 `place_invariance` must agree with invariance under every element of the
-group its two maps generate.  The orbit path of the relation checks must
-give the reports of the path that forms every residual in full: on the 24
-criterion-1 carriers, on the rank-4 towers, and on seeded faults.  A fault
-that is not fixed by the place permutations takes the full path; a fixed
-one leaves a nonzero residual on the orbit rows, which is then formed in
-full, so the witness is the full residual's.
+group its two maps generate.  Where the generators pass the place gate,
+every residual is formed once, on the orbit rows alone, and the reports
+must equal those of the checks with the gate made to fail, which form
+every residual on all rows: on the 24 criterion-1 carriers, on the rank-4
+towers, on seeded faults and on lifted faults of the natural module.  A
+residual of place-fixed factors has R[sa, sb] = R[a, b], and each orbit
+row is the smallest index of its orbit, so a fault that keeps the
+generators fixed leaves a nonzero residual on the orbit rows with the full
+residual's witness; one that is not fixed fails the gate and takes all
+rows.
 """
 
 import io
@@ -20,11 +24,21 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurkit import cli, presentation
 from schurkit.idempotents import build_idempotents
 from schurkit.presentation import _orbits, _serre_sum, verify_idempotent_presentation, verify_serre_presentation
-from schurkit.replinalg import ExactMatrix, Representation, orbit_rows, place_invariance, tower_rep
+from schurkit.replinalg import (
+    ExactMatrix,
+    Representation,
+    _lift_rows,
+    natural_rep,
+    orbit_rows,
+    place_invariance,
+    tower_rep,
+)
 from schurkit.rootdata import LieType, build_root_system
 from schurkit.weightsets import tensor_degrees
 from conftest import rebuild
@@ -150,48 +164,51 @@ def test_natural_module_has_no_moving_place():
     assert fixed(ExactMatrix.unit(rep.dim, 0, 3, 7)) and fixed([1, 2, 3, 4, 5])
 
 
-def forced_full(form, rows):
-    return form(None)
+def all_rows(monkeypatch):
+    """Makes the place gate of the relation checks fail, so that they form every residual on all rows."""
+    monkeypatch.setattr(presentation, "_orbits", lambda rep, diagonals=(): (None, place_invariance(rep)))
 
 
 def reports(rep, fam):
     return verify_serre_presentation(rep).to_json(), verify_idempotent_presentation(rep, fam).to_json()
 
 
-class OrbitProbe:
-    """Stands in for `_on_orbits`: forms each residual both ways, checks they agree, and records the outcome."""
+class RowProbe:
+    """Records, for each bracket and diagonal scan the relation checks form, whether it ran on all rows."""
 
-    def __init__(self):
-        self.restricted = []  # for every residual formed on orbit rows: whether it was nonzero there
+    def __init__(self, monkeypatch):
+        self.full = []
+        bracket, scan = ExactMatrix.bracket, presentation.diagonal_bracket
 
-    def __call__(self, form, rows):
-        full = form(None)
-        if rows is not None:
-            part = form(rows)
-            kept = set(rows)
-            assert part._data == {i: row for i, row in full._data.items() if i in kept}
-            assert part.is_zero() == full.is_zero()
-            self.restricted.append(not part.is_zero())
-        return full
+        def counted_bracket(x, other, minus=None, rows=None):
+            self.full.append(rows is None)
+            return bracket(x, other, minus, rows)
+
+        def counted_scan(diagonal, x, shift, rows=None):
+            self.full.append(rows is None)
+            return scan(diagonal, x, shift, rows)
+
+        monkeypatch.setattr(ExactMatrix, "bracket", counted_bracket)
+        monkeypatch.setattr(presentation, "diagonal_bracket", counted_scan)
 
 
 @pytest.mark.parametrize("family,rank,r", CRITERION_1)
 def test_orbit_path_matches_the_full_path_on_criterion_1_carriers(family, rank, r, monkeypatch):
     rep, fam = tower(family, rank, r)
+    probe = RowProbe(monkeypatch)
     orbit = reports(rep, fam)
-    probe = OrbitProbe()
-    monkeypatch.setattr(presentation, "_on_orbits", probe)
+    assert probe.full and not any(probe.full)  # every residual was formed on the orbit rows alone
+    probe.full.clear()
+    all_rows(monkeypatch)
     assert reports(rep, fam) == orbit
-    assert probe.restricted and not any(probe.restricted)  # every residual was formed on the orbit rows, all zero
-    monkeypatch.setattr(presentation, "_on_orbits", forced_full)
-    assert reports(rep, fam) == orbit
+    assert probe.full and all(probe.full)
 
 
 @pytest.mark.parametrize("family,rank,r,max_dim", RANK_4)
 def test_orbit_path_matches_the_full_path_on_rank_4_towers(family, rank, r, max_dim, monkeypatch):
     rep, fam = tower(family, rank, r, max_dim)
     orbit = reports(rep, fam)
-    monkeypatch.setattr(presentation, "_on_orbits", forced_full)
+    all_rows(monkeypatch)
     assert reports(rep, fam) == orbit
 
 
@@ -219,16 +236,53 @@ def test_faults_take_the_full_path_or_a_nonzero_orbit_residual(family, rank, r, 
     for name, bad, fam, symmetric in seeded_faults(rep, clean):
         rows, _ = _orbits(bad)
         assert (rows is not None) == symmetric, name
+        probe = RowProbe(monkeypatch)
         orbit = reports(bad, fam)
         assert any(rel["status"] == "fails" for report in orbit for rel in report["relations"]), name
-        probe = OrbitProbe()
-        monkeypatch.setattr(presentation, "_on_orbits", probe)
-        assert reports(bad, fam) == orbit, name
-        # a fixed fault leaves a nonzero residual on the orbit rows; one that is not fixed forms none there
-        assert any(probe.restricted) if symmetric else probe.restricted == [], name
-        monkeypatch.setattr(presentation, "_on_orbits", forced_full)
+        # a fixed fault is formed on the orbit rows alone; one that is not fixed on all rows
+        assert probe.full and set(probe.full) == {not symmetric}, name
+        all_rows(monkeypatch)
         assert reports(bad, fam) == orbit, name
         monkeypatch.undo()
+
+
+def lifted_fault(rep, kind, i, a, b, delta):
+    """The tower carrier with entry (a, b) of the natural module's kind_i changed by delta, lifted."""
+    natural = natural_rep(rep.lie_type)
+    gens = {"e": list(rep.e), "f": list(rep.f), "h": list(rep.h)}
+    x = getattr(natural, kind)[i] + ExactMatrix.unit(natural.dim, a, b, delta)
+    gens[kind][i] = ExactMatrix(rep.dim, _lift_rows(x, rep.blocks))
+    return rebuild(rep, **{k: tuple(v) for k, v in gens.items()})
+
+
+@st.composite
+def natural_faults(draw):
+    """(carrier, family): a B/C/D tower of rank <= 3 and r <= 3 with one entry of one natural e_i, f_i or H_i changed.
+
+    The entry is any of e_i's or f_i's, zero or not, and a diagonal one of H_i's, so that H_i stays diagonal.
+    """
+    family = draw(st.sampled_from("BCD"))
+    rank = draw(st.integers(2 if family == "D" else 1, 3))
+    rep, fam = tower(family, rank, draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from("efh"))
+    m = rep.lie_type.natural_dim
+    a = draw(st.integers(0, m - 1))
+    b = a if kind == "h" else draw(st.integers(0, m - 1))
+    i = draw(st.integers(0, rank - 1))
+    return lifted_fault(rep, kind, i, a, b, draw(st.sampled_from((1, -2)))), fam
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(natural_faults())
+def test_lifted_natural_faults_pass_the_gate_and_report_as_on_all_rows(case):
+    bad, fam = case
+    # a lifted operator is fixed by the place permutations, whatever the natural one is
+    assert _orbits(bad, [h.diagonal() for h in bad.h])[0] is not None
+    orbit = reports(bad, fam)
+    assert any(rel["status"] == "fails" for report in orbit for rel in report["relations"])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        all_rows(monkeypatch)
+        assert reports(bad, fam) == orbit
 
 
 def test_most_brackets_of_the_b3_tower_run_on_orbit_rows(monkeypatch):

@@ -22,7 +22,6 @@ from schurkit.replinalg import (
     _RowSpan,
     algebra_closure,
     diagonal_bracket,
-    form_matrix,
     natural_rep,
     natural_weights,
     product_of_shifts,
@@ -315,6 +314,19 @@ def test_natural_rep_commutator_targets(lt):
             assert comm == gens.h[n - 1]
         else:
             assert comm == gens.h[n - 2] + gens.h[n - 1]
+
+
+def form_matrix(lt: LieType) -> ExactMatrix:
+    """Gram matrix of the defining bilinear or symplectic form."""
+    n = lt.rank
+    items = [(i, n + i, 1) for i in range(n)]
+    if lt.family == "C":
+        items += [(n + i, i, -1) for i in range(n)]
+    else:
+        items += [(n + i, i, 1) for i in range(n)]
+    if lt.family == "B":
+        items.append((2 * n, 2 * n, 1))
+    return ExactMatrix.from_entries(lt.natural_dim, items)
 
 
 @pytest.mark.parametrize("lt", all_lie_types(3), ids=str)
