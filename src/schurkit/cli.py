@@ -24,7 +24,7 @@ import io
 import json
 import sys
 from . import __version__, closure, decomposition, idempotents, pathmodel, presentation, replinalg, weightsets
-from .rootdata import CapExceeded, LieType, Weight, build_root_system
+from .rootdata import CapExceeded, LieType, Weight, build_root_system, resolve_max_dim
 
 
 class JobResult:
@@ -320,8 +320,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.max_dim is not None and args.max_dim < 1:
-            raise ValueError(f"--max-dim must be a positive dimension cap, got {args.max_dim}")
+        resolve_max_dim(args.max_dim)  # refuse a bad --max-dim or SCHURKIT_MAX_DIM before any work
         result = _COMMANDS[args.command](args)
     except (CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=stderr)

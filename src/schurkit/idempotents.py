@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .replinalg import ExactMatrix, Representation, diagonal_index, shift_products
+from .replinalg import ExactMatrix, Representation, diagonal_index, indices, shift_products
 from .rootdata import InvariantError, Weight, build_root_system
 from .weightsets import WeightSet, tensor_weights_Pi
 
@@ -152,8 +152,8 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
     """
     r = rep.r
     pi_all = tensor_weights_Pi(rep.lie_type, r)
-    support = {}  # weight -> basis indices carrying it
-    for b, w in enumerate(rep.weights):
+    support = {}  # weight -> basis indices carrying it, as the shared index ints
+    for b, w in zip(indices(rep.dim), rep.weights):
         for c in w.coords:
             if not isinstance(c, int) or not -r <= c <= r:
                 raise ArithmeticError(f"carrier weight {w!r} at basis vector {b} escapes [-{r}, {r}]")

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul, sub
+from operator import sub
 
 from .decomposition import schur_dimensions, weyl_dimension
 from .rootdata import CapExceeded, InvariantError, LieType, RootSystem, Weight, build_root_system
@@ -148,9 +148,18 @@ def _positively_parallel(u, v):
     return a * b > 0 and all(x * b == y * a for x, y in zip(u, v))
 
 
-def _heights(path: Path, coroot):
-    """Heights (x_k, coroot) of the breakpoints, as ints over path.den."""
-    return [sum(map(mul, p, coroot)) for p in path.num]
+def _support(coroot):
+    """The (coordinate, value) pairs of an int coroot's nonzero coordinates: one or two in B, C and D."""
+    return tuple((k, c) for k, c in enumerate(coroot) if c)
+
+
+def _heights(path: Path, support):
+    """Heights (x_k, coroot) of the breakpoints, as ints over path.den; the coroot is given by its `_support`."""
+    if len(support) == 1:
+        ((k, c),) = support
+        return [p[k] * c for p in path.num]
+    (k, c), (l, d) = support
+    return [p[k] * c + p[l] * d for p in path.num]
 
 
 def straight_path(rs: RootSystem, lam: Weight) -> Path:
@@ -168,7 +177,7 @@ def f_op(rs: RootSystem, i: int, path: Path):
     last minimum and the next crossing of level q+1 is reflected, and the
     rest of the path is translated by -alpha.
     """
-    return _lower(rs.simple_root(i).num, path, _heights(path, rs.coroot(i).num))
+    return _lower(rs.simple_root(i).num, path, _heights(path, _support(rs.coroot(i).num)))
 
 
 def _lower(alpha, path: Path, h):
@@ -244,7 +253,7 @@ def e_op(rs: RootSystem, i: int, path: Path):
     heights; the dual path's heights are h(1 - t) - h(1) over the same
     denominator, so they are not recomputed.
     """
-    h = _heights(path, rs.coroot(i).num)
+    h = _heights(path, _support(rs.coroot(i).num))
     if min(h) > -path.den:
         return None
     end = h[-1]
@@ -278,7 +287,8 @@ def is_integral(rs: RootSystem, path: Path) -> bool:
 
     The operator formulas above are exact precisely on such paths.
     """
-    return all(_minima_integral(_heights(path, rs.coroot(i).num), path.den) for i in range(1, rs.rank + 1))
+    supports = [_support(rs.coroot(i).num) for i in range(1, rs.rank + 1)]
+    return all(_minima_integral(_heights(path, support), path.den) for support in supports)
 
 
 class Crystal:
@@ -316,7 +326,7 @@ def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP
     Each element's heights are computed once per simple root; its
     integral-path check, the kill test and its lowering steps read them.
     """
-    roots = [(rs.simple_root(i).num, rs.coroot(i).num) for i in range(1, rs.rank + 1)]
+    roots = [(rs.simple_root(i).num, _support(rs.coroot(i).num)) for i in range(1, rs.rank + 1)]
     start = straight_path(rs, lam)
     elements = [start]
     index = {start: 0}
@@ -324,8 +334,8 @@ def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP
     qi = 0
     while qi < len(elements):
         current = elements[qi]
-        for i, (alpha, coroot) in enumerate(roots, 1):
-            h = _heights(current, coroot)
+        for i, (alpha, support) in enumerate(roots, 1):
+            h = _heights(current, support)
             if not _minima_integral(h, current.den):
                 raise InvariantError("integral-path regime", f"an operator left it in the crystal of {lam!r}")
             if h[-1] - min(h) < current.den:

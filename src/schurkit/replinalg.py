@@ -52,6 +52,19 @@ on the right, and row a of X g reads row a of X alone.
 The closure runs on the same ints as the matrices: its rows are
 {column: int} dicts, reduced fraction-free and kept primitive, so no entry
 bound is ever checked and no other number type is ever needed.
+
+Every basis index that keys a dict here is one int object: entry i of a
+single shared list, which `indices(n)` grows on demand to the largest index
+asked for and never sizes from size^2.  The rows, columns and diagonals of
+the lifted generators, `identity` and every diagonal built here, the orbit
+rows, the place maps, the projector table and the closure's local columns
+all take their keys from it.  CPython caches only the ints -5..256, so
+otherwise each operator would hold its own copy of every key (1.0 of the
+5.4 MiB that the B3 r=4 tower's generators hold), and a lookup of one
+operator's key in another's dict would compare the two ints by value; a
+shared key is stored once, and the lookup matches it by identity, the dict's
+fast path.  The carrier's weights are shared the same way: one `Weight`
+per distinct weight.
 """
 
 from __future__ import annotations
@@ -59,25 +72,18 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import os
-from array import array
 
-from .rootdata import CapExceeded, LieType, Weight
+from .rootdata import CapExceeded, LieType, Weight, resolve_max_dim
 from .weightsets import tensor_degrees
 
-DEFAULT_MAX_DIM = 3000
+_INDEX = []  # _INDEX[i] is i: the one int object that every basis-index key refers to
 
 
-def resolve_max_dim(explicit=None):
-    """The carrier dimension cap: the explicit value, else SCHURKIT_MAX_DIM, else the default."""
-    source = "--max-dim"
-    if explicit is None:
-        source = "SCHURKIT_MAX_DIM"
-        explicit = os.environ.get("SCHURKIT_MAX_DIM") or DEFAULT_MAX_DIM
-    cap = int(explicit)
-    if cap < 1:
-        raise ValueError(f"{source} must be a positive dimension cap, got {cap}")
-    return cap
+def indices(n):
+    """The shared list of basis-index ints, grown on demand to at least n entries; entry i is i."""
+    if len(_INDEX) < n:
+        _INDEX.extend(range(len(_INDEX), n))
+    return _INDEX
 
 
 def _int_entry(v):
@@ -131,7 +137,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, {i: {i: 1} for i in range(n)})
+        return cls(n, {i: {i: 1} for i in indices(n)[:n]})
 
     @classmethod
     def diag(cls, values):
@@ -140,7 +146,7 @@ class ExactMatrix:
     @classmethod
     def _diag(cls, values):
         """`diag` of int values the caller made itself, without checking each one again."""
-        return cls(len(values), {i: {i: v} for i, v in enumerate(values) if v != 0})
+        return cls(len(values), {i: {i: v} for i, v in zip(indices(len(values)), values) if v != 0})
 
     @classmethod
     def unit(cls, m, i, j, value=1):
@@ -388,6 +394,7 @@ def _lift_rows(X: ExactMatrix, blocks):
     m = X.size
     off = [(i, j, v) for i, j, v in X.iter_entries() if i != j]
     on = X.diagonal()
+    ix = indices(sum(size for _, _, size in blocks))
     data = {}
     for s, offset, size in blocks:
         for k in range(s):
@@ -395,17 +402,17 @@ def _lift_rows(X: ExactMatrix, blocks):
             for high in range(offset, offset + size, m * stride):
                 for i, j, v in off:
                     row, col = high + i * stride, high + j * stride
-                    for low in range(stride):
-                        stored = data.get(row + low)
+                    for a, b in zip(ix[row : row + stride], ix[col : col + stride]):
+                        stored = data.get(a)
                         if stored is None:
-                            data[row + low] = {col + low: v}
+                            data[a] = {b: v}
                         else:
-                            stored[col + low] = v
+                            stored[b] = v
         if any(on):
             sums = [0]
             for _ in range(s):
                 sums = [t + v for t in sums for v in on]  # one more digit, the least significant
-            for b, v in enumerate(sums, offset):
+            for b, v in zip(ix[offset : offset + size], sums):
                 if v:
                     data.setdefault(b, {})[b] = v
     return data
@@ -454,14 +461,19 @@ def _build_rep(lt: LieType, r: int, degrees, kind, max_dim=None):
     if dim > cap:
         raise CapExceeded(f"carrier dimension {dim} exceeds cap {cap} for {lt}, r={r}")
     natural = natural_rep(lt)
-    # layer s lists the weights of the s-th power in basis order: digit 0 is the most significant
+    # layer s lists the weights of the s-th power in basis order: digit 0 is the most significant;
+    # each sum w + b is formed once per distinct w, and each distinct weight is one object
     layer = [Weight.zero(lt.rank)]
+    distinct = {layer[0]: layer[0]}
     weights = []
     blocks = []
     offset = 0
     for s in range(max(degrees) + 1):
         if s:
-            layer = [w + b for w in layer for b in natural.weights]
+            step = {}
+            for w in dict.fromkeys(layer):
+                step[w] = [distinct.setdefault(v, v) for v in [w + b for b in natural.weights]]
+            layer = [v for w in layer for v in step[w]]
         if s in degrees:
             blocks.append((s, offset, m**s))
             weights.extend(layer)
@@ -516,13 +528,14 @@ def orbit_rows(rep: Representation):
     operators are fixed.
     """
     m = rep.lie_type.natural_dim
+    ix = indices(rep.dim)
     rows = []
     for s, offset, _ in rep.blocks:
         for digits in itertools.combinations_with_replacement(range(m), s):
             index = 0
             for d in digits:
                 index = index * m + d
-            rows.append(offset + index)
+            rows.append(ix[offset + index])
     return rows
 
 
@@ -530,28 +543,16 @@ def place_invariance(rep: Representation):
     """The exact test whether an operator, or a list of diagonal values, is fixed by the place permutations.
 
     Two index maps stand for all of them: the swap of the first two places
-    and the rotation of all places, on every block at once.  On a block of
-    power s they generate S_s, so the group they generate moves every index
-    to every index of its orbit.  An operator x is fixed by a map p when,
-    for every stored row a, the stored row p(a) has as many entries and
-    holds x[a, b] at p(b) for each of them: as p is a bijection, the stored
-    rows are then permuted among themselves and x[p(a), p(b)] = x[a, b]
-    everywhere.  A diagonal d
-    is fixed when d[p(a)] = d[a].  Only blocks with s >= 2 move an index.
-    The maps are int arrays, a machine word per index.
+    and the rotation of all places, on every block at once (`_place_maps`).
+    On a block of power s they generate S_s, so the group they generate
+    moves every index to every index of its orbit.  An operator x is fixed
+    by a map p when, for every stored row a, the stored row p(a) has as
+    many entries and holds x[a, b] at p(b) for each of them: as p is a
+    bijection, the stored rows are then permuted among themselves and
+    x[p(a), p(b)] = x[a, b] everywhere.  A diagonal d is fixed when
+    d[p(a)] = d[a].
     """
-    m = rep.lie_type.natural_dim
-    swap, rotate = array("l", range(rep.dim)), array("l", range(rep.dim))
-    for s, offset, size in rep.blocks:
-        if s < 2:
-            continue
-        top, low = m ** (s - 1), m ** (s - 2)
-        for x in range(size):
-            first, rest = divmod(x, top)  # digit 0, and the number the other digits spell
-            second, tail = divmod(rest, low)
-            swap[offset + x] = offset + (second * m + first) * low + tail
-            rotate[offset + x] = offset + rest * m + first
-    maps = [p for p in (swap, rotate) if any(a != i for i, a in enumerate(p))]
+    maps = _place_maps(rep)
 
     def fixed(x):
         if isinstance(x, list):
@@ -568,6 +569,28 @@ def place_invariance(rep: Representation):
         return True
 
     return fixed
+
+
+def _place_maps(rep: Representation):
+    """The swap of the first two places and the rotation of all places, those that move an index.
+
+    Only blocks with s >= 2 move an index.  The maps are lists of the shared
+    index ints, so a lookup `data.get(p[a])` boxes no int and finds the
+    stored key by identity.
+    """
+    m = rep.lie_type.natural_dim
+    ix = indices(rep.dim)
+    swap, rotate = ix[: rep.dim], ix[: rep.dim]
+    for s, offset, size in rep.blocks:
+        if s < 2:
+            continue
+        top, low = m ** (s - 1), m ** (s - 2)
+        for x in range(size):
+            first, rest = divmod(x, top)  # digit 0, and the number the other digits spell
+            second, tail = divmod(rest, low)
+            swap[offset + x] = ix[offset + (second * m + first) * low + tail]
+            rotate[offset + x] = ix[offset + rest * m + first]
+    return [p for p in (swap, rotate) if any(a != i for i, a in enumerate(p))]
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +771,9 @@ def algebra_closure(mats, rows=None) -> ClosureResult:
                 entries.setdefault(n, []).append((pos[j], v))
             index[b][q].extend(entries.items())
 
+    # local columns are keyed by the shared index ints, grown to the largest
+    # column a seed or product reaches: a stored row shares its keys with
+    # every product that meets it, and no table is sized from width^2
     seeded = None if rows is None else set(rows)
     pieces = {}
     queue = []
@@ -755,11 +781,13 @@ def algebra_closure(mats, rows=None) -> ClosureResult:
         width = len(coords)
         local = [p for p, i in enumerate(coords) if seeded is None or i in seeded]
         if local:
+            ix = indices(local[-1] * (width + 1) + 1)
             span = pieces[c, c] = _RowSpan()
-            queue.append((c, c, span.insert({p * width + p: 1 for p in local})))
+            queue.append((c, c, span.insert({ix[p * width + p]: 1 for p in local})))
     for a, b, row in queue:  # the queue grows while it is read
         width = len(classes[b])
         widths = [len(classes[d]) for d in targets[b]]
+        ix = indices((max(row) // width + 1) * max(widths, default=0))
         prods = [{} for _ in widths]
         rows_of = index[b]
         for k, x in row.items():
@@ -768,7 +796,7 @@ def algebra_closure(mats, rows=None) -> ClosureResult:
                 prod = prods[n]
                 base = p * widths[n]
                 for col, v in entries:
-                    col += base
+                    col = ix[base + col]
                     prod[col] = prod.get(col, 0) + x * v
         for d, prod in zip(targets[b], prods):
             if not any(prod.values()):

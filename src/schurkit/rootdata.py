@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from fractions import Fraction
 from operator import mul
 
@@ -45,6 +46,28 @@ class InvariantError(ArithmeticError):
 
 class CapExceeded(RuntimeError):
     """A requested carrier or crystal is larger than its configured cap (CLI exit 2)."""
+
+
+DEFAULT_MAX_DIM = 3000
+
+
+def resolve_max_dim(explicit=None):
+    """The carrier dimension cap: the explicit value, else SCHURKIT_MAX_DIM, else the default.
+
+    A cap that is not a positive integer is bad input: ValueError, naming
+    where the value came from.
+    """
+    source = "--max-dim"
+    if explicit is None:
+        source = "SCHURKIT_MAX_DIM"
+        explicit = os.environ.get("SCHURKIT_MAX_DIM") or DEFAULT_MAX_DIM
+    try:
+        cap = int(explicit)
+    except ValueError:
+        raise ValueError(f"{source} must be a positive dimension cap, got {explicit!r}") from None
+    if cap < 1:
+        raise ValueError(f"{source} must be a positive dimension cap, got {cap}")
+    return cap
 
 
 def exact(x):

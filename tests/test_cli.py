@@ -194,10 +194,12 @@ def test_nonpositive_cap_exits_two(monkeypatch):
                 code, out, err = run_cli(argv + ["--max-dim", cap])
                 assert code == 2 and out == "", argv
                 assert f"--max-dim must be a positive dimension cap, got {cap}" in err, argv
-    monkeypatch.setenv("SCHURKIT_MAX_DIM", "-5")
-    code, out, err = run_cli(["verify", "C", "2", "2", "--presentation", "serre"])
-    assert code == 2 and out == ""
-    assert "SCHURKIT_MAX_DIM must be a positive dimension cap, got -5" in err
+            # so is the variable, which is the cap where --max-dim is not given
+            for value, shown in (("0", "0"), ("-5", "-5"), ("abc", "'abc'")):
+                patched.setenv("SCHURKIT_MAX_DIM", value)
+                code, out, err = run_cli(argv)
+                assert code == 2 and out == "", (argv, value)
+                assert err == f"error: SCHURKIT_MAX_DIM must be a positive dimension cap, got {shown}\n", (argv, value)
 
 
 def test_idempotents_ladder_failure_exits_one(monkeypatch):

@@ -19,11 +19,14 @@ from schurkit.idempotents import annihilator_for_signed_sums, build_idempotents,
 from schurkit.replinalg import (
     CapExceeded,
     ExactMatrix,
+    _place_maps,
     _RowSpan,
     algebra_closure,
     diagonal_bracket,
+    indices,
     natural_rep,
     natural_weights,
+    orbit_rows,
     product_of_shifts,
     single_power_rep,
     tensor_lift,
@@ -562,7 +565,7 @@ def test_algebra_closure_tower_dimension_matches_dimension_sums(family, rank, r)
 
 
 IMPORT_HYGIENE = """
-import io, json, sys, types
+import io, json, os, sys, types
 import schurkit.cli
 
 LAYERS = ("rootdata", "weightsets", "replinalg", "idempotents", "presentation", "closure", "decomposition", "pathmodel")
@@ -578,6 +581,10 @@ doc = {
     "registered": [name for name in LAYERS if "schurkit." + name in sys.modules],
     "after_import": executed(),
 }
+os.environ["SCHURKIT_MAX_DIM"] = "-5"
+doc["bad_cap"] = schurkit.cli.run(["weights", "C", "2", "1"], stdout=io.StringIO(), stderr=io.StringIO())
+del os.environ["SCHURKIT_MAX_DIM"]
+doc["after_bad_cap"] = executed()
 schurkit.cli.run(["compare", "C", "2", "2"], stdout=io.StringIO())
 doc["after_compare"] = executed()
 from schurkit.replinalg import algebra_closure, tower_rep
@@ -595,8 +602,9 @@ def test_no_module_loads_numpy():
     """A fresh interpreter: the import contract of `schurkit.cli`, then no numpy once every layer has run.
 
     `import schurkit.cli` registers the eight layers and executes only
-    `rootdata`, without `dataclasses` or `inspect`; `compare C 2 2` adds
-    only the layers it calls into.
+    `rootdata`, without `dataclasses` or `inspect`; refusing a bad
+    SCHURKIT_MAX_DIM executes no layer, and `compare C 2 2` adds only the
+    layers it calls into.
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -607,6 +615,7 @@ def test_no_module_loads_numpy():
     assert doc["machinery"] == []
     assert doc["registered"] == layers
     assert doc["after_import"] == ["rootdata"]
+    assert doc["bad_cap"] == 2 and doc["after_bad_cap"] == ["rootdata"]
     assert doc["after_compare"] == ["rootdata", "weightsets", "decomposition"]
     assert doc["after_all"] == layers
     lt = LieType("C", 2)
@@ -805,3 +814,40 @@ def test_carrier_cap_env(monkeypatch):
     with pytest.raises(CapExceeded):
         tower_rep(LieType("C", 2), 2)
 
+
+
+def _keys_shared(data):
+    """Every row key and column key of a {row: {column: value}} store is the shared list's own int."""
+    ix = indices(0)
+    return all(ix[a] is a and all(ix[b] is b for b in row) for a, row in data.items())
+
+
+@pytest.mark.parametrize("family, rank", [("B", 3), ("C", 3), ("D", 3)])
+def test_tower_keys_and_weights_are_shared_objects(family, rank):
+    rep = tower_rep(LieType(family, rank), 4)
+    ix = indices(rep.dim)
+    assert all(_keys_shared(x._data) for x in rep.e + rep.f + rep.h)
+    maps = _place_maps(rep)
+    assert len(maps) == 2
+    assert all(a is ix[a] for p in maps for a in p)
+    assert all(a is ix[a] for a in orbit_rows(rep))
+    table = build_idempotents(rep).table
+    assert all(_keys_shared(m._data) for m in table.values())
+    assert sum(m.nnz for m in table.values()) == rep.dim
+    # one Weight object per distinct weight of the carrier
+    assert len({id(w) for w in rep.weights}) == len(set(rep.weights)) < rep.dim
+
+
+def test_closure_without_diagonal_generators_grows_the_shared_list_only_to_its_columns():
+    """One class of all `size` coordinates, whose local columns run row-major over size^2.
+
+    Seeded at row 1 alone, the seed and every product lie in local columns
+    below 2 * size, and the shared list grows no further.
+    """
+    rep = tower_rep(LieType("B", 3), 4)
+    before = len(indices(0))
+    res = algebra_closure(rep.e + rep.f, rows=[1])  # the first basis vector of the natural module's block
+    assert res.dimension == 7  # row 1 of End(V): the natural module is simple
+    assert len(indices(0)) <= max(before, 2 * rep.dim) < rep.dim**2
+    for _, _, span in res._pieces:
+        assert all(_keys_shared({p: row}) for p, row in span._rows.items())
