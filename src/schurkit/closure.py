@@ -4,18 +4,19 @@
 generate on the single power and on the tower, against the Wedderburn sums
 sum_lam dim L(lam)^2 over pi0 and pi; a positive difference exhibits the
 single power as a proper quotient.  `presentations_generate_same_algebra`
-checks that the Cartan and the projector generators generate one algebra.
+checks that the Cartan and the projector generators generate one algebra;
+it closes both generator sets, in full, only where their classes differ.
 
-Each closure is seeded at the rows that determine A (`_closure_seeds`).
-Where the generators pass the place gate of `presentation`, A commutes
-with the place permutations, and the closure multiplies on the right only,
-so restriction to the orbit rows is injective on A.  Where X2 and X3 hold,
-n_i = exp(e_i) exp(-f_i) exp(e_i) lies in A and conjugates 1_mu to
-1_{s_i mu}, so 1_{w mu} A = n_w 1_mu A: only the dominant weights' rows
-are seeded, and dim A = sum over dominant mu of |W mu| dim 1_mu A.
-Otherwise every row, or every weight class, is seeded.  A dimension that
-differs from its expected sum names the first weight mu at which
-dim 1_mu A differs from sum_lam m_lam(mu) dim L(lam).
+`quotient_witness` seeds each closure at the rows that determine A
+(`_closure_seeds`).  Where the generators pass the place gate of
+`presentation`, A commutes with the place permutations, and the closure
+multiplies on the right only, so restriction to the orbit rows is
+injective on A.  Where X2 and X3 hold, n_i = exp(e_i) exp(-f_i) exp(e_i)
+lies in A and conjugates 1_mu to 1_{s_i mu}, so 1_{w mu} A = n_w 1_mu A:
+only the dominant weights' rows are seeded, and dim A = sum over dominant
+mu of |W mu| dim 1_mu A.  Otherwise every row, or every weight class, is
+seeded.  A dimension that differs from its expected sum names the first
+weight mu at which dim 1_mu A differs from sum_lam m_lam(mu) dim L(lam).
 
 The relation checks do not need this module, so the jobs that run them do
 not execute it.
@@ -71,26 +72,22 @@ class QuotientReport:
         }
 
 
-def _closure_seeds(rep: Representation, rs, also=()):
+def _closure_seeds(rep: Representation, rs):
     """(orbits, weight): what a closure of the carrier's generators may leave unseeded.
 
-    orbits is `_orbits`' list of orbit rows, None where an e_i, f_i, H_i or
-    an operator of `also` fails the place gate.  weight(a) is the H-eigenvalue
+    orbits is `_orbits`' list of orbit rows, None where an e_i, f_i or H_i
+    fails the place gate.  weight(a) is the H-eigenvalue
     tuple of index a where every H_i is diagonal and X2 and X3 hold, so that
     the dominant weights' rows determine A; else weight is None.
     """
     if not all(hi.is_diagonal() for hi in rep.h):
         return None, None
     diagonals = [hi.diagonal() for hi in rep.h]
-    orbits, _ = _orbits(rep, diagonals + list(also))
+    orbits, _ = _orbits(rep, diagonals)
     x2 = _commutator_cases(rep.e, rep.f, lambda i: _coroot_element(rs, rep.h, i), orbits)
     if not all(res.is_zero() for _, res in itertools.chain(x2, _x3_cases(rs, rep, diagonals, orbits))):
         return orbits, None
     return orbits, lambda a: tuple(d[a] for d in diagonals)
-
-
-def _dominant_rows(rs, rows, weight):
-    return [a for a in rows if rs.in_chamber(weight(a))]
 
 
 def _closure_dimension(rep: Representation, rs):
@@ -99,7 +96,7 @@ def _closure_dimension(rep: Representation, rs):
     With dominant seeds, dim A = sum over dominant mu of |W mu| dim 1_mu A.
     """
     orbits, weight = _closure_seeds(rep, rs)
-    rows = orbits if weight is None else _dominant_rows(rs, orbits or range(rep.dim), weight)
+    rows = orbits if weight is None else [a for a in orbits or range(rep.dim) if rs.in_chamber(weight(a))]
     res = algebra_closure(rep.generator_lists(), rows)
     if weight is None:
         return res.dimension, res, False
@@ -159,29 +156,29 @@ def quotient_witness(lt: LieType, r: int, max_dim=None) -> QuotientReport:
     )
 
 
-def _same_classes(diagonals, others):
-    """The joint eigenvalue classes of two lists of diagonals are the same partition of the indices."""
-    pairs = set(zip(zip(*diagonals), zip(*others)))
+def _same_classes(size, diagonals, others):
+    """Labelling each index of range(size) by its tuple of values in either list gives one partition.
+
+    An empty list labels every index () and so forms one class.
+    """
+    pairs = {(tuple(d[a] for d in diagonals), tuple(d[a] for d in others)) for a in range(size)}
     return len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
 
 
 def presentations_generate_same_algebra(rep: Representation, fam: IdempotentFamily) -> bool:
     """Same span test: Cartan generators against projector generators.
 
-    Where both generator sets pass the place gate, the projectors' classes
-    are the H_i's and X2 and X3 hold, both algebras contain every n_w and
-    commute with the place permutations, so only their rows at the dominant
-    weights' orbit rows are compared; otherwise the whole algebras are.
+    `algebra_closure` uses diagonal generators only to grade, so where every
+    H_i and projector is diagonal and their joint classes are one partition,
+    both closures are one computation and the answer is True; otherwise both
+    generator sets are closed in full and compared.
     """
-    rs = build_root_system(rep.lie_type)
     projectors = list(fam.table.values())
-    orbits, weight = _closure_seeds(rep, rs, projectors)
-    rows = None
-    if orbits is not None and weight is not None and projectors and all(p.is_diagonal() for p in projectors):
-        if _same_classes([h.diagonal() for h in rep.h], [p.diagonal() for p in projectors]):
-            rows = _dominant_rows(rs, orbits, weight)
-    with_h = algebra_closure(list(rep.e) + list(rep.f) + list(rep.h), rows)
-    with_proj = algebra_closure(list(rep.e) + list(rep.f) + projectors, rows)
+    if all(x.is_diagonal() for x in [*rep.h, *projectors]):
+        if _same_classes(rep.dim, [h.diagonal() for h in rep.h], [p.diagonal() for p in projectors]):
+            return True
+    with_h = algebra_closure(list(rep.e) + list(rep.f) + list(rep.h))
+    with_proj = algebra_closure(list(rep.e) + list(rep.f) + projectors)
     return (
         with_h.dimension == with_proj.dimension
         and with_h.canonical_rows() == with_proj.canonical_rows()

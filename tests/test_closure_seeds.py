@@ -8,7 +8,9 @@ closure's dimension: on criterion 6's carriers, and on seeded faults, where
 a fault that is not fixed by the place permutations takes every row and one
 that breaks X2 or X3 takes every weight class.
 `presentations_generate_same_algebra` must give the full comparison's
-answer, and False where a projector splits its weight class.
+answer: with no closure where the projector classes are the H classes, and
+from two closures on every row where they differ, as where a projector
+splits its weight class or the projector table is empty.
 """
 
 import os
@@ -95,20 +97,34 @@ def recording_closure(monkeypatch):
 
 
 @pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2), ("B", 1, 3)])
-def test_same_algebra_on_restricted_rows_is_the_full_comparison(family, rank, r, monkeypatch):
+def test_same_algebra_is_the_full_comparison(family, rank, r, monkeypatch):
     rep = tower_rep(LieType(family, rank), r)
     fam = build_idempotents(rep)
     cases = [("clean", rep, fam)] + [case[:3] for case in orbit_faults(rep, fam)] + list(ladder_faults(rep, fam))
-    answers = []
+    answers = {}
     for name, bad, bad_fam in cases:
         seeded = recording_closure(monkeypatch)
-        answers.append(presentations_generate_same_algebra(bad, bad_fam))
+        answers[name] = presentations_generate_same_algebra(bad, bad_fam)
         monkeypatch.undo()
-        assert answers[-1] == full_comparison(bad, bad_fam), name
-        assert len(seeded) == 2 and seeded[0] == seeded[1], name
+        assert answers[name] == full_comparison(bad, bad_fam), name
+        # the answer is read off the classes with no closure, or both generator sets are closed on every row
+        assert seeded in ([], [None, None]), name
+        assert seeded or answers[name], name
         if name == "clean":
-            assert seeded[0] is not None and set(seeded[0]) < set(orbit_rows(rep))
-    assert False in answers  # the changed H_1 entry splits a weight class of the H side
+            assert seeded == []
+    # the overlapping projector splits a projector class, and on B the changed H_1 entry splits an H class
+    assert False in answers.values()
+
+
+def test_an_empty_projector_table_is_one_class():
+    # every index is labelled () by an empty table, one class, which differs from the H classes: the comparison
+    # closes both sets, and the changed H_1 entry is not in the algebra that e_i, f_i and 1 generate
+    rep = tower_rep(LieType("B", 2), 2)
+    fam = build_idempotents(rep)
+    bad = {name: carrier for name, carrier, _ in ladder_faults(rep, fam)}["changed diagonal entry of H_1"]
+    empty = rebuild(fam, table={})
+    assert full_comparison(bad, empty) is False
+    assert presentations_generate_same_algebra(bad, empty) is False
 
 
 def test_same_algebra_keeps_its_presentation_name():
@@ -132,7 +148,7 @@ def split_projector(fam, keep):
 
 
 @pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2)])
-def test_a_projector_that_splits_its_weight_class_generates_another_algebra(family, rank, r):
+def test_a_projector_that_splits_its_weight_class_generates_another_algebra(family, rank, r, monkeypatch):
     rep = tower_rep(LieType(family, rank), r)
     fam = build_idempotents(rep)
     fixed = replinalg.place_invariance(rep)
@@ -145,7 +161,10 @@ def test_a_projector_that_splits_its_weight_class_generates_another_algebra(fami
     assert not all(fixed(p) for p in by_index.table.values())
     for bad in (by_block, by_index):
         assert full_comparison(rep, bad) is False
+        seeded = recording_closure(monkeypatch)
         assert presentations_generate_same_algebra(rep, bad) is False
+        monkeypatch.undo()
+        assert seeded == [None, None]  # a split class takes both closures in full
 
 
 MISMATCH = """

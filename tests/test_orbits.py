@@ -246,6 +246,47 @@ def test_faults_take_the_full_path_or_a_nonzero_orbit_residual(family, rank, r, 
         monkeypatch.undo()
 
 
+def moved_index(fam, a, to):
+    """The family with index a moved from the projector that holds it to the projector of weight `to`."""
+    table = dict(fam.table)
+    for lam, proj in table.items():
+        if proj.entry(a, a):
+            table[lam] = proj - ExactMatrix.unit(proj.size, a, a, proj.entry(a, a))
+    table[to] = table[to] + ExactMatrix.unit(table[to].size, a, a)
+    return rebuild(fam, table=table)
+
+
+@pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2)])
+def test_a_projector_fault_off_the_orbit_rows_fails_r2_as_on_all_rows(family, rank, r, monkeypatch):
+    # index a is not an orbit row, so the two changed projectors are not fixed by the place permutations: R2's
+    # target fails the gate and goes with every row, and [e_1, f_1] minus that target reads -2 at (a, a) (on C2:
+    # a = 5, moved from 1_(1,1) to 1_(2,0)); formed on the orbit rows alone, R2 would hold
+    rep, clean = tower(family, rank, r)
+    a = min(set(range(rep.dim)) - set(orbit_rows(rep)))
+    first = next(iter(clean.table))
+    assert rep.weights[a] != first and clean.table[rep.weights[a]].entry(a, a) == 1
+    fam = moved_index(clean, a, first)
+    report = verify_idempotent_presentation(rep, fam).to_json()
+    (r2,) = [rel for rel in report["relations"] if rel["label"] == "R2"]
+    assert r2["status"] == "fails"
+    assert r2["witness"] == {"case": "i=1,j=1", "entry": [a, a], "value": "-2/1", "magnitude": "2"}
+    if family == "C":
+        assert (a, rep.weights[a].coords, first.coords) == (5, (1, 1), (2, 0))
+    all_rows(monkeypatch)
+    assert verify_idempotent_presentation(rep, fam).to_json() == report
+
+
+def test_a_tie_in_magnitude_keeps_the_first_case_in_order():
+    # the extra e_1 entry of the C2 r=2 fault leaves residuals of magnitude 3 in [e_1, f_1] and [e_1, f_2]:
+    # the witness is the first case in the fixed order, i=1,j=1, not the later i=1,j=2 at [1, 7]
+    rep, clean = tower("C", 2, 2)
+    bad = {name: carrier for name, carrier, _, _ in seeded_faults(rep, clean)}["extra entry in e_1"]
+    witness = {"case": "i=1,j=1", "entry": [1, 16], "value": "-3/1", "magnitude": "3"}
+    for report, label in ((verify_serre_presentation(bad), "C2"), (verify_idempotent_presentation(bad, clean), "R2")):
+        (rel,) = [rel for rel in report.to_json()["relations"] if rel["label"] == label]
+        assert rel["witness"] == witness, label
+
+
 def lifted_fault(rep, kind, i, a, b, delta):
     """The tower carrier with entry (a, b) of the natural module's kind_i changed by delta, lifted."""
     natural = natural_rep(rep.lie_type)
