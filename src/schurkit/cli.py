@@ -204,8 +204,8 @@ def _cmd_crystal(args):
     lam = _parse_lambda(args.lam, lt.rank)
     if not rs.is_dominant(lam):
         raise ValueError(f"--lambda {args.lam} is not dominant for {lt}")
+    (dim,) = pathmodel.crystal_dimensions(rs, [lam])
     crystal = pathmodel.generate_crystal(rs, lam)
-    dim = decomposition.weyl_dimension(rs, lam)
     body = crystal.to_json()
     body["weyl_dimension"] = dim
     body["size_matches_dimension"] = len(crystal) == dim

@@ -162,7 +162,7 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
         raise ArithmeticError("carrier weights are not contained in the expected weight set")
 
     # indicator diagonals; their indices are basis positions, so no entry needs validating
-    table = {lam: ExactMatrix(rep.dim, {b: {b: 1} for b in support.get(lam, ())}) for lam in pi_all}
+    table = {lam: ExactMatrix._diag_at(rep.dim, ((b, 1) for b in support.get(lam, ()))) for lam in pi_all}
 
     elements = list(pi_all)
     if elements:
@@ -254,7 +254,7 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
         ):
             up = [target(lam + shift) for lam in lams]
             down = [target(lam - shift) for lam in lams]
-            pairs = {(cls[a], cls[b]) for a, row in op._data.items() for b in row}
+            pairs = {(cls[a], cls[b]) for a, row in op._data.items() for b, _ in row}
             # op 1_lam - 1_up op has the entries op_ab (P_lam[b] - P_up[a]),
             # and 1_lam op - op 1_down the entries op_ab (P_lam[a] - P_down[b])
             sides = (

@@ -320,6 +320,20 @@ class Crystal:
         }
 
 
+def crystal_dimensions(rs: RootSystem, weights, cap: int = DEFAULT_CRYSTAL_CAP):
+    """The Weyl dimension of each dominant weight: the size its crystal must have.
+
+    A dimension over the cap raises CapExceeded, so that an oversized
+    crystal is refused before any crystal is generated, not after up to
+    `cap` elements of one.
+    """
+    dims = [weyl_dimension(rs, w) for w in weights]
+    for w, dim in zip(weights, dims):
+        if dim > cap:
+            raise CapExceeded(f"crystal of {w!r} would have {dim} elements, its Weyl dimension, over the cap {cap}")
+    return dims
+
+
 def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP) -> Crystal:
     """Breadth-first closure of the straight path under all lowering operators.
 
@@ -478,6 +492,8 @@ def basis_census(lt: LieType, r: int) -> CensusReport:
     equal the squared-dimension sum over all of pi.  Every lam and its
     dual are checked dominant before any dimension or crystal is built:
     a weight outside the chamber here is a failed check, not bad input.
+    Every dimension is computed before any crystal, and one over the
+    crystal cap raises CapExceeded (`crystal_dimensions`).
     """
     rs = build_root_system(lt)
     word, w0 = rs.longest_element()
@@ -498,8 +514,7 @@ def basis_census(lt: LieType, r: int) -> CensusReport:
 
     rows = []
     total = 0
-    for lam, dual_hw in pairs:
-        dim = weyl_dimension(rs, lam)
+    for (lam, dual_hw), dim in zip(pairs, crystal_dimensions(rs, [lam for lam, _ in pairs])):
         strings = strings_for(lam)
         opp = opposite_strings(strings_for(dual_hw))
         product = len(strings) * len(opp)

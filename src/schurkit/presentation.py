@@ -161,7 +161,7 @@ def _needed_rows(x, rows):
     stored = x._data
     needed = set(rows)
     for a in rows:
-        needed.update(stored.get(a, ()))
+        needed.update(b for b, _ in stored.get(a, ()))
     return needed
 
 
@@ -297,10 +297,11 @@ def _projector_cases(fam, dim):
                 if w:
                     products.setdefault((p, q), {})[b] = w
     for p, q in sorted(products):
-        data = {b: {b: w} for b, w in products[p, q].items()}
-        yield (f"1_{lams[p].coords} 1_{lams[q].coords}", ExactMatrix(dim, data))
-    total = ((b, sum(v for _, v in holders.get(b, ())) - 1) for b in range(dim))
-    yield ("completeness", ExactMatrix(dim, {b: {b: w} for b, w in total if w}))
+        yield (f"1_{lams[p].coords} 1_{lams[q].coords}", ExactMatrix._diag_at(dim, products[p, q].items()))
+    total = [-1] * dim
+    for b, held in holders.items():
+        total[b] += sum(v for _, v in held)
+    yield ("completeness", ExactMatrix._diag(total))
 
 
 def verify_idempotent_presentation(rep: Representation, fam: IdempotentFamily) -> RelationReport:

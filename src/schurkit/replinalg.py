@@ -2,9 +2,13 @@
 
 Every matrix is a square operator on one carrier, the natural module or a
 tower of its tensor powers, with dense semantics (one fixed size,
-entrywise exact equality) over a sparse dict-of-rows store, since the
-operators handled here - Chevalley generators lifted to tensor powers,
-weight projectors, their products - are overwhelmingly sparse.  Every
+entrywise exact equality) over a sparse store: a dict from each nonzero
+row index to the row as an immutable tuple of (column, value) pairs, in
+no fixed column order, with no zero value, no repeated column and no
+empty row.  The operators handled here - Chevalley generators lifted to
+tensor powers, weight projectors, their products - are overwhelmingly
+sparse, a row of a lifted generator holds one or two entries, and a tuple
+of pairs stores such a row in well under the space of a dict.  Every
 operator identity checked here has integer coefficients, so entries and
 scalars are Python ints (unbounded, never floats, bools or Fractions); any
 other entry or scalar raises TypeError.
@@ -53,18 +57,18 @@ The closure runs on the same ints as the matrices: its rows are
 {column: int} dicts, reduced fraction-free and kept primitive, so no entry
 bound is ever checked and no other number type is ever needed.
 
-Every basis index that keys a dict here is one int object: entry i of a
-single shared list, which `indices(n)` grows on demand to the largest index
-asked for and never sizes from size^2.  The rows, columns and diagonals of
-the lifted generators, `identity` and every diagonal built here, the orbit
-rows, the place maps, the projector table and the closure's local columns
-all take their keys from it.  CPython caches only the ints -5..256, so
-otherwise each operator would hold its own copy of every key (1.0 of the
-5.4 MiB that the B3 r=4 tower's generators hold), and a lookup of one
-operator's key in another's dict would compare the two ints by value; a
-shared key is stored once, and the lookup matches it by identity, the dict's
-fast path.  The carrier's weights are shared the same way: one `Weight`
-per distinct weight.
+Every basis index stored here is one int object: entry i of a single
+shared list, which `indices(n)` grows on demand to the largest index asked
+for and never sizes from size^2.  The row keys and the columns in the row
+pairs of the lifted generators, `identity` and every diagonal built here,
+the orbit rows, the place maps, the projector table and the closure's
+local columns all take their ints from it.  CPython caches only the ints
+-5..256, so otherwise each operator would hold its own copy of every index
+(1.0 of the 3.7 MiB that the B3 r=4 tower's generators would then hold),
+and a lookup of one operator's row key in another's dict would compare the
+two ints by value; a shared index is stored once, and the lookup matches
+it by identity, the dict's fast path.  The carrier's weights are shared
+the same way: one `Weight` per distinct weight.
 """
 
 from __future__ import annotations
@@ -99,6 +103,11 @@ class ExactMatrix:
     Every operator here acts on one carrier, so a matrix has a single
     `size`.  Entries are ints only: `from_entries`, `diag` and `unit` raise
     TypeError on any other value, and `*` takes only int scalars.
+
+    `_data` maps each nonzero row index i to the row as a tuple of its
+    (column, value) pairs, in no fixed column order.  Every constructor and
+    kernel here keeps one normal form, which `==` and `is_zero` rely on: no
+    zero value, no repeated column and no empty row.
     """
 
     __slots__ = ("size", "_data")
@@ -109,20 +118,15 @@ class ExactMatrix:
 
     @classmethod
     def from_entries(cls, size, items):
-        data = {}
+        rows = {}
         for i, j, v in items:
             if not (0 <= i < size and 0 <= j < size):
                 raise IndexError(f"entry ({i},{j}) outside {size}x{size}")
             _int_entry(v)
-            if v == 0:
-                continue
-            row = data.setdefault(i, {})
+            row = rows.setdefault(i, {})
             row[j] = row.get(j, 0) + v
-            if row[j] == 0:
-                del row[j]
-                if not row:
-                    del data[i]
-        return cls(size, data)
+        data = {i: tuple([p for p in row.items() if p[1]]) for i, row in rows.items()}
+        return cls(size, {i: row for i, row in data.items() if row})
 
     @classmethod
     def from_dense(cls, dense):
@@ -137,7 +141,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, {i: {i: 1} for i in indices(n)[:n]})
+        return cls._diag([1] * n)
 
     @classmethod
     def diag(cls, values):
@@ -146,7 +150,17 @@ class ExactMatrix:
     @classmethod
     def _diag(cls, values):
         """`diag` of int values the caller made itself, without checking each one again."""
-        return cls(len(values), {i: {i: v} for i, v in zip(indices(len(values)), values) if v != 0})
+        return cls._diag_at(len(values), zip(indices(len(values)), values))
+
+    @classmethod
+    def _diag_at(cls, size, items):
+        """The diagonal matrix with value v at (i, i) for each (i, v) in items; zero values are not stored.
+
+        The caller makes the ints itself, each i a distinct index below
+        size (the shared int, so that the rows share their keys), and none
+        is checked again.
+        """
+        return cls(size, {i: ((i, v),) for i, v in items if v})
 
     @classmethod
     def unit(cls, m, i, j, value=1):
@@ -154,17 +168,20 @@ class ExactMatrix:
         return cls.from_entries(m, [(i, j, value)])
 
     def entry(self, i, j):
-        return self._data.get(i, {}).get(j, 0)
+        for k, v in self._data.get(i, ()):
+            if k == j:
+                return v
+        return 0
 
     @property
     def nnz(self):
-        return sum(len(r) for r in self._data.values())
+        return sum(map(len, self._data.values()))
 
     def iter_entries(self):
-        for i in sorted(self._data):
-            row = self._data[i]
-            for j in sorted(row):
-                yield i, j, row[j]
+        data = self._data
+        for i in sorted(data):
+            for j, v in sorted(data[i]):  # no repeated column: the pairs sort by column
+                yield i, j, v
 
     def is_zero(self):
         return not self._data
@@ -172,7 +189,13 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.size == other.size and self._data == other._data
+        if self.size != other.size:
+            return False
+        mine, theirs = self._data, other._data
+        if mine.keys() != theirs.keys():
+            return False
+        # rows in one column order compare as tuples; a row stores each column once, so dict() is entrywise
+        return all(row == theirs[i] or dict(row) == dict(theirs[i]) for i, row in mine.items())
 
     __hash__ = None
 
@@ -206,17 +229,19 @@ class ExactMatrix:
         return _combine(self.size, ((1, self, other), (-1, other, self)), terms, rows)
 
     def trace(self):
-        return sum(r.get(i, 0) for i, r in self._data.items())
+        return sum(v for i, row in self._data.items() for j, v in row if j == i)
 
     def diagonal(self):
         out = [0] * self.size
         for i, row in self._data.items():
-            if i in row:
-                out[i] = row[i]
+            for j, v in row:
+                if j == i:
+                    out[i] = v
+                    break
         return out
 
     def is_diagonal(self):
-        return all(i == j for i, row in self._data.items() for j in row)
+        return all(len(row) == 1 and row[0][0] == i for i, row in self._data.items())
 
     def max_abs_with_location(self):
         """(abs value, row, col, value) of the largest-magnitude entry."""
@@ -240,9 +265,10 @@ def _combine(size, products, terms=(), rows=None):
     Sizes are the caller's to check.  Row i draws only on the rows i of the
     left factors x.  The rows formed are those the left factors store, each
     visited once, or only the given `rows`, whose other rows are left out of
-    the result.  One dict, cleared after each row, accumulates it and is
-    copied out without zeros, if nonzero: no stored zero and no empty row,
-    as `==` and `is_zero` need.
+    the result.  One dict, cleared after each row, accumulates it, and its
+    nonzero (column, value) pairs become the row, if there are any: no
+    stored zero, no repeated column and no empty row, as `==` and `is_zero`
+    need.
     """
     if rows is None:
         rows = set().union(*(x._data for _, x, _ in products), *(x._data for _, x in terms))
@@ -254,20 +280,22 @@ def _combine(size, products, terms=(), rows=None):
         for c, xdata, ydata in products:
             row = xdata.get(i)
             if row is not None:
-                for k, a in row.items():
+                for k, a in row:
                     yrow = ydata.get(k)
                     if yrow is not None:
                         a *= c
-                        for j, b in yrow.items():
+                        for j, b in yrow:
                             acc[j] = get(j, 0) + a * b
         for c, xdata in terms:
             row = xdata.get(i)
             if row is not None:
-                for j, v in row.items():
+                for j, v in row:
                     acc[j] = get(j, 0) + c * v
-        if any(acc.values()):
-            out[i] = acc.copy() if 0 not in acc.values() else {j: v for j, v in acc.items() if v}
-        acc.clear()
+        if acc:
+            row = tuple([p for p in acc.items() if p[1]]) if 0 in acc.values() else tuple(acc.items())
+            if row:
+                out[i] = row
+            acc.clear()
     return ExactMatrix(size, out)
 
 
@@ -302,7 +330,7 @@ def diagonal_bracket(diagonal, x, shift, rows=None):
         if row is None:
             continue
         da = diagonal[a] + shift
-        out = {b: v * (da - diagonal[b]) for b, v in row.items() if da != diagonal[b]}
+        out = tuple([(b, v * (da - diagonal[b])) for b, v in row if da != diagonal[b]])
         if out:
             data[a] = out
     return ExactMatrix(x.size, data)
@@ -319,8 +347,8 @@ def diagonal_index(table):
     for n, (key, m) in enumerate(table.items()):
         if not m.is_diagonal():
             raise ArithmeticError(f"projector {key!r} not diagonal on the weight basis")
-        for j, row in m._data.items():
-            holders.setdefault(j, []).append((n, row[j]))
+        for j, ((_, v),) in m._data.items():
+            holders.setdefault(j, []).append((n, v))
     return holders
 
 
@@ -389,7 +417,8 @@ def _lift_rows(X: ExactMatrix, blocks):
     entries are written into the rows as they are.  An off-diagonal entry
     changes one digit, so no two of them meet.  The diagonal terms of all
     places meet on each index: its value is the sum of X's diagonal values
-    at its digits, and a zero sum is not stored.
+    at its digits, and a zero sum is not stored.  Each row grows by one
+    (column, value) pair per entry and never repeats a column.
     """
     m = X.size
     off = [(i, j, v) for i, j, v in X.iter_entries() if i != j]
@@ -404,17 +433,15 @@ def _lift_rows(X: ExactMatrix, blocks):
                     row, col = high + i * stride, high + j * stride
                     for a, b in zip(ix[row : row + stride], ix[col : col + stride]):
                         stored = data.get(a)
-                        if stored is None:
-                            data[a] = {b: v}
-                        else:
-                            stored[b] = v
+                        data[a] = ((b, v),) if stored is None else stored + ((b, v),)
         if any(on):
             sums = [0]
             for _ in range(s):
                 sums = [t + v for t in sums for v in on]  # one more digit, the least significant
             for b, v in zip(ix[offset : offset + size], sums):
                 if v:
-                    data.setdefault(b, {})[b] = v
+                    stored = data.get(b)
+                    data[b] = ((b, v),) if stored is None else stored + ((b, v),)
     return data
 
 
@@ -549,8 +576,9 @@ def place_invariance(rep: Representation):
     by a map p when, for every stored row a, the stored row p(a) has as
     many entries and holds x[a, b] at p(b) for each of them: as p is a
     bijection, the stored rows are then permuted among themselves and
-    x[p(a), p(b)] = x[a, b] everywhere.  A diagonal d is fixed when
-    d[p(a)] = d[a].
+    x[p(a), p(b)] = x[a, b] everywhere.  A row stores each column once, so
+    the test looks each moved pair up in the short row p(a) and sorts no
+    row.  A diagonal d is fixed when d[p(a)] = d[a].
     """
     maps = _place_maps(rep)
 
@@ -563,8 +591,8 @@ def place_invariance(rep: Representation):
                 moved = data.get(p[a])
                 if moved is None or len(moved) != len(row):
                     return False
-                for b, v in row.items():
-                    if moved.get(p[b]) != v:
+                for b, v in row:
+                    if (p[b], v) not in moved:
                         return False
         return True
 
@@ -762,7 +790,7 @@ def algebra_closure(mats, rows=None) -> ClosureResult:
         for i, row in m._data.items():
             b, q = cls[i], pos[i]
             entries = {}
-            for j, v in row.items():
+            for j, v in row:
                 d = cls[j]
                 n = numbers.get((b, d))
                 if n is None:

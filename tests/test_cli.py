@@ -141,6 +141,27 @@ def test_crystal_rejects_non_dominant():
     assert "not dominant" in err
 
 
+def _refuse_every_crystal(monkeypatch):
+    def refused(*args, **kwargs):
+        pytest.fail("a crystal was generated for a job whose dimension exceeds the crystal cap")
+
+    monkeypatch.setattr(pathmodel, "generate_crystal", refused)
+
+
+def test_oversized_crystal_is_refused_before_any_crystal_is_generated(monkeypatch):
+    _refuse_every_crystal(monkeypatch)
+    code, out, err = run_cli(["crystal", "C", "3", "--lambda", "5,3,1"])  # Weyl dimension 5460
+    assert (code, out) == (2, "")
+    assert "5460" in err and "cap" in err
+
+
+def test_census_with_an_oversized_crystal_is_refused_before_any_crystal_is_generated(monkeypatch):
+    _refuse_every_crystal(monkeypatch)
+    code, out, err = run_cli(["census", "C", "3", "9"])  # (5,3,1) and larger rows exceed the cap
+    assert (code, out) == (2, "")
+    assert "cap" in err
+
+
 def test_invalid_arguments_exit_two(capsys):
     assert run_cli(["weights", "E", "2", "2"])[0] == 2
     assert run_cli(["crystal", "B", "2", "--lambda", "1,x"])[0] == 2

@@ -101,16 +101,15 @@ def right_products(table):
     holders = diagonal_index(table)
 
     def products(op, left=False):
-        data = [{} for _ in table]
-        ldata = [{} for _ in table]
-        for i, row in op._data.items():
-            for j, a in row.items():
-                for n, d in holders.get(j, ()):
-                    data[n].setdefault(i, {})[j] = a * d
+        data = [[] for _ in table]
+        ldata = [[] for _ in table]
+        for i, j, a in op.iter_entries():
+            for n, d in holders.get(j, ()):
+                data[n].append((i, j, a * d))
             for n, d in holders.get(i, ()):
-                ldata[n][i] = {j: d * a for j, a in row.items()}
-        right = {key: ExactMatrix(op.size, r) for key, r in zip(table, data)}
-        return (right, {key: ExactMatrix(op.size, r) for key, r in zip(table, ldata)}) if left else right
+                ldata[n].append((i, j, d * a))
+        build = lambda entries: {key: ExactMatrix.from_entries(op.size, e) for key, e in zip(table, entries)}
+        return (build(data), build(ldata)) if left else build(data)
 
     return products
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -155,10 +156,12 @@ def _square_triples(draw):
 
 
 def assert_normal_form(m):
-    """No stored zero and no empty row: what `==` and `is_zero` compare."""
+    """Each row a nonempty tuple of (column, value) pairs with no zero value and no repeated column."""
     for i, row in m._data.items():
-        assert 0 <= i < m.size and row
-        for j, v in row.items():
+        assert 0 <= i < m.size and type(row) is tuple and row
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in row)
+        assert len({j for j, _ in row}) == len(row)
+        for j, v in row:
             assert 0 <= j < m.size and type(v) is int and v != 0
 
 
@@ -198,6 +201,80 @@ def test_rows_that_cancel_to_zero_are_not_stored(mats, data):
     assert set(res._data) == {i for i in changed if minus[i] != exact[i]}
     for zero in (a - a, a + (-a), a.bracket(a), a.bracket(b, a.bracket(b)), 0 * a, a @ ExactMatrix.zeros(n)):
         assert zero._data == {} and zero.is_zero() and zero == ExactMatrix.zeros(n)
+
+
+def _dense_diagonal_bracket(diag, x, shift, rows=None):
+    """Entry (a, b) is x_ab * (d_a - d_b + shift), on `rows` only if given."""
+    n = len(diag)
+    kept = range(n) if rows is None else set(rows)
+    return [[x[a][b] * (diag[a] - diag[b] + shift) if a in kept else 0 for b in range(n)] for a in range(n)]
+
+
+@_KERNEL_SETTINGS
+@given(_square_triples(), st.integers(-(2**64), 2**64), st.data())
+def test_every_constructor_and_kernel_stores_pair_rows_in_normal_form(mats, k, data):
+    """Each result against the dense oracle, with rows of (column, value) pairs in normal form."""
+    a, b, c = mats
+    n = a.size
+    rows = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    diag = data.draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    shifts = data.draw(st.lists(st.integers(-3, 3), max_size=3))
+    shift = data.draw(st.integers(-3, 3))
+    entries = list(a.iter_entries()) + [(i, j, -v) for i, j, v in b.iter_entries()] + list(b.iter_entries())
+    data.draw(st.randoms(use_true_random=False)).shuffle(entries)  # b's entries cancel, in any order
+    ix = indices(n)
+    diagonal = lambda values: [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    cases = [
+        (ExactMatrix.from_entries(n, entries), dense(a)),
+        (ExactMatrix.from_dense(dense(a)), dense(a)),
+        (ExactMatrix.zeros(n), diagonal([0] * n)),
+        (ExactMatrix.identity(n), diagonal([1] * n)),
+        (ExactMatrix.diag(diag), diagonal(diag)),
+        (ExactMatrix._diag(diag), diagonal(diag)),
+        (ExactMatrix._diag_at(n, ((ix[i], diag[i]) for i in rows)), diagonal([diag[i] * (i in rows) for i in range(n)])),
+        (ExactMatrix.unit(n, n - 1, 0, k), dense(ExactMatrix.from_entries(n, [(n - 1, 0, k)]))),
+        (a + b, dense(unfused_combine(n, [], [(1, a), (1, b)]))),
+        (a - b, dense(unfused_combine(n, [], [(1, a), (-1, b)]))),
+        (k * a, dense(unfused_combine(n, [], [(k, a)]))),
+        (a @ b, dense(unfused_combine(n, [(1, a, b)]))),
+        (a.bracket(b), dense(unfused_combine(n, [(1, a, b), (-1, b, a)]))),
+        (a.bracket(b, c), dense(unfused_combine(n, [(1, a, b), (-1, b, a)], [(-1, c)]))),
+        (a.bracket(b, None, rows), dense(unfused_combine(n, [(1, a, b), (-1, b, a)], rows=rows))),
+        (a.bracket(b, c, rows), dense(unfused_combine(n, [(1, a, b), (-1, b, a)], [(-1, c)], rows))),
+        (diagonal_bracket(diag, a, shift), _dense_diagonal_bracket(diag, dense(a), shift)),
+        (diagonal_bracket(diag, a, shift, rows), _dense_diagonal_bracket(diag, dense(a), shift, rows)),
+        (product_of_shifts(diag, shifts), _dense_shift_product(diagonal(diag), shifts)),
+    ]
+    for got, expected in cases:
+        assert_normal_form(got)
+        assert got.size == n and dense(got) == expected
+        assert list(got.iter_entries()) == [(i, j, v) for i, r in enumerate(expected) for j, v in enumerate(r) if v]
+        assert got.nnz == sum(v != 0 for r in expected for v in r)
+        assert got.diagonal() == [expected[i][i] for i in range(n)] and got.trace() == sum(got.diagonal())
+        assert got.is_diagonal() == all(v == 0 for i, r in enumerate(expected) for j, v in enumerate(r) if i != j)
+    # equal entries accumulated in different orders: the pairs of a row may be in another order, and still equal
+    for left, right in ((a + b, b + a), (a.bracket(b), -b.bracket(a)), (a.bracket(b, c), -(b.bracket(a) + c))):
+        assert left == right and dense(left) == dense(right)
+
+
+def test_rows_with_equal_entries_in_another_order_compare_equal():
+    one = ExactMatrix.from_entries(3, [(0, 1, 2), (0, 2, 3), (2, 0, 1)])
+    other = ExactMatrix.from_entries(3, [(2, 0, 1), (0, 2, 3), (0, 1, 2)])
+    assert one._data[0] == ((1, 2), (2, 3)) and other._data[0] == ((2, 3), (1, 2))
+    assert one == other and other == one
+    assert one != ExactMatrix.from_entries(3, [(0, 2, 2), (0, 1, 3), (2, 0, 1)])  # same columns, values swapped
+    assert one != ExactMatrix.from_entries(3, [(0, 1, 2), (2, 0, 1)])  # a pair fewer
+    assert one != ExactMatrix.from_entries(3, [(0, 1, 2), (0, 2, 3), (1, 0, 1)])  # another row
+
+
+@pytest.mark.parametrize("family,rank,r", [("B", 1, 3), ("C", 2, 3), ("D", 3, 2), ("B", 3, 2)])
+def test_lifted_generators_store_pair_rows_in_normal_form(family, rank, r):
+    lt = LieType(family, rank)
+    for rep in (tower_rep(lt, r), single_power_rep(lt, r), natural_rep(lt)):
+        for g in rep.generator_lists():
+            assert_normal_form(g)
+    for g in natural_rep(lt).generator_lists():
+        assert_normal_form(tensor_lift(g, r))
 
 
 def test_shape_mismatch_raises_value_error():
@@ -634,6 +711,24 @@ def test_algebra_closure_generator_order_invariance():
     assert forward.canonical_rows() == backward.canonical_rows()
 
 
+_CLOSURE_CARRIERS = [("B", 1), ("B", 2), ("C", 1), ("C", 2), ("D", 2), ("D", 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _closure_reference(family, rank, r):
+    """The tower's generators and the canonical rows of the algebra they generate, in the generators' own order."""
+    gens = tower_rep(LieType(family, rank), r).generator_lists()
+    return gens, algebra_closure(gens).canonical_rows()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_CLOSURE_CARRIERS), st.integers(1, 2), st.data())
+def test_algebra_closure_canonical_rows_do_not_depend_on_generator_order(carrier, r, data):
+    gens, expected = _closure_reference(*carrier, r)
+    shuffled = data.draw(st.permutations(gens))
+    assert algebra_closure(shuffled).canonical_rows() == expected
+
+
 def _flat(m):
     """Row-major entries of an exact matrix as Fractions."""
     flat = [Fraction(0)] * (m.size * m.size)
@@ -822,17 +917,23 @@ def _keys_shared(data):
     return all(ix[a] is a and all(ix[b] is b for b in row) for a, row in data.items())
 
 
+def _matrix_keys_shared(m):
+    """Every row key of a matrix, and the column int of each of its (column, value) pairs, is the shared int."""
+    ix = indices(0)
+    return all(ix[a] is a and all(ix[b] is b for b, _ in row) for a, row in m._data.items())
+
+
 @pytest.mark.parametrize("family, rank", [("B", 3), ("C", 3), ("D", 3)])
 def test_tower_keys_and_weights_are_shared_objects(family, rank):
     rep = tower_rep(LieType(family, rank), 4)
     ix = indices(rep.dim)
-    assert all(_keys_shared(x._data) for x in rep.e + rep.f + rep.h)
+    assert all(_matrix_keys_shared(x) for x in rep.e + rep.f + rep.h + (ExactMatrix.identity(rep.dim),))
     maps = _place_maps(rep)
     assert len(maps) == 2
     assert all(a is ix[a] for p in maps for a in p)
     assert all(a is ix[a] for a in orbit_rows(rep))
     table = build_idempotents(rep).table
-    assert all(_keys_shared(m._data) for m in table.values())
+    assert all(_matrix_keys_shared(m) for m in table.values())
     assert sum(m.nnz for m in table.values()) == rep.dim
     # one Weight object per distinct weight of the carrier
     assert len({id(w) for w in rep.weights}) == len(set(rep.weights)) < rep.dim

@@ -27,7 +27,7 @@ MUTANTS = [
     (
         "_needed_rows keeps only row a",
         "presentation.py",
-        "        needed.update(stored.get(a, ()))\n",
+        "        needed.update(b for b, _ in stored.get(a, ()))\n",
         "        pass\n",
         "",
     ),
