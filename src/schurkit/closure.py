@@ -82,11 +82,11 @@ def _closure_seeds(rep: Representation, rs):
     """
     if not all(hi.is_diagonal() for hi in rep.h):
         return None, None
-    diagonals = [hi.diagonal() for hi in rep.h]
-    orbits, _ = _orbits(rep, diagonals)
+    orbits, _ = _orbits(rep, rep.h)
     x2 = _commutator_cases(rep.e, rep.f, lambda i: _coroot_element(rs, rep.h, i), orbits)
-    if not all(res.is_zero() for _, res in itertools.chain(x2, _x3_cases(rs, rep, diagonals, orbits))):
+    if not all(res.is_zero() for _, res in itertools.chain(x2, _x3_cases(rs, rep, orbits))):
         return orbits, None
+    diagonals = [hi.diagonal() for hi in rep.h]
     return orbits, lambda a: tuple(d[a] for d in diagonals)
 
 
@@ -134,9 +134,10 @@ def quotient_witness(lt: LieType, r: int, max_dim=None) -> QuotientReport:
     rs = build_root_system(lt)
     single = single_power_rep(lt, r, max_dim)
     tower = tower_rep(lt, r, max_dim)
+    # pi and the factor rules are chamber-checked here, before either closure and before any oracle call
+    expected_tower, expected_single = decomposition.schur_dimensions(lt, r)
     single_closure, tower_closure = _closure_dimension(single, rs), _closure_dimension(tower, rs)
     dim_single, dim_tower = single_closure[0], tower_closure[0]
-    expected_tower, expected_single = decomposition.schur_dimensions(lt, r)
     mismatch = None
     for rep, (dim, res, dominant), expected, lams in (
         (tower, tower_closure, expected_tower, tensor_dominant_pi),

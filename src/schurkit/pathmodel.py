@@ -320,25 +320,29 @@ class Crystal:
         }
 
 
-def crystal_dimensions(rs: RootSystem, weights, cap: int = DEFAULT_CRYSTAL_CAP):
+def crystal_dimensions(rs: RootSystem, weights):
     """The Weyl dimension of each dominant weight: the size its crystal must have.
 
     A dimension over the cap raises CapExceeded, so that an oversized
     crystal is refused before any crystal is generated, not after up to
-    `cap` elements of one.
+    `DEFAULT_CRYSTAL_CAP` elements of one.
     """
     dims = [weyl_dimension(rs, w) for w in weights]
     for w, dim in zip(weights, dims):
-        if dim > cap:
-            raise CapExceeded(f"crystal of {w!r} would have {dim} elements, its Weyl dimension, over the cap {cap}")
+        if dim > DEFAULT_CRYSTAL_CAP:
+            raise CapExceeded(
+                f"crystal of {w!r} would have {dim} elements, its Weyl dimension, over the cap {DEFAULT_CRYSTAL_CAP}"
+            )
     return dims
 
 
-def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP) -> Crystal:
+def generate_crystal(rs: RootSystem, lam: Weight) -> Crystal:
     """Breadth-first closure of the straight path under all lowering operators.
 
     Each element's heights are computed once per simple root; its
     integral-path check, the kill test and its lowering steps read them.
+    A crystal that would grow past `DEFAULT_CRYSTAL_CAP` elements raises
+    CapExceeded.
     """
     roots = [(rs.simple_root(i).num, _support(rs.coroot(i).num)) for i in range(1, rs.rank + 1)]
     start = straight_path(rs, lam)
@@ -357,8 +361,8 @@ def generate_crystal(rs: RootSystem, lam: Weight, cap: int = DEFAULT_CRYSTAL_CAP
             image = _lower(alpha, current, h)
             at = index.get(image)
             if at is None:
-                if len(elements) >= cap:
-                    raise CapExceeded(f"crystal of {lam!r} exceeded {cap} elements")
+                if len(elements) >= DEFAULT_CRYSTAL_CAP:
+                    raise CapExceeded(f"crystal of {lam!r} exceeded {DEFAULT_CRYSTAL_CAP} elements")
                 index[image] = at = len(elements)
                 elements.append(image)
             edges.append((qi, i, at))

@@ -20,33 +20,33 @@ The ladder groups R3-R6 are computed by `idempotents.ladder_check`.
 
 Two facts of the carriers cut the work of `replinalg`'s row kernel.
 
-Diagonal scans.  The weight basis is an eigenbasis of every H_i and every
-1_lam, so each H_i's diagonal is read once, and an H_i that is not
+Diagonal values.  The weight basis is an eigenbasis of every H_i and
+every 1_lam, so each H_i's diagonal is read once, and an H_i that is not
 diagonal is a failed check.  X1 then holds (diagonal operators commute);
-X3's residual [H_i, x] + d x has the entries x_ab (h_a - h_b + d), one
-scan of x; X6 and X7 multiply out diagonal values, each signed sum J of X7
-being the signed sum of the diagonals.  R1's product 1_lam 1_mu is
-index-by-index, so only projectors whose supports meet are paired, and the
-completeness sum is a sum of diagonal values.
+X6 and X7 multiply out diagonal values, each signed sum J of X7 being the
+signed sum of the diagonals.  R1's product 1_lam 1_mu is index-by-index,
+so only projectors whose supports meet are paired, and the completeness
+sum is a sum of diagonal values.  Every bracket, X3's [H_i, x] + d x
+included, is one pass of the row kernel.
 
 Place symmetry.  The lifted generators commute with the permutations of
 the tensor places of each tower block, which permute the base-m digits of
 an index, so every residual R of them has R[sa, sb] = R[a, b] and is zero
 exactly when its rows at the non-decreasing digit tuples are
 (`replinalg.orbit_rows`): 330 of 2801 rows on B3 r=4.  Where the e_i and
-f_i (and the H_i diagonals, or R2's target) pass `place_invariance`'s
-entry lookups, the X2/R2 commutators, the Serre chains and the X3 scans
-are formed on those rows alone, and in full where they do not.  Row a of
-[x, z] reads row a of z and the rows of z at the columns x stores in row
-a, so each bracket of a Serre chain forms just the rows the next one
-reads, planned backwards from the orbit rows, and no intermediate is
-formed in full.  The orbit rows also give the full residual's witness.
-Sorting an index's digits gives its orbit row, the smallest index of its
-orbit (digit 0 is the most significant), and row sa is row a with its
-columns permuted.  So the smallest row that holds a largest-magnitude
-entry is an orbit row, formed whole: whether a residual is zero, its
-largest magnitude and the first entry of it in (row, column) order are the
-full residual's, and the witness is the one the full residuals give.
+f_i (and the H_i, or R2's target) pass `place_invariance`'s entry lookups,
+the X2/R2 commutators, the X3 brackets and the Serre chains are formed on
+those rows alone, and in full where they do not.  Row a of [x, z] reads
+row a of z and the rows of z at the columns x stores in row a, so each
+bracket of a Serre chain forms just the rows the next one reads, planned
+backwards from the orbit rows, and no intermediate is formed in full.  The
+orbit rows also give the full residual's witness.  Sorting an index's
+digits gives its orbit row, the smallest index of its orbit (digit 0 is
+the most significant), and row sa is row a with its columns permuted.  So
+the smallest row that holds a largest-magnitude entry is an orbit row,
+formed whole: whether a residual is zero, its largest magnitude and the
+first entry of it in (row, column) order are the full residual's, and the
+witness is the one the full residuals give.
 
 The zero-locus scan (over the L1 shells a zero can lie on) lives here as
 well, since it decides which relation groups are redundant.  The
@@ -64,7 +64,6 @@ from .replinalg import (
     ExactMatrix,
     Representation,
     _combine,
-    diagonal_bracket,
     orbit_rows,
     place_invariance,
     product_of_shifts,
@@ -192,26 +191,26 @@ def _serre_cases(gens, cartan, rows=None):
 def _commutator_cases(e, f, target, rows=None, fixed=None):
     """Residuals of [e_i, f_j] = delta_ij target(i); target is built only when i == j.
 
-    Each residual is formed on `rows` (None: all); a target, which is
-    diagonal, goes with them where its values pass `fixed` (None: every
-    target is fixed), and is formed in full otherwise.
+    Each residual is formed on `rows` (None: all); a target goes with them
+    where it passes `fixed` (None: every target is fixed), and is formed in
+    full otherwise.
     """
     n = len(e)
     for i in range(n):
         for j in range(n):
             t = target(i) if i == j else None
-            on = rows if t is None or fixed is None or fixed(t.diagonal()) else None
+            on = rows if t is None or fixed is None or fixed(t) else None
             yield (f"i={i+1},j={j+1}", e[i].bracket(f[j], t, on))
 
 
-def _orbits(rep, diagonals=()):
+def _orbits(rep, others=()):
     """(rows, fixed): the carrier's orbit rows and the test `place_invariance` gives.
 
-    rows is None when some e_i or f_i, or one of the given diagonals, is not
-    fixed by the place permutations.
+    rows is None when some e_i or f_i, or one of the other given operators,
+    is not fixed by the place permutations.
     """
     fixed = place_invariance(rep)
-    return (orbit_rows(rep) if all(map(fixed, rep.e + rep.f)) and all(map(fixed, diagonals)) else None), fixed
+    return (orbit_rows(rep) if all(map(fixed, [*rep.e, *rep.f, *others])) else None), fixed
 
 
 def _coroot_element(rs, h, i):
@@ -219,13 +218,17 @@ def _coroot_element(rs, h, i):
     return _combine(h[i].size, (), tuple((c, hk) for c, hk in zip(rs.coroot(i + 1).coords, h) if c))
 
 
-def _x3_cases(rs, rep, diagonals, rows):
-    """Residuals of [H_k, x_j] = <eps_k, +-alpha_j> x_j for x = e, f (X3), each one scan of x on `rows` (None: all)."""
-    for k, d in enumerate(diagonals):
+def _x3_cases(rs, rep, rows):
+    """Residuals of [H_k, x_j] = <eps_k, +-alpha_j> x_j for x = e, f (X3), on `rows` (None: all).
+
+    Each residual [H_k, x] - <eps_k, +-alpha_j> x is one pass of the row
+    kernel, as every other bracket of the checks is.
+    """
+    for k, hk in enumerate(rep.h):
         for j in range(rs.rank):
             c = rs.simple_root(j + 1).num[k]  # <eps_k, alpha_j>: integral, as RootSystem checks
             for name, x, shift in ("e", rep.e[j], -c), ("f", rep.f[j], c):
-                yield (f"[H_{k+1},{name}_{j+1}]", diagonal_bracket(d, x, shift, rows))
+                yield (f"[H_{k+1},{name}_{j+1}]", _combine(rep.dim, ((1, hk, x), (-1, x, hk)), ((shift, x),), rows))
 
 
 def _new_report(presentation, rep: Representation):
@@ -249,18 +252,18 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
     report, rs = _new_report("serre", rep)
     n, fam = rs.rank, rs.family
     e, f, h = rep.e, rep.f, rep.h
-    # the weight basis of a carrier is an eigenbasis of every H_i: X1, X3, X6 and X7 read the diagonals
+    # the weight basis of a carrier is an eigenbasis of every H_i: X1, X6 and X7 read the diagonals
     diagonals = []
     for i, hi in enumerate(h):
         if not hi.is_diagonal():
             raise ArithmeticError(f"{fam}6: H_{i+1} not diagonal on the weight basis")
         diagonals.append(hi.diagonal())
     report.relations.append(RelationCheck(label=f"{fam}1", holds=True))  # diagonal operators commute
-    rows, _ = _orbits(rep, diagonals)  # X2's targets and X3's diagonals come from the H_i
+    rows, _ = _orbits(rep, h)  # X2's targets and X3's brackets read the H_i
     x2_cases = _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i), rows)
     report.relations.append(_check_many(f"{fam}2", x2_cases))
 
-    report.relations.append(_check_many(f"{fam}3", _x3_cases(rs, rep, diagonals, rows)))
+    report.relations.append(_check_many(f"{fam}3", _x3_cases(rs, rep, rows)))
     report.relations.append(_check_many(f"{fam}4", _serre_cases(e, rs.cartan, rows)))
     report.relations.append(_check_many(f"{fam}5", _serre_cases(f, rs.cartan, rows)))
 

@@ -16,18 +16,17 @@ other entry or scalar raises TypeError.
 Products, sums, scalar multiples and brackets run one row-wise kernel
 that adds up sum c*(x @ y) + sum c*x one output row at a time, so a
 residual x@y - y@x - t takes one pass and no intermediate matrix.  The
-kernel, `ExactMatrix.bracket` and `diagonal_bracket` take an optional
-list of rows and then form those rows only.
+kernel and `ExactMatrix.bracket` take an optional list of rows and then
+form those rows only.
 
 Cartan operators and weight projectors are diagonal on the weight basis
-of every carrier.  Three places use that.  `product_of_shifts` (and
+of every carrier.  Two places use that.  `product_of_shifts` (and
 `shift_products`, its list of values) takes the diagonal values of an
 operator, which its caller has read off once, and multiplies out each
-distinct value once.  `diagonal_bracket` forms [D, x] + s*x for such a
-diagonal D in one scan of x's entries.  `diagonal_index` lists, per
-index, the matrices of a table of diagonals that hold it, and a table
-matrix that is not diagonal is a failed check (ArithmeticError).  The
-algebra closure grades by the diagonal generators.
+distinct value once.  `diagonal_index` lists, per index, the matrices of
+a table of diagonals that hold it, and a table matrix that is not
+diagonal is a failed check (ArithmeticError).  The algebra closure grades
+by the diagonal generators.
 
 The permutations of the tensor places of a tower block commute with the
 lifted generators.  `orbit_rows` lists one basis index per orbit, and
@@ -317,25 +316,6 @@ def product_of_shifts(diagonal, shifts):
     return ExactMatrix._diag(shift_products(diagonal, shifts))
 
 
-def diagonal_bracket(diagonal, x, shift, rows=None):
-    """[D, x] + shift * x for the diagonal D with these diagonal values, in one scan of x's entries.
-
-    Entry (a, b) is x_ab * (d_a - d_b + shift); zeros are not stored.  With
-    `rows`, only those rows are formed.
-    """
-    data = {}
-    stored = x._data
-    for a in stored if rows is None else rows:
-        row = stored.get(a)
-        if row is None:
-            continue
-        da = diagonal[a] + shift
-        out = tuple([(b, v * (da - diagonal[b])) for b, v in row if da != diagonal[b]])
-        if out:
-            data[a] = out
-    return ExactMatrix(x.size, data)
-
-
 def diagonal_index(table):
     """j -> [(table position, entry at j)] over a table of diagonal matrices.
 
@@ -567,7 +547,7 @@ def orbit_rows(rep: Representation):
 
 
 def place_invariance(rep: Representation):
-    """The exact test whether an operator, or a list of diagonal values, is fixed by the place permutations.
+    """The exact test whether an operator is fixed by the place permutations.
 
     Two index maps stand for all of them: the swap of the first two places
     and the rotation of all places, on every block at once (`_place_maps`).
@@ -578,13 +558,11 @@ def place_invariance(rep: Representation):
     bijection, the stored rows are then permuted among themselves and
     x[p(a), p(b)] = x[a, b] everywhere.  A row stores each column once, so
     the test looks each moved pair up in the short row p(a) and sorts no
-    row.  A diagonal d is fixed when d[p(a)] = d[a].
+    row.
     """
     maps = _place_maps(rep)
 
     def fixed(x):
-        if isinstance(x, list):
-            return all([x[a] for a in p] == x for p in maps)
         data = x._data
         for p in maps:
             for a, row in data.items():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import schurkit
-from schurkit import cli, decomposition
+from schurkit import cli, closure, decomposition
 from schurkit.decomposition import (
     DecompositionResult,
     classify_type_B,
@@ -20,7 +20,7 @@ from schurkit.decomposition import (
     weyl_dimension,
 )
 from schurkit.rootdata import InvariantError, LieType, Weight, build_root_system
-from schurkit.weightsets import tensor_dominant_pi
+from schurkit.weightsets import WeightSet, tensor_dominant_pi
 from conftest import all_lie_types, fundamental_weights, rebuild
 
 SRC = os.path.dirname(os.path.dirname(schurkit.__file__))
@@ -410,6 +410,22 @@ def test_non_dominant_factor_weight_is_a_failed_check(flags, script, message):
     assert proc.stdout == ""
     assert proc.stderr.startswith(message)
     assert "is not dominant" not in proc.stderr
+
+
+def test_closure_checks_pi_before_either_closure(monkeypatch):
+    # the closure job chamber-checks pi and the factor rules after building both carriers and before closing
+    # either, so a non-dominant weight in pi is exit 1 with no closure formed and no oracle asked
+    real = decomposition.tensor_dominant_pi
+    extra = lambda lt, r: WeightSet.make([*real(lt, r), Weight((-1, 0))], "pi")
+    monkeypatch.setattr(decomposition, "tensor_dominant_pi", extra)
+    calls = []
+    monkeypatch.setattr(closure, "algebra_closure", lambda *args: calls.append(args))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["closure", "C", "2", "2"], stdout=out, stderr=err) == 1
+    assert (out.getvalue(), calls) == ("", [])
+    assert err.getvalue() == (
+        "check failed: dominant tensor weights: [Weight(-1, 0)] of C2 r=2 lie outside the dominant chamber\n"
+    )
 
 
 # The census checks each weight and its dual -w0(lam) against the chamber

@@ -30,6 +30,7 @@ from schurkit.presentation import (
     _projector_cases,
     _serre_cases,
     _serre_sum,
+    _x3_cases,
     verify_idempotent_presentation,
     verify_serre_presentation,
 )
@@ -388,6 +389,7 @@ def test_shortcut_groups_match_the_direct_brackets(family, rank, r):
         for rows in (None, _orbits(bad)[0]):
             for label, cases in (
                 ("X2", _commutator_cases(bad.e, bad.f, target, rows)),
+                ("X3", _x3_cases(rs, bad, rows)),
                 ("X4", _serre_cases(bad.e, rs.cartan, rows)),
                 ("X5", _serre_cases(bad.f, rs.cartan, rows)),
             ):

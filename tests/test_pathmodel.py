@@ -12,6 +12,7 @@ from schurkit.pathmodel import (
     _positively_parallel,
     _raising_table,
     basis_census,
+    crystal_dimensions,
     e_op,
     f_op,
     generate_crystal,
@@ -263,10 +264,15 @@ def test_is_integral_reads_only_the_minima():
     assert is_integral(rs, Path.from_points([w((0, 0)), w((third, Fraction(1, 5))), w((1, 1))]))
 
 
-def test_crystal_cap():
+def test_crystal_cap(monkeypatch):
+    # both refusals read the cap when called: the dimension check before any crystal, and the growth check
     rs = rs_of("B", 2)
-    with pytest.raises(CapExceeded):
-        generate_crystal(rs, Weight((1, 1)), cap=5)
+    monkeypatch.setattr(pathmodel, "DEFAULT_CRYSTAL_CAP", 5)
+    with pytest.raises(CapExceeded, match="exceeded 5 elements"):
+        generate_crystal(rs, Weight((1, 1)))
+    with pytest.raises(CapExceeded, match="would have 10 elements, its Weyl dimension, over the cap 5"):
+        crystal_dimensions(rs, [Weight((1, 0)), Weight((1, 1))])
+    assert crystal_dimensions(rs, [Weight((1, 0))]) == [5] and len(generate_crystal(rs, Weight((1, 0)))) == 5
 
 
 def test_crystal_edges_are_lowering_steps():

@@ -22,8 +22,8 @@ from schurkit.replinalg import (
     ExactMatrix,
     _place_maps,
     _RowSpan,
+    _combine,
     algebra_closure,
-    diagonal_bracket,
     indices,
     natural_rep,
     natural_weights,
@@ -112,19 +112,6 @@ def test_product_of_shifts_on_a_diagonal_matches_the_general_loop(diag, shifts):
     assert product_of_shifts(diag, shifts) == ExactMatrix.from_dense(_dense_shift_product(dense, shifts))
 
 
-def test_diagonal_bracket_matches_the_full_bracket():
-    rng = random.Random(17)
-    for n in (1, 3, 5):
-        for _ in range(8):
-            diag = [rng.randint(-3, 3) for _ in range(n)]
-            x = ExactMatrix.from_dense(random_matrix(rng, n))
-            shift = rng.randint(-2, 2)
-            d = ExactMatrix.diag(diag)
-            assert diagonal_bracket(diag, x, shift) == d @ x - x @ d + shift * x
-    # an eigenvector ladder: [D, x] = 2x, so the residual with shift -2 is zero
-    assert diagonal_bracket([1, -1], ExactMatrix.unit(2, 0, 1, 5), -2).is_zero()
-
-
 def test_basic_arithmetic_and_normalization():
     a = ExactMatrix.from_dense([[1, 0], [0, -1]])
     assert a == ExactMatrix.diag([1, -1])
@@ -204,7 +191,7 @@ def test_rows_that_cancel_to_zero_are_not_stored(mats, data):
 
 
 def _dense_diagonal_bracket(diag, x, shift, rows=None):
-    """Entry (a, b) is x_ab * (d_a - d_b + shift), on `rows` only if given."""
+    """[D, x] + shift * x for the diagonal D with values diag: x_ab * (d_a - d_b + shift), on `rows` only if given."""
     n = len(diag)
     kept = range(n) if rows is None else set(rows)
     return [[x[a][b] * (diag[a] - diag[b] + shift) if a in kept else 0 for b in range(n)] for a in range(n)]
@@ -223,6 +210,8 @@ def test_every_constructor_and_kernel_stores_pair_rows_in_normal_form(mats, k, d
     entries = list(a.iter_entries()) + [(i, j, -v) for i, j, v in b.iter_entries()] + list(b.iter_entries())
     data.draw(st.randoms(use_true_random=False)).shuffle(entries)  # b's entries cancel, in any order
     ix = indices(n)
+    d = ExactMatrix.diag(diag)
+    x3 = ((1, d, a), (-1, a, d))
     diagonal = lambda values: [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
     cases = [
         (ExactMatrix.from_entries(n, entries), dense(a)),
@@ -241,8 +230,9 @@ def test_every_constructor_and_kernel_stores_pair_rows_in_normal_form(mats, k, d
         (a.bracket(b, c), dense(unfused_combine(n, [(1, a, b), (-1, b, a)], [(-1, c)]))),
         (a.bracket(b, None, rows), dense(unfused_combine(n, [(1, a, b), (-1, b, a)], rows=rows))),
         (a.bracket(b, c, rows), dense(unfused_combine(n, [(1, a, b), (-1, b, a)], [(-1, c)], rows))),
-        (diagonal_bracket(diag, a, shift), _dense_diagonal_bracket(diag, dense(a), shift)),
-        (diagonal_bracket(diag, a, shift, rows), _dense_diagonal_bracket(diag, dense(a), shift, rows)),
+        # X3's residual [H, x] + shift * x: a bracket with a diagonal factor and a term, in one kernel pass
+        (_combine(n, x3, ((shift, a),)), _dense_diagonal_bracket(diag, dense(a), shift)),
+        (_combine(n, x3, ((shift, a),), rows), _dense_diagonal_bracket(diag, dense(a), shift, rows)),
         (product_of_shifts(diag, shifts), _dense_shift_product(diagonal(diag), shifts)),
     ]
     for got, expected in cases:

@@ -34,7 +34,7 @@ MUTANTS = [
     (
         "_orbits' gate always passes",
         "presentation.py",
-        "return (orbit_rows(rep) if all(map(fixed, rep.e + rep.f)) and all(map(fixed, diagonals)) else None), fixed",
+        "return (orbit_rows(rep) if all(map(fixed, [*rep.e, *rep.f, *others])) else None), fixed",
         "return orbit_rows(rep), fixed",
         "",
     ),
@@ -57,21 +57,31 @@ MUTANTS = [
     (
         "_closure_seeds drops X2",
         "closure.py",
-        "itertools.chain(x2, _x3_cases(rs, rep, diagonals, orbits))",
-        "itertools.chain(_x3_cases(rs, rep, diagonals, orbits))",
+        "itertools.chain(x2, _x3_cases(rs, rep, orbits))",
+        "itertools.chain(_x3_cases(rs, rep, orbits))",
         "",
     ),
     (
         "_closure_seeds drops X3",
         "closure.py",
-        "itertools.chain(x2, _x3_cases(rs, rep, diagonals, orbits))",
+        "itertools.chain(x2, _x3_cases(rs, rep, orbits))",
         "itertools.chain(x2)",
-        "open: no known carrier passes X2, fails X3 and has a seeded dimension that differs from the full one",
+        "open: no known carrier passes X2, fails X3 and has a seeded dimension that differs from the full one; "
+        "X2 and X3 on the f side alone already make the dominant seeds valid, since the alpha_i-component E_i "
+        "of e_i lies in A and (E_i, h_i, f_i) is an sl2-triple, so n_i in A maps 1_mu to 1_{s_i mu}; only a "
+        "fault that breaks X3 on both sides could kill it",
+    ),
+    (
+        "_x3_cases flips the sign of X3's shift term",
+        "presentation.py",
+        "_combine(rep.dim, ((1, hk, x), (-1, x, hk)), ((shift, x),), rows)",
+        "_combine(rep.dim, ((1, hk, x), (-1, x, hk)), ((-shift, x),), rows)",
+        "",
     ),
     (
         "_commutator_cases ignores R2's target gate",
         "presentation.py",
-        "on = rows if t is None or fixed is None or fixed(t.diagonal()) else None",
+        "on = rows if t is None or fixed is None or fixed(t) else None",
         "on = rows",
         "",
     ),
