@@ -8,15 +8,18 @@ checks that the Cartan and the projector generators generate one algebra;
 it closes both generator sets, in full, only where their classes differ.
 
 `quotient_witness` seeds each closure at the rows that determine A
-(`_closure_seeds`).  Where the generators pass the place gate of
-`presentation`, A commutes with the place permutations, and the closure
-multiplies on the right only, so restriction to the orbit rows is
-injective on A.  Where X2 and X3 hold, n_i = exp(e_i) exp(-f_i) exp(e_i)
-lies in A and conjugates 1_mu to 1_{s_i mu}, so 1_{w mu} A = n_w 1_mu A:
-only the dominant weights' rows are seeded, and dim A = sum over dominant
-mu of |W mu| dim 1_mu A.  Otherwise every row, or every weight class, is
-seeded.  A dimension that differs from its expected sum names the first
-weight mu at which dim 1_mu A differs from sum_lam m_lam(mu) dim L(lam).
+(`_closure_seeds`), or at every row.  Where the e_i, f_i and H_i pass the
+place gate `replinalg.orbit_rows`, A commutes with the place permutations,
+and the closure multiplies on the right only, so restriction to the orbit
+rows is injective on A.  Where, besides, every H_i is diagonal and X2 and
+X3 hold, n_i = exp(e_i) exp(-f_i) exp(e_i) lies in A and conjugates 1_mu
+to 1_{s_i mu}, so 1_{w mu} A = n_w 1_mu A: only the dominant weights'
+orbit rows are seeded, and dim A = sum over dominant mu of |W mu| dim 1_mu
+A.  X2 alone does not suffice: a C1 r=2 fault that passes the gate and X2
+and breaks X3 on both sides would read 7 for a closure of dimension 10.
+Every row is seeded otherwise.  A dimension that differs from its expected
+sum names the first weight mu at which dim 1_mu A differs from sum_lam
+m_lam(mu) dim L(lam).
 
 The relation checks do not need this module, so the jobs that run them do
 not execute it.
@@ -28,8 +31,8 @@ import itertools
 
 from . import decomposition
 from .idempotents import IdempotentFamily
-from .presentation import _commutator_cases, _coroot_element, _orbits, _x3_cases
-from .replinalg import Representation, algebra_closure, single_power_rep, tower_rep
+from .presentation import _commutator_cases, _coroot_element, _x3_cases
+from .replinalg import Representation, algebra_closure, orbit_rows, single_power_rep, tower_rep
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import tensor_dominant_pi
 
@@ -73,21 +76,22 @@ class QuotientReport:
 
 
 def _closure_seeds(rep: Representation, rs):
-    """(orbits, weight): what a closure of the carrier's generators may leave unseeded.
+    """(rows, weight): the rows a closure of the carrier's generators is seeded at, or (None, None) for every row.
 
-    orbits is `_orbits`' list of orbit rows, None where an e_i, f_i or H_i
-    fails the place gate.  weight(a) is the H-eigenvalue
-    tuple of index a where every H_i is diagonal and X2 and X3 hold, so that
-    the dominant weights' rows determine A; else weight is None.
+    Where every H_i is diagonal, the e_i, f_i and H_i pass the place gate and
+    X2 and X3 hold, rows are the orbit rows at dominant weights and weight(a)
+    is the H-eigenvalue tuple of index a.  X2 and X3 are decided on the orbit
+    rows, as in the Serre check.
     """
     if not all(hi.is_diagonal() for hi in rep.h):
         return None, None
-    orbits, _ = _orbits(rep, rep.h)
+    orbits = orbit_rows(rep, rep.generator_lists())
     x2 = _commutator_cases(rep.e, rep.f, lambda i: _coroot_element(rs, rep.h, i), orbits)
-    if not all(res.is_zero() for _, res in itertools.chain(x2, _x3_cases(rs, rep, orbits))):
-        return orbits, None
+    if orbits is None or not all(res.is_zero() for _, res in itertools.chain(x2, _x3_cases(rs, rep, orbits))):
+        return None, None
     diagonals = [hi.diagonal() for hi in rep.h]
-    return orbits, lambda a: tuple(d[a] for d in diagonals)
+    weight = lambda a: tuple(d[a] for d in diagonals)
+    return [a for a in orbits if rs.in_chamber(weight(a))], weight
 
 
 def _closure_dimension(rep: Representation, rs):
@@ -95,8 +99,7 @@ def _closure_dimension(rep: Representation, rs):
 
     With dominant seeds, dim A = sum over dominant mu of |W mu| dim 1_mu A.
     """
-    orbits, weight = _closure_seeds(rep, rs)
-    rows = orbits if weight is None else [a for a in orbits or range(rep.dim) if rs.in_chamber(weight(a))]
+    rows, weight = _closure_seeds(rep, rs)
     res = algebra_closure(rep.generator_lists(), rows)
     if weight is None:
         return res.dimension, res, False

@@ -184,6 +184,12 @@ def reconstruct_H(fam: IdempotentFamily, i) -> ExactMatrix:
     return fam.weighted_sum(lambda lam: lam.coords[i - 1])
 
 
+def _check_sizes(table, dim):
+    """Refuse a projector table of another carrier: every projector must have size dim (ValueError)."""
+    if any(m.size != dim for m in table.values()):
+        raise ValueError(f"size mismatch: the projectors against a carrier of dimension {dim}")
+
+
 class LadderReport:
     """Nonzero residuals of the ladder families R3-R6, per label."""
 
@@ -228,8 +234,7 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
     rs = build_root_system(rep.lie_type)
     members = fam.pi_all.as_set()
     table = fam.table
-    if any(m.size != rep.dim for m in table.values()):
-        raise ValueError(f"size mismatch: the projectors against a carrier of dimension {rep.dim}")
+    _check_sizes(table, rep.dim)
     holders = fam.holders()
     lams = list(table)
     position = {lam: n for n, lam in enumerate(lams)}

@@ -32,42 +32,36 @@ included, is one pass of the row kernel.
 Place symmetry.  The lifted generators commute with the permutations of
 the tensor places of each tower block, which permute the base-m digits of
 an index, so every residual R of them has R[sa, sb] = R[a, b] and is zero
-exactly when its rows at the non-decreasing digit tuples are
-(`replinalg.orbit_rows`): 330 of 2801 rows on B3 r=4.  Where the e_i and
-f_i (and the H_i, or R2's target) pass `place_invariance`'s entry lookups,
-the X2/R2 commutators, the X3 brackets and the Serre chains are formed on
-those rows alone, and in full where they do not.  Row a of [x, z] reads
-row a of z and the rows of z at the columns x stores in row a, so each
-bracket of a Serre chain forms just the rows the next one reads, planned
-backwards from the orbit rows, and no intermediate is formed in full.  The
-orbit rows also give the full residual's witness.  Sorting an index's
-digits gives its orbit row, the smallest index of its orbit (digit 0 is
-the most significant), and row sa is row a with its columns permuted.  So
-the smallest row that holds a largest-magnitude entry is an orbit row,
-formed whole: whether a residual is zero, its largest magnitude and the
-first entry of it in (row, column) order are the full residual's, and the
-witness is the one the full residuals give.
+exactly when its rows at the non-decreasing digit tuples are: 330 of 2801
+rows on B3 r=4.  Each check calls the place gate `replinalg.orbit_rows`
+once, on every operator its residuals read: the Serre check on the e_i,
+f_i and H_i, the idempotent check on the e_i, f_i and the projector table.
+Where the gate passes, the X2/R2 commutators, the X3 brackets and the
+Serre chains are formed on those rows alone, and in full where it fails.
+Row a of [x, z] reads row a of z and the rows of z at the columns x stores
+in row a, so each bracket of a Serre chain forms just the rows the next
+one reads, planned backwards from the orbit rows, and no intermediate is
+formed in full.  The orbit rows also give the full residual's witness.
+Sorting an index's digits gives its orbit row, the smallest index of its
+orbit (digit 0 is the most significant), and row sa is row a with its
+columns permuted.  So the smallest row that holds a largest-magnitude
+entry is an orbit row, formed whole: whether a residual is zero, its
+largest magnitude and the first entry of it in (row, column) order are the
+full residual's, and the witness is the one the full residuals give.
 
 The zero-locus scan (over the L1 shells a zero can lie on) lives here as
 well, since it decides which relation groups are redundant.  The
-generated-algebra comparisons, which read the X2 and X3 checks and the
-place gate from here, are in `closure`, so that the jobs that check
-relations do not execute them.
+generated-algebra comparisons, which read the X2 and X3 checks from
+here, are in `closure`, so that the jobs that check relations do not
+execute them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .idempotents import IdempotentFamily, annihilator_for_signed_sums, ladder_check, p1
-from .replinalg import (
-    ExactMatrix,
-    Representation,
-    _combine,
-    orbit_rows,
-    place_invariance,
-    product_of_shifts,
-)
+from .idempotents import IdempotentFamily, _check_sizes, annihilator_for_signed_sums, ladder_check, p1
+from .replinalg import ExactMatrix, Representation, _combine, orbit_rows, product_of_shifts
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import WeightSet, compositions, tensor_weights_Pi
 
@@ -188,29 +182,12 @@ def _serre_cases(gens, cartan, rows=None):
         yield (f"i={i+1},j={j+1}", _serre_sum(gens[i], gens[j], cartan[i][j], rows))
 
 
-def _commutator_cases(e, f, target, rows=None, fixed=None):
-    """Residuals of [e_i, f_j] = delta_ij target(i); target is built only when i == j.
-
-    Each residual is formed on `rows` (None: all); a target goes with them
-    where it passes `fixed` (None: every target is fixed), and is formed in
-    full otherwise.
-    """
+def _commutator_cases(e, f, target, rows=None):
+    """Residuals of [e_i, f_j] = delta_ij target(i), each on `rows` (None: all); target is built only when i == j."""
     n = len(e)
     for i in range(n):
         for j in range(n):
-            t = target(i) if i == j else None
-            on = rows if t is None or fixed is None or fixed(t) else None
-            yield (f"i={i+1},j={j+1}", e[i].bracket(f[j], t, on))
-
-
-def _orbits(rep, others=()):
-    """(rows, fixed): the carrier's orbit rows and the test `place_invariance` gives.
-
-    rows is None when some e_i or f_i, or one of the other given operators,
-    is not fixed by the place permutations.
-    """
-    fixed = place_invariance(rep)
-    return (orbit_rows(rep) if all(map(fixed, [*rep.e, *rep.f, *others])) else None), fixed
+            yield (f"i={i+1},j={j+1}", e[i].bracket(f[j], target(i) if i == j else None, rows))
 
 
 def _coroot_element(rs, h, i):
@@ -259,7 +236,7 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
             raise ArithmeticError(f"{fam}6: H_{i+1} not diagonal on the weight basis")
         diagonals.append(hi.diagonal())
     report.relations.append(RelationCheck(label=f"{fam}1", holds=True))  # diagonal operators commute
-    rows, _ = _orbits(rep, h)  # X2's targets and X3's brackets read the H_i
+    rows = orbit_rows(rep, rep.generator_lists())  # X2's targets and X3's brackets read the H_i
     x2_cases = _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i), rows)
     report.relations.append(_check_many(f"{fam}2", x2_cases))
 
@@ -316,14 +293,15 @@ def verify_idempotent_presentation(rep: Representation, fam: IdempotentFamily) -
     does belong to the carrier weight set) are skipped: the missing
     projector is a completeness defect, which R1 reports.
     """
+    _check_sizes(fam.table, rep.dim)  # before the place gate reads the table
     report, rs = _new_report("idempotent", rep)
-    rows, fixed = _orbits(rep)
+    rows = orbit_rows(rep, [*rep.e, *rep.f, *fam.table.values()])  # R2's targets are sums of the projectors
     # R7 and R8 are checked first, so that the Serre brackets, the largest
     # intermediates, are freed before the family's projector index is built
     serre = [_check_many(f"R{k}", _serre_cases(gens, rs.cartan, rows)) for k, gens in ((7, rep.e), (8, rep.f))]
     report.relations.append(_check_many("R1", _projector_cases(fam, rep.dim)))
     coroot_target = lambda i: fam.weighted_sum(rs.coroot(i + 1).dot)  # sum_lam <lam, alpha_i^vee> 1_lam
-    report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target, rows, fixed)))
+    report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target, rows)))
     for label, cases in ladder_check(fam, rep).residuals.items():
         report.relations.append(_check_many(label, cases))
     report.relations.extend(serre)

@@ -29,10 +29,10 @@ diagonal is a failed check (ArithmeticError).  The algebra closure grades
 by the diagonal generators.
 
 The permutations of the tensor places of a tower block commute with the
-lifted generators.  `orbit_rows` lists one basis index per orbit, and
-`place_invariance` tests by entry lookups whether an operator is fixed by
-those permutations: an operator built from fixed ones is zero exactly
-when its orbit rows are.
+lifted generators.  `orbit_rows`, the one place gate, lists one basis
+index per orbit, and gives None where an operator it is given is not fixed
+by those permutations (entry lookups decide): an operator built from fixed
+ones is zero exactly when its orbit rows are.
 
 The module also provides the carriers - the natural module as the
 degree-1 carrier, and the tower (a direct sum of tensor powers of the
@@ -524,16 +524,37 @@ def single_power_rep(lt: LieType, r: int, max_dim=None) -> Representation:
 # Place permutations of the tensor powers
 
 
-def orbit_rows(rep: Representation):
-    """One basis index per orbit of the tensor-place permutations: those whose digits do not decrease.
+def orbit_rows(rep: Representation, operators=()):
+    """One basis index per orbit of the tensor-place permutations, or None where a given operator is not fixed by them.
 
     The permutations of the s places of a block permute the s base-m digits
     of its indices, and each orbit holds exactly one index whose digits do
     not decrease: C(m+s-1, s) of the block's m^s indices.  An operator fixed
-    by the place permutations (`place_invariance`) is zero exactly when its
-    rows at these indices are, and products, sums and brackets of fixed
-    operators are fixed.
+    by the place permutations is zero exactly when its rows at these indices
+    are, and products, sums and brackets of fixed operators are fixed, so a
+    caller passes every operator its residuals read.
+
+    Two index maps stand for all the permutations: the swap of the first two
+    places and the rotation of all places, on every block at once
+    (`_place_maps`).  On a block of power s they generate S_s.  An operator x
+    is fixed by a map p when, for every stored row a, the stored row p(a) has
+    as many entries and holds x[a, b] at p(b) for each of them: as p is a
+    bijection, the stored rows are then permuted among themselves and
+    x[p(a), p(b)] = x[a, b] everywhere.  A row stores each column once, so
+    the test looks each moved pair up in the short row p(a) and sorts no
+    row.
     """
+    maps = _place_maps(rep)
+    for x in operators:
+        data = x._data
+        for p in maps:
+            for a, row in data.items():
+                moved = data.get(p[a])
+                if moved is None or len(moved) != len(row):
+                    return None
+                for b, v in row:
+                    if (p[b], v) not in moved:
+                        return None
     m = rep.lie_type.natural_dim
     ix = indices(rep.dim)
     rows = []
@@ -544,37 +565,6 @@ def orbit_rows(rep: Representation):
                 index = index * m + d
             rows.append(ix[offset + index])
     return rows
-
-
-def place_invariance(rep: Representation):
-    """The exact test whether an operator is fixed by the place permutations.
-
-    Two index maps stand for all of them: the swap of the first two places
-    and the rotation of all places, on every block at once (`_place_maps`).
-    On a block of power s they generate S_s, so the group they generate
-    moves every index to every index of its orbit.  An operator x is fixed
-    by a map p when, for every stored row a, the stored row p(a) has as
-    many entries and holds x[a, b] at p(b) for each of them: as p is a
-    bijection, the stored rows are then permuted among themselves and
-    x[p(a), p(b)] = x[a, b] everywhere.  A row stores each column once, so
-    the test looks each moved pair up in the short row p(a) and sorts no
-    row.
-    """
-    maps = _place_maps(rep)
-
-    def fixed(x):
-        data = x._data
-        for p in maps:
-            for a, row in data.items():
-                moved = data.get(p[a])
-                if moved is None or len(moved) != len(row):
-                    return False
-                for b, v in row:
-                    if (p[b], v) not in moved:
-                        return False
-        return True
-
-    return fixed
 
 
 def _place_maps(rep: Representation):

@@ -1,18 +1,22 @@
 """The closure of a carrier seeded at the rows that determine it.
 
-`closure._closure_dimension` seeds the closure at the orbit rows of
-the tensor-place permutations where the generators pass the place gate,
-and only at the dominant weights' rows where X2 and X3 hold, then reads
-dim A as sum |W mu| dim 1_mu A.  Each reduction must give the full
-closure's dimension: on criterion 6's carriers, and on seeded faults, where
-a fault that is not fixed by the place permutations takes every row and one
-that breaks X2 or X3 takes every weight class.
+`closure._closure_dimension` seeds the closure at the dominant weights'
+orbit rows of the tensor-place permutations where the e_i, f_i and H_i pass
+the place gate and X2 and X3 hold, and reads dim A as sum |W mu| dim 1_mu A;
+everywhere else it seeds every row.  The seeded dimension must be the full
+closure's on criterion 6's carriers, and a seeded fault that is not fixed
+by the place permutations or breaks X2 or X3 must take every row.  Each
+premise is needed: an H_1 changed off the orbit rows of the C2 r=2 tower
+passes X2 and X3 there and fails only the gate on the H_i, and would read
+161 for 257; on the C1 r=2 tower a fault that passes the gate and X2 and
+breaks X3 on both sides would read 7 for 10, so X2 alone does not suffice.
 `presentations_generate_same_algebra` must give the full comparison's
 answer: with no closure where the projector classes are the H classes, and
 from two closures on every row where they differ, as where a projector
 splits its weight class or the projector table is empty.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -20,11 +24,12 @@ from pathlib import Path
 
 import pytest
 
-from schurkit import closure, presentation, replinalg
+from schurkit import closure, presentation
 from schurkit.idempotents import build_idempotents
 from schurkit.closure import _closure_dimension, _closure_seeds, presentations_generate_same_algebra
+from schurkit.presentation import _commutator_cases, _coroot_element, _x3_cases
 from schurkit.replinalg import ExactMatrix, algebra_closure, orbit_rows, single_power_rep, tower_rep
-from schurkit.rootdata import LieType, build_root_system
+from schurkit.rootdata import LieType, Weight, build_root_system
 from conftest import rebuild
 from test_ladders import _seeded_faults as ladder_faults
 from test_orbits import seeded_faults as orbit_faults
@@ -42,8 +47,9 @@ def carriers(family, rank, r):
 def test_seeded_closure_dimension_is_the_full_closures(family, rank, r):
     rs, reps = carriers(family, rank, r)
     for rep in reps:
-        orbits, weight = _closure_seeds(rep, rs)
-        assert orbits == orbit_rows(rep) and weight is not None, rep.kind
+        rows, weight = _closure_seeds(rep, rs)
+        assert weight is not None, rep.kind
+        assert rows == [a for a in orbit_rows(rep) if rs.in_chamber(weight(a))], rep.kind
         dim, res, dominant = _closure_dimension(rep, rs)
         assert dominant
         assert dim == algebra_closure(rep.generator_lists()).dimension, rep.kind
@@ -61,21 +67,63 @@ def generator_faults(rep, fam):
 
 
 @pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2)])
-def test_faults_take_every_row_or_every_class_and_keep_the_dimension(family, rank, r):
+def test_faults_take_every_row_and_keep_the_dimension(family, rank, r):
     rs, reps = carriers(family, rank, r)
     for rep in reps:
         fam = build_idempotents(rep)
         for name, bad, fixed in generator_faults(rep, fam):
-            orbits, weight = _closure_seeds(bad, rs)
             if fixed is not None:
-                assert (orbits is not None) == fixed, name
-            assert weight is None, name  # every seeded fault breaks X2 or X3
+                assert (orbit_rows(bad, bad.generator_lists()) is not None) == fixed, name
+            assert _closure_seeds(bad, rs) == (None, None), name  # every seeded fault breaks X2 or X3
             dim, _, dominant = _closure_dimension(bad, rs)
             assert not dominant, name
             assert dim == algebra_closure(bad.generator_lists()).dimension, (rep.kind, name)
-        # the place-fixed X3 fault keeps the orbit rows and seeds every class
-        bad = {name: carrier for name, carrier, _ in generator_faults(rep, fam)}["e_1 + f_1 in place of e_1"]
-        assert _closure_seeds(bad, rs)[0] == orbit_rows(bad)
+
+
+def ungated_dominant_sum(rep, rs):
+    """sum |W mu| dim 1_mu A over the classes of a closure seeded at the dominant orbit rows, with no gate read."""
+    weight = lambda a: tuple(h.entry(a, a) for h in rep.h)
+    rows = [a for a in orbit_rows(rep) if rs.in_chamber(weight(a))]
+    classes = algebra_closure(rep.generator_lists(), rows).class_dimensions()
+    return sum(len(rs.weyl_orbit(Weight(weight(c[0])))) * d for c, d in classes.items())
+
+
+def test_a_fault_that_passes_the_gate_and_x2_and_breaks_x3_on_both_sides_takes_every_row():
+    # on the C1 r=2 tower (dim 5: degree 0, then the four digit pairs of degree 2), H_1 = diag(-1, 2, 0, 0, -1),
+    # e_1 = E(1,0) + E(0,4) and f_1 = 2 E(0,1) + E(4,0) are fixed by the place permutations and [e_1, f_1] = H_1,
+    # which is h_1 on C1 (X2 holds), but [H_1, e_1] = 3 E(1,0) and [H_1, f_1] = -6 E(0,1) (X3 fails on both sides)
+    rep = tower_rep(LieType("C", 1), 2)
+    rs = build_root_system(rep.lie_type)
+    unit = lambda i, j, v=1: ExactMatrix.unit(rep.dim, i, j, v)
+    h = ExactMatrix.diag([-1, 2, 0, 0, -1])
+    bad = rebuild(rep, e=(unit(1, 0) + unit(0, 4),), f=(unit(0, 1, 2) + unit(4, 0),), h=(h,))
+    assert rep.dim == 5 and orbit_rows(bad, bad.generator_lists()) == [0, 1, 2, 4]
+    assert all(res.is_zero() for _, res in _commutator_cases(bad.e, bad.f, lambda i: _coroot_element(rs, bad.h, i)))
+    assert [case for case, res in _x3_cases(rs, bad, None) if not res.is_zero()] == ["[H_1,e_1]", "[H_1,f_1]"]
+    assert _closure_seeds(bad, rs) == (None, None)
+    dim, _, dominant = _closure_dimension(bad, rs)
+    assert (dim, dominant) == (10, False)
+    assert algebra_closure(bad.generator_lists()).dimension == 10
+    assert ungated_dominant_sum(bad, rs) == 7  # the dominant seeds on X2 alone
+
+
+def test_an_h_fault_off_the_orbit_rows_takes_every_row():
+    # on the C2 r=2 tower, H_1 changed at index 9, which is not an orbit row, is not fixed by the place permutations,
+    # and X2 and X3 still hold on the orbit rows: only the place gate on the H_i keeps the dominant seeds out
+    rep = tower_rep(LieType("C", 2), 2)
+    rs = build_root_system(rep.lie_type)
+    h = list(rep.h)
+    h[0] = h[0] + ExactMatrix.unit(rep.dim, 9, 9)
+    bad = rebuild(rep, h=tuple(h))
+    rows = orbit_rows(bad, [*bad.e, *bad.f])
+    assert 9 not in rows and orbit_rows(bad, bad.generator_lists()) is None
+    x2 = _commutator_cases(bad.e, bad.f, lambda i: _coroot_element(rs, bad.h, i), rows)
+    assert all(res.is_zero() for _, res in itertools.chain(x2, _x3_cases(rs, bad, rows)))
+    assert _closure_seeds(bad, rs) == (None, None)
+    dim, _, dominant = _closure_dimension(bad, rs)
+    assert (dim, dominant) == (257, False)
+    assert algebra_closure(bad.generator_lists()).dimension == 257
+    assert ungated_dominant_sum(bad, rs) == 161  # the dominant seeds with the H_i left out of the gate
 
 
 def full_comparison(rep, fam):
@@ -151,14 +199,13 @@ def split_projector(fam, keep):
 def test_a_projector_that_splits_its_weight_class_generates_another_algebra(family, rank, r, monkeypatch):
     rep = tower_rep(LieType(family, rank), r)
     fam = build_idempotents(rep)
-    fixed = replinalg.place_invariance(rep)
     # the gate passes: the split is along the tower blocks, which the place permutations keep
     _, offset, size = rep.blocks[0]
     by_block = split_projector(fam, lambda support: [a for a in support if offset <= a < offset + size])
-    assert all(fixed(p) for p in by_block.table.values())
+    assert orbit_rows(rep, by_block.table.values()) is not None
     # the gate fails: one index is kept and the rest of its orbit is not
     by_index = split_projector(fam, lambda support: [min(set(support) - set(orbit_rows(rep)))])
-    assert not all(fixed(p) for p in by_index.table.values())
+    assert orbit_rows(rep, by_index.table.values()) is None
     for bad in (by_block, by_index):
         assert full_comparison(rep, bad) is False
         seeded = recording_closure(monkeypatch)

@@ -26,7 +26,6 @@ from schurkit.presentation import (
     _check_many,
     _commutator_cases,
     _coroot_element,
-    _orbits,
     _projector_cases,
     _serre_cases,
     _serre_sum,
@@ -34,7 +33,7 @@ from schurkit.presentation import (
     verify_idempotent_presentation,
     verify_serre_presentation,
 )
-from schurkit.replinalg import ExactMatrix, diagonal_index, tower_rep
+from schurkit.replinalg import ExactMatrix, diagonal_index, orbit_rows, tower_rep
 from schurkit.rootdata import LieType, build_root_system
 from conftest import rebuild, unfused_combine
 
@@ -235,10 +234,16 @@ def test_idempotent_presentation_indexes_the_projector_table_once(monkeypatch):
 
 
 def test_projectors_of_another_carrier_are_refused():
-    _, small, _ = clean_tower("C", 2, 1)
-    _, _, fam = clean_tower("C", 2, 2)
-    with pytest.raises(ValueError, match="size mismatch"):
-        ladder_check(fam, small)
+    # both directions, before the place gate of the idempotent check reads the table: a larger family on the
+    # C2 r=2 carrier used to index past its end (IndexError), and a smaller one reached R2's bracket
+    _, small, small_fam = clean_tower("C", 2, 1)
+    _, rep, fam = clean_tower("C", 2, 2)
+    _, _, large_fam = clean_tower("C", 2, 3)
+    for carrier, family in ((small, fam), (rep, large_fam), (rep, small_fam)):
+        with pytest.raises(ValueError, match="size mismatch"):
+            ladder_check(family, carrier)
+        with pytest.raises(ValueError, match="size mismatch"):
+            verify_idempotent_presentation(carrier, family)
 
 
 def _off_diagonal_family(fam):
@@ -363,7 +368,7 @@ def test_shortcut_groups_match_the_direct_brackets(family, rank, r):
     rs = build_root_system(lt)
     cases = [("clean", rep, clean)] + list(_seeded_faults(rep, clean))
     # both paths run: the orbit rows are dropped exactly where a unit entry broke the place symmetry
-    full_path = {name for name, bad, _ in cases if _orbits(bad)[0] is None}
+    full_path = {name for name, bad, _ in cases if orbit_rows(bad, bad.generator_lists()) is None}
     assert full_path == {"off-diagonal e_1 entry", "f_1 plus a unit entry", "transposed entries of e_1 and f_1"}
     for name, bad, fam in cases:
         direct = _direct_cases(bad, fam)
@@ -386,7 +391,7 @@ def test_shortcut_groups_match_the_direct_brackets(family, rank, r):
         assert list(_projector_cases(fam, bad.dim)) == expected, name
         target = lambda i: _coroot_element(rs, bad.h, i)
         # in full, and on the orbit rows where the generators are fixed by the place permutations
-        for rows in (None, _orbits(bad)[0]):
+        for rows in (None, orbit_rows(bad, bad.generator_lists())):
             for label, cases in (
                 ("X2", _commutator_cases(bad.e, bad.f, target, rows)),
                 ("X3", _x3_cases(rs, bad, rows)),

@@ -1,17 +1,17 @@
 """The relation checks on one row per orbit of the tensor-place permutations.
 
 `orbit_rows` must list one index per orbit, C(m+s-1, s) per block, and
-`place_invariance` must agree with invariance under every element of the
-group its two maps generate.  Where the generators pass the place gate,
-every residual is formed once, on the orbit rows alone, and the reports
-must equal those of the checks with the gate made to fail, which form
-every residual on all rows: on the 24 criterion-1 carriers, on the rank-4
-towers, on seeded faults and on lifted faults of the natural module.  A
-residual of place-fixed factors has R[sa, sb] = R[a, b], and each orbit
-row is the smallest index of its orbit, so a fault that keeps the
-generators fixed leaves a nonzero residual on the orbit rows with the full
-residual's witness; one that is not fixed fails the gate and takes all
-rows.
+its place gate must agree with invariance under every element of the
+group its two maps generate.  Where every operator a check reads passes
+the gate, every residual is formed once, on the orbit rows alone, and the
+reports must equal those of the checks with the gate made to fail, which
+form every residual on all rows: on the 24 criterion-1 carriers, on the
+rank-4 towers, on seeded faults and on lifted faults of the natural
+module.  A residual of place-fixed factors has R[sa, sb] = R[a, b], and
+each orbit row is the smallest index of its orbit, so a fault that keeps
+the generators fixed leaves a nonzero residual on the orbit rows with the
+full residual's witness; one that is not fixed, an H_i or a projector
+included, fails the gate and takes all rows.
 """
 
 import io
@@ -29,16 +29,8 @@ from hypothesis import strategies as st
 
 from schurkit import cli, presentation
 from schurkit.idempotents import build_idempotents
-from schurkit.presentation import _orbits, _serre_sum, verify_idempotent_presentation, verify_serre_presentation
-from schurkit.replinalg import (
-    ExactMatrix,
-    Representation,
-    _lift_rows,
-    natural_rep,
-    orbit_rows,
-    place_invariance,
-    tower_rep,
-)
+from schurkit.presentation import _serre_sum, verify_idempotent_presentation, verify_serre_presentation
+from schurkit.replinalg import ExactMatrix, Representation, _lift_rows, natural_rep, orbit_rows, tower_rep
 from schurkit.rootdata import LieType, build_root_system
 from schurkit.weightsets import tensor_degrees
 from conftest import rebuild
@@ -138,7 +130,7 @@ def test_place_invariance_is_invariance_under_the_generated_group(family, rank, 
         entries = dict(((a, b), v) for a, b, v in x.iter_entries())
         return all(x.entry(g[a], g[b]) == v for g in group for (a, b), v in entries.items())
 
-    fixed = place_invariance(rep)
+    fixed = lambda x: orbit_rows(rep, [x]) is not None
     dim = rep.dim
     # the H_i, the projectors and the changed H_1 below are diagonal operators, tested as every other operator is
     candidates = list(rep.generator_lists()) + list(fam.table.values())
@@ -157,14 +149,13 @@ def test_place_invariance_is_invariance_under_the_generated_group(family, rank, 
 
 def test_natural_module_has_no_moving_place():
     rep, _ = tower("B", 2, 1)
-    fixed = place_invariance(rep)
     assert orbit_rows(rep) == list(range(rep.dim))
-    assert fixed(ExactMatrix.unit(rep.dim, 0, 3, 7)) and fixed(ExactMatrix.diag([1, 2, 3, 4, 5]))
+    assert orbit_rows(rep, [ExactMatrix.unit(rep.dim, 0, 3, 7), ExactMatrix.diag([1, 2, 3, 4, 5])]) == orbit_rows(rep)
 
 
 def all_rows(monkeypatch):
     """Makes the place gate of the relation checks fail, so that they form every residual on all rows."""
-    monkeypatch.setattr(presentation, "_orbits", lambda rep, others=(): (None, place_invariance(rep)))
+    monkeypatch.setattr(presentation, "orbit_rows", lambda rep, operators=(): None)
 
 
 def reports(rep, fam):
@@ -215,6 +206,11 @@ def test_orbit_path_matches_the_full_path_on_rank_4_towers(family, rank, r, max_
     assert reports(rep, fam) == orbit
 
 
+def gates(rep, fam):
+    """The orbit rows of the Serre check's place gate and of the idempotent check's, each None where it fails."""
+    return orbit_rows(rep, rep.generator_lists()), orbit_rows(rep, [*rep.e, *rep.f, *fam.table.values()])
+
+
 def seeded_faults(rep, fam):
     """(name, carrier, family, fixed): one fault each, and whether it is fixed by the place permutations."""
     dim = rep.dim
@@ -237,8 +233,7 @@ def seeded_faults(rep, fam):
 def test_faults_take_the_full_path_or_a_nonzero_orbit_residual(family, rank, r, monkeypatch):
     rep, clean = tower(family, rank, r)
     for name, bad, fam, symmetric in seeded_faults(rep, clean):
-        rows, _ = _orbits(bad)
-        assert (rows is not None) == symmetric, name
+        assert [rows is not None for rows in gates(bad, fam)] == [symmetric, symmetric], name
         probe = RowProbe(monkeypatch)
         orbit = reports(bad, fam)
         assert any(rel["status"] == "fails" for report in orbit for rel in report["relations"]), name
@@ -261,14 +256,15 @@ def moved_index(fam, a, to):
 
 @pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2)])
 def test_a_projector_fault_off_the_orbit_rows_fails_r2_as_on_all_rows(family, rank, r, monkeypatch):
-    # index a is not an orbit row, so the two changed projectors are not fixed by the place permutations: R2's
-    # target fails the gate and goes with every row, and [e_1, f_1] minus that target reads -2 at (a, a) (on C2:
-    # a = 5, moved from 1_(1,1) to 1_(2,0)); formed on the orbit rows alone, R2 would hold
+    # index a is not an orbit row, so the two changed projectors are not fixed by the place permutations: the
+    # idempotent check's gate fails and every residual goes with every row, and [e_1, f_1] minus R2's target reads
+    # -2 at (a, a) (on C2: a = 5, moved from 1_(1,1) to 1_(2,0)); formed on the orbit rows alone, R2 would hold
     rep, clean = tower(family, rank, r)
     a = min(set(range(rep.dim)) - set(orbit_rows(rep)))
     first = next(iter(clean.table))
     assert rep.weights[a] != first and clean.table[rep.weights[a]].entry(a, a) == 1
     fam = moved_index(clean, a, first)
+    assert gates(rep, fam)[1] is None
     report = verify_idempotent_presentation(rep, fam).to_json()
     (r2,) = [rel for rel in report["relations"] if rel["label"] == "R2"]
     assert r2["status"] == "fails"
@@ -277,6 +273,24 @@ def test_a_projector_fault_off_the_orbit_rows_fails_r2_as_on_all_rows(family, ra
         assert (a, rep.weights[a].coords, first.coords) == (5, (1, 1), (2, 0))
     all_rows(monkeypatch)
     assert verify_idempotent_presentation(rep, fam).to_json() == report
+
+
+@pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2)])
+def test_an_h_fault_off_the_orbit_rows_fails_x2_as_on_all_rows(family, rank, r, monkeypatch):
+    # H_1 changed at index a, which is not an orbit row, is not fixed by the place permutations: the Serre check's
+    # gate fails and every residual goes with every row, and [e_1, f_1] minus the coroot target h_1 reads -1 at
+    # (a, a); formed on the orbit rows alone, X2 would hold
+    rep, _ = tower(family, rank, r)
+    a = min(set(range(rep.dim)) - set(orbit_rows(rep)))
+    h = list(rep.h)
+    h[0] = h[0] + ExactMatrix.unit(rep.dim, a, a)
+    bad = rebuild(rep, h=tuple(h))
+    assert orbit_rows(bad, bad.generator_lists()) is None
+    report = verify_serre_presentation(bad).to_json()
+    (x2,) = [rel for rel in report["relations"] if rel["label"] == f"{family}2"]
+    assert x2["witness"] == {"case": "i=1,j=1", "entry": [a, a], "value": "-1/1", "magnitude": "1"}
+    all_rows(monkeypatch)
+    assert verify_serre_presentation(bad).to_json() == report
 
 
 def test_a_tie_in_magnitude_keeps_the_first_case_in_order():
@@ -321,7 +335,7 @@ def natural_faults(draw):
 def test_lifted_natural_faults_pass_the_gate_and_report_as_on_all_rows(case):
     bad, fam = case
     # a lifted operator is fixed by the place permutations, whatever the natural one is
-    assert _orbits(bad, bad.h)[0] is not None
+    assert None not in gates(bad, fam)
     orbit = reports(bad, fam)
     assert any(rel["status"] == "fails" for report in orbit for rel in report["relations"])
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -383,7 +397,7 @@ def test_restricted_serre_chains_are_the_full_ones_at_the_orbit_rows(family, ran
 def test_a_place_fixed_serre_fault_is_nonzero_on_the_orbit_rows(family, rank, r):
     rep, clean = tower(family, rank, r)
     bad = {name: carrier for name, carrier, _, _ in seeded_faults(rep, clean)}["e_1 + f_1 in place of e_1"]
-    rows = _orbits(bad)[0]
+    rows = orbit_rows(bad, bad.generator_lists())
     assert rows is not None
     a = build_root_system(bad.lie_type).cartan[0][1]
     full = _serre_sum(bad.e[0], bad.e[1], a)

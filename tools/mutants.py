@@ -32,10 +32,31 @@ MUTANTS = [
         "",
     ),
     (
-        "_orbits' gate always passes",
+        "orbit_rows' place gate always passes",
+        "replinalg.py",
+        "    for x in operators:\n",
+        "    for x in ():\n",
+        "",
+    ),
+    (
+        "the idempotent gate leaves out the projector table",
         "presentation.py",
-        "return (orbit_rows(rep) if all(map(fixed, [*rep.e, *rep.f, *others])) else None), fixed",
-        "return orbit_rows(rep), fixed",
+        "orbit_rows(rep, [*rep.e, *rep.f, *fam.table.values()])",
+        "orbit_rows(rep, [*rep.e, *rep.f])",
+        "",
+    ),
+    (
+        "the Serre gate leaves out the H_i",
+        "presentation.py",
+        "rows = orbit_rows(rep, rep.generator_lists())",
+        "rows = orbit_rows(rep, [*e, *f])",
+        "",
+    ),
+    (
+        "the closure gate leaves out the H_i",
+        "closure.py",
+        "orbits = orbit_rows(rep, rep.generator_lists())",
+        "orbits = orbit_rows(rep, [*rep.e, *rep.f])",
         "",
     ),
     (
@@ -66,23 +87,14 @@ MUTANTS = [
         "closure.py",
         "itertools.chain(x2, _x3_cases(rs, rep, orbits))",
         "itertools.chain(x2)",
-        "open: no known carrier passes X2, fails X3 and has a seeded dimension that differs from the full one; "
-        "X2 and X3 on the f side alone already make the dominant seeds valid, since the alpha_i-component E_i "
-        "of e_i lies in A and (E_i, h_i, f_i) is an sl2-triple, so n_i in A maps 1_mu to 1_{s_i mu}; only a "
-        "fault that breaks X3 on both sides could kill it",
+        "X2 alone does not suffice: on the C1 r=2 tower, a fault that passes the place gate and X2 and breaks X3 "
+        "on both sides seeds a dimension of 7 against the full closure's 10",
     ),
     (
         "_x3_cases flips the sign of X3's shift term",
         "presentation.py",
         "_combine(rep.dim, ((1, hk, x), (-1, x, hk)), ((shift, x),), rows)",
         "_combine(rep.dim, ((1, hk, x), (-1, x, hk)), ((-shift, x),), rows)",
-        "",
-    ),
-    (
-        "_commutator_cases ignores R2's target gate",
-        "presentation.py",
-        "on = rows if t is None or fixed is None or fixed(t) else None",
-        "on = rows",
         "",
     ),
     (
