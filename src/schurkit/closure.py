@@ -1,25 +1,31 @@
 """Generated-algebra dimensions: the closure of a carrier's generators.
 
-`quotient_witness` measures the algebra A the Chevalley generators
-generate on the single power and on the tower, against the Wedderburn sums
-sum_lam dim L(lam)^2 over pi0 and pi; a positive difference exhibits the
-single power as a proper quotient.  `presentations_generate_same_algebra`
-checks that the Cartan and the projector generators generate one algebra;
-it closes both generator sets, in full, only where their classes differ.
+`quotient_witness` measures the algebra A the Chevalley generators generate
+on the tower and on the single power, against the Wedderburn sums sum_lam
+dim L(lam)^2 over pi and pi0; a positive difference exhibits the single
+power as a proper quotient.  It forms one closure, the tower's: the single
+power is the tower's top block, and every generator keeps the degree, so
+cutting to the block maps A_tower onto A_single and a block row reads block
+columns only; the closure cut to the block's rows
+(`ClosureResult.class_dimensions(rows)`) is the single power's.
+`presentations_generate_same_algebra` checks that the Cartan and the
+projector generators generate one algebra, closing both generator sets in
+full only where their classes differ.
 
-`quotient_witness` seeds each closure at the rows that determine A
-(`_closure_seeds`), or at every row.  Where the e_i, f_i and H_i pass the
-place gate `replinalg.orbit_rows`, A commutes with the place permutations,
-and the closure multiplies on the right only, so restriction to the orbit
-rows is injective on A.  Where, besides, every H_i is diagonal and X2 and
-X3 hold, n_i = exp(e_i) exp(-f_i) exp(e_i) lies in A and conjugates 1_mu
-to 1_{s_i mu}, so 1_{w mu} A = n_w 1_mu A: only the dominant weights'
-orbit rows are seeded, and dim A = sum over dominant mu of |W mu| dim 1_mu
-A.  X2 alone does not suffice: a C1 r=2 fault that passes the gate and X2
-and breaks X3 on both sides would read 7 for a closure of dimension 10.
-Every row is seeded otherwise.  A dimension that differs from its expected
-sum names the first weight mu at which dim 1_mu A differs from sum_lam
-m_lam(mu) dim L(lam).
+The closure is seeded at the rows that determine A (`_closure_seeds`), or
+at every row.  Where the e_i, f_i and H_i pass the place gate
+`replinalg.orbit_rows`, A commutes with the place permutations, and the
+closure multiplies on the right only, so restriction to the orbit rows is
+injective on A.  Where, besides, every H_i is diagonal and X2 and X3 hold,
+n_i = exp(e_i) exp(-f_i) exp(e_i) lies in A and conjugates 1_mu to
+1_{s_i mu}, so 1_{w mu} A = n_w 1_mu A: only the dominant weights' orbit
+rows are seeded, and dim A = sum over dominant mu of |W mu| dim 1_mu A.
+The premises hold on the block too, whose seeds are its own dominant orbit
+rows; where they fail, the cut of the full closure is all of A_single.  X2
+alone does not suffice: a C1 r=2 fault that passes the gate and X2 and
+breaks X3 on both sides would read 7 for 10.  A dimension that differs from
+its expected sum names the first weight mu where dim 1_mu A differs from
+sum_lam m_lam(mu) dim L(lam).
 
 The relation checks do not need this module, so the jobs that run them do
 not execute it.
@@ -32,7 +38,7 @@ import itertools
 from . import decomposition
 from .idempotents import IdempotentFamily
 from .presentation import _commutator_cases, _coroot_element, _x3_cases
-from .replinalg import Representation, algebra_closure, orbit_rows, single_power_rep, tower_rep
+from .replinalg import Representation, algebra_closure, orbit_rows, tower_rep
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import tensor_dominant_pi
 
@@ -50,7 +56,7 @@ class QuotientReport:
         self.expected_single = expected_single
         self.expected_tower = expected_tower
         self.difference = difference
-        self.mismatch = mismatch  # where a dimension differs: the first weight whose dim 1_mu A does
+        self.mismatch = mismatch  # where a dimension differs: the first weight whose dim 1_mu A differs from its sum
 
     @property
     def equal(self):
@@ -94,21 +100,18 @@ def _closure_seeds(rep: Representation, rs):
     return [a for a in orbits if rs.in_chamber(weight(a))], weight
 
 
-def _closure_dimension(rep: Representation, rs):
-    """(dim A, the closure, whether only dominant weights were seeded) for the algebra A of the carrier's generators.
-
-    With dominant seeds, dim A = sum over dominant mu of |W mu| dim 1_mu A.
-    """
-    rows, weight = _closure_seeds(rep, rs)
-    res = algebra_closure(rep.generator_lists(), rows)
-    if weight is None:
-        return res.dimension, res, False
-    dims = res.class_dimensions().items()
-    return sum(len(rs.weyl_orbit(Weight(weight(c[0])))) * d for c, d in dims), res, True
+def _closure_dimensions(tower: Representation, rs):
+    """[(dim A, dim 1_c A per row class c) on the tower, then on its top block], and whether the seeds were dominant."""
+    rows, weight = _closure_seeds(tower, rs)
+    res = algebra_closure(tower.generator_lists(), rows)
+    _, offset, size = tower.blocks[-1]
+    orbit = (lambda c: 1) if weight is None else (lambda c: len(rs.weyl_orbit(Weight(weight(c[0])))))
+    cuts = res.class_dimensions(), res.class_dimensions(range(offset, offset + size))
+    return [(sum(orbit(c) * d for c, d in dims.items()), dims) for dims in cuts], weight is not None
 
 
-def _first_differing_weight(rs, lams, rep, res, dominant):
-    """Where dim 1_mu A differs from sum_lam m_lam(mu) dim L(lam): at the first seeded weight mu, highest first."""
+def _first_differing_weight(rs, lams, kind, weights, dims, dominant):
+    """The first seeded weight mu, highest first, whose dim 1_mu A differs from sum_lam m_lam(mu) dim L(lam)."""
     expected = {}
     for lam in lams:
         dim = decomposition.weyl_dimension(rs, lam)
@@ -116,11 +119,11 @@ def _first_differing_weight(rs, lams, rep, res, dominant):
             if not dominant or rs.is_dominant(mu):
                 expected[mu] = expected.get(mu, 0) + m * dim
     got = {}
-    for c, d in res.class_dimensions().items():
-        got[rep.weights[c[0]]] = got.get(rep.weights[c[0]], 0) + d
+    for c, d in dims.items():
+        got[weights[c[0]]] = got.get(weights[c[0]], 0) + d
     for mu in sorted(expected.keys() | got.keys(), key=lambda w: w.coords, reverse=True):
         if got.get(mu, 0) != expected.get(mu, 0):
-            return f"{rep.kind}: dim 1_mu A = {got.get(mu, 0)} at mu={mu.coords}, expected {expected.get(mu, 0)}"
+            return f"{kind}: dim 1_mu A = {got.get(mu, 0)} at mu={mu.coords}, expected {expected.get(mu, 0)}"
     return None
 
 
@@ -135,29 +138,16 @@ def quotient_witness(lt: LieType, r: int, max_dim=None) -> QuotientReport:
     sum_lam m_lam(mu) dim L(lam), lam over pi (tower) or pi0 (single power).
     """
     rs = build_root_system(lt)
-    single = single_power_rep(lt, r, max_dim)
     tower = tower_rep(lt, r, max_dim)
-    # pi and the factor rules are chamber-checked here, before either closure and before any oracle call
-    expected_tower, expected_single = decomposition.schur_dimensions(lt, r)
-    single_closure, tower_closure = _closure_dimension(single, rs), _closure_dimension(tower, rs)
-    dim_single, dim_tower = single_closure[0], tower_closure[0]
-    mismatch = None
-    for rep, (dim, res, dominant), expected, lams in (
-        (tower, tower_closure, expected_tower, tensor_dominant_pi),
-        (single, single_closure, expected_single, decomposition.pi0_weyl_rules),
-    ):
-        if dim != expected and mismatch is None:
-            mismatch = _first_differing_weight(rs, lams(lt, r), rep, res, dominant)
-    return QuotientReport(
-        lie_type=lt,
-        r=r,
-        dim_single=dim_single,
-        dim_tower=dim_tower,
-        expected_single=expected_single,
-        expected_tower=expected_tower,
-        difference=dim_tower - dim_single,
-        mismatch=mismatch,
-    )
+    # pi and the factor rules are chamber-checked here, before the closure and before any oracle call
+    expected = decomposition.schur_dimensions(lt, r)
+    carriers, dominant = _closure_dimensions(tower, rs)
+    mismatch, lams = None, (tensor_dominant_pi, decomposition.pi0_weyl_rules)
+    for kind, (dim, dims), want, pi in zip(("tower", "power"), carriers, expected, lams):
+        if dim != want and mismatch is None:
+            mismatch = _first_differing_weight(rs, pi(lt, r), kind, tower.weights, dims, dominant)
+    (dim_tower, _), (dim_single, _) = carriers
+    return QuotientReport(lt, r, dim_single, dim_tower, expected[1], expected[0], dim_tower - dim_single, mismatch)
 
 
 def _same_classes(size, diagonals, others):

@@ -50,7 +50,8 @@ rows, sorted by pivot, is exactly the reduced echelon basis of A over all
 matrix entries: the canonical rows do not depend on the grading.
 Given a list of rows, the closure seeds each 1_c at those of its indices
 only and spans the restriction of A to them, E_R A: the closure multiplies
-on the right, and row a of X g reads row a of X alone.
+on the right, and row a of X g reads row a of X alone.  After the closure,
+`class_dimensions(rows)` cuts each piece to further rows and ranks the cut.
 
 The closure runs on the same ints as the matrices: its rows are
 {column: int} dicts, reduced fraction-free and kept primitive, so no entry
@@ -677,11 +678,20 @@ class ClosureResult:
         self.size = size
         self._pieces = pieces
 
-    def class_dimensions(self):
-        """dim 1_c A (of the seeded rows) per row class c, keyed by the class's coordinates."""
+    def class_dimensions(self, rows=None):
+        """dim 1_c A (of the seeded rows) per row class c, keyed by the class's coordinates.
+
+        Given `rows`, each piece is cut to its rows there and ranked afresh.
+        """
+        keep = None if rows is None else set(rows)
         dims = {}
-        for rows, _, span in self._pieces:
-            dims[rows] = dims.get(rows, 0) + span.dimension
+        for coords, cols, span in self._pieces:
+            if keep is not None:
+                local, cut = {p for p, i in enumerate(coords) if i in keep}, _RowSpan()
+                for row in span._rows.values():
+                    cut.insert({k: v for k, v in row.items() if k // len(cols) in local})
+                span = cut
+            dims[coords] = dims.get(coords, 0) + span.dimension
         return dims
 
     def canonical_rows(self):

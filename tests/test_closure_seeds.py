@@ -1,15 +1,19 @@
-"""The closure of a carrier seeded at the rows that determine it.
+"""The tower's closure seeded at the rows that determine it, and the single power read off its top block.
 
-`closure._closure_dimension` seeds the closure at the dominant weights'
-orbit rows of the tensor-place permutations where the e_i, f_i and H_i pass
-the place gate and X2 and X3 hold, and reads dim A as sum |W mu| dim 1_mu A;
-everywhere else it seeds every row.  The seeded dimension must be the full
-closure's on criterion 6's carriers, and a seeded fault that is not fixed
-by the place permutations or breaks X2 or X3 must take every row.  Each
-premise is needed: an H_1 changed off the orbit rows of the C2 r=2 tower
-passes X2 and X3 there and fails only the gate on the H_i, and would read
-161 for 257; on the C1 r=2 tower a fault that passes the gate and X2 and
-breaks X3 on both sides would read 7 for 10, so X2 alone does not suffice.
+`closure._closure_dimensions` closes the tower once and reads the single
+power's dimension off the closure cut to the top block's rows.  It seeds the
+closure at the dominant weights' orbit rows of the tensor-place permutations
+where the e_i, f_i and H_i pass the place gate and X2 and X3 hold, and reads
+dim A as sum |W mu| dim 1_mu A; everywhere else it seeds every row.  Both
+seeded dimensions must be the full closures' on criterion 6's carriers, the
+cut's dim 1_mu A those of the single power's own closure, and a seeded fault
+that is not fixed by the place permutations or breaks X2 or X3 must take
+every row.  Each premise is needed: an H_1 changed off the orbit rows of the
+C2 r=2 tower passes X2 and X3 there and fails only the gate on the H_i, and
+would read 161 for 257; on the C1 r=2 tower a fault that passes the gate and
+X2 and breaks X3 on both sides would read 7 for 10, so X2 alone does not
+suffice.  A fault confined to one block of the B2 r=2 tower moves the
+single power exactly when that block is the top one.
 `presentations_generate_same_algebra` must give the full comparison's
 answer: with no closure where the projector classes are the H classes, and
 from two closures on every row where they differ, as where a projector
@@ -24,9 +28,9 @@ from pathlib import Path
 
 import pytest
 
-from schurkit import closure, presentation
+from schurkit import closure, presentation, replinalg
 from schurkit.idempotents import build_idempotents
-from schurkit.closure import _closure_dimension, _closure_seeds, presentations_generate_same_algebra
+from schurkit.closure import _closure_dimensions, _closure_seeds, presentations_generate_same_algebra
 from schurkit.presentation import _commutator_cases, _coroot_element, _x3_cases
 from schurkit.replinalg import ExactMatrix, algebra_closure, orbit_rows, single_power_rep, tower_rep
 from schurkit.rootdata import LieType, Weight, build_root_system
@@ -43,17 +47,100 @@ def carriers(family, rank, r):
     return build_root_system(lt), (tower_rep(lt, r), single_power_rep(lt, r))
 
 
+def top_block(rep):
+    """The generators of a carrier cut to its top block, as operators of that block's size."""
+    _, offset, size = rep.blocks[-1]
+    block = range(offset, offset + size)
+    return [
+        ExactMatrix.from_entries(size, [(i - offset, j - offset, v) for i, j, v in m.iter_entries() if i in block])
+        for m in rep.generator_lists()
+    ]
+
+
+def by_weight(weights, classes):
+    """dim 1_mu A per weight mu, from dim 1_c A per row class c; a class that reads 0 is left out."""
+    out = {}
+    for c, d in classes.items():
+        if d:
+            out[weights[c[0]]] = out.get(weights[c[0]], 0) + d
+    return out
+
+
 @pytest.mark.parametrize("family,rank,r", CRITERION_6)
 def test_seeded_closure_dimension_is_the_full_closures(family, rank, r):
-    rs, reps = carriers(family, rank, r)
-    for rep in reps:
-        rows, weight = _closure_seeds(rep, rs)
-        assert weight is not None, rep.kind
-        assert rows == [a for a in orbit_rows(rep) if rs.in_chamber(weight(a))], rep.kind
-        dim, res, dominant = _closure_dimension(rep, rs)
-        assert dominant
-        assert dim == algebra_closure(rep.generator_lists()).dimension, rep.kind
-        assert res.dimension < dim or len(orbit_rows(rep)) == rep.dim
+    rs, (tower, single) = carriers(family, rank, r)
+    rows, weight = _closure_seeds(tower, rs)
+    assert weight is not None
+    assert rows == [a for a in orbit_rows(tower) if rs.in_chamber(weight(a))]
+    # the tower's seeds in its top block are the single power's own
+    _, offset, _ = tower.blocks[-1]
+    assert [a - offset for a in rows if a >= offset] == _closure_seeds(single, rs)[0]
+    ((dim_tower, _), (dim_single, _)), dominant = _closure_dimensions(tower, rs)
+    assert dominant
+    assert dim_tower == algebra_closure(tower.generator_lists()).dimension
+    assert dim_single == algebra_closure(single.generator_lists()).dimension
+    assert algebra_closure(tower.generator_lists(), rows).dimension < dim_tower or len(rows) == tower.dim
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+@pytest.mark.parametrize("family,rank,r", CRITERION_6)
+def test_the_cut_reads_the_single_power_closures_weight_dimensions(family, rank, r, doubled, monkeypatch):
+    if doubled:  # one entry of e_1 doubled in the natural module, so both carriers fail X2 and take every row
+        real = replinalg.natural_rep
+
+        def doubled_entry(lt):
+            rep = real(lt)
+            (i, j, v), *_ = sorted(rep.e[0].iter_entries())
+            rep.e = (rep.e[0] + ExactMatrix.unit(rep.dim, i, j, v), *rep.e[1:])
+            return rep
+
+        monkeypatch.setattr(replinalg, "natural_rep", doubled_entry)
+    rs, (tower, single) = carriers(family, rank, r)
+    (_, (dim_single, cut)), dominant = _closure_dimensions(tower, rs)
+    assert dominant is not doubled
+    full = algebra_closure(single.generator_lists())
+    assert dim_single == full.dimension
+    want = by_weight(single.weights, full.class_dimensions())
+    if dominant:  # restriction to the orbit rows is injective on each 1_mu A, so a dominant mu keeps its dimension
+        want = {mu: d for mu, d in want.items() if rs.is_dominant(mu)}
+    assert by_weight(tower.weights, cut) == want
+
+
+def test_quotient_witness_closes_the_tower_once(monkeypatch):
+    seeded = recording_closure(monkeypatch)
+    monkeypatch.setattr(replinalg, "single_power_rep", None)  # no second carrier is built
+    report = closure.quotient_witness(LieType("B", 2), 2)
+    assert (report.dim_tower, report.dim_single, report.mismatch) == (322, 297, None)
+    tower = tower_rep(LieType("B", 2), 2)
+    assert seeded == [_closure_seeds(tower, build_root_system(tower.lie_type))[0]]
+
+
+def block_fault(rep, name, block):
+    """The carrier with one block-diagonal fault confined to the given block (power s, offset, size)."""
+    _, offset, size = block
+    inside = lambda i: offset <= i < offset + size
+    if name == "H_1 shifted":  # H_1 + 1 on every index of the block
+        h = list(rep.h)
+        h[0] = h[0] + ExactMatrix._diag_at(rep.dim, [(i, 1) for i in range(rep.dim) if inside(i)])
+        return rebuild(rep, h=tuple(h))
+    f = list(rep.f)  # "f_1 dropped"
+    f[0] = ExactMatrix.from_entries(rep.dim, [(i, j, v) for i, j, v in f[0].iter_entries() if not inside(i)])
+    return rebuild(rep, f=tuple(f))
+
+
+@pytest.mark.parametrize(
+    "name,level,dims",
+    [("H_1 shifted", 0, (323, 297)), ("f_1 dropped", 1, (315, 297)), ("f_1 dropped", 2, (177, 152))],
+)
+def test_a_fault_confined_to_one_block_moves_the_single_power_only_in_the_top_block(name, level, dims):
+    # the B2 r=2 tower holds degrees 0, 1 and 2 (dims 1, 5 and 25) and reads 322 / 297 clean; each fault breaks X2
+    rs, (tower, _) = carriers("B", 2, 2)
+    assert [s for s, _, _ in tower.blocks] == [0, 1, 2]
+    bad = block_fault(tower, name, tower.blocks[level])
+    ((dim_tower, _), (dim_single, _)), dominant = _closure_dimensions(bad, rs)
+    assert ((dim_tower, dim_single), dominant) == (dims, False)
+    assert dim_tower == algebra_closure(bad.generator_lists()).dimension
+    assert dim_single == algebra_closure(top_block(bad)).dimension
 
 
 def generator_faults(rep, fam):
@@ -67,16 +154,18 @@ def generator_faults(rep, fam):
 
 
 @pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2)])
-def test_faults_take_every_row_and_keep_the_dimension(family, rank, r):
+def test_faults_take_every_row_and_keep_the_dimension(family, rank, r, monkeypatch):
     rs, reps = carriers(family, rank, r)
-    for rep in reps:
+    for rep in reps:  # a single power is a carrier whose top block is all of it
         fam = build_idempotents(rep)
         for name, bad, fixed in generator_faults(rep, fam):
             if fixed is not None:
                 assert (orbit_rows(bad, bad.generator_lists()) is not None) == fixed, name
             assert _closure_seeds(bad, rs) == (None, None), name  # every seeded fault breaks X2 or X3
-            dim, _, dominant = _closure_dimension(bad, rs)
-            assert not dominant, name
+            seeded = recording_closure(monkeypatch)
+            ((dim, _), _), dominant = _closure_dimensions(bad, rs)
+            monkeypatch.undo()
+            assert (seeded, dominant) == ([None], False), name
             assert dim == algebra_closure(bad.generator_lists()).dimension, (rep.kind, name)
 
 
@@ -101,7 +190,7 @@ def test_a_fault_that_passes_the_gate_and_x2_and_breaks_x3_on_both_sides_takes_e
     assert all(res.is_zero() for _, res in _commutator_cases(bad.e, bad.f, lambda i: _coroot_element(rs, bad.h, i)))
     assert [case for case, res in _x3_cases(rs, bad, None) if not res.is_zero()] == ["[H_1,e_1]", "[H_1,f_1]"]
     assert _closure_seeds(bad, rs) == (None, None)
-    dim, _, dominant = _closure_dimension(bad, rs)
+    ((dim, _), _), dominant = _closure_dimensions(bad, rs)
     assert (dim, dominant) == (10, False)
     assert algebra_closure(bad.generator_lists()).dimension == 10
     assert ungated_dominant_sum(bad, rs) == 7  # the dominant seeds on X2 alone
@@ -120,7 +209,7 @@ def test_an_h_fault_off_the_orbit_rows_takes_every_row():
     x2 = _commutator_cases(bad.e, bad.f, lambda i: _coroot_element(rs, bad.h, i), rows)
     assert all(res.is_zero() for _, res in itertools.chain(x2, _x3_cases(rs, bad, rows)))
     assert _closure_seeds(bad, rs) == (None, None)
-    dim, _, dominant = _closure_dimension(bad, rs)
+    ((dim, _), _), dominant = _closure_dimensions(bad, rs)
     assert (dim, dominant) == (257, False)
     assert algebra_closure(bad.generator_lists()).dimension == 257
     assert ungated_dominant_sum(bad, rs) == 161  # the dominant seeds with the H_i left out of the gate

@@ -107,9 +107,23 @@ MUTANTS = [
     (
         "|W mu| counted as 1 where dim 1_mu A = 1",
         "closure.py",
-        "sum(len(rs.weyl_orbit(Weight(weight(c[0])))) * d for c, d in dims)",
-        "sum((1 if d == 1 else len(rs.weyl_orbit(Weight(weight(c[0]))))) * d for c, d in dims)",
+        "sum(orbit(c) * d for c, d in dims.items())",
+        "sum((1 if d == 1 else orbit(c)) * d for c, d in dims.items())",
         "equivalent: only mu = 0 has dim 1_mu A = 1, and |W 0| = 1",
+    ),
+    (
+        "the single power is read off blocks[0]",
+        "closure.py",
+        "_, offset, size = tower.blocks[-1]",
+        "_, offset, size = tower.blocks[0]",
+        "",
+    ),
+    (
+        "class_dimensions ignores rows",
+        "replinalg.py",
+        "            if keep is not None:\n",
+        "            if False:\n",
+        "",
     ),
     (
         "_same_classes always answers True",
