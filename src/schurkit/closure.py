@@ -1,16 +1,17 @@
 """Generated-algebra dimensions: the closure of a carrier's generators.
 
 `quotient_witness` measures the algebra A the Chevalley generators generate
-on the tower and on the single power, against the Wedderburn sums sum_lam
-dim L(lam)^2 over pi and pi0; a positive difference exhibits the single
-power as a proper quotient.  It forms one closure, the tower's: the single
-power is the tower's top block, and every generator keeps the degree, so
-cutting to the block maps A_tower onto A_single and a block row reads block
-columns only; the closure cut to the block's rows
-(`ClosureResult.class_dimensions(rows)`) is the single power's.
-`presentations_generate_same_algebra` checks that the Cartan and the
-projector generators generate one algebra, closing both generator sets in
-full only where their classes differ.
+on the tower and on the single power, the tower's top block: every
+generator keeps the degree, so cutting to the block's rows maps A_tower onto
+A_single, and one closure, the tower's, gives both.  The weight idempotents
+split A into pieces 1_mu A 1_mu' = sum_lam Hom(L(lam)_mu', L(lam)_mu), so
+each piece (`ClosureResult.piece_dimensions`) must be sum_lam m_lam(mu)
+m_lam(mu') by the character oracle, lam over pi and pi0; the highest piece
+that differs is named, even where the totals sum_lam dim L(lam)^2 agree.  A
+positive difference of the totals exhibits the single power as a proper
+quotient.  `presentations_generate_same_algebra` checks that the Cartan and
+the projector generators generate one algebra, closing both generator sets
+in full only where their classes differ.
 
 The closure is seeded at the rows that determine A (`_closure_seeds`), or
 at every row.  Where the e_i, f_i and H_i pass the place gate
@@ -19,13 +20,12 @@ closure multiplies on the right only, so restriction to the orbit rows is
 injective on A.  Where, besides, every H_i is diagonal and X2 and X3 hold,
 n_i = exp(e_i) exp(-f_i) exp(e_i) lies in A and conjugates 1_mu to
 1_{s_i mu}, so 1_{w mu} A = n_w 1_mu A: only the dominant weights' orbit
-rows are seeded, and dim A = sum over dominant mu of |W mu| dim 1_mu A.
-The premises hold on the block too, whose seeds are its own dominant orbit
-rows; where they fail, the cut of the full closure is all of A_single.  X2
-alone does not suffice: a C1 r=2 fault that passes the gate and X2 and
-breaks X3 on both sides would read 7 for 10.  A dimension that differs from
-its expected sum names the first weight mu where dim 1_mu A differs from
-sum_lam m_lam(mu) dim L(lam).
+rows are seeded, dim A = sum over dominant mu of |W mu| dim 1_mu A, and
+only the pieces at dominant mu are compared.  The premises hold on the
+block too, whose seeds are its own dominant orbit rows; where they fail,
+the cut of the full closure is all of A_single.  X2 alone does not suffice:
+a C1 r=2 fault that passes the gate and X2 and breaks X3 on both sides
+would read 7 for 10.
 
 The relation checks do not need this module, so the jobs that run them do
 not execute it.
@@ -33,6 +33,7 @@ not execute it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import decomposition
@@ -56,7 +57,7 @@ class QuotientReport:
         self.expected_single = expected_single
         self.expected_tower = expected_tower
         self.difference = difference
-        self.mismatch = mismatch  # where a dimension differs: the first weight whose dim 1_mu A differs from its sum
+        self.mismatch = mismatch  # the highest piece (mu, mu') whose dimension differs from its sum, or None
 
     @property
     def equal(self):
@@ -64,7 +65,8 @@ class QuotientReport:
 
     @property
     def matches_expected(self):
-        return self.dim_single == self.expected_single and self.dim_tower == self.expected_tower
+        totals = (self.dim_single, self.dim_tower) == (self.expected_single, self.expected_tower)
+        return totals and self.mismatch is None
 
     def to_json(self):
         return {
@@ -101,29 +103,30 @@ def _closure_seeds(rep: Representation, rs):
 
 
 def _closure_dimensions(tower: Representation, rs):
-    """[(dim A, dim 1_c A per row class c) on the tower, then on its top block], and whether the seeds were dominant."""
+    """[(dim A, dim 1_c A 1_c' per piece (c, c')) on the tower, then on its top block], and whether seeded dominant."""
     rows, weight = _closure_seeds(tower, rs)
     res = algebra_closure(tower.generator_lists(), rows)
     _, offset, size = tower.blocks[-1]
-    orbit = (lambda c: 1) if weight is None else (lambda c: len(rs.weyl_orbit(Weight(weight(c[0])))))
-    cuts = res.class_dimensions(), res.class_dimensions(range(offset, offset + size))
-    return [(sum(orbit(c) * d for c, d in dims.items()), dims) for dims in cuts], weight is not None
+    orbit = functools.cache((lambda c: 1) if weight is None else (lambda c: len(rs.weyl_orbit(Weight(weight(c[0]))))))
+    cuts = res.piece_dimensions(), res.piece_dimensions(range(offset, offset + size))
+    return [(sum(orbit(c) * d for (c, _), d in dims.items()), dims) for dims in cuts], weight is not None
 
 
-def _first_differing_weight(rs, lams, kind, weights, dims, dominant):
-    """The first seeded weight mu, highest first, whose dim 1_mu A differs from sum_lam m_lam(mu) dim L(lam)."""
-    expected = {}
+def _piece_mismatch(rs, lams, kind, weights, dims, dominant):
+    """The highest piece (mu, mu') whose dimension differs from sum_lam m_lam(mu) m_lam(mu'), or None."""
+    table = {}  # (mu, mu') -> [dimension, expected]
     for lam in lams:
-        dim = decomposition.weyl_dimension(rs, lam)
-        for mu, m in decomposition.freudenthal_multiplicities(rs, lam).terms:
+        terms = decomposition.freudenthal_multiplicities(rs, lam).terms
+        for mu, m in terms:
             if not dominant or rs.is_dominant(mu):
-                expected[mu] = expected.get(mu, 0) + m * dim
-    got = {}
-    for c, d in dims.items():
-        got[weights[c[0]]] = got.get(weights[c[0]], 0) + d
-    for mu in sorted(expected.keys() | got.keys(), key=lambda w: w.coords, reverse=True):
-        if got.get(mu, 0) != expected.get(mu, 0):
-            return f"{kind}: dim 1_mu A = {got.get(mu, 0)} at mu={mu.coords}, expected {expected.get(mu, 0)}"
+                for nu, n in terms:
+                    table.setdefault((mu, nu), [0, 0])[1] += m * n
+    for (c, d), dim in dims.items():  # at the weights of c[0] and d[0]; faulty classes can share them, and add up
+        table.setdefault((weights[c[0]], weights[d[0]]), [0, 0])[0] += dim
+    differing = [(mu.coords, nu.coords, have, want) for (mu, nu), (have, want) in table.items() if have != want]
+    if differing:
+        mu, nu, have, want = max(differing)
+        return f"{kind}: dim 1_mu A 1_mu' = {have} at (mu, mu')=({mu}, {nu}), expected {want}"
     return None
 
 
@@ -133,19 +136,18 @@ def quotient_witness(lt: LieType, r: int, max_dim=None) -> QuotientReport:
     Equality means the single-power image already realizes the whole
     family of simple modules; a positive difference exhibits the single
     power as a proper quotient and equals the squared-dimension total of
-    the missing factors.  Where a dimension differs from its expected sum,
-    `mismatch` names the first weight mu at which dim 1_mu A differs from
-    sum_lam m_lam(mu) dim L(lam), lam over pi (tower) or pi0 (single power).
+    the missing factors.  `mismatch` names the highest piece (mu, mu') whose
+    dimension differs from sum_lam m_lam(mu) m_lam(mu'), lam over pi
+    (tower) or pi0 (single power), or is None.
     """
     rs = build_root_system(lt)
     tower = tower_rep(lt, r, max_dim)
     # pi and the factor rules are chamber-checked here, before the closure and before any oracle call
     expected = decomposition.schur_dimensions(lt, r)
     carriers, dominant = _closure_dimensions(tower, rs)
-    mismatch, lams = None, (tensor_dominant_pi, decomposition.pi0_weyl_rules)
-    for kind, (dim, dims), want, pi in zip(("tower", "power"), carriers, expected, lams):
-        if dim != want and mismatch is None:
-            mismatch = _first_differing_weight(rs, pi(lt, r), kind, tower.weights, dims, dominant)
+    mismatch = None
+    for kind, (_, dims), pi in zip(("tower", "power"), carriers, (tensor_dominant_pi, decomposition.pi0_weyl_rules)):
+        mismatch = mismatch or _piece_mismatch(rs, pi(lt, r), kind, tower.weights, dims, dominant)
     (dim_tower, _), (dim_single, _) = carriers
     return QuotientReport(lt, r, dim_single, dim_tower, expected[1], expected[0], dim_tower - dim_single, mismatch)
 

@@ -40,18 +40,13 @@ natural module on which the whole family of simple modules with dominant
 weights in pi is realized) - and the span-closure computation that
 measures the dimension of a generated operator algebra.
 
-The closure is graded.  The diagonal generators (Cartan elements or weight
-projectors) split the coordinates into classes of equal joint eigenvalue,
-and the indicator 1_c of each class is a polynomial in them, so the
-algebra A is the direct sum of its pieces 1_c A 1_c'.  Each piece is
-reduced in its own row span and products are formed block by block.  The
-pieces occupy disjoint coordinates, so the union of their reduced echelon
-rows, sorted by pivot, is exactly the reduced echelon basis of A over all
-matrix entries: the canonical rows do not depend on the grading.
-Given a list of rows, the closure seeds each 1_c at those of its indices
-only and spans the restriction of A to them, E_R A: the closure multiplies
-on the right, and row a of X g reads row a of X alone.  After the closure,
-`class_dimensions(rows)` cuts each piece to further rows and ranks the cut.
+The closure is graded: the diagonal generators split the coordinates into
+classes c of equal joint eigenvalue, and each piece 1_c A 1_c' of the
+algebra A is spanned apart, so its canonical rows do not depend on the
+grading (`algebra_closure`).  Seeded at a list of rows, it spans the
+restriction of A to them, as row a of X g reads row a of X alone.
+`ClosureResult.piece_dimensions(rows)` gives each piece's dimension, cut
+to further rows.
 
 The closure runs on the same ints as the matrices: its rows are
 {column: int} dicts, reduced fraction-free and kept primitive, so no entry
@@ -74,6 +69,7 @@ the same way: one `Weight` per distinct weight.
 from __future__ import annotations
 
 import bisect
+import gc
 import itertools
 import math
 
@@ -399,31 +395,41 @@ def _lift_rows(X: ExactMatrix, blocks):
     changes one digit, so no two of them meet.  The diagonal terms of all
     places meet on each index: its value is the sum of X's diagonal values
     at its digits, and a zero sum is not stored.  Each row grows by one
-    (column, value) pair per entry and never repeats a column.
+    (column, value) pair per entry and never repeats a column.  The rows and
+    pairs are tuples, which the cyclic garbage collector tracks and would run
+    on once per ~700 made: it is paused while they are made and then left as
+    it was found, and its next runs scan the kept ones and stop tracking
+    them, as they hold only ints.
     """
-    m = X.size
-    off = [(i, j, v) for i, j, v in X.iter_entries() if i != j]
-    on = X.diagonal()
-    ix = indices(sum(size for _, _, size in blocks))
-    data = {}
-    for s, offset, size in blocks:
-        for k in range(s):
-            stride = m ** (s - 1 - k)
-            for high in range(offset, offset + size, m * stride):
-                for i, j, v in off:
-                    row, col = high + i * stride, high + j * stride
-                    for a, b in zip(ix[row : row + stride], ix[col : col + stride]):
-                        stored = data.get(a)
-                        data[a] = ((b, v),) if stored is None else stored + ((b, v),)
-        if any(on):
-            sums = [0]
-            for _ in range(s):
-                sums = [t + v for t in sums for v in on]  # one more digit, the least significant
-            for b, v in zip(ix[offset : offset + size], sums):
-                if v:
-                    stored = data.get(b)
-                    data[b] = ((b, v),) if stored is None else stored + ((b, v),)
-    return data
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = X.size
+        off = [(i, j, v) for i, j, v in X.iter_entries() if i != j]
+        on = X.diagonal()
+        ix = indices(sum(size for _, _, size in blocks))
+        data = {}
+        for s, offset, size in blocks:
+            for k in range(s):
+                stride = m ** (s - 1 - k)
+                for high in range(offset, offset + size, m * stride):
+                    for i, j, v in off:
+                        row, col = high + i * stride, high + j * stride
+                        for a, b in zip(ix[row : row + stride], ix[col : col + stride]):
+                            stored = data.get(a)
+                            data[a] = ((b, v),) if stored is None else stored + ((b, v),)
+            if any(on):
+                sums = [0]
+                for _ in range(s):
+                    sums = [t + v for t in sums for v in on]  # one more digit, the least significant
+                for b, v in zip(ix[offset : offset + size], sums):
+                    if v:
+                        stored = data.get(b)
+                        data[b] = ((b, v),) if stored is None else stored + ((b, v),)
+        return data
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def tensor_lift(X: ExactMatrix, r: int) -> ExactMatrix:
@@ -678,8 +684,8 @@ class ClosureResult:
         self.size = size
         self._pieces = pieces
 
-    def class_dimensions(self, rows=None):
-        """dim 1_c A (of the seeded rows) per row class c, keyed by the class's coordinates.
+    def piece_dimensions(self, rows=None):
+        """dim 1_c A 1_c' (of the seeded rows) per piece, keyed by (row class, column class) coordinates.
 
         Given `rows`, each piece is cut to its rows there and ranked afresh.
         """
@@ -691,7 +697,7 @@ class ClosureResult:
                 for row in span._rows.values():
                     cut.insert({k: v for k, v in row.items() if k // len(cols) in local})
                 span = cut
-            dims[coords] = dims.get(coords, 0) + span.dimension
+            dims[coords, cols] = span.dimension
         return dims
 
     def canonical_rows(self):
@@ -729,8 +735,8 @@ def algebra_closure(mats, rows=None) -> ClosureResult:
 
     Given `rows`, each 1_c is seeded at its indices in `rows` only, and a
     class with none is not seeded: the span is then E_R A, the algebra with
-    every row outside R cleared, and `class_dimensions` gives dim E_R 1_c A
-    per row class.
+    every row outside R cleared, and `piece_dimensions` gives dim E_R 1_c A 1_c'
+    per piece.
 
     The pieces have disjoint coordinate supports, and within a piece the
     local row-major order is the global one restricted.  The union of the

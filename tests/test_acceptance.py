@@ -60,7 +60,7 @@ def report(name, failures):
 def test_criterion_1_presentations_hold_exactly():
     failures = []
     cases = 0
-    for lt, r in grid(3, 3):
+    for lt, r in grid(4, 3):
         dim = sum(lt.natural_dim**s for s in range(r + 1))
         if dim > MAX_CARRIER:
             continue
@@ -73,8 +73,8 @@ def test_criterion_1_presentations_hold_exactly():
         if not idem.all_hold:
             failures.append((str(lt), r, "idempotent", idem.failing_labels()))
         cases += 1
-    assert cases == 24  # the whole grid fits under the carrier cap
-    report("criterion 1 (presentations, exact, 24 tower carriers)", failures)
+    assert cases == 33  # the whole grid fits under the carrier cap
+    report("criterion 1 (presentations, exact, 33 tower carriers)", failures)
 
 
 def test_criterion_2_zero_locus():
@@ -104,7 +104,7 @@ def test_criterion_2_zero_locus():
 
 def test_criterion_3_idempotent_families():
     failures = []
-    for lt, r in grid(3, 3):
+    for lt, r in grid(4, 3):
         rep = cached_tower(lt.family, lt.rank, r)
         fam = cached_family(lt.family, lt.rank, r)
         ident = ExactMatrix.identity(rep.dim)
@@ -188,6 +188,8 @@ def test_criterion_6_closure_dimensions():
             failures.append((str(lt), r, f"got tower={witness.dim_tower}, single={witness.dim_single}"))
         if (witness.expected_tower, witness.expected_single) != (dim_pi, dim_schur):
             failures.append((str(lt), r, "squared-dimension sums off"))
+        if not witness.matches_expected or witness.mismatch is not None:
+            failures.append((str(lt), r, f"a piece differs: {witness.mismatch}"))
         if elapsed >= 60:
             failures.append((str(lt), r, f"took {elapsed:.1f}s"))
     report("criterion 6 (generated-algebra dimensions, each case < 60 s)", failures)

@@ -13,14 +13,18 @@ C2 r=2 tower passes X2 and X3 there and fails only the gate on the H_i, and
 would read 161 for 257; on the C1 r=2 tower a fault that passes the gate and
 X2 and breaks X3 on both sides would read 7 for 10, so X2 alone does not
 suffice.  A fault confined to one block of the B2 r=2 tower moves the
-single power exactly when that block is the top one.
+single power exactly when that block is the top one.  Every run checks each
+piece dim 1_mu A 1_mu' against sum_lam m_lam(mu) m_lam(mu'): a closure
+whose pieces are off while every total is right exits 1 naming a piece.
 `presentations_generate_same_algebra` must give the full comparison's
 answer: with no closure where the projector classes are the H classes, and
 from two closures on every row where they differ, as where a projector
 splits its weight class or the projector table is empty.
 """
 
+import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from schurkit import closure, presentation, replinalg
+from schurkit import cli, closure, presentation, replinalg
 from schurkit.idempotents import build_idempotents
 from schurkit.closure import _closure_dimensions, _closure_seeds, presentations_generate_same_algebra
 from schurkit.presentation import _commutator_cases, _coroot_element, _x3_cases
@@ -57,12 +61,12 @@ def top_block(rep):
     ]
 
 
-def by_weight(weights, classes):
-    """dim 1_mu A per weight mu, from dim 1_c A per row class c; a class that reads 0 is left out."""
+def by_weight(weights, pieces):
+    """dim 1_mu A 1_mu' per weight pair (mu, mu') from dim 1_c A 1_c' per piece (c, c'); a 0 piece is left out."""
     out = {}
-    for c, d in classes.items():
-        if d:
-            out[weights[c[0]]] = out.get(weights[c[0]], 0) + d
+    for (c, d), dim in pieces.items():
+        if dim:
+            out[weights[c[0]], weights[d[0]]] = out.get((weights[c[0]], weights[d[0]]), 0) + dim
     return out
 
 
@@ -100,9 +104,9 @@ def test_the_cut_reads_the_single_power_closures_weight_dimensions(family, rank,
     assert dominant is not doubled
     full = algebra_closure(single.generator_lists())
     assert dim_single == full.dimension
-    want = by_weight(single.weights, full.class_dimensions())
-    if dominant:  # restriction to the orbit rows is injective on each 1_mu A, so a dominant mu keeps its dimension
-        want = {mu: d for mu, d in want.items() if rs.is_dominant(mu)}
+    want = by_weight(single.weights, full.piece_dimensions())
+    if dominant:  # restriction to the orbit rows is injective on each 1_mu A 1_mu', so a dominant mu keeps its pieces
+        want = {(mu, nu): d for (mu, nu), d in want.items() if rs.is_dominant(mu)}
     assert by_weight(tower.weights, cut) == want
 
 
@@ -173,8 +177,8 @@ def ungated_dominant_sum(rep, rs):
     """sum |W mu| dim 1_mu A over the classes of a closure seeded at the dominant orbit rows, with no gate read."""
     weight = lambda a: tuple(h.entry(a, a) for h in rep.h)
     rows = [a for a in orbit_rows(rep) if rs.in_chamber(weight(a))]
-    classes = algebra_closure(rep.generator_lists(), rows).class_dimensions()
-    return sum(len(rs.weyl_orbit(Weight(weight(c[0])))) * d for c, d in classes.items())
+    pieces = algebra_closure(rep.generator_lists(), rows).piece_dimensions()
+    return sum(len(rs.weyl_orbit(Weight(weight(c[0])))) * d for (c, _), d in pieces.items())
 
 
 def test_a_fault_that_passes_the_gate_and_x2_and_breaks_x3_on_both_sides_takes_every_row():
@@ -325,12 +329,51 @@ sys.exit(cli.run(["closure", "C", "2", "2"]))
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_closure_mismatch_exits_one_and_names_a_weight(flags):
+def test_closure_mismatch_exits_one_and_names_a_piece(flags):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, *flags, "-c", MISMATCH]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert '"matches_expected": false' in proc.stdout
     (line,) = [line for line in proc.stderr.splitlines() if line.startswith("FAIL:")]
-    assert line.startswith("FAIL: closure dimension vs squared-dimension sum (tower: dim 1_mu A = ")
-    assert " at mu=(" in line and ", expected " in line
+    assert line == (
+        "FAIL: closure dimension vs squared-dimension sum"
+        " (tower: dim 1_mu A 1_mu' = 4 at (mu, mu')=((1, 1), (0, 0)), expected 3)"
+    )
+
+
+class SwappedPieces(replinalg.ClosureResult):
+    """A closure in which two pieces of one row class report each other's dimensions."""
+
+    __slots__ = ("swap",)
+
+    def piece_dimensions(self, rows=None):
+        dims = super().piece_dimensions(rows)
+        a, b = self.swap
+        dims[a], dims[b] = dims.get(b, 0), dims.get(a, 0)
+        return dims
+
+
+def test_pieces_off_with_every_total_right_exit_one_and_name_a_piece(monkeypatch):
+    # on the C2 r=2 tower, the pieces from weight (1, 1) to (2, 0) and to (1, -1) hold 1 and 2; swapped, every
+    # row-class sum, and so every total, is kept, and only the piece check sees the fault
+    tower = tower_rep(LieType("C", 2), 2)
+    cls = lambda *w: tuple(a for a in range(tower.dim) if tower.weights[a] == Weight(w))
+    swap = (cls(1, 1), cls(2, 0)), (cls(1, 1), cls(1, -1))
+
+    def swapped(mats, rows=None):
+        res = algebra_closure(mats, rows)
+        out = SwappedPieces(res.dimension, res.size, res._pieces)
+        out.swap = swap
+        return out
+
+    monkeypatch.setattr(closure, "algebra_closure", swapped)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["closure", "C", "2", "2"], stdout=out, stderr=err) == 1
+    body = json.loads(out.getvalue())
+    assert (body["dim_tower"], body["dim_single_power"]) == (body["expected_tower"], body["expected_single_power"])
+    assert body["matches_expected"] is False
+    assert err.getvalue().splitlines() == [
+        "FAIL: closure dimension vs squared-dimension sum"
+        " (tower: dim 1_mu A 1_mu' = 2 at (mu, mu')=((1, 1), (2, 0)), expected 1)"
+    ]

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurkit import replinalg
 from schurkit.decomposition import weyl_dimension
 from schurkit.idempotents import annihilator_for_signed_sums, build_idempotents, p1, p2
 from schurkit.replinalg import (
@@ -463,6 +465,22 @@ def test_tensor_lift_commutes_with_bracket(lt):
         assert tensor_lift(bracket, 2) == lx @ ly - ly @ lx
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_tower_rep_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    # the lift pauses the cyclic garbage collector while it makes its rows, and restores its prior state
+    seen = []
+    real = replinalg.indices
+    monkeypatch.setattr(replinalg, "indices", lambda n: seen.append(gc.isenabled()) or real(n))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        tower_rep(LieType("B", 2), 2)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
+
+
 def test_tower_dimensions():
     assert tower_rep(LieType("B", 2), 2).dim == 31
     assert tower_rep(LieType("C", 1), 2).dim == 5
@@ -883,8 +901,13 @@ def test_algebra_closure_matches_ungraded_reference(gens):
     res = algebra_closure(mats, rows)
     assert 0 < res.dimension == len(expected)
     assert res.canonical_rows() == expected
-    assert sum(res.class_dimensions().values()) == res.dimension
-    assert all(0 not in coords for coords in res.class_dimensions()) or not diagonals
+    pieces = res.piece_dimensions()
+    assert sum(pieces.values()) == res.dimension
+    assert all(0 not in coords for coords, _ in pieces) or not diagonals
+    # each piece's dimension counts the reference rows whose pivot lies in it
+    size = mats[0].size
+    by_pivot = Counter((label(k // size), label(k % size)) for ((k, _), *_) in expected)
+    assert {(label(c[0]), label(d[0])): n for (c, d), n in pieces.items()} == dict(by_pivot)
 
 
 def test_carrier_cap():

@@ -105,11 +105,11 @@ MUTANTS = [
         "",
     ),
     (
-        "|W mu| counted as 1 where dim 1_mu A = 1",
+        "|W mu| counted as 1 where dim 1_mu A 1_mu' = 1",
         "closure.py",
-        "sum(orbit(c) * d for c, d in dims.items())",
-        "sum((1 if d == 1 else orbit(c)) * d for c, d in dims.items())",
-        "equivalent: only mu = 0 has dim 1_mu A = 1, and |W 0| = 1",
+        "sum(orbit(c) * d for (c, _), d in dims.items())",
+        "sum((1 if d == 1 else orbit(c)) * d for (c, _), d in dims.items())",
+        "",
     ),
     (
         "the single power is read off blocks[0]",
@@ -119,10 +119,29 @@ MUTANTS = [
         "",
     ),
     (
-        "class_dimensions ignores rows",
+        "piece_dimensions ignores rows",
         "replinalg.py",
         "            if keep is not None:\n",
         "            if False:\n",
+        "",
+    ),
+    (
+        "the piece check keys by row class only",
+        "closure.py",
+        "                    table.setdefault((mu, nu), [0, 0])[1] += m * n\n"
+        "    for (c, d), dim in dims.items():  # at the weights of c[0] and d[0]; "
+        "faulty classes can share them, and add up\n"
+        "        table.setdefault((weights[c[0]], weights[d[0]]), [0, 0])[0] += dim\n",
+        "                    table.setdefault((mu, mu), [0, 0])[1] += m * n\n"
+        "    for (c, d), dim in dims.items():\n"
+        "        table.setdefault((weights[c[0]], weights[c[0]]), [0, 0])[0] += dim\n",
+        "",
+    ),
+    (
+        "the expected table drops the m_lam(mu') factor",
+        "closure.py",
+        "[1] += m * n\n",
+        "[1] += m\n",
         "",
     ),
     (
