@@ -12,7 +12,10 @@ with the tool version and the reduced word in use.
 
 The layer modules are imported as modules and called through, so that
 importing this one executes only `rootdata` (the package registers the
-others lazily) and each job executes only the layers its command uses.
+others lazily) and each job executes only the layers its command uses:
+`compare` runs `weightsets` and `decomposition`, `census` adds `pathmodel`,
+`verify` needs all but `closure`, `decomposition` and `pathmodel`, and
+`closure` all but `pathmodel`.
 """
 
 from __future__ import annotations
@@ -188,13 +191,14 @@ def _cmd_closure(args):
     body = report.to_json()
     cols = ["carrier", "dimension", "expected", "matches"]
     rows = [
-        ["single_power", report.dim_single, report.expected_single, report.dim_single == report.expected_single],
-        ["tower", report.dim_tower, report.expected_tower, report.dim_tower == report.expected_tower],
+        ["single_power", report.dim_single, report.expected_single, report.single_matches],
+        ["tower", report.dim_tower, report.expected_tower, report.tower_matches],
     ]
     failures = []
     if not report.matches_expected:
+        what = "piece dimension vs multiplicity sum" if report.totals_match else "dimension vs squared-dimension sum"
         where = f" ({report.mismatch})" if report.mismatch else ""
-        failures.append(f"closure dimension vs squared-dimension sum{where}")
+        failures.append(f"closure {what}{where}")
     return JobResult(_header(lt, args.r), body, cols, rows, report.matches_expected, failures)
 
 

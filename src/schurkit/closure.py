@@ -6,12 +6,13 @@ generator keeps the degree, so cutting to the block's rows maps A_tower onto
 A_single, and one closure, the tower's, gives both.  The weight idempotents
 split A into pieces 1_mu A 1_mu' = sum_lam Hom(L(lam)_mu', L(lam)_mu), so
 each piece (`ClosureResult.piece_dimensions`) must be sum_lam m_lam(mu)
-m_lam(mu') by the character oracle, lam over pi and pi0; the highest piece
-that differs is named, even where the totals sum_lam dim L(lam)^2 agree.  A
-positive difference of the totals exhibits the single power as a proper
-quotient.  `presentations_generate_same_algebra` checks that the Cartan and
-the projector generators generate one algebra, closing both generator sets
-in full only where their classes differ.
+m_lam(mu') by the character oracle, lam over pi and pi0; each carrier's
+highest piece that differs is kept, and fails that carrier's verdict even
+where its total sum_lam dim L(lam)^2 agrees.  A positive difference of the
+totals exhibits the single power as a proper quotient.
+`presentations_generate_same_algebra` checks that the Cartan and the
+projector generators generate one algebra, closing both generator sets in
+full only where their classes differ.
 
 The closure is seeded at the rows that determine A (`_closure_seeds`), or
 at every row.  Where the e_i, f_i and H_i pass the place gate
@@ -46,10 +47,14 @@ from .weightsets import tensor_dominant_pi
 
 class QuotientReport:
     __slots__ = (
-        "lie_type", "r", "dim_single", "dim_tower", "expected_single", "expected_tower", "difference", "mismatch"
+        "lie_type", "r", "dim_single", "dim_tower", "expected_single", "expected_tower", "difference",
+        "piece_single", "piece_tower",
     )
 
-    def __init__(self, lie_type, r, dim_single, dim_tower, expected_single, expected_tower, difference, mismatch=None):
+    def __init__(
+        self, lie_type, r, dim_single, dim_tower, expected_single, expected_tower, difference,
+        piece_single=None, piece_tower=None,
+    ):
         self.lie_type = lie_type
         self.r = r
         self.dim_single = dim_single
@@ -57,16 +62,33 @@ class QuotientReport:
         self.expected_single = expected_single
         self.expected_tower = expected_tower
         self.difference = difference
-        self.mismatch = mismatch  # the highest piece (mu, mu') whose dimension differs from its sum, or None
+        self.piece_single = piece_single  # each carrier's highest piece (mu, mu') that differs from its sum, or None
+        self.piece_tower = piece_tower
 
     @property
     def equal(self):
         return self.dim_single == self.dim_tower
 
     @property
+    def mismatch(self):
+        """The tower's differing piece, else the single power's, or None."""
+        return self.piece_tower or self.piece_single
+
+    @property
+    def single_matches(self):
+        return self.dim_single == self.expected_single and self.piece_single is None
+
+    @property
+    def tower_matches(self):
+        return self.dim_tower == self.expected_tower and self.piece_tower is None
+
+    @property
+    def totals_match(self):
+        return (self.dim_single, self.dim_tower) == (self.expected_single, self.expected_tower)
+
+    @property
     def matches_expected(self):
-        totals = (self.dim_single, self.dim_tower) == (self.expected_single, self.expected_tower)
-        return totals and self.mismatch is None
+        return self.single_matches and self.tower_matches
 
     def to_json(self):
         return {
@@ -136,20 +158,25 @@ def quotient_witness(lt: LieType, r: int, max_dim=None) -> QuotientReport:
     Equality means the single-power image already realizes the whole
     family of simple modules; a positive difference exhibits the single
     power as a proper quotient and equals the squared-dimension total of
-    the missing factors.  `mismatch` names the highest piece (mu, mu') whose
-    dimension differs from sum_lam m_lam(mu) m_lam(mu'), lam over pi
-    (tower) or pi0 (single power), or is None.
+    the missing factors.  `piece_tower` and `piece_single` name each
+    carrier's highest piece (mu, mu') whose dimension differs from
+    sum_lam m_lam(mu) m_lam(mu'), lam over pi (tower) or pi0 (single power),
+    or are None; both are checked on every call.
     """
     rs = build_root_system(lt)
     tower = tower_rep(lt, r, max_dim)
     # pi and the factor rules are chamber-checked here, before the closure and before any oracle call
     expected = decomposition.schur_dimensions(lt, r)
     carriers, dominant = _closure_dimensions(tower, rs)
-    mismatch = None
-    for kind, (_, dims), pi in zip(("tower", "power"), carriers, (tensor_dominant_pi, decomposition.pi0_weyl_rules)):
-        mismatch = mismatch or _piece_mismatch(rs, pi(lt, r), kind, tower.weights, dims, dominant)
+    rules = (tensor_dominant_pi, decomposition.pi0_weyl_rules)
+    piece_tower, piece_single = (
+        _piece_mismatch(rs, pi(lt, r), kind, tower.weights, dims, dominant)
+        for kind, (_, dims), pi in zip(("tower", "power"), carriers, rules)
+    )
     (dim_tower, _), (dim_single, _) = carriers
-    return QuotientReport(lt, r, dim_single, dim_tower, expected[1], expected[0], dim_tower - dim_single, mismatch)
+    return QuotientReport(
+        lt, r, dim_single, dim_tower, expected[1], expected[0], dim_tower - dim_single, piece_single, piece_tower
+    )
 
 
 def _same_classes(size, diagonals, others):

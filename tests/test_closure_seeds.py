@@ -15,13 +15,16 @@ X2 and breaks X3 on both sides would read 7 for 10, so X2 alone does not
 suffice.  A fault confined to one block of the B2 r=2 tower moves the
 single power exactly when that block is the top one.  Every run checks each
 piece dim 1_mu A 1_mu' against sum_lam m_lam(mu) m_lam(mu'): a closure
-whose pieces are off while every total is right exits 1 naming a piece.
+whose pieces are off while every total is right exits 1 naming a piece, and
+the csv and text `matches` cell of each carrier reads False exactly where
+that carrier's pieces are off.
 `presentations_generate_same_algebra` must give the full comparison's
 answer: with no closure where the projector classes are the H classes, and
 from two closures on every row where they differ, as where a projector
 splits its weight class or the projector table is empty.
 """
 
+import csv
 import io
 import itertools
 import json
@@ -343,20 +346,33 @@ def test_closure_mismatch_exits_one_and_names_a_piece(flags):
 
 
 class SwappedPieces(replinalg.ClosureResult):
-    """A closure in which two pieces of one row class report each other's dimensions."""
+    """A closure in which two pieces of one row class report each other's dimensions (if `uncut_only`, uncut only)."""
 
-    __slots__ = ("swap",)
+    __slots__ = ("swap", "uncut_only")
 
     def piece_dimensions(self, rows=None):
         dims = super().piece_dimensions(rows)
-        a, b = self.swap
-        dims[a], dims[b] = dims.get(b, 0), dims.get(a, 0)
+        if rows is None or not self.uncut_only:
+            a, b = self.swap
+            dims[a], dims[b] = dims.get(b, 0), dims.get(a, 0)
         return dims
 
 
-def test_pieces_off_with_every_total_right_exit_one_and_name_a_piece(monkeypatch):
-    # on the C2 r=2 tower, the pieces from weight (1, 1) to (2, 0) and to (1, -1) hold 1 and 2; swapped, every
-    # row-class sum, and so every total, is kept, and only the piece check sees the fault
+def matches_cells(fmt, document):
+    """{carrier: matches cell} of a csv or text closure table."""
+    lines = document.splitlines()[1:]  # after the header line
+    table = list(csv.reader(lines)) if fmt == "csv" else [line.split() for line in lines[:-1]]  # text: no "passed:"
+    columns, *rows = table
+    return {row[0]: row[columns.index("matches")] for row in rows}
+
+
+def closure_with_swapped_pieces(monkeypatch, uncut_only):
+    """{format: (exit code, stdout, stderr lines)} of `closure C 2 2` with two of its tower's pieces swapped.
+
+    On the C2 r=2 tower the pieces from weight (1, 1) to (2, 0) and to (1, -1) hold 1 and 2; swapped, every
+    row-class sum, and so every total, is kept, and only the piece check sees the fault.  Both weights lie in the
+    top block, so the single power's pieces are swapped too, unless `uncut_only` keeps the cut closure right.
+    """
     tower = tower_rep(LieType("C", 2), 2)
     cls = lambda *w: tuple(a for a in range(tower.dim) if tower.weights[a] == Weight(w))
     swap = (cls(1, 1), cls(2, 0)), (cls(1, 1), cls(1, -1))
@@ -364,16 +380,37 @@ def test_pieces_off_with_every_total_right_exit_one_and_name_a_piece(monkeypatch
     def swapped(mats, rows=None):
         res = algebra_closure(mats, rows)
         out = SwappedPieces(res.dimension, res.size, res._pieces)
-        out.swap = swap
+        out.swap, out.uncut_only = swap, uncut_only
         return out
 
     monkeypatch.setattr(closure, "algebra_closure", swapped)
-    out, err = io.StringIO(), io.StringIO()
-    assert cli.run(["closure", "C", "2", "2"], stdout=out, stderr=err) == 1
-    body = json.loads(out.getvalue())
+    runs = {}
+    for fmt in ("json", "csv", "text"):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(["closure", "C", "2", "2", "--format", fmt], stdout=out, stderr=err)
+        runs[fmt] = code, out.getvalue(), err.getvalue().splitlines()
+    return runs
+
+
+PIECE_FAIL = (
+    "FAIL: closure piece dimension vs multiplicity sum"
+    " (tower: dim 1_mu A 1_mu' = 2 at (mu, mu')=((1, 1), (2, 0)), expected 1)"
+)
+
+
+def test_pieces_off_with_every_total_right_exit_one_and_name_a_piece(monkeypatch):
+    runs = closure_with_swapped_pieces(monkeypatch, uncut_only=False)
+    assert {fmt: (code, err) for fmt, (code, _, err) in runs.items()} == dict.fromkeys(runs, (1, [PIECE_FAIL]))
+    body = json.loads(runs["json"][1])
     assert (body["dim_tower"], body["dim_single_power"]) == (body["expected_tower"], body["expected_single_power"])
     assert body["matches_expected"] is False
-    assert err.getvalue().splitlines() == [
-        "FAIL: closure dimension vs squared-dimension sum"
-        " (tower: dim 1_mu A 1_mu' = 2 at (mu, mu')=((1, 1), (2, 0)), expected 1)"
-    ]
+    for fmt in ("csv", "text"):  # each carrier's cell is its own verdict, every piece included
+        assert matches_cells(fmt, runs[fmt][1]) == {"single_power": "False", "tower": "False"}
+
+
+def test_pieces_off_in_the_tower_alone_fail_its_row_alone(monkeypatch):
+    runs = closure_with_swapped_pieces(monkeypatch, uncut_only=True)
+    assert {fmt: (code, err) for fmt, (code, _, err) in runs.items()} == dict.fromkeys(runs, (1, [PIECE_FAIL]))
+    assert json.loads(runs["json"][1])["matches_expected"] is False
+    for fmt in ("csv", "text"):
+        assert matches_cells(fmt, runs[fmt][1]) == {"single_power": "True", "tower": "False"}

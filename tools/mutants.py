@@ -1,11 +1,11 @@
 """Run a fixed list of source mutants against the Tier-1 suite.
 
-Each mutant is one text edit of one source file: an operator flip or a
-gate bypass in `presentation`, `closure` or `replinalg`.  For each, the
-checkout (without `.git`) is copied to a temporary directory, the edit is
-applied to the copy, and `pytest -x -q` runs there; the checkout itself is
-never written.  A mutant is `killed` when the suite fails and `survived`
-when it passes.  Each run takes up to about 35 s.
+Each mutant is one text edit of one source file: an operator flip, a gate
+bypass or a dropped check in `presentation`, `closure`, `replinalg` or
+`cli`.  For each, the checkout (without `.git`) is copied to a temporary
+directory, the edit is applied to the copy, and `pytest -x -q` runs there;
+the checkout itself is never written.  A mutant is `killed` when the suite
+fails and `survived` when it passes.  Each run takes up to about 35 s.
 
     python tools/mutants.py             # every mutant
     python tools/mutants.py --check     # only confirm each anchor occurs once in its file
@@ -142,6 +142,14 @@ MUTANTS = [
         "closure.py",
         "[1] += m * n\n",
         "[1] += m\n",
+        "",
+    ),
+    (
+        "the closure table's matches cell compares totals only",
+        "cli.py",
+        'report.single_matches],\n        ["tower", report.dim_tower, report.expected_tower, report.tower_matches]',
+        'report.dim_single == report.expected_single],\n'
+        '        ["tower", report.dim_tower, report.expected_tower, report.dim_tower == report.expected_tower]',
         "",
     ),
     (
