@@ -13,7 +13,14 @@ access, so a CLI job executes only the layers it calls into.  The names
 re-exported here resolve through the module `__getattr__`, which reads
 them from their layer.  Registration, rather than a bare `__getattr__`,
 keeps every layer module in `sys.modules` after `import schurkit`, for
-code that looks the layers up there by name.
+code that looks the layers up there by name, as `bench/trace_child.py`
+does.
+
+No module uses `dataclasses`: the record classes are `__slots__` classes
+with explicit constructors, and define `==` (and a hash, for the immutable
+ones) only where instances are compared (`LieType`, `WeightSet`, `Path`,
+`RelationCheck`), so `import schurkit.cli` loads neither `dataclasses` nor
+`inspect`.
 """
 
 import importlib.util

@@ -314,6 +314,11 @@ def _emit(result: JobResult, fmt: str) -> str:
 
 
 def run(argv, stdout=None, stderr=None) -> int:
+    """Run one job and return its exit code: 0 passed, 1 a failed check, 2 invalid arguments or over a cap.
+
+    A bad --max-dim or SCHURKIT_MAX_DIM (`rootdata.resolve_max_dim`) is
+    refused before any command starts.
+    """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()

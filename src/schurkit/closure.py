@@ -116,7 +116,7 @@ def _closure_seeds(rep: Representation, rs):
     if not all(hi.is_diagonal() for hi in rep.h):
         return None, None
     orbits = orbit_rows(rep, rep.generator_lists())
-    x2 = _commutator_cases(rep.e, rep.f, lambda i: _coroot_element(rs, rep.h, i), orbits)
+    x2 = _commutator_cases(rep.e, rep.f, lambda i: _coroot_element(rs, rep.h, i, orbits), orbits)
     if orbits is None or not all(res.is_zero() for _, res in itertools.chain(x2, _x3_cases(rs, rep, orbits))):
         return None, None
     diagonals = [hi.diagonal() for hi in rep.h]

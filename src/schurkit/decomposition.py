@@ -237,7 +237,8 @@ def decompose_tensor_character(lt: LieType, r: int) -> DecompositionResult:
     r-step walks from 0 to lam whose steps are the weights of V and whose
     paths stay dominant (Grabiner-Magyar, Random walks in Weyl chambers and
     the decomposition of tensor powers, 1993).  The steps +-eps_i have
-    straight paths, so such a step is kept iff it ends in the chamber.  The
+    straight paths, so such a step is kept iff it ends in the chamber,
+    which the root system's `in_chamber` decides.  The
     zero weight of type B has the path that dips to lam - eps_n/2 and back,
     so it is a step only where lam_n > 0.  Every walk must end in pi, and
     the counts must satisfy sum_lam m_lam dim L(lam) = m^r, or
@@ -275,7 +276,11 @@ def compare_pi0_pi(lt: LieType, r: int) -> DecompositionResult:
 
 
 def classify_type_B(n_max: int, r_max: int):
-    """Equality table for the family-B headline question, over a grid."""
+    """Equality table for the family-B headline question, over a grid.
+
+    Each (n, r) builds one root system, and its totals are read from the
+    Weyl dimensions its `DecompositionResult` keeps, as the `dims` command's are.
+    """
     if n_max < 1 or r_max < 1:
         raise ValueError("bounds must be >= 1")
     rows = []

@@ -21,7 +21,8 @@ sum_lam <lam, alpha_i^vee> 1_lam, and H_i itself) are built as diagonals.
 P1 and P2, whose roots are -r, -r+2, ..., r, are kept as integer root
 tuples and applied factor by factor with `shift_products` (diagonal
 values) or `product_of_shifts` (the diagonal operator); no coefficient is
-formed.
+formed.  They, and the signed-sum annihilator built from them, are what
+the projectors, the Serre check's X6/X7 and the zero-locus scan read.
 
 `ladder_check` is the one implementation of the projector presentation's
 ladder relations R3-R6; the presentation report takes its groups from it.
@@ -105,7 +106,7 @@ class IdempotentFamily:
         self._holders = None
 
     def holders(self):
-        """`diagonal_index` of the table, built on the first call and kept.
+        """`diagonal_index` of the table, built on the first call and kept for R1, R2's targets and `ladder_check`.
 
         The projectors are diagonal; one that is not raises ArithmeticError
         on every call, since nothing is kept then.
@@ -114,16 +115,15 @@ class IdempotentFamily:
             self._holders = diagonal_index(self.table)
         return self._holders
 
-    def weighted_sum(self, coeff) -> ExactMatrix:
-        """Sum of coeff(lam) * 1_lam over the family, accumulated on the diagonal.
+    def weighted_sum(self, coeff, rows=None) -> ExactMatrix:
+        """Sum of coeff(lam) * 1_lam over the family, accumulated on the diagonal; only `rows`, if given.
 
         The projectors are diagonal; one that is not raises ArithmeticError (`holders`).
         """
         coeffs = [coeff(lam) for lam in self.table]
-        total = [0] * self.rep.dim
-        for b, held in self.holders().items():
-            total[b] = sum(coeffs[p] * v for p, v in held)
-        return ExactMatrix.diag(total)
+        holders = self.holders()
+        at = holders if rows is None else [b for b in rows if b in holders]
+        return ExactMatrix.from_entries(self.rep.dim, ((b, b, sum(coeffs[p] * v for p, v in holders[b])) for b in at))
 
     def rank_table(self):
         """Projector ranks per weight; for indicator diagonals this is the trace."""
@@ -148,7 +148,8 @@ def build_idempotents(rep: Representation) -> IdempotentFamily:
     exactly (N == d * 1_lam, see `polynomial_idempotent`); they are compared
     as diagonal values on a deterministic sample of weights (spread through
     the canonical order, plus the extremes), and each H_i's diagonal is
-    read once for the whole sample.
+    read once for the whole sample.  The basis indices are grouped by
+    weight in one pass, and each group is stored as its indicator diagonal.
     """
     r = rep.r
     pi_all = tensor_weights_Pi(rep.lie_type, r)
@@ -208,7 +209,7 @@ class LadderReport:
 _ZERO = -1  # the target position of a weight outside the carrier weight set, whose projector is zero
 
 
-def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderReport:
+def ladder_check(fam: IdempotentFamily, rep: Representation = None, rows=None) -> LadderReport:
     """Verify the four ladder families on every projector of the family.
 
         R3: e_i 1_lam = 1_{lam+a_i} e_i        R5: 1_lam e_i = e_i 1_{lam-a_i}
@@ -218,10 +219,14 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
     residual op 1_lam - 1_mu op has the entries op_ab (P_lam[b] - P_mu[a]):
     it is zero exactly when P_lam[b] = P_mu[a] at every entry (a, b) of op,
     and 1_lam op - op 1_mu exactly when P_lam[a] = P_mu[b].  So one scan of
-    each generator's entries decides every case (`_ladder_failures`), and a
+    each generator's entries, against its table of the positions of
+    lam +- alpha_i, decides every case (`_ladder_failures`), and a
     residual matrix is formed only for a failing case.  The generators come
     from `rep` (default: the family's own carrier), so a perturbed carrier
-    can be checked against a clean family.
+    can be checked against a clean family.  Given `rows`, the scan reads
+    the generators' entries in those rows only: where the generators and
+    the projectors pass the place gate (`replinalg.orbit_rows`), a residual
+    is zero exactly when its orbit rows are.
 
     Weights mu outside the carrier weight set contribute 1_mu = 0.  If a
     weight inside the set is missing from the family's table the case is
@@ -259,7 +264,8 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None) -> LadderRep
         ):
             up = [target(lam + shift) for lam in lams]
             down = [target(lam - shift) for lam in lams]
-            pairs = {(cls[a], cls[b]) for a, row in op._data.items() for b, _ in row}
+            stored = op._data.items() if rows is None else ((a, op._data[a]) for a in rows if a in op._data)
+            pairs = {(cls[a], cls[b]) for a, row in stored for b, _ in row}
             # op 1_lam - 1_up op has the entries op_ab (P_lam[b] - P_up[a]),
             # and 1_lam op - op 1_down the entries op_ab (P_lam[a] - P_down[b])
             sides = (

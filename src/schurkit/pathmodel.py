@@ -22,7 +22,9 @@ on ints over a path's denominator d: a breakpoint p has height
 (p, alpha^vee) over d, its mirror image at level q is p - (h - q) alpha,
 its translate is p - d alpha, and duality is a subtraction.  A level
 crossed inside a segment rescales the polyline by that segment's height
-step, so the crossing lands on an integer point.
+step, so the crossing lands on an integer point.  `fractions.Fraction` is
+left to reading coordinates back (`points`) and to the breakpoint times of
+the JSON output (`breakpoints`).
 
 Strings are extracted greedily along a fixed reduced word for the longest
 Weyl element: raise maximally letter by letter until the dominant path
@@ -250,8 +252,9 @@ def e_op(rs: RootSystem, i: int, path: Path):
     (Littelmann, Paths and root operators in representation theory, 1995):
     e_i(path) = dual(f_i(dual(path))).  It applies when the minimum of the
     height function is at most -1, which is read off the path's own
-    heights; the dual path's heights are h(1 - t) - h(1) over the same
-    denominator, so they are not recomputed.
+    heights, so a killed call builds no dual path; the dual path's heights
+    are h(1 - t) - h(1) over the same denominator, so they are not
+    recomputed.
     """
     h = _heights(path, _support(rs.coroot(i).num))
     if min(h) > -path.den:
@@ -375,7 +378,8 @@ def _raising_table(crystal: Crystal):
 
     The crystal is closed under the raising operators, and e_i(y) = x
     exactly when f_i(x) = y, so the edges are all the raising steps; a
-    second edge into y under one f_i breaks the crystal axiom.
+    second edge into y under one f_i breaks the crystal axiom
+    (InvariantError, CLI exit 1).
     """
     up = [{} for _ in range(crystal.rs.rank + 1)]
     for x, i, y in crystal.edges:
@@ -497,7 +501,9 @@ def basis_census(lt: LieType, r: int) -> CensusReport:
     dual are checked dominant before any dimension or crystal is built:
     a weight outside the chamber here is a failed check, not bad input.
     Every dimension is computed before any crystal, and one over the
-    crystal cap raises CapExceeded (`crystal_dimensions`).
+    crystal cap raises CapExceeded (`crystal_dimensions`).  Each weight's
+    crystal and strings are built once, also where it is another weight's
+    dual.
     """
     rs = build_root_system(lt)
     word, w0 = rs.longest_element()

@@ -36,12 +36,18 @@ exactly when its rows at the non-decreasing digit tuples are: 330 of 2801
 rows on B3 r=4.  Each check calls the place gate `replinalg.orbit_rows`
 once, on every operator its residuals read: the Serre check on the e_i,
 f_i and H_i, the idempotent check on the e_i, f_i and the projector table.
-Where the gate passes, the X2/R2 commutators, the X3 brackets and the
-Serre chains are formed on those rows alone, and in full where it fails.
-Row a of [x, z] reads row a of z and the rows of z at the columns x stores
-in row a, so each bracket of a Serre chain forms just the rows the next
-one reads, planned backwards from the orbit rows, and no intermediate is
-formed in full.  The orbit rows also give the full residual's witness.
+Where the gate passes, every residual and target is formed on those rows
+alone, and in full where it fails: the X2/R2 commutators and their
+targets, the X3 brackets, the Serre chains, the X6/X7 shift products of
+the H diagonals and R1's projector products, and `ladder_check` scans the
+generators' entries in those rows only.  A diagonal residual is a residual
+of place-fixed operators too, so the same argument covers it.  Row a of
+[x, z] reads row a of z and the rows of z at the columns x stores in row
+a, so each bracket of a Serre chain forms just the rows the next one reads,
+planned backwards from the orbit rows, and no intermediate is formed in
+full: on `verify B 3 4` each presentation makes 31 `bracket` calls, all
+on restricted rows, 11 662 rows in all.  The orbit rows also give the
+full residual's witness.
 Sorting an index's digits gives its orbit row, the smallest index of its
 orbit (digit 0 is the most significant), and row sa is row a with its
 columns permuted.  So the smallest row that holds a largest-magnitude
@@ -61,7 +67,7 @@ from __future__ import annotations
 import itertools
 
 from .idempotents import IdempotentFamily, _check_sizes, annihilator_for_signed_sums, ladder_check, p1
-from .replinalg import ExactMatrix, Representation, _combine, orbit_rows, product_of_shifts
+from .replinalg import ExactMatrix, Representation, _combine, indices, orbit_rows, product_of_shifts
 from .rootdata import LieType, Weight, build_root_system
 from .weightsets import WeightSet, compositions, tensor_weights_Pi
 
@@ -190,9 +196,9 @@ def _commutator_cases(e, f, target, rows=None):
             yield (f"i={i+1},j={j+1}", e[i].bracket(f[j], target(i) if i == j else None, rows))
 
 
-def _coroot_element(rs, h, i):
-    """h_i = sum_k <eps_k, alpha_i^vee> H_k, the target of [e_i, f_i], in one kernel pass (i 0-based)."""
-    return _combine(h[i].size, (), tuple((c, hk) for c, hk in zip(rs.coroot(i + 1).coords, h) if c))
+def _coroot_element(rs, h, i, rows=None):
+    """h_i = sum_k <eps_k, alpha_i^vee> H_k, target of [e_i, f_i], in one pass (i 0-based), on `rows` (None: all)."""
+    return _combine(h[i].size, (), tuple((c, hk) for c, hk in zip(rs.coroot(i + 1).coords, h) if c), rows)
 
 
 def _x3_cases(rs, rep, rows):
@@ -237,31 +243,32 @@ def verify_serre_presentation(rep: Representation) -> RelationReport:
         diagonals.append(hi.diagonal())
     report.relations.append(RelationCheck(label=f"{fam}1", holds=True))  # diagonal operators commute
     rows = orbit_rows(rep, rep.generator_lists())  # X2's targets and X3's brackets read the H_i
-    x2_cases = _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i), rows)
+    x2_cases = _commutator_cases(e, f, lambda i: _coroot_element(rs, h, i, rows), rows)
     report.relations.append(_check_many(f"{fam}2", x2_cases))
 
     report.relations.append(_check_many(f"{fam}3", _x3_cases(rs, rep, rows)))
     report.relations.append(_check_many(f"{fam}4", _serre_cases(e, rs.cartan, rows)))
     report.relations.append(_check_many(f"{fam}5", _serre_cases(f, rs.cartan, rows)))
 
-    x6_cases = ((f"P1(H_{i+1})", product_of_shifts(d, p1(rep.r))) for i, d in enumerate(diagonals))
+    x6_cases = ((f"P1(H_{i+1})", product_of_shifts(d, p1(rep.r), rows)) for i, d in enumerate(diagonals))
     report.relations.append(_check_many(f"{fam}6", x6_cases))
     signed = annihilator_for_signed_sums(fam, rep.r)
+    at = range(rep.dim) if rows is None else rows
 
     def x7_cases():
         for signs in itertools.product((1, -1), repeat=n):
-            j_diagonal = [0] * rep.dim
-            for s, d in zip(signs, diagonals):
-                j_diagonal = [a + s * v for a, v in zip(j_diagonal, d)]
+            j_diagonal = [0] * rep.dim  # read at `rows` alone, if given
+            for a in at:
+                j_diagonal[a] = sum([s * d[a] for s, d in zip(signs, diagonals)])
             label = "J=" + "".join("+" if s == 1 else "-" for s in signs)
-            yield (label, product_of_shifts(j_diagonal, signed))
+            yield (label, product_of_shifts(j_diagonal, signed, rows))
 
     report.relations.append(_check_many(f"{fam}7", x7_cases()))
     return report
 
 
-def _projector_cases(fam, dim):
-    """The nonzero residuals of 1_lam 1_mu = delta 1_lam, in (lam, mu) order, then of the completeness sum.
+def _projector_cases(fam, dim, rows=None):
+    """Residuals of 1_lam 1_mu = delta 1_lam in (lam, mu) order, then of the completeness sum, on `rows` (None: all).
 
     The projectors are diagonal (`fam.holders()` raises otherwise), so
     1_lam 1_mu is the index-by-index product, and only pairs whose
@@ -269,8 +276,10 @@ def _projector_cases(fam, dim):
     """
     lams = list(fam.table)
     holders = fam.holders()
+    at = indices(dim)[:dim] if rows is None else rows
     products = {}  # (position of lam, position of mu) -> {index: entry of 1_lam 1_mu - delta 1_lam}
-    for b, held in holders.items():
+    for b in at:
+        held = holders.get(b, ())
         for p, u in held:
             for q, v in held:
                 w = u * v - u if p == q else u * v
@@ -278,20 +287,21 @@ def _projector_cases(fam, dim):
                     products.setdefault((p, q), {})[b] = w
     for p, q in sorted(products):
         yield (f"1_{lams[p].coords} 1_{lams[q].coords}", ExactMatrix._diag_at(dim, products[p, q].items()))
-    total = [-1] * dim
-    for b, held in holders.items():
-        total[b] += sum(v for _, v in held)
-    yield ("completeness", ExactMatrix._diag(total))
+    yield ("completeness", ExactMatrix._diag_at(dim, ((b, sum(v for _, v in holders.get(b, ())) - 1) for b in at)))
 
 
 def verify_idempotent_presentation(rep: Representation, fam: IdempotentFamily) -> RelationReport:
     """Check the eight projector-presentation relation groups on a carrier.
 
-    The ladder groups R3-R6 come from `idempotents.ladder_check`, the one
-    implementation the `idempotents` command uses too.  Ladder cases whose
-    target projector is absent from the family's table (while its weight
-    does belong to the carrier weight set) are skipped: the missing
-    projector is a completeness defect, which R1 reports.
+    A projector whose size is not the carrier's is refused first
+    (ValueError).  R7 and R8 are formed before R1, so that their brackets
+    are freed before the family's projector index is built; the report
+    keeps the R1-R8 order.  The ladder groups R3-R6 come from
+    `idempotents.ladder_check`, the one implementation the `idempotents`
+    command uses too.  Ladder cases whose target projector is absent from
+    the family's table (while its weight does belong to the carrier weight
+    set) are skipped: the missing projector is a completeness defect,
+    which R1 reports.
     """
     _check_sizes(fam.table, rep.dim)  # before the place gate reads the table
     report, rs = _new_report("idempotent", rep)
@@ -299,10 +309,10 @@ def verify_idempotent_presentation(rep: Representation, fam: IdempotentFamily) -
     # R7 and R8 are checked first, so that the Serre brackets, the largest
     # intermediates, are freed before the family's projector index is built
     serre = [_check_many(f"R{k}", _serre_cases(gens, rs.cartan, rows)) for k, gens in ((7, rep.e), (8, rep.f))]
-    report.relations.append(_check_many("R1", _projector_cases(fam, rep.dim)))
-    coroot_target = lambda i: fam.weighted_sum(rs.coroot(i + 1).dot)  # sum_lam <lam, alpha_i^vee> 1_lam
+    report.relations.append(_check_many("R1", _projector_cases(fam, rep.dim, rows)))
+    coroot_target = lambda i: fam.weighted_sum(rs.coroot(i + 1).dot, rows)  # sum_lam <lam, alpha_i^vee> 1_lam
     report.relations.append(_check_many("R2", _commutator_cases(rep.e, rep.f, coroot_target, rows)))
-    for label, cases in ladder_check(fam, rep).residuals.items():
+    for label, cases in ladder_check(fam, rep, rows).residuals.items():
         report.relations.append(_check_many(label, cases))
     report.relations.extend(serre)
     return report

@@ -23,10 +23,10 @@ Cartan operators and weight projectors are diagonal on the weight basis
 of every carrier.  Two places use that.  `product_of_shifts` (and
 `shift_products`, its list of values) takes the diagonal values of an
 operator, which its caller has read off once, and multiplies out each
-distinct value once.  `diagonal_index` lists, per index, the matrices of
-a table of diagonals that hold it, and a table matrix that is not
-diagonal is a failed check (ArithmeticError).  The algebra closure grades
-by the diagonal generators.
+distinct value once, on given rows only if asked.  `diagonal_index`
+lists, per index, the matrices of a table of diagonals that hold it, and
+a table matrix that is not diagonal is a failed check (ArithmeticError).
+The algebra closure grades by the diagonal generators.
 
 The permutations of the tensor places of a tower block commute with the
 lifted generators.  `orbit_rows`, the one place gate, lists one basis
@@ -114,6 +114,7 @@ class ExactMatrix:
 
     @classmethod
     def from_entries(cls, size, items):
+        """The matrix with the (i, j, v) entries of items, in one pass; entries at one position add up."""
         rows = {}
         for i, j, v in items:
             if not (0 <= i < size and 0 <= j < size):
@@ -126,6 +127,7 @@ class ExactMatrix:
 
     @classmethod
     def from_dense(cls, dense):
+        """The matrix of a square list of rows; a non-square or ragged list raises ValueError."""
         size = len(dense)
         if any(len(r) != size for r in dense):
             raise ValueError(f"from_dense needs a square list of rows, got row lengths {[len(r) for r in dense]}")
@@ -154,7 +156,8 @@ class ExactMatrix:
 
         The caller makes the ints itself, each i a distinct index below
         size (the shared int, so that the rows share their keys), and none
-        is checked again.
+        is checked again, unlike `diag`'s: the projector table of
+        `build_idempotents` and R1's residuals are built this way.
         """
         return cls(size, {i: ((i, v),) for i, v in items if v})
 
@@ -301,16 +304,19 @@ def shift_products(diagonal, shifts):
     return [value[m] for m in diagonal]
 
 
-def product_of_shifts(diagonal, shifts):
-    """Product over s in shifts of (M - s*I) for the diagonal M with these diagonal values.
+def product_of_shifts(diagonal, shifts, rows=None):
+    """Product over s in shifts of (M - s*I) for the diagonal M with these diagonal values; only `rows`, if given.
 
     The result is the diagonal of the products prod_s (m_ii - s), formed
-    once per distinct diagonal value; zero products are not stored.  The
-    caller reads the values off a carrier's Cartan operators, which are
-    diagonal on its weight basis, and checks that they are; the values are
-    then ints by construction and are not validated again.
+    once per distinct diagonal value; zero products are not stored, nor
+    any row outside `rows`.  The caller reads the values off a carrier's
+    Cartan operators, which are diagonal on its weight basis, and checks
+    that they are; the values are then ints by construction and are not
+    validated again.
     """
-    return ExactMatrix._diag(shift_products(diagonal, shifts))
+    if rows is None:
+        return ExactMatrix._diag(shift_products(diagonal, shifts))
+    return ExactMatrix._diag_at(len(diagonal), zip(rows, shift_products([diagonal[a] for a in rows], shifts)))
 
 
 def diagonal_index(table):
@@ -345,6 +351,9 @@ def natural_weights(lt: LieType):
 
 def natural_rep(lt: LieType) -> Representation:
     """The natural module as the degree-1 carrier: simple root vectors e_i, f_i and Cartan elements H_i.
+
+    It is the record `single_power_rep(lt, 1)` builds too: the Chevalley
+    generators, the weights and one block.
 
     H_i has +1 at position i and -1 at position n+i.  For i < n the root
     vectors are shared by all three families; the last one depends on the

@@ -52,10 +52,11 @@ DEFAULT_MAX_DIM = 3000
 
 
 def resolve_max_dim(explicit=None):
-    """The carrier dimension cap: the explicit value, else SCHURKIT_MAX_DIM, else the default.
+    """The carrier dimension cap: the explicit value (--max-dim), else SCHURKIT_MAX_DIM, else 3000.
 
     A cap that is not a positive integer is bad input: ValueError, naming
-    where the value came from.
+    where the value came from.  `cli.run` calls this before any command
+    starts, so every command refuses such a cap up front.
     """
     source = "--max-dim"
     if explicit is None:
@@ -242,7 +243,13 @@ class LieType:
 
 
 class RootSystem:
-    """Simple roots, Cartan matrix, positive roots, and rho for one type."""
+    """Simple roots, Cartan matrix, positive roots, and rho for one type.
+
+    The coroots are computed once, and the simple roots, coroots and
+    positive roots are checked integral at construction (InvariantError
+    "integral simple roots"), so every layer reads `simple_root(i).num` and
+    `coroot(i).num` as int tuples without a check of its own.
+    """
 
     __slots__ = ("lie_type", "simple_roots", "cartan", "positive_roots", "rho", "coroots")
 
@@ -285,7 +292,7 @@ class RootSystem:
         return all(sum(map(mul, num, c.num)) >= 0 for c in self.coroots)
 
     def is_dominant(self, w):
-        """w is in the chamber; its numerators have the signs of its pairings."""
+        """`in_chamber(w.num)`: w's numerators have the signs of its pairings."""
         return self.in_chamber(w.num)
 
     def simple_root_coefficients(self, v):

@@ -162,7 +162,8 @@ def is_saturated(rs: RootSystem, ws: WeightSet) -> bool:
     are (s_{n-1} -+ x_n)/2 >= 0, so s_{n-1} >= |x_n|, and
     |lam|_1 - |mu|_1 = s_{n-1} + |lam_n| - |mu_n| >= s_{n-1} - |x_n| >= 0.
     In C and D the root lattice has even coordinate sum, which fixes the
-    parity.  Below 0 is only 0 itself.
+    parity.  Below 0 is only 0 itself.  Every weight of ws must be dominant
+    and integral (ValueError otherwise).
     """
     members = ws.as_set()
     for lam in members:

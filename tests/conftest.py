@@ -1,8 +1,18 @@
+import importlib.util
 import inspect
 from fractions import Fraction
+from pathlib import Path
 
 from schurkit.replinalg import ExactMatrix
 from schurkit.rootdata import LieType, Weight
+
+
+def load_tool(name):
+    """The script tools/<name>.py, loaded by path as a module."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def all_lie_types(max_rank=3):

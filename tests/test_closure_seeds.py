@@ -41,12 +41,13 @@ from schurkit.closure import _closure_dimensions, _closure_seeds, presentations_
 from schurkit.presentation import _commutator_cases, _coroot_element, _x3_cases
 from schurkit.replinalg import ExactMatrix, algebra_closure, orbit_rows, single_power_rep, tower_rep
 from schurkit.rootdata import LieType, Weight, build_root_system
-from conftest import rebuild
+from conftest import load_tool, rebuild
 from test_ladders import _seeded_faults as ladder_faults
 from test_orbits import seeded_faults as orbit_faults
 
 CRITERION_6 = [("C", 1, 2), ("C", 2, 2), ("B", 2, 2), ("D", 2, 2), ("B", 2, 3), ("B", 3, 2), ("D", 3, 2), ("C", 2, 3)]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PINS = load_tool("pins")  # its FAULTS["doubled e_1"] is the one copy of the doubled natural e_1 entry
 
 
 def carriers(family, rank, r):
@@ -93,15 +94,8 @@ def test_seeded_closure_dimension_is_the_full_closures(family, rank, r):
 @pytest.mark.parametrize("family,rank,r", CRITERION_6)
 def test_the_cut_reads_the_single_power_closures_weight_dimensions(family, rank, r, doubled, monkeypatch):
     if doubled:  # one entry of e_1 doubled in the natural module, so both carriers fail X2 and take every row
-        real = replinalg.natural_rep
-
-        def doubled_entry(lt):
-            rep = real(lt)
-            (i, j, v), *_ = sorted(rep.e[0].iter_entries())
-            rep.e = (rep.e[0] + ExactMatrix.unit(rep.dim, i, j, v), *rep.e[1:])
-            return rep
-
-        monkeypatch.setattr(replinalg, "natural_rep", doubled_entry)
+        monkeypatch.setattr(replinalg, "natural_rep", replinalg.natural_rep)  # restored when the test ends
+        exec(PINS.FAULTS["doubled e_1"], {})  # the pins table's fault, which replaces replinalg.natural_rep
     rs, (tower, single) = carriers(family, rank, r)
     (_, (dim_single, cut)), dominant = _closure_dimensions(tower, rs)
     assert dominant is not doubled
@@ -310,31 +304,10 @@ def test_a_projector_that_splits_its_weight_class_generates_another_algebra(fami
         assert seeded == [None, None]  # a split class takes both closures in full
 
 
-MISMATCH = """
-import sys
-from schurkit import cli, replinalg
-
-real = replinalg.natural_rep
-
-
-def scaled_entry(lt):
-    rep = real(lt)
-    e = list(rep.e)
-    (i, j, v), *_ = sorted(e[0].iter_entries())
-    e[0] = e[0] + replinalg.ExactMatrix.unit(rep.dim, i, j, v)  # one entry of e_1 doubled
-    rep.e = tuple(e)
-    return rep
-
-
-replinalg.natural_rep = scaled_entry
-sys.exit(cli.run(["closure", "C", "2", "2"]))
-"""
-
-
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_closure_mismatch_exits_one_and_names_a_piece(flags):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, *flags, "-c", MISMATCH]
+    argv = [sys.executable, *flags, "-c", PINS.FAULTS["doubled e_1"] + PINS.RUN, "closure", "C", "2", "2"]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert '"matches_expected": false' in proc.stdout

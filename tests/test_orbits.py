@@ -14,6 +14,7 @@ full residual's witness; one that is not fixed, an H_i or a projector
 included, fails the gate and takes all rows.
 """
 
+import inspect
 import io
 import json
 import os
@@ -28,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurkit import cli, presentation
-from schurkit.idempotents import build_idempotents
+from schurkit.idempotents import IdempotentFamily, build_idempotents
 from schurkit.presentation import _serre_sum, verify_idempotent_presentation, verify_serre_presentation
 from schurkit.replinalg import ExactMatrix, Representation, _lift_rows, natural_rep, orbit_rows, tower_rep
 from schurkit.rootdata import LieType, build_root_system
@@ -163,27 +164,41 @@ def reports(rep, fam):
 
 
 class RowProbe:
-    """Records, for each bracket the relation checks form, whether it ran on all rows.
+    """Records, for each residual and target the relation checks form, whether it was formed on all rows.
 
-    The brackets are the `ExactMatrix.bracket` calls and X3's direct kernel passes, the `_combine` calls of
-    `presentation` that form a product; the coroot targets are sums of H_i and form none.
+    Recorded, by kind: the `ExactMatrix.bracket` calls; every `_combine` call of `presentation` (X3's
+    brackets and X2's targets); X2's coroot targets once more; R2's targets (`IdempotentFamily.weighted_sum`);
+    the X6/X7 shift products of the H diagonals; R1's projector cases; and the ladder scan.  `full` lists
+    each call's verdict, and `kinds` the kinds seen.
     """
 
     def __init__(self, monkeypatch):
-        self.full = []
-        bracket, combine = ExactMatrix.bracket, presentation._combine
+        self.full, self.kinds = [], set()
+        for owner, name, kind in (
+            (ExactMatrix, "bracket", "bracket"),
+            (presentation, "_combine", "kernel pass"),
+            (presentation, "_coroot_element", "X2 target"),
+            (IdempotentFamily, "weighted_sum", "R2 target"),
+            (presentation, "product_of_shifts", "X6/X7 shift product"),
+            (presentation, "_projector_cases", "R1"),
+            (presentation, "ladder_check", "ladder scan"),
+        ):
+            self.wrap(monkeypatch, owner, name, kind)
 
-        def counted_bracket(x, other, minus=None, rows=None):
-            self.full.append(rows is None)
-            return bracket(x, other, minus, rows)
+    def wrap(self, monkeypatch, owner, name, kind):
+        real = getattr(owner, name)
+        signature = inspect.signature(real)
 
-        def counted_combine(size, products, terms=(), rows=None):
-            if products:
-                self.full.append(rows is None)
-            return combine(size, products, terms, rows)
+        def recorded(*args, **kwargs):
+            self.kinds.add(kind)
+            self.full.append(signature.bind(*args, **kwargs).arguments.get("rows") is None)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(ExactMatrix, "bracket", counted_bracket)
-        monkeypatch.setattr(presentation, "_combine", counted_combine)
+        monkeypatch.setattr(owner, name, recorded)
+
+
+SERRE_KINDS = {"bracket", "kernel pass", "X2 target", "X6/X7 shift product"}
+IDEMPOTENT_KINDS = {"bracket", "R2 target", "R1", "ladder scan"}
 
 
 @pytest.mark.parametrize("family,rank,r", CRITERION_1)
@@ -191,7 +206,8 @@ def test_orbit_path_matches_the_full_path_on_criterion_1_carriers(family, rank, 
     rep, fam = tower(family, rank, r)
     probe = RowProbe(monkeypatch)
     orbit = reports(rep, fam)
-    assert probe.full and not any(probe.full)  # every residual was formed on the orbit rows alone
+    assert probe.kinds == SERRE_KINDS | IDEMPOTENT_KINDS
+    assert probe.full and not any(probe.full)  # every residual and target was formed on the orbit rows alone
     probe.full.clear()
     all_rows(monkeypatch)
     assert reports(rep, fam) == orbit
@@ -271,6 +287,30 @@ def test_a_projector_fault_off_the_orbit_rows_fails_r2_as_on_all_rows(family, ra
     assert r2["witness"] == {"case": "i=1,j=1", "entry": [a, a], "value": "-2/1", "magnitude": "2"}
     if family == "C":
         assert (a, rep.weights[a].coords, first.coords) == (5, (1, 1), (2, 0))
+    all_rows(monkeypatch)
+    assert verify_idempotent_presentation(rep, fam).to_json() == report
+
+
+@pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2)])
+def test_a_doubled_projector_passes_the_gate_and_fails_r1_as_on_all_rows(family, rank, r, monkeypatch):
+    # 2 1_lam is fixed by the place permutations, so the idempotent check's gate passes and R1 is formed on the
+    # orbit rows alone; (2 1_lam)^2 - 2 1_lam = 2 1_lam reads 2 on lam's support, whose smallest index is an orbit
+    # row, and the witness is the one the full residuals give
+    rep, clean = tower(family, rank, r)
+    a = min(set(range(rep.dim)) - set(orbit_rows(rep)))
+    lam = rep.weights[a]  # a projector whose support holds rows that are not formed
+    table = dict(clean.table)
+    table[lam] = 2 * table[lam]
+    fam = rebuild(clean, table=table)
+    assert gates(rep, fam)[1] is not None
+    probe = RowProbe(monkeypatch)
+    report = verify_idempotent_presentation(rep, fam).to_json()
+    assert IDEMPOTENT_KINDS <= probe.kinds and not any(probe.full)
+    (r1,) = [rel for rel in report["relations"] if rel["label"] == "R1"]
+    first = min(b for b in range(rep.dim) if rep.weights[b] == lam)
+    case = f"1_{lam.coords} 1_{lam.coords}"
+    assert r1 == {"label": "R1", "status": "fails", "witness": {
+        "case": case, "entry": [first, first], "value": "2/1", "magnitude": "2"}}
     all_rows(monkeypatch)
     assert verify_idempotent_presentation(rep, fam).to_json() == report
 

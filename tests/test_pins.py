@@ -7,15 +7,13 @@ code, the stderr line, a peak-RSS bound below its peak, or a timeout
 shorter than its run, where the child is killed and reaped.
 """
 
-import importlib.util
 import os
-from pathlib import Path
 
 import pytest
 
-spec = importlib.util.spec_from_file_location("pins", Path(__file__).resolve().parents[1] / "tools" / "pins.py")
-pins = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(pins)
+from conftest import load_tool
+
+pins = load_tool("pins")
 
 (ROW,) = [pin for pin in pins.PINS if pin.argv == "closure C 2 2"]
 

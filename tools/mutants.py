@@ -53,6 +53,13 @@ MUTANTS = [
         "",
     ),
     (
+        "X2's target is formed on the orbit rows where the gate failed",
+        "presentation.py",
+        "lambda i: _coroot_element(rs, h, i, rows), rows)",
+        "lambda i: _coroot_element(rs, h, i, orbit_rows(rep)), rows)",
+        "",
+    ),
+    (
         "the closure gate leaves out the H_i",
         "closure.py",
         "orbits = orbit_rows(rep, rep.generator_lists())",

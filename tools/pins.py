@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 RUN = "import sys\nfrom schurkit import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
 
 FAULTS = {
-    # one entry of the natural module's e_1 doubled, applied in the child before cli.run
+    # one entry of the natural module's e_1 doubled, applied in the child before cli.run (the tests exec it too)
     "doubled e_1": """
 from schurkit import replinalg
 real = replinalg.natural_rep
