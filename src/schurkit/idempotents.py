@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 
-from .replinalg import ExactMatrix, Representation, diagonal_index, indices, shift_products
+from .replinalg import ExactMatrix, Representation, _combine, diagonal_index, indices, shift_products
 from .rootdata import InvariantError, Weight, build_root_system
 from .weightsets import WeightSet, tensor_weights_Pi
 
@@ -221,12 +221,12 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None, rows=None) -
     and 1_lam op - op 1_mu exactly when P_lam[a] = P_mu[b].  So one scan of
     each generator's entries, against its table of the positions of
     lam +- alpha_i, decides every case (`_ladder_failures`), and a
-    residual matrix is formed only for a failing case.  The generators come
-    from `rep` (default: the family's own carrier), so a perturbed carrier
-    can be checked against a clean family.  Given `rows`, the scan reads
-    the generators' entries in those rows only: where the generators and
-    the projectors pass the place gate (`replinalg.orbit_rows`), a residual
-    is zero exactly when its orbit rows are.
+    residual matrix is formed only for a failing case, by the row kernel on
+    `rows`.  The generators come from `rep` (default: the family's own
+    carrier), so a perturbed carrier can be checked against a clean family.
+    Given `rows`, the scan reads the generators' entries in those rows only:
+    where the generators and the projectors pass the place gate, a residual
+    is zero exactly when its orbit rows are (`replinalg.orbit_rows`).
 
     Weights mu outside the carrier weight set contribute 1_mu = 0.  If a
     weight inside the set is missing from the family's table the case is
@@ -252,7 +252,6 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None, rows=None) -
         """mu's table position, _ZERO outside the weight set, None (skipped) where the table lacks it."""
         return _ZERO if mu not in members else position.get(mu)
 
-    zero = ExactMatrix.zeros(rep.dim)
     residuals = {label: [] for label in ("R3", "R4", "R5", "R6")}
     checked = skipped = 0
     for idx in range(1, rep.rank + 1):
@@ -269,19 +268,21 @@ def ladder_check(fam: IdempotentFamily, rep: Representation = None, rows=None) -
             # op 1_lam - 1_up op has the entries op_ab (P_lam[b] - P_up[a]),
             # and 1_lam op - op 1_down the entries op_ab (P_lam[a] - P_down[b])
             sides = (
-                (left, up, _ladder_failures({(b, a) for a, b in pairs}, held, up), lambda p: op @ p, lambda q: q @ op),
-                (right, down, _ladder_failures(pairs, held, down), lambda p: p @ op, lambda q: op @ q),
+                (left, up, _ladder_failures({(b, a) for a, b in pairs}, held, up), False),
+                (right, down, _ladder_failures(pairs, held, down), True),
             )
             for n, lam in enumerate(lams):
-                for label, targets, failing, lhs, rhs in sides:
+                for label, targets, failing, ahead in sides:
                     mu = targets[n]
                     if mu is None:
                         skipped += 1
                         continue
                     checked += 1
                     if n in failing:
-                        expected = zero if mu == _ZERO else rhs(table[lams[mu]])
-                        residuals[label].append((f"i={idx},lam={lam.coords}", lhs(table[lam]) - expected))
+                        terms = [(1, table[lam], op) if ahead else (1, op, table[lam])]
+                        if mu != _ZERO:
+                            terms.append((-1, op, table[lams[mu]]) if ahead else (-1, table[lams[mu]], op))
+                        residuals[label].append((f"i={idx},lam={lam.coords}", _combine(rep.dim, terms, (), rows)))
     return LadderReport(residuals=residuals, checked=checked, skipped=skipped)
 
 

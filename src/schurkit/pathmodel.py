@@ -526,15 +526,15 @@ def basis_census(lt: LieType, r: int) -> CensusReport:
     total = 0
     for (lam, dual_hw), dim in zip(pairs, crystal_dimensions(rs, [lam for lam, _ in pairs])):
         strings = strings_for(lam)
-        opp = opposite_strings(strings_for(dual_hw))
-        product = len(strings) * len(opp)
+        opposite = len(strings_for(dual_hw))  # reversing the dual's strings keeps their number
+        product = len(strings) * opposite
         rows.append(
             {
                 "weight": lam.to_json(),
                 "dim": dim,
                 "strings": len(strings),
                 "dual_weight": dual_hw.to_json(),
-                "opposite_strings": len(opp),
+                "opposite_strings": opposite,
                 "product": product,
                 "expected": dim * dim,
                 "ok": product == dim * dim,

@@ -39,8 +39,8 @@ f_i and H_i, the idempotent check on the e_i, f_i and the projector table.
 Where the gate passes, every residual and target is formed on those rows
 alone, and in full where it fails: the X2/R2 commutators and their
 targets, the X3 brackets, the Serre chains, the X6/X7 shift products of
-the H diagonals and R1's projector products, and `ladder_check` scans the
-generators' entries in those rows only.  A diagonal residual is a residual
+the H diagonals, R1's projector products, and `ladder_check`'s entry
+scan and R3-R6 ladder residuals.  A diagonal residual is a residual
 of place-fixed operators too, so the same argument covers it.  Row a of
 [x, z] reads row a of z and the rows of z at the columns x stores in row
 a, so each bracket of a Serre chain forms just the rows the next one reads,

@@ -139,15 +139,11 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls._diag([1] * n)
+        return cls._diag_at(n, zip(indices(n), [1] * n))
 
     @classmethod
     def diag(cls, values):
-        return cls._diag([_int_entry(v) for v in values])
-
-    @classmethod
-    def _diag(cls, values):
-        """`diag` of int values the caller made itself, without checking each one again."""
+        values = [_int_entry(v) for v in values]
         return cls._diag_at(len(values), zip(indices(len(values)), values))
 
     @classmethod
@@ -156,8 +152,8 @@ class ExactMatrix:
 
         The caller makes the ints itself, each i a distinct index below
         size (the shared int, so that the rows share their keys), and none
-        is checked again, unlike `diag`'s: the projector table of
-        `build_idempotents` and R1's residuals are built this way.
+        is checked again: `identity`, `diag`, `product_of_shifts`, the projector
+        table of `build_idempotents` and R1's residuals are built this way.
         """
         return cls(size, {i: ((i, v),) for i, v in items if v})
 
@@ -314,9 +310,8 @@ def product_of_shifts(diagonal, shifts, rows=None):
     that they are; the values are then ints by construction and are not
     validated again.
     """
-    if rows is None:
-        return ExactMatrix._diag(shift_products(diagonal, shifts))
-    return ExactMatrix._diag_at(len(diagonal), zip(rows, shift_products([diagonal[a] for a in rows], shifts)))
+    at = indices(len(diagonal))[: len(diagonal)] if rows is None else rows
+    return ExactMatrix._diag_at(len(diagonal), zip(at, shift_products([diagonal[a] for a in at], shifts)))
 
 
 def diagonal_index(table):

@@ -135,24 +135,21 @@ class Weight:
         return iter(self.coords)
 
     def __add__(self, other):
+        return self._signed_sum(other, 1)
+
+    def __sub__(self, other):
+        return self._signed_sum(other, -1)
+
+    def _signed_sum(self, other, sign):
+        """self + sign * other, for sign 1 or -1."""
         d, e = self.den, other.den
         if d == e:
-            num = tuple([a + b for a, b in zip(self.num, other.num, strict=True)])
+            num = tuple([a + sign * b for a, b in zip(self.num, other.num, strict=True)])
             return _weight(num, 1) if d == 1 else Weight.from_numerators(num, d)
         # Over coprime denominators the sum is already reduced.
         g = math.gcd(d, e)
-        p, q = e // g, d // g
+        p, q = e // g, sign * (d // g)
         num = tuple([a * p + b * q for a, b in zip(self.num, other.num, strict=True)])
-        return _weight(num, d * p) if g == 1 else Weight.from_numerators(num, d * p)
-
-    def __sub__(self, other):
-        d, e = self.den, other.den
-        if d == e:
-            num = tuple([a - b for a, b in zip(self.num, other.num, strict=True)])
-            return _weight(num, 1) if d == 1 else Weight.from_numerators(num, d)
-        g = math.gcd(d, e)
-        p, q = e // g, d // g
-        num = tuple([a * p - b * q for a, b in zip(self.num, other.num, strict=True)])
         return _weight(num, d * p) if g == 1 else Weight.from_numerators(num, d * p)
 
     def __neg__(self):

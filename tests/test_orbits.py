@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurkit import cli, presentation
+from schurkit import cli, idempotents, presentation
 from schurkit.idempotents import IdempotentFamily, build_idempotents
 from schurkit.presentation import _serre_sum, verify_idempotent_presentation, verify_serre_presentation
 from schurkit.replinalg import ExactMatrix, Representation, _lift_rows, natural_rep, orbit_rows, tower_rep
@@ -168,8 +168,9 @@ class RowProbe:
 
     Recorded, by kind: the `ExactMatrix.bracket` calls; every `_combine` call of `presentation` (X3's
     brackets and X2's targets); X2's coroot targets once more; R2's targets (`IdempotentFamily.weighted_sum`);
-    the X6/X7 shift products of the H diagonals; R1's projector cases; and the ladder scan.  `full` lists
-    each call's verdict, and `kinds` the kinds seen.
+    the X6/X7 shift products of the H diagonals; R1's projector cases; the ladder scan; and every `_combine`
+    call of `idempotents`, the residuals of failing ladder cases.  `full` lists each call's verdict, and
+    `kinds` the kinds seen.
     """
 
     def __init__(self, monkeypatch):
@@ -182,6 +183,7 @@ class RowProbe:
             (presentation, "product_of_shifts", "X6/X7 shift product"),
             (presentation, "_projector_cases", "R1"),
             (presentation, "ladder_check", "ladder scan"),
+            (idempotents, "_combine", "ladder residual"),
         ):
             self.wrap(monkeypatch, owner, name, kind)
 
@@ -313,6 +315,29 @@ def test_a_doubled_projector_passes_the_gate_and_fails_r1_as_on_all_rows(family,
         "case": case, "entry": [first, first], "value": "2/1", "magnitude": "2"}}
     all_rows(monkeypatch)
     assert verify_idempotent_presentation(rep, fam).to_json() == report
+
+
+@pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2)])
+def test_swapped_projectors_pass_the_gate_and_fail_the_ladders_on_the_orbit_rows(family, rank, r, monkeypatch):
+    # 1_lam and 1_mu under each other's labels are still fixed by the place permutations, so the idempotent check's
+    # gate passes; R1 holds and R2-R6 fail, and every ladder residual is one kernel pass on the orbit rows alone,
+    # whose witnesses are the ones the full residuals give
+    rep, clean = tower(family, rank, r)
+    a = min(set(range(rep.dim)) - set(orbit_rows(rep)))
+    lam, mu = rep.weights[0], rep.weights[a]
+    assert lam != mu
+    table = dict(clean.table)
+    table[lam], table[mu] = table[mu], table[lam]
+    fam = rebuild(clean, table=table)
+    assert gates(rep, fam)[1] is not None
+    probe = RowProbe(monkeypatch)
+    report = verify_idempotent_presentation(rep, fam).to_json()
+    assert "ladder residual" in probe.kinds and not any(probe.full)
+    assert [rel["label"] for rel in report["relations"] if rel["status"] == "fails"] == ["R2", "R3", "R4", "R5", "R6"]
+    probe.full.clear()
+    all_rows(monkeypatch)
+    assert verify_idempotent_presentation(rep, fam).to_json() == report
+    assert probe.full and all(probe.full)
 
 
 @pytest.mark.parametrize("family,rank,r", [("C", 2, 2), ("B", 2, 2), ("D", 3, 2)])

@@ -221,7 +221,6 @@ def test_every_constructor_and_kernel_stores_pair_rows_in_normal_form(mats, k, d
         (ExactMatrix.zeros(n), diagonal([0] * n)),
         (ExactMatrix.identity(n), diagonal([1] * n)),
         (ExactMatrix.diag(diag), diagonal(diag)),
-        (ExactMatrix._diag(diag), diagonal(diag)),
         (ExactMatrix._diag_at(n, ((ix[i], diag[i]) for i in rows)), diagonal([diag[i] * (i in rows) for i in range(n)])),
         (ExactMatrix.unit(n, n - 1, 0, k), dense(ExactMatrix.from_entries(n, [(n - 1, 0, k)]))),
         (a + b, dense(unfused_combine(n, [], [(1, a), (1, b)]))),

@@ -1,11 +1,12 @@
 """Run a fixed list of source mutants against the Tier-1 suite.
 
 Each mutant is one text edit of one source file: an operator flip, a gate
-bypass or a dropped check in `presentation`, `closure`, `replinalg` or
-`cli`.  For each, the checkout (without `.git`) is copied to a temporary
-directory, the edit is applied to the copy, and `pytest -x -q` runs there;
-the checkout itself is never written.  A mutant is `killed` when the suite
-fails and `survived` when it passes.  Each run takes up to about 35 s.
+bypass or a dropped check in `presentation`, `idempotents`, `closure`,
+`replinalg` or `cli`.  For each, the checkout (without `.git`) is copied to
+a temporary directory, the edit is applied to the copy, and `pytest -x -q`
+runs there; the checkout itself is never written.  A mutant is `killed`
+when the suite fails and `survived` when it passes.  Each run takes up to
+about 35 s.
 
     python tools/mutants.py             # every mutant
     python tools/mutants.py --check     # only confirm each anchor occurs once in its file
@@ -57,6 +58,13 @@ MUTANTS = [
         "presentation.py",
         "lambda i: _coroot_element(rs, h, i, rows), rows)",
         "lambda i: _coroot_element(rs, h, i, orbit_rows(rep)), rows)",
+        "",
+    ),
+    (
+        "the ladder's failing residuals are formed on every row",
+        "idempotents.py",
+        "_combine(rep.dim, terms, (), rows)",
+        "_combine(rep.dim, terms)",
         "",
     ),
     (
